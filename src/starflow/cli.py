@@ -1,10 +1,11 @@
 """Experiment runner.
 
 One experiment per invocation; every experiment writes a JSON report
-(schema 1) with its estimates, test results, the verbatim config echo and
-the seed. Exit code 0 iff all checks passed their declared tolerances, 1
-when some check failed (the report is still written), 2 for CLI usage
-errors, 3 for invalid configuration values.
+(schema 2) with its estimates, test results, the verbatim config echo, the
+seed, and a ``diagnostics`` block of engine work counts (empty for
+experiments whose engines report none). Exit code 0 iff all checks passed
+their declared tolerances, 1 when some check failed (the report is still
+written), 2 for CLI usage errors, 3 for invalid configuration values.
 
 Reproducibility: the same config and seed produce byte-identical numeric
 output; worker counts only change wall time (fixed chunking, one stream
@@ -26,7 +27,7 @@ import numpy as np
 from . import graphs, isde, metric, quadrant, stats, walsh
 from .halfline import RngStream
 
-SCHEMA = 1
+SCHEMA = 2
 EXIT_CHECKS_FAILED = 1
 EXIT_BAD_CONFIG = 3
 
@@ -137,7 +138,7 @@ def _exp_orbm_leg(cfg: ExperimentConfig, rng: RngStream):
     if cfg.csv:
         leg = quadrant.orbm_leg(theta, x, cfg.dt, rng.child(987), accel=True)
         leg.to_csv(cfg.csv + "_leg.csv")
-    return estimates, ks_results, bound_checks, checks
+    return estimates, ks_results, bound_checks, checks, {}
 
 
 def _exp_quadrant(cfg: ExperimentConfig, rng: RngStream):
@@ -167,7 +168,7 @@ def _exp_quadrant(cfg: ExperimentConfig, rng: RngStream):
         proc = quadrant.quadrant_process(source, cfg.x, cfg.dt, cfg.eps_stop,
                                          cfg.max_legs, rng.child(987), keep_paths=True)
         proc.to_csv(cfg.csv + "_quadrant.csv")
-    return estimates, {}, {}, checks
+    return estimates, {}, {}, checks, {}
 
 
 def _exp_walsh_kernel(cfg: ExperimentConfig, rng: RngStream):
@@ -198,7 +199,7 @@ def _exp_walsh_kernel(cfg: ExperimentConfig, rng: RngStream):
     if cfg.csv:
         path = walsh.wbm_coupled_path(g, x0, cfg.T, cfg.dt, rng.child(987))
         path.to_csv(cfg.csv + "_walsh.csv")
-    return estimates, ks_results, {}, checks
+    return estimates, ks_results, {}, checks, {}
 
 
 def _exp_isde(cfg: ExperimentConfig, rng: RngStream):
@@ -233,7 +234,7 @@ def _exp_isde(cfg: ExperimentConfig, rng: RngStream):
         ratio, ratio_f = summ.variance_ratio, res_fine[nm].variance_ratio
         estimates[f"variance_ratio_{nm}"] = {"mean": ratio, "stderr": abs(ratio_f - ratio), "n": summ.residuals.size}
         checks[f"isometry_{nm}"] = 0.9 <= ratio_f <= 1.1
-    return estimates, ks_results, {}, checks
+    return estimates, ks_results, {}, checks, {}
 
 
 def _exp_two_point(cfg: ExperimentConfig, rng: RngStream):
@@ -266,7 +267,7 @@ def _exp_two_point(cfg: ExperimentConfig, rng: RngStream):
         path = isde.npoint_motion(g, [g.point(cfg.x0_ray, cfg.x), g.origin()],
                                   min(cfg.T, 4.0), cfg.dt, rng.child(987))
         path.to_csv(cfg.csv + "_two_point.csv")
-    return trans, ks_results, {}, checks
+    return trans, ks_results, {}, checks, {}
 
 
 def _exp_coalesce(cfg: ExperimentConfig, rng: RngStream):
@@ -289,7 +290,7 @@ def _exp_coalesce(cfg: ExperimentConfig, rng: RngStream):
             fh.write("t,survival\n")
             for k, tv in enumerate(t):
                 fh.write(f"{tv!r},{1.0 - (k + 1) / cfg.paths!r}\n")
-    return estimates, {}, {}, checks
+    return estimates, {}, {}, checks, {}
 
 
 def _exp_filtered_kernel(cfg: ExperimentConfig, rng: RngStream):
@@ -320,7 +321,7 @@ def _exp_filtered_kernel(cfg: ExperimentConfig, rng: RngStream):
                        "counts": est.histogram.tolist(),
                        "dispersion": est.dispersion,
                        "seeds": list(est.seed_info[1])}, fh, indent=2, sort_keys=True)
-    return estimates, {}, {}, checks
+    return estimates, {}, {}, checks, {}
 
 
 def _exp_metric_isde(cfg: ExperimentConfig, rng: RngStream):
@@ -331,20 +332,23 @@ def _exp_metric_isde(cfg: ExperimentConfig, rng: RngStream):
         graphs.GraphPoint(edge=None, coord=0.0, vertex=g.vertices[0])
     n = cfg.paths
 
-    def terminal_dists(dt, stream):
-        out = np.empty(n)
-        for k in range(n):
-            sol = metric.metric_isde_forward(g, x0, cfg.T, dt, stream.child(k))
-            out[k] = graphs.distance(g, x0, sol.point(sol.n_steps))
-        return out
+    def level(dt, stream):
+        sol = metric.metric_isde_forward(g, x0, cfg.T, dt, stream, n)
+        dists = np.array([graphs.distance(g, x0, sol.point(k)) for k in range(n)])
+        diag = {"dt": dt, "batch_steps": sol.n_steps, "path_steps": sol.path_steps,
+                "halvings": sol.halvings, "floor_hits": sol.floor_hits,
+                "clamps": sol.clamps, "touches_mean": float(np.mean(sol.touches)),
+                "touches_max": int(sol.touches.max()),
+                "paths_untouched": int(np.sum(sol.touches == 0))}
+        return dists, diag
 
-    d1 = terminal_dists(cfg.dt, rng.child(0))
-    d2 = terminal_dists(cfg.dt / 4, rng.child(1))
+    d1, diag1 = level(cfg.dt, rng.child(0))
+    d2, diag2 = level(cfg.dt / 4, rng.child(1))
     ks = stats.ks_two_sample(d1, d2)
     estimates = {"terminal_distance": _est(d1), "terminal_distance_fine": _est(d2)}
     ks_results = {"refinement_self_test": _ks(ks)}
     checks = {"refinement_consistent": ks.p_value > 1e-3}
-    return estimates, ks_results, {}, checks
+    return estimates, ks_results, {}, checks, {"coarse": diag1, "fine": diag2}
 
 
 EXPERIMENTS = {
@@ -378,7 +382,7 @@ def run(cfg: ExperimentConfig) -> dict:
         raise ValueError(f"unknown experiment {cfg.experiment!r}")
     rng = RngStream(cfg.seed)
     t0 = time.perf_counter()
-    estimates, ks_results, bound_checks, checks = map(
+    estimates, ks_results, bound_checks, checks, diagnostics = map(
         _sanitize, EXPERIMENTS[cfg.experiment](cfg, rng))
     report = {
         "schema": SCHEMA,
@@ -390,6 +394,7 @@ def run(cfg: ExperimentConfig) -> dict:
         "bound_checks": bound_checks,
         "checks": checks,
         "passed": all(checks.values()) if checks else True,
+        "diagnostics": diagnostics,
         "wall_time": time.perf_counter() - t0,
     }
     return report

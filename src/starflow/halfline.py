@@ -21,8 +21,10 @@ import numpy as np
 __all__ = [
     "RngStream", "BrownianGrid", "ReflectedGrid",
     "sample_bm", "levy_reflect", "heat_kernels", "bridge_crossing_prob",
-    "bridge_min", "reflected_increment",
+    "bridge_min", "reflected_increment", "check_horizon", "grid_steps",
 ]
+
+GRID_TOL = 1e-9  # relative slack allowed between T/dt and a whole step count
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,28 @@ class RngStream:
 
     def child(self, k: int) -> "RngStream":
         return RngStream(self.seed, self.index + (int(k),))
+
+
+def check_horizon(T: float, dt: float) -> None:
+    """Raise ValueError unless the horizon T and the step dt are finite and > 0."""
+    for name, val in (("T", T), ("dt", dt)):
+        if not (math.isfinite(val) and val > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {val}")
+
+
+def grid_steps(T: float, dt: float) -> int:
+    """Number of dt steps that cover [0, T] exactly.
+
+    Raises ValueError unless check_horizon passes and T/dt lies within
+    GRID_TOL (relative) of a whole number: rounding it would silently move
+    the horizon (T = 1, dt = 0.3 would stop at 0.9).
+    """
+    check_horizon(T, dt)
+    ratio = T / dt
+    K = round(ratio)
+    if abs(ratio - K) > GRID_TOL * ratio:
+        raise ValueError(f"T = {T} is not a whole number of steps dt = {dt}")
+    return K
 
 
 @dataclass

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphPoint, StarGraph
-from .halfline import BrownianGrid, RngStream
+from .halfline import BrownianGrid, RngStream, grid_steps
 from .quadrant import SAFETY, _run_chunks
 from .walsh import WalshPath, wbm_coupled_path, _point_state
 
@@ -92,7 +92,7 @@ def sample_isde_terminals(g: StarGraph, T: float, dt: float, n: int,
     """Terminal (rays, radials, W_T) over n forward solutions; W_T is (n, N)."""
     if x0 is None:
         x0 = g.origin()
-    K = int(round(T / dt))
+    K = grid_steps(T, dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
     ray0, r0 = _point_state(g, x0)
@@ -216,9 +216,9 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
     if not starts:
         raise ValueError("need at least one start")
     n = len(starts)
+    K = grid_steps(T, dt)
     if tol_c is None:
         tol_c = default_coalescence_tol(dt)
-    K = int(round(T / dt))
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
     sq = math.sqrt(dt)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import integrate
 
 from .graphs import DomainFunction, GraphPoint, StarGraph
-from .halfline import RngStream, heat_kernels
+from .halfline import RngStream, grid_steps, heat_kernels
 
 __all__ = [
     "WalshPath", "wbm_exact_step", "exact_step_arrays", "sample_exact_steps",
@@ -110,9 +110,7 @@ def wbm_coupled_path(g: StarGraph, x0: GraphPoint, T: float, dt: float,
                      rng: RngStream) -> WalshPath:
     """Coupled-mode path on [0, T]: folded radial over a stored driver, ray
     redrawn from the weights at every origin crossing."""
-    if not (T > dt > 0):
-        raise ValueError("need T > dt > 0")
-    K = int(round(T / dt))
+    K = grid_steps(T, dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
     ray0, r0 = _point_state(g, x0)
@@ -149,7 +147,7 @@ def wbm_coupled_path(g: StarGraph, x0: GraphPoint, T: float, dt: float,
 def sample_wbm_terminals(g: StarGraph, x0: GraphPoint, T: float, dt: float,
                          n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Terminal (rays, radials) of n coupled paths at time T."""
-    K = int(round(T / dt))
+    K = grid_steps(T, dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
     ray0, r0 = _point_state(g, x0)
@@ -243,7 +241,7 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
     """Batch terminal residuals for several test functions on shared paths."""
     if x0 is None:
         x0 = g.origin()
-    K = int(round(T / dt))
+    K = grid_steps(T, dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
     ray0, r0 = _point_state(g, x0)

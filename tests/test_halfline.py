@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import erf
 
+from starflow import isde, walsh
+from starflow.graphs import canonical_test_functions, make_star
 from starflow.halfline import (
-    BrownianGrid, RngStream, bridge_crossing_prob, bridge_min, heat_kernels,
-    levy_reflect, reflected_increment, sample_bm,
+    BrownianGrid, RngStream, bridge_crossing_prob, bridge_min, grid_steps,
+    heat_kernels, levy_reflect, reflected_increment, sample_bm,
 )
 
 
@@ -30,6 +32,49 @@ class TestRngStream:
         a = s.child(3).child(1).generator().random(8)
         b = RngStream(9, (3, 1)).generator().random(8)
         assert np.array_equal(a, b)
+
+
+BAD_HORIZONS = [(1.0, 0.0), (1.0, -1e-3), (0.0, 1e-3), (-1.0, 1e-3),
+                (1.0, math.nan), (math.inf, 1e-3), (1.0, 0.3), (1.0, 3.0)]
+
+
+def _grid_engines():
+    g = make_star(3, [0.2, 0.5, 0.3])
+    f, _ = canonical_test_functions(g, 0)
+    return {
+        "wbm_coupled_path": lambda T, dt: walsh.wbm_coupled_path(
+            g, g.origin(), T, dt, RngStream(1)),
+        "sample_wbm_terminals": lambda T, dt: walsh.sample_wbm_terminals(
+            g, g.origin(), T, dt, 4, RngStream(1)),
+        "sample_residual_summaries": lambda T, dt: walsh.sample_residual_summaries(
+            g, {"f": f}, T, dt, 4, RngStream(1)),
+        "sample_isde_terminals": lambda T, dt: isde.sample_isde_terminals(
+            g, T, dt, 4, RngStream(1)),
+        "npoint_motion": lambda T, dt: isde.npoint_motion(
+            g, [g.origin(), g.point(1, 0.5)], T, dt, RngStream(1)),
+    }
+
+
+class TestGridSteps:
+    def test_whole_step_counts(self):
+        assert grid_steps(1.0, 1e-3) == 1000
+        assert grid_steps(1.0, 2.5e-4) == 4000
+        assert grid_steps(0.5, 0.5) == 1
+
+    @pytest.mark.parametrize("T, dt", BAD_HORIZONS)
+    def test_bad_horizon_raises(self, T, dt):
+        with pytest.raises(ValueError):
+            grid_steps(T, dt)
+
+    @pytest.mark.parametrize("engine", sorted(_grid_engines()))
+    @pytest.mark.parametrize("T, dt", BAD_HORIZONS)
+    def test_grid_engines_reject_bad_horizons(self, engine, T, dt):
+        with pytest.raises(ValueError):
+            _grid_engines()[engine](T, dt)
+
+    @pytest.mark.parametrize("engine", sorted(_grid_engines()))
+    def test_grid_engines_accept_one_step(self, engine):
+        _grid_engines()[engine](0.1, 0.1)
 
 
 class TestSampleBm:

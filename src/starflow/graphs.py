@@ -91,6 +91,47 @@ class StarGraph:
     def probs_array(self) -> np.ndarray:
         return np.asarray(self.probs)
 
+    def ray_partition(self, rays, radials) -> RayPartition:
+        """Group a batch of points, given as (rays, radials) arrays, into
+        origin rows and per-ray rows (see RayPartition).
+
+        Raises ValueError when the arrays differ in shape, a ray id lies
+        outside [0, N), or a radial is negative or non-finite. The last case
+        is caught by counting: every row must land in exactly one group, so
+        the group sizes must sum to the batch size.
+        """
+        rays = np.asarray(rays)
+        radials = np.asarray(radials, dtype=float)
+        if rays.shape != radials.shape:
+            raise ValueError(f"rays shape {rays.shape} != radials shape {radials.shape}")
+        rays, flat = rays.ravel(), radials.ravel()
+        if rays.size and (rays.min() < 0 or rays.max() >= self.n_rays):
+            raise ValueError(f"ray ids must lie in [0, {self.n_rays})")
+        vertex = np.flatnonzero(flat == 0.0)
+        interior = (flat > 0.0) & (flat < math.inf)
+        rows = tuple(np.flatnonzero(interior & (rays == i)) for i in range(self.n_rays))
+        if vertex.size + sum(r.size for r in rows) != flat.size:
+            raise ValueError("radials must be finite and >= 0, ray ids integers")
+        return RayPartition(shape=radials.shape, vertex=vertex, ray_rows=rows,
+                            ray_radials=tuple(flat[r] for r in rows))
+
+
+@dataclass(frozen=True)
+class RayPartition:
+    """Rows of one (rays, radials) batch on a star graph, grouped once so
+    that every DomainFunction evaluated on the batch can share the grouping.
+
+    ``vertex`` holds the flat indices of origin rows (radial == 0);
+    ``ray_rows[i]`` the flat indices of the interior rows on ray i and
+    ``ray_radials[i]`` their radials. Every row of a batch of ``shape`` is in
+    exactly one group. Build it with ``StarGraph.ray_partition``.
+    """
+
+    shape: tuple[int, ...]
+    vertex: np.ndarray
+    ray_rows: tuple[np.ndarray, ...]
+    ray_radials: tuple[np.ndarray, ...]
+
 
 def make_star(n: int, probs: Sequence[float]) -> StarGraph:
     """Validated star graph with n rays and the given ray weights."""
@@ -330,35 +371,41 @@ class DomainFunction:
         return all(abs(self.vertex_derivative(v)) <= tol for v in self._vertices())
 
     # vectorized evaluation over (ray, radial) arrays; vertex rows use the
-    # weighted conventions. Star graphs only.
-    def _eval_arrays(self, which: int, rays: np.ndarray, radials: np.ndarray) -> np.ndarray:
+    # weighted conventions. Star graphs only. ``part`` is a partition of
+    # this batch from StarGraph.ray_partition, built here when not given.
+    def _eval_arrays(self, which: int, rays, radials,
+                     part: RayPartition | None = None) -> np.ndarray:
         g = self.graph
         if not isinstance(g, StarGraph):
             raise TypeError("array evaluation supports star graphs only")
-        out = np.empty(radials.shape)
-        at0 = radials == 0.0
-        for i in range(g.n_rays):
-            m = (rays == i) & ~at0
-            if m.any():
-                out[m] = self.edge_funcs[i][which](radials[m])
-        if at0.any():
+        if part is None:
+            part = g.ray_partition(rays, radials)
+        elif part.shape != np.shape(radials):
+            raise ValueError(f"partition built for shape {part.shape}, "
+                             f"batch has shape {np.shape(radials)}")
+        out = np.empty(part.shape)
+        flat = out.reshape(-1)
+        for funcs, rows, r in zip(self.edge_funcs, part.ray_rows, part.ray_radials):
+            if rows.size:
+                flat[rows] = funcs[which](r)
+        if part.vertex.size:
             if which == 0:
                 v0 = self.vertex_value(ORIGIN_VERTEX)
             elif which == 1:
                 v0 = self.vertex_derivative(ORIGIN_VERTEX)
             else:
                 v0 = self.vertex_second_derivative(ORIGIN_VERTEX)
-            out[at0] = v0
+            flat[part.vertex] = v0
         return out
 
-    def value_arrays(self, rays, radials):
-        return self._eval_arrays(0, rays, radials)
+    def value_arrays(self, rays, radials, part: RayPartition | None = None):
+        return self._eval_arrays(0, rays, radials, part)
 
-    def derivative_arrays(self, rays, radials):
-        return self._eval_arrays(1, rays, radials)
+    def derivative_arrays(self, rays, radials, part: RayPartition | None = None):
+        return self._eval_arrays(1, rays, radials, part)
 
-    def second_derivative_arrays(self, rays, radials):
-        return self._eval_arrays(2, rays, radials)
+    def second_derivative_arrays(self, rays, radials, part: RayPartition | None = None):
+        return self._eval_arrays(2, rays, radials, part)
 
 
 def skew_derivative(f: DomainFunction, v: int = ORIGIN_VERTEX) -> float:

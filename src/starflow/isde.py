@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphPoint, StarGraph
-from .halfline import BrownianGrid, RngStream, grid_steps
+from .halfline import RngStream, grid_steps
 from .quadrant import SAFETY, _run_chunks
 from .walsh import WalshPath, wbm_coupled_path, _point_state
 
@@ -63,10 +63,6 @@ class IsdeSolution:
     @property
     def dt(self) -> float:
         return self.path.dt
-
-    def w_grids(self) -> list[BrownianGrid]:
-        return [BrownianGrid(dt=self.path.dt, values=self.W[i])
-                for i in range(self.W.shape[0])]
 
 
 def isde_forward(g: StarGraph, x0: GraphPoint, T: float, dt: float,
@@ -105,12 +101,12 @@ def sample_isde_terminals(g: StarGraph, T: float, dt: float, n: int,
     for _ in range(K):
         xi = sq * gen.standard_normal(n)
         dV = sq * gen.standard_normal((n, g.n_rays))
-        coins = np.searchsorted(cum, gen.random(n))
+        u = gen.random(n)
         WT += dV
         WT[rows, rays] += xi - dV[rows, rays]
         y = rad + xi
-        neg = y < 0.0
-        rays = np.where(neg, coins, rays)
+        folded = np.flatnonzero(y < 0.0)
+        rays[folded] = np.searchsorted(cum, u[folded])
         rad = np.abs(y)
     return rays, rad, WT
 

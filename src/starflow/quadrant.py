@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import betainc
 
 from .halfline import RngStream
-from .stats import reg_incomplete_beta
 
 __all__ = [
     "LegOverflowError", "OrbmLeg", "LegSamples", "AngleSource", "FixedAngles",
@@ -274,9 +274,8 @@ def ys_cdf(theta: float, x: float, y) -> float | np.ndarray:
     z = (y_arr / x) ** 2
     with np.errstate(invalid="ignore"):
         w = np.where(np.isinf(z), 1.0, z / (1.0 + z))
-    if y_arr.ndim == 0:
-        return reg_incomplete_beta(a, b, float(w))
-    return np.array([reg_incomplete_beta(a, b, wi) for wi in w])
+    cdf = betainc(a, b, w)
+    return float(cdf) if y_arr.ndim == 0 else cdf
 
 
 def ys_moment(theta: float, b: float, x: float = 1.0) -> float:

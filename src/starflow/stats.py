@@ -21,10 +21,6 @@ class MCEstimate:
     stderr: float
     n: int
 
-    def within(self, target: float, k: float = 3.0, rel: float = 0.0) -> bool:
-        """|mean - target| <= max(k * stderr, rel * |target|)."""
-        return abs(self.mean - target) <= max(k * self.stderr, rel * abs(target))
-
 
 @dataclass(frozen=True)
 class KSResult:

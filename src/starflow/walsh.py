@@ -159,9 +159,9 @@ def sample_wbm_terminals(g: StarGraph, x0: GraphPoint, T: float, dt: float,
         rays = np.full(n, ray0, dtype=np.int64)
     for _ in range(K):
         y = rad + sq * gen.standard_normal(n)
-        coins = np.searchsorted(cum, gen.random(n))
-        neg = y < 0.0
-        rays = np.where(neg, coins, rays)
+        u = gen.random(n)
+        folded = np.flatnonzero(y < 0.0)
+        rays[folded] = np.searchsorted(cum, u[folded])
         rad = np.abs(y)
     return rays, rad
 
@@ -209,8 +209,10 @@ def freidlin_sheu_residual(path: WalshPath, f: DomainFunction) -> np.ndarray:
     if path.driver is None:
         raise ValueError("residuals need a coupled-mode path with its driver")
     vals = f.value_arrays(path.rays, path.radials)
-    fp = f.derivative_arrays(path.rays[:-1], path.radials[:-1])
-    fpp = f.second_derivative_arrays(path.rays[:-1], path.radials[:-1])
+    rays, radials = path.rays[:-1], path.radials[:-1]
+    part = path.graph.ray_partition(rays, radials)
+    fp = f.derivative_arrays(rays, radials, part=part)
+    fpp = f.second_derivative_arrays(rays, radials, part=part)
     dB = np.diff(path.driver)
     M = np.empty(len(vals))
     M[0] = 0.0
@@ -238,7 +240,12 @@ class ResidualSummary:
 def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
                               T: float, dt: float, n: int, rng: RngStream,
                               x0: GraphPoint | None = None) -> dict[str, ResidualSummary]:
-    """Batch terminal residuals for several test functions on shared paths."""
+    """Batch terminal residuals for several test functions on shared paths.
+
+    Each step partitions the batch by ray once and shares that partition
+    across every test function; the redraw coins are drawn at full width,
+    but only the paths that fold at that step look theirs up.
+    """
     if x0 is None:
         x0 = g.origin()
     K = grid_steps(T, dt)
@@ -256,23 +263,26 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
     sum_fp_dB = {nm: np.zeros(n) for nm in names}
     sum_fpp = {nm: np.zeros(n) for nm in names}
     sum_fp2 = {nm: 0.0 for nm in names}
-    f0 = {nm: fs[nm].value_arrays(rays, rad) for nm in names}
+    part = g.ray_partition(rays, rad)
+    f0 = {nm: fs[nm].value_arrays(rays, rad, part=part) for nm in names}
     for _ in range(K):
         xi = sq * gen.standard_normal(n)
-        coins = np.searchsorted(cum, gen.random(n))
+        u = gen.random(n)
+        part = g.ray_partition(rays, rad)
         for nm in names:
-            fp = fs[nm].derivative_arrays(rays, rad)
+            fp = fs[nm].derivative_arrays(rays, rad, part=part)
             sum_fp_dB[nm] += fp * xi
-            sum_fpp[nm] += fs[nm].second_derivative_arrays(rays, rad)
+            sum_fpp[nm] += fs[nm].second_derivative_arrays(rays, rad, part=part)
             sum_fp2[nm] += float(np.mean(fp * fp))
         y = rad + xi
-        neg = y < 0.0
-        L = np.where(neg, L - 2.0 * y, L)
-        rays = np.where(neg, coins, rays)
+        folded = np.flatnonzero(y < 0.0)
+        L[folded] -= 2.0 * y[folded]
+        rays[folded] = np.searchsorted(cum, u[folded])
         rad = np.abs(y)
+    part = g.ray_partition(rays, rad)
     out = {}
     for nm in names:
-        fT = fs[nm].value_arrays(rays, rad)
+        fT = fs[nm].value_arrays(rays, rad, part=part)
         mart = fT - f0[nm] - 0.5 * dt * sum_fpp[nm] - fs[nm].vertex_derivative(0) * L
         out[nm] = ResidualSummary(
             name=nm,

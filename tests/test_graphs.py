@@ -183,6 +183,84 @@ class TestCanonicalFunctions:
         assert g1.derivative_arrays(rays, rads)[3] == 0.0
 
 
+class TestArrayEvaluation:
+    """Array evaluation on (rays, radials) batches, through the shared
+    partition or without one, against pointwise evaluation."""
+
+    G = make_star(3, [0.5, 0.3, 0.2])
+    RAYS = np.array([0, 1, 2, 0, 2, 1, 0, 2, 1])
+    RADS = np.array([1.0, 2.0, 0.5, 0.0, 3.25, 0.0, 1e-9, 0.0, 7.5])
+
+    def functions(self):
+        f1, g1 = canonical_test_functions(self.G, 1)
+        quad = per_ray_quadratic(self.G, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25], const=0.3)
+        return f1, g1, quad
+
+    def test_matches_pointwise_with_and_without_partition(self):
+        part = self.G.ray_partition(self.RAYS, self.RADS)
+        pts = [self.G.point(int(i), float(r)) for i, r in zip(self.RAYS, self.RADS)]
+        for f in self.functions():
+            for arrays, point in ((f.value_arrays, f.value),
+                                  (f.derivative_arrays, f.derivative),
+                                  (f.second_derivative_arrays, f.second_derivative)):
+                expected = np.array([point(x) for x in pts])
+                np.testing.assert_array_equal(arrays(self.RAYS, self.RADS), expected)
+                np.testing.assert_array_equal(
+                    arrays(self.RAYS, self.RADS, part=part), expected)
+
+    def test_partition_groups(self):
+        part = self.G.ray_partition(self.RAYS, self.RADS)
+        np.testing.assert_array_equal(part.vertex, [3, 5, 7])
+        np.testing.assert_array_equal(part.ray_rows[0], [0, 6])
+        np.testing.assert_array_equal(part.ray_rows[1], [1, 8])
+        np.testing.assert_array_equal(part.ray_rows[2], [2, 4])
+        for rows, rads in zip(part.ray_rows, part.ray_radials):
+            np.testing.assert_array_equal(rads, self.RADS[rows])
+
+    def test_batch_shape_kept(self):
+        f1, _, quad = self.functions()
+        rays, rads = self.RAYS[:8].reshape(2, 4), self.RADS[:8].reshape(2, 4)
+        for f in (f1, quad):
+            out = f.value_arrays(rays, rads)
+            assert out.shape == (2, 4)
+            np.testing.assert_array_equal(
+                out.ravel(), f.value_arrays(self.RAYS[:8], self.RADS[:8]))
+
+    @pytest.mark.parametrize("rays, rads", [
+        ([0, 1, 2], [1.0, 1.0]),                  # shapes differ
+        ([0, 1, 5, -1], [1.0, 1.0, 1.0, 1.0]),    # ray ids out of range
+        ([0, 3], [1.0, 0.0]),                     # out of range at the origin
+        ([0, -1], [1.0, 0.0]),
+        ([0, 1], [1.0, -0.5]),                    # negative radial
+        ([0, 1], [1.0, math.nan]),                # non-finite radials
+        ([0, 1], [1.0, math.inf]),
+    ])
+    def test_bad_batch_rejected(self, rays, rads):
+        f1, _, _ = self.functions()
+        with pytest.raises(ValueError):
+            self.G.ray_partition(rays, rads)
+        with pytest.raises(ValueError):
+            f1.value_arrays(rays, rads)
+        with pytest.raises(ValueError):
+            f1.second_derivative_arrays(rays, rads)
+
+    def test_partition_of_other_batch_rejected(self):
+        f1, _, _ = self.functions()
+        part = self.G.ray_partition(self.RAYS[:4], self.RADS[:4])
+        with pytest.raises(ValueError):
+            f1.derivative_arrays(self.RAYS, self.RADS, part=part)
+        with pytest.raises(ValueError):
+            f1.value_arrays(self.RAYS[:4].reshape(2, 2), self.RADS[:4].reshape(2, 2),
+                            part=part)
+
+    def test_metric_graph_rejected(self):
+        edges = [Edge(0, 0, None, math.inf), Edge(1, 0, None, math.inf)]
+        g = MetricGraph([0], edges, {0: {0: 0.5, 1: 0.5}})
+        f = DomainFunction(g, [(lambda r: r, lambda r: 1 + 0 * r, lambda r: 0 * r)] * 2)
+        with pytest.raises(TypeError):
+            f.value_arrays(np.array([0]), np.array([1.0]))
+
+
 class TestGraphJson:
     def test_round_trip_bit_exact(self, tmp_path):
         edges = [Edge(0, 0, None, math.inf), Edge(1, 0, 1, 0.123456789123456789),

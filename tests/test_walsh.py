@@ -245,6 +245,117 @@ class TestFreidlinSheu:
         assert v == pytest.approx(0.25, rel=0.05)
 
 
+def _eval_masks(f, which, rays, radials):
+    """Array evaluation as one boolean mask per ray, rebuilt on every call."""
+    g = f.graph
+    out = np.empty(radials.shape)
+    at0 = radials == 0.0
+    for i in range(g.n_rays):
+        m = (rays == i) & ~at0
+        if m.any():
+            out[m] = f.edge_funcs[i][which](radials[m])
+    vertex = (f.vertex_value, f.vertex_derivative, f.vertex_second_derivative)[which]
+    out[at0] = vertex(0)
+    return out
+
+
+def _start(g, x0, n, gen, cum):
+    if x0.is_vertex:
+        return np.searchsorted(cum, gen.random(n)), np.zeros(n)
+    return np.full(n, x0.edge, dtype=np.int64), np.full(n, x0.coord)
+
+
+def _residuals_reference(g, fs, T, dt, n, rng, x0):
+    """Per-step loop with per-call masks and coins looked up at full width."""
+    K = round(T / dt)
+    gen = rng.generator()
+    cum = np.cumsum(g.probs_array)
+    sq = math.sqrt(dt)
+    rays, rad = _start(g, x0, n, gen, cum)
+    L = np.zeros(n)
+    f0 = {nm: _eval_masks(f, 0, rays, rad) for nm, f in fs.items()}
+    s_dB = {nm: np.zeros(n) for nm in fs}
+    s_fpp = {nm: np.zeros(n) for nm in fs}
+    s_fp2 = {nm: 0.0 for nm in fs}
+    for _ in range(K):
+        xi = sq * gen.standard_normal(n)
+        coins = np.searchsorted(cum, gen.random(n))
+        for nm, f in fs.items():
+            fp = _eval_masks(f, 1, rays, rad)
+            s_dB[nm] += fp * xi
+            s_fpp[nm] += _eval_masks(f, 2, rays, rad)
+            s_fp2[nm] += float(np.mean(fp * fp))
+        y = rad + xi
+        neg = y < 0.0
+        L = np.where(neg, L - 2.0 * y, L)
+        rays = np.where(neg, coins, rays)
+        rad = np.abs(y)
+    out = {}
+    for nm, f in fs.items():
+        mart = (_eval_masks(f, 0, rays, rad) - f0[nm] - 0.5 * dt * s_fpp[nm]
+                - f.vertex_derivative(0) * L)
+        out[nm] = (mart - s_dB[nm], mart, dt * s_fp2[nm])
+    return out
+
+
+def _terminals_reference(g, x0, T, dt, n, rng):
+    K = round(T / dt)
+    gen = rng.generator()
+    cum = np.cumsum(g.probs_array)
+    rays, rad = _start(g, x0, n, gen, cum)
+    for _ in range(K):
+        y = rad + math.sqrt(dt) * gen.standard_normal(n)
+        coins = np.searchsorted(cum, gen.random(n))
+        rays = np.where(y < 0.0, coins, rays)
+        rad = np.abs(y)
+    return rays, rad
+
+
+class TestBatchEnginesMatchReference:
+    """The batch engines share one partition per step and look up redraw
+    coins only where a path folds; outputs must equal the plain loop's."""
+
+    G = make_star(3, [0.5, 0.3, 0.2])
+
+    @pytest.mark.parametrize("seed, x0", [(21, None), (22, (2, 0.3))])
+    def test_residual_summaries_bit_identical(self, seed, x0):
+        g = self.G
+        x0 = g.origin() if x0 is None else g.point(*x0)
+        f1, g1 = canonical_test_functions(g, 0)
+        quad = per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])
+        fs = {"f1": f1, "g1": g1, "quad": quad}
+        out = sample_residual_summaries(g, fs, 1.0, 0.01, 300, RngStream(seed), x0=x0)
+        ref = _residuals_reference(g, fs, 1.0, 0.01, 300, RngStream(seed), x0)
+        for nm, (res, mart, iso) in ref.items():
+            np.testing.assert_array_equal(out[nm].residuals, res)
+            np.testing.assert_array_equal(out[nm].martingale_part, mart)
+            assert out[nm].isometry_prediction == iso
+
+    @pytest.mark.parametrize("seed, x0", [(23, None), (24, (1, 0.2))])
+    def test_wbm_terminals_bit_identical(self, seed, x0):
+        g = self.G
+        x0 = g.origin() if x0 is None else g.point(*x0)
+        rays, rads = sample_wbm_terminals(g, x0, 1.0, 0.01, 300, RngStream(seed))
+        ref_rays, ref_rads = _terminals_reference(g, x0, 1.0, 0.01, 300, RngStream(seed))
+        np.testing.assert_array_equal(rays, ref_rays)
+        np.testing.assert_array_equal(rads, ref_rads)
+
+    def test_residual_along_path_uses_pointwise_values(self):
+        g = self.G
+        quad = per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])
+        path = wbm_coupled_path(g, g.origin(), 0.5, 0.01, RngStream(25))
+        M = freidlin_sheu_residual(path, quad)
+        pts = path.points()
+        fp = np.array([quad.derivative(x) for x in pts[:-1]])
+        fpp = np.array([quad.second_derivative(x) for x in pts[:-1]])
+        vals = np.array([quad.value(x) for x in pts])
+        expected = (vals[1:] - vals[0] - np.cumsum(fp * np.diff(path.driver))
+                    - 0.5 * path.dt * np.cumsum(fpp)
+                    - quad.vertex_derivative(0) * path.radial_localtime[1:])
+        assert M[0] == 0.0
+        np.testing.assert_array_equal(M[1:], expected)
+
+
 def _mean_localtime_proxy(g, n):
     # E[L_T(|X|)] for reflected BM at T=1 is sqrt(2/pi)
     return math.sqrt(2 / math.pi)

@@ -97,6 +97,7 @@ def _exp_orbm_leg(cfg: ExperimentConfig, rng: RngStream):
                                 refine=cfg.refine, threads=cfg.threads)
     estimates = {
         "ys_mean": _est(legs.ys),
+        "ys_half_moment": _est(np.sqrt(legs.ys)),
         "log_ys_mean": _est(np.log(legs.ys)),
         "log_ys_square_mean": _est(np.log(legs.ys / x) ** 2),
         "local_time_mean": _est(legs.local_times),
@@ -122,12 +123,15 @@ def _exp_orbm_leg(cfg: ExperimentConfig, rng: RngStream):
             bound = quadrant.tail_bound(theta, x, a * x, b, "down")
             bound_checks[f"inf_lt_{a:g}_b_{b:.3f}"] = {
                 "value": p_emp, "bound": bound, "passed": p_emp <= bound + 3 * sig}
-    em = estimates["ys_mean"]
+    # Var(Y_S) is infinite (E[Y_S^b] < inf only for b < 1 + 2 theta/pi < 2),
+    # so E[Y_S] is reported but checked through Y_S^(1/2), whose variance
+    # E[Y_S] is finite: a 4-stderr band
+    eh = estimates["ys_half_moment"]
     el = estimates["log_ys_mean"]
     e2 = estimates["log_ys_square_mean"]
     checks = {
-        "ys_mean": abs(em["mean"] - quadrant.ys_moment(theta, 1.0, x))
-        <= max(3 * em["stderr"], 0.02 * quadrant.ys_moment(theta, 1.0, x)),
+        "ys_half_moment": abs(eh["mean"] - quadrant.ys_moment(theta, 0.5, x))
+        <= 4 * eh["stderr"],
         "log_ys_mean": abs(el["mean"] - quadrant.ys_log_mean(theta, x))
         <= max(3 * el["stderr"], 0.02 * abs(quadrant.ys_log_mean(theta, x))),
         "log_ys_square": abs(e2["mean"] - quadrant.ys_log_square_moment(theta))

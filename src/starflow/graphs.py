@@ -408,11 +408,6 @@ class DomainFunction:
         return self._eval_arrays(2, rays, radials, part)
 
 
-def skew_derivative(f: DomainFunction, v: int = ORIGIN_VERTEX) -> float:
-    """Weighted one-sided derivative combination of f at vertex v."""
-    return f.vertex_derivative(v)
-
-
 def canonical_test_functions(g: StarGraph, i: int) -> tuple[DomainFunction, DomainFunction]:
     """The pair (f_i, g_i = f_i^2) for ray i.
 

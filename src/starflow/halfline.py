@@ -1,14 +1,16 @@
-"""One-dimensional building blocks.
+"""One-dimensional building blocks and the batch driver.
 
-Brownian grids, Lévy reflection with running local time, the reflected and
-killed half-line heat kernels, and the Brownian-bridge zero-crossing
-probability used to refine hitting detection between grid points.
+Random streams, the reflected and killed half-line heat kernels, the
+Brownian-bridge zero-crossing probability and exact minimum, and the exact
+reflected step with its local time that every quadrant and pair engine
+takes.
 
 Random numbers come from counter-based Philox streams: a stream is a
 (master seed, index path) pair, distinct paths are statistically
-independent, and the same pair always reproduces the same bytes. Parallel
-work splits into chunks with one child stream per chunk, so results do not
-depend on the number of workers.
+independent, and the same pair always reproduces the same bytes. Every
+batch engine runs through ``map_chunks``: the paths split into fixed
+chunks, chunk ci draws from the child stream ci, and the chunk results are
+merged in chunk order, so results do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RngStream", "BrownianGrid", "ReflectedGrid",
-    "sample_bm", "levy_reflect", "heat_kernels", "bridge_crossing_prob",
+    "RngStream", "map_chunks", "heat_kernels", "bridge_crossing_prob",
     "bridge_min", "reflected_increment", "check_horizon", "grid_steps",
 ]
 
@@ -48,6 +49,28 @@ class RngStream:
         return RngStream(self.seed, self.index + (int(k),))
 
 
+def map_chunks(fn, n: int, rng: RngStream, chunk: int, threads: int) -> tuple:
+    """Run ``fn(lo, hi, stream)`` on the chunks [lo, hi) of range(n).
+
+    Chunk ci gets the stream rng.child(ci). fn returns a tuple of arrays
+    whose first axis runs over the chunk's paths; the chunks run serially
+    or on ``threads`` workers, and each tuple entry is concatenated in
+    chunk order, so the output does not depend on ``threads``.
+    """
+    ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
+
+    def run(ci):
+        return fn(*ranges[ci], rng.child(ci))
+
+    if threads <= 1 or len(ranges) <= 1:
+        results = [run(ci) for ci in range(len(ranges))]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            results = list(ex.map(run, range(len(ranges))))
+    return tuple(np.concatenate(parts) for parts in zip(*results))
+
+
 def check_horizon(T: float, dt: float) -> None:
     """Raise ValueError unless the horizon T and the step dt are finite and > 0."""
     for name, val in (("T", T), ("dt", dt)):
@@ -68,65 +91,6 @@ def grid_steps(T: float, dt: float) -> int:
     if abs(ratio - K) > GRID_TOL * ratio:
         raise ValueError(f"T = {T} is not a whole number of steps dt = {dt}")
     return K
-
-
-@dataclass
-class BrownianGrid:
-    """Brownian path on a uniform grid; values[0] = 0, increments N(0, dt)."""
-
-    dt: float
-    values: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(len(self.values))
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
-
-
-@dataclass
-class ReflectedGrid:
-    """Reflected path R >= 0 with its running local time L (nondecreasing)."""
-
-    dt: float
-    R: np.ndarray
-    L: np.ndarray
-
-
-def sample_bm(steps: int, dt: float, rng: RngStream | np.random.Generator) -> BrownianGrid:
-    """Brownian grid with the given number of steps.
-
-    Parameters
-    ----------
-    steps : number of increments (grid has steps+1 points).
-    dt : time step, > 0.
-    rng : stream or generator supplying the Gaussian increments.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    incr = gen.standard_normal(steps) * math.sqrt(dt)
-    values = np.empty(steps + 1)
-    values[0] = 0.0
-    np.cumsum(incr, out=values[1:])
-    return BrownianGrid(dt=float(dt), values=values)
-
-
-def levy_reflect(b: BrownianGrid) -> ReflectedGrid:
-    """Reflection by the running-minimum identity: R = B - min B, L = -min B.
-
-    Exact at grid points; L increases exactly at indices where the driver
-    attains a new running minimum (there R = 0).
-    """
-    m = np.minimum.accumulate(b.values)
-    return ReflectedGrid(dt=b.dt, R=b.values - m, L=-m)
 
 
 def heat_kernels(t: float, r, rho):

@@ -15,6 +15,13 @@ absorbing.
 Two-point motions map to obliquely reflected quadrant legs by excising the
 time the pair spends on a common ray; the reflection angle of a leg whose
 moving point sits on ray i is arctan(p_i / (1 - p_i)).
+
+The batch two-point engines (first legs, coalescence times) take one and
+the same shared-noise step, ``_pair_step``: the pivot takes the exact
+reflected step of ``halfline.reflected_increment`` and is relabelled when it
+touches the origin, the moving point follows the pivot's noise on a common
+ray and its own otherwise, and a bridge test detects the moving point
+reaching the origin within the step (a transfer).
 """
 
 from __future__ import annotations
@@ -26,15 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphPoint, StarGraph
-from .halfline import RngStream, grid_steps
-from .quadrant import SAFETY, _run_chunks
+from .halfline import RngStream, grid_steps, map_chunks, reflected_increment
+from .quadrant import SAFETY
 from .walsh import WalshPath, wbm_coupled_path, _point_state
 
 __all__ = [
     "IsdeSolution", "N2NoisePath", "NPointPath", "TimeChangedPair",
     "FilteredKernelEstimate", "FirstLegSamples", "CoalescenceSamples",
     "isde_forward", "sample_isde_terminals", "isde_n2_from_noise",
-    "npoint_motion", "coalescence_time", "two_point_to_quadrant",
+    "npoint_motion", "two_point_to_quadrant",
     "sample_first_legs", "sample_coalescence_times",
     "filtered_kernel", "sample_kernel_dispersions", "default_coalescence_tol",
 ]
@@ -299,22 +306,6 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
                       coalesced_pairs=coalesced, tol_c=tol_c)
 
 
-def coalescence_time(g: StarGraph, x: GraphPoint, y: GraphPoint, dt: float,
-                     rng: RngStream, t_max: float,
-                     tol_c: float | None = None) -> float | None:
-    """First grid time x and y are both origin-coincident, or None on timeout."""
-    from .graphs import distance
-    if distance(g, x, y) == 0.0:
-        return 0.0
-    if tol_c is None:
-        tol_c = default_coalescence_tol(dt)
-    times = sample_coalescence_times(g, x, y, dt, 1, rng, t_max,
-                                     tol_factors=(tol_c / math.sqrt(dt),),
-                                     target_fraction=2.0, t_cap=t_max)
-    t = times.times[0, 0]
-    return None if math.isnan(t) else float(t)
-
-
 # -- two-point <-> quadrant correspondence ------------------------------------
 
 @dataclass
@@ -381,6 +372,33 @@ def _cond_redraw(probs: np.ndarray, banned: np.ndarray, u: np.ndarray) -> np.nda
     return (target[:, None] >= cw).sum(axis=1).astype(np.int64)
 
 
+def _pair_step(gen, dt, probs, cum, o_rad, o_ray, p_rad, p_ray):
+    """One shared-noise step of a batch of pairs (moving point o, pivot p).
+
+    Draws zp, zo, um, ub, uc, ud in that order. Returns (h, o_new, p_new,
+    p_ray_new, crossed, transfer, nxt): the step sizes, the new radials and
+    pivot rays, the rows whose moving point ended at or below 0, the rows
+    whose moving point reached 0 within the step (crossed, or a bridge
+    crossing), and for the transferring rows the next moving ray (the
+    pivot's label, never the current moving ray).
+    """
+    m = o_rad.size
+    h = _h_shared(dt, o_rad, p_rad)
+    zp = gen.standard_normal(m)
+    zo = gen.standard_normal(m)
+    um, ub, uc, ud = (gen.random(m) for _ in range(4))
+    p_new, dL = reflected_increment(p_rad, h, zp, um)
+    p_ray_new = np.where(dL > 0.0, np.searchsorted(cum, uc), p_ray)
+    o_new = o_rad + np.sqrt(h) * np.where(o_ray == p_ray, zp, zo)
+    crossed = o_new <= 0.0
+    transfer = crossed | (ub < np.exp(-2.0 * o_rad * np.maximum(o_new, 0.0) / h))
+    nxt = p_ray_new[transfer]
+    bad = nxt == o_ray[transfer]
+    if bad.any():
+        nxt[bad] = _cond_redraw(probs, o_ray[transfer][bad], ud[transfer][bad])
+    return h, o_new, p_new, p_ray_new, crossed, transfer, nxt
+
+
 @dataclass
 class FirstLegSamples:
     """Per-path leg endpoints and ray chains from repeated unit legs."""
@@ -403,70 +421,30 @@ def sample_first_legs(g: StarGraph, start_ray: int, dt: float, n: int,
     probs = g.probs_array
     cum = np.cumsum(probs)
     theta0 = math.atan2(probs[start_ray], 1.0 - probs[start_ray])
-    ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
-    def run(ci):
-        lo, hi = ranges[ci]
+    def run(lo, hi, stream):
         m = hi - lo
-        gen = rng.child(ci).generator()
+        gen = stream.generator()
         ratios = np.empty((m, n_legs))
         chains = np.empty((m, n_legs + 1), dtype=np.int64)
         chains[:, 0] = start_ray
-        cur_ray = np.full(m, start_ray, dtype=np.int64)
         for leg in range(n_legs):
-            o_rad = np.ones(m)
-            o_ray = cur_ray.copy()
-            p_rad = np.zeros(m)
-            p_ray = np.searchsorted(cum, gen.random(m))
+            o_rad, o_ray = np.ones(m), chains[:, leg].copy()
+            p_rad, p_ray = np.zeros(m), np.searchsorted(cum, gen.random(m))
             idx = np.arange(m)
-            vs = np.zeros(m)
-            nxt = np.zeros(m, dtype=np.int64)
             while idx.size:
-                ma = idx.size
-                h = _h_shared(dt, o_rad, p_rad)
-                sq = np.sqrt(h)
-                zp = gen.standard_normal(ma)
-                zo = gen.standard_normal(ma)
-                um = gen.random(ma)
-                ub = gen.random(ma)
-                uc = gen.random(ma)
-                ud = gen.random(ma)
-                w = p_rad + sq * zp
-                mn = 0.5 * (p_rad + w - np.sqrt(
-                    (p_rad - w) ** 2 - 2.0 * h * np.log(np.maximum(um, 1e-320))))
-                dL = np.where(mn < 0.0, -mn, 0.0)
-                p_new = w + dL
-                p_ray_new = np.where(dL > 0.0, np.searchsorted(cum, uc), p_ray)
-                same = o_ray == p_ray
-                o_new = o_rad + sq * np.where(same, zp, zo)
-                cross = o_new <= 0.0
-                pb = np.exp(-2.0 * o_rad * np.maximum(o_new, 0.0) / h)
-                done = cross | ((~cross) & (ub < pb))
+                _, o_rad, p_rad, p_ray, _, done, nxt = _pair_step(
+                    gen, dt, probs, cum, o_rad, o_ray, p_rad, p_ray)
                 if done.any():
-                    d_ids = idx[done]
-                    vs[d_ids] = p_new[done]
-                    # next moving ray: the pivot's label, never the current one
-                    lab = p_ray_new[done]
-                    bad = lab == o_ray[done]
-                    if bad.any():
-                        lab = lab.copy()
-                        lab[bad] = _cond_redraw(probs, o_ray[done][bad], ud[done][bad])
-                    nxt[d_ids] = lab
+                    ratios[idx[done], leg] = p_rad[done]
+                    chains[idx[done], leg + 1] = nxt
                     keep = ~done
-                    idx = idx[keep]
-                    o_rad, o_ray = o_new[keep], o_ray[keep]
-                    p_rad, p_ray = p_new[keep], p_ray_new[keep]
-                else:
-                    o_rad, p_rad, p_ray = o_new, p_new, p_ray_new
-            ratios[:, leg] = vs
-            chains[:, leg + 1] = nxt
-            cur_ray = nxt
+                    idx, o_rad, o_ray = idx[keep], o_rad[keep], o_ray[keep]
+                    p_rad, p_ray = p_rad[keep], p_ray[keep]
         return ratios, chains
 
-    results = _run_chunks(run, len(ranges), threads)
-    return FirstLegSamples(theta0=theta0,
-                           ratios=np.concatenate([r[0] for r in results]),
-                           chains=np.concatenate([r[1] for r in results]))
+    ratios, chains = map_chunks(run, n, rng, chunk, threads)
+    return FirstLegSamples(theta0=theta0, ratios=ratios, chains=chains)
 
 
 @dataclass
@@ -517,12 +495,10 @@ def sample_coalescence_times(g: StarGraph, x: GraphPoint, y: GraphPoint,
         start_ray, start_rad = ry
     else:
         raise ValueError("one of the two starts must be the origin")
-    ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
-    def run(ci):
-        lo, hi = ranges[ci]
+    def run(lo, hi, stream):
         m = hi - lo
-        gen = rng.child(ci).generator()
+        gen = stream.generator()
         o_rad = np.full(m, float(start_rad))
         o_ray = np.full(m, start_ray, dtype=np.int64)
         p_rad = np.zeros(m)
@@ -539,47 +515,17 @@ def sample_coalescence_times(g: StarGraph, x: GraphPoint, y: GraphPoint,
                 budget *= 2.0
                 continue
             while sub.size:
-                orad, oray = o_rad[sub], o_ray[sub]
-                prad, pray = p_rad[sub], p_ray[sub]
-                ma = sub.size
-                h = _h_shared(dt, orad, prad)
-                sq = np.sqrt(h)
-                zp = gen.standard_normal(ma)
-                zo = gen.standard_normal(ma)
-                um = gen.random(ma)
-                ub = gen.random(ma)
-                uc = gen.random(ma)
-                ud = gen.random(ma)
-                ue = gen.random(ma)
-                w = prad + sq * zp
-                mn = 0.5 * (prad + w - np.sqrt(
-                    (prad - w) ** 2 - 2.0 * h * np.log(np.maximum(um, 1e-320))))
-                dL = np.where(mn < 0.0, -mn, 0.0)
-                p_new = w + dL
-                p_ray_new = np.where(dL > 0.0, np.searchsorted(cum, uc), pray)
-                same = oray == pray
-                o_new = orad + sq * np.where(same, zp, zo)
-                crossed = o_new <= 0.0
-                pb = np.exp(-2.0 * orad * np.maximum(o_new, 0.0) / h)
-                transfer = crossed | (ub < pb)
-                oray_new = oray.copy()
+                h, o_new, p_new, p_ray_new, crossed, transfer, nxt = _pair_step(
+                    gen, dt, probs, cum, o_rad[sub], o_ray[sub], p_rad[sub], p_ray[sub])
+                ue = gen.random(sub.size)
                 if transfer.any():
-                    lab = p_ray_new[transfer]
-                    bad = lab == oray[transfer]
-                    if bad.any():
-                        lab = lab.copy()
-                        lab[bad] = _cond_redraw(probs, oray[transfer][bad],
-                                                ud[transfer][bad])
-                    oray_new[transfer] = lab
-                    new_pivot_rad = np.where(crossed, -o_new, 0.0)
-                    o_new = np.where(transfer, p_new, o_new)
-                    p_new = np.where(transfer, new_pivot_rad, p_new)
-                    p_ray_new = np.where(transfer, np.searchsorted(cum, ue),
-                                         p_ray_new)
+                    # swap roles: the pivot moves on, the arriving point pivots
+                    o_ray[sub[transfer]] = nxt
+                    o_new, p_new = (np.where(transfer, p_new, o_new),
+                                    np.where(transfer, np.where(crossed, -o_new, 0.0), p_new))
+                    p_ray_new = np.where(transfer, np.searchsorted(cum, ue), p_ray_new)
                 tn = t[sub] + h
-                o_rad[sub], o_ray[sub] = o_new, oray_new
-                p_rad[sub], p_ray[sub] = p_new, p_ray_new
-                t[sub] = tn
+                o_rad[sub], p_rad[sub], p_ray[sub], t[sub] = o_new, p_new, p_ray_new, tn
                 mx = np.maximum(o_new, p_new)
                 for j in range(n_tol):
                     hitj = (mx < tols[j]) & np.isnan(times[sub, j])
@@ -587,12 +533,10 @@ def sample_coalescence_times(g: StarGraph, x: GraphPoint, y: GraphPoint,
                         times[sub[hitj], j] = tn[hitj]
                 done = (~np.isnan(times[sub, -1])) | (tn >= budget)
                 sub = sub[~done]
-        return times
+        return (times,)
 
-    results = _run_chunks(run, len(ranges), threads)
-    return CoalescenceSamples(tols=tols,
-                              times=np.concatenate(results),
-                              t_max=t_max)
+    times, = map_chunks(run, n, rng, chunk, threads)
+    return CoalescenceSamples(tols=tols, times=times, t_max=t_max)
 
 
 # -- filtered kernel -----------------------------------------------------------
@@ -617,23 +561,19 @@ def _replica_endpoints(g: StarGraph, x0, dW: np.ndarray, m: int,
                        gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """m conditional re-solves given the edge-noise increments dW (N, K)."""
     N, K = dW.shape
-    ray0, r0 = _point_state(g, x0)
     if N == 2:
-        p = g.probs[0]
-        beta = (1.0 - p) / p
-        x_signed = r0 if ray0 == 0 else -r0
-        y = beta * x_signed if x_signed >= 0 else x_signed
-        for k in range(K):
-            y += beta * dW[0, k] if y > 0.0 else dW[1, k]
-        x = y / beta if y > 0 else y
-        rays = np.full(m, 0 if x > 0 else 1, dtype=np.int64)
-        rads = np.full(m, abs(x))
-        return rays, rads
+        # strong solution: every replica is the two-ray Euler map of dW
+        # (the map does not use dt; it only labels the returned path)
+        end = isde_n2_from_noise(g, x0, dW, math.nan)
+        return np.full(m, end.rays[-1]), np.full(m, end.radials[-1])
+    ray0, r0 = _point_state(g, x0)
     cum = np.cumsum(g.probs_array)
     coins = np.searchsorted(cum, gen.random((m, K)))
     rad = np.full(m, r0)
-    rays = (coins[:, 0].copy() if r0 == 0.0 else np.full(m, ray0, dtype=np.int64))
-    rows = np.arange(m)
+    # from the origin the starting ray has its own draw, apart from the
+    # redraw coins of step 0
+    rays = (np.searchsorted(cum, gen.random(m)) if r0 == 0.0
+            else np.full(m, ray0, dtype=np.int64))
     for k in range(K):
         y = rad + dW[rays, k]
         neg = y < 0.0

@@ -27,16 +27,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import betainc
 
-from .halfline import RngStream
+from .halfline import RngStream, map_chunks, reflected_increment
 
 __all__ = [
     "LegOverflowError", "OrbmLeg", "LegSamples", "AngleSource", "FixedAngles",
-    "AngleCallback", "UniformAngles", "QuadrantProcess",
+    "UniformAngles", "QuadrantProcess",
     "orbm_leg", "sample_legs", "ys_cdf", "ys_moment", "ys_log_mean",
     "ys_log_square_moment", "tail_bound", "expected_boundary_local_time",
     "quadrant_process", "sample_quadrant_processes", "QuadrantBatch",
@@ -140,10 +140,7 @@ def _leg_batch(theta, x, dt, n, gen, refine=True, accel=True,
         z2 = gen.standard_normal(m)
         um = gen.random(m)
         ub = gen.random(m)
-        w = Y + sq * z2
-        mn = 0.5 * (Y + w - np.sqrt((Y - w) ** 2 - 2.0 * h * np.log(np.maximum(um, 1e-320))))
-        dL = np.where(mn < 0.0, -mn, 0.0)
-        Ynew = w + dL
+        Ynew, dL = reflected_increment(Y, h, z2, um)
         Xnew = X + sq * z1 - tan_t * dL
         cross = Xnew <= 0.0
         if refine:
@@ -219,8 +216,8 @@ def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
                 threads: int = 1) -> LegSamples:
     """Terminal summaries of n independent legs.
 
-    Work is split into fixed-size chunks, one child stream per chunk, and
-    merged in chunk order: results are identical for any thread count.
+    Chunks run through ``map_chunks``: results are identical for any
+    thread count.
     ``theta`` may be a scalar or an (n,) array of per-leg angles.
     """
     _check_theta(np.min(theta))
@@ -228,29 +225,14 @@ def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
     if x <= 0 or dt <= 0 or n < 1:
         raise ValueError("need x > 0, dt > 0, n >= 1")
     theta_arr = np.broadcast_to(np.asarray(theta, dtype=float), (n,))
-    ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
-    def run(ci):
-        lo, hi = ranges[ci]
-        gen = rng.child(ci).generator()
-        ys, ls, sups, infs, durs, _, _ = _leg_batch(
-            theta_arr[lo:hi], x, dt, hi - lo, gen, refine=refine,
-            accel=accel, max_steps=max_steps)
-        return ys, ls, sups, infs, durs
+    def run(lo, hi, stream):
+        return _leg_batch(theta_arr[lo:hi], x, dt, hi - lo, stream.generator(),
+                          refine=refine, accel=accel, max_steps=max_steps)[:5]
 
-    results = _run_chunks(run, len(ranges), threads)
-    cat = [np.concatenate([r[j] for r in results]) for j in range(5)]
-    return LegSamples(theta=float(np.min(theta_arr)), x=x, dt=dt, ys=cat[0],
-                      local_times=cat[1], sup_abs=cat[2], inf_abs=cat[3],
-                      durations=cat[4])
-
-
-def _run_chunks(fn: Callable, n_chunks: int, threads: int) -> list:
-    if threads <= 1 or n_chunks <= 1:
-        return [fn(i) for i in range(n_chunks)]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(n_chunks)))
+    ys, ls, sups, infs, durs = map_chunks(run, n, rng, chunk, threads)
+    return LegSamples(theta=float(np.min(theta_arr)), x=x, dt=dt, ys=ys,
+                      local_times=ls, sup_abs=sups, inf_abs=infs, durations=durs)
 
 
 def _check_theta(theta: float) -> None:
@@ -405,25 +387,6 @@ class UniformAngles(AngleSource):
 
 
 @dataclass
-class AngleCallback(AngleSource):
-    """History-measurable choice: fn(n, thetas, us) -> angle in [lo, hi]."""
-
-    fn: Callable[[int, Sequence[float], Sequence[float]], float]
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        _check_theta(self.lo)
-        _check_theta(self.hi)
-
-    def angle(self, n, thetas, us, gen):
-        th = float(self.fn(n, thetas, us))
-        if not (self.lo <= th <= self.hi):
-            raise ValueError(f"callback angle {th} outside [{self.lo}, {self.hi}]")
-        return th
-
-
-@dataclass
 class QuadrantProcess:
     """Concatenated legs with alternating reflected coordinate.
 
@@ -531,12 +494,9 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
     """
     if not (0.0 < eps_stop < x):
         raise ValueError("need 0 < eps_stop < x")
-    ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
-    def run(ci):
-        lo, hi = ranges[ci]
+    def run(lo, hi, stream):
         m = hi - lo
-        stream = rng.child(ci)
         gen = stream.generator()
         u = np.full(m, float(x))
         l_tot = np.zeros(m)
@@ -548,9 +508,9 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
             if ma == 0:
                 break
             th = source.angles_batch(leg_i, ma, gen)
-            ls = _leg_batch(th, 1.0, dt, ma, stream.child(leg_i).generator(),
-                            refine=True, accel=True)
-            ys, lleg, _, _, durs = ls[0], ls[1], ls[2], ls[3], ls[4]
+            ys, lleg, _, _, durs, _, _ = _leg_batch(
+                th, 1.0, dt, ma, stream.child(leg_i).generator(),
+                refine=True, accel=True)
             l_tot[active] += u[active] * lleg
             t_tot[active] += u[active] ** 2 * durs
             u[active] = u[active] * ys
@@ -558,10 +518,4 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
             active = active[u[active] >= eps_stop]
         return l_tot, n_legs, u < eps_stop, t_tot
 
-    results = _run_chunks(run, len(ranges), threads)
-    return QuadrantBatch(
-        l_totals=np.concatenate([r[0] for r in results]),
-        n_legs=np.concatenate([r[1] for r in results]),
-        terminated=np.concatenate([r[2] for r in results]),
-        sigma0_times=np.concatenate([r[3] for r in results]),
-    )
+    return QuadrantBatch(*map_chunks(run, n, rng, chunk, threads))

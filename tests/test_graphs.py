@@ -9,7 +9,7 @@ from starflow import graphs
 from starflow.graphs import (
     DomainFunction, Edge, GraphPoint, MetricGraph, canonical_test_functions,
     distance, load_graph, make_star, metric_graph_from_dict,
-    metric_graph_to_dict, per_ray_quadratic, save_graph, skew_derivative,
+    metric_graph_to_dict, per_ray_quadratic, save_graph,
 )
 
 
@@ -130,19 +130,19 @@ class TestSkewDerivative:
     def test_linear_everywhere(self):
         g = make_star(3, [0.5, 0.3, 0.2])
         f = per_ray_quadratic(g, [0, 0, 0], [1, 1, 1])
-        assert skew_derivative(f) == pytest.approx(1.0)
+        assert f.vertex_derivative(0) == pytest.approx(1.0)
 
     def test_quadratic_vanishes(self):
         g = make_star(3, [0.5, 0.3, 0.2])
         f = per_ray_quadratic(g, [1, 1, 1], [0, 0, 0])
-        assert skew_derivative(f) == 0.0
+        assert f.vertex_derivative(0) == 0.0
 
     def test_canonical_is_in_domain(self):
         for probs in ([0.5, 0.5], [0.7, 0.3], [0.2, 0.3, 0.5]):
             g = make_star(len(probs), probs)
             for i in range(g.n_rays):
                 f_i, g_i = canonical_test_functions(g, i)
-                assert skew_derivative(f_i) == 0.0
+                assert f_i.vertex_derivative(0) == 0.0
                 assert f_i.in_domain() and g_i.in_domain()
 
     def test_discontinuous_rejected(self):

@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import erf
 
 from starflow import isde, walsh
 from starflow.graphs import canonical_test_functions, make_star
 from starflow.halfline import (
-    BrownianGrid, RngStream, bridge_crossing_prob, bridge_min, grid_steps,
-    heat_kernels, levy_reflect, reflected_increment, sample_bm,
+    RngStream, bridge_crossing_prob, bridge_min, grid_steps, heat_kernels,
+    map_chunks, reflected_increment,
 )
 
 
@@ -32,6 +31,27 @@ class TestRngStream:
         a = s.child(3).child(1).generator().random(8)
         b = RngStream(9, (3, 1)).generator().random(8)
         assert np.array_equal(a, b)
+
+
+class TestMapChunks:
+    @staticmethod
+    def _draws(lo, hi, stream):
+        return np.arange(lo, hi), stream.generator().random(hi - lo)
+
+    def test_chunk_streams_and_order(self):
+        rng = RngStream(21)
+        ids, u = map_chunks(self._draws, 10, rng, 4, 1)
+        np.testing.assert_array_equal(ids, np.arange(10))
+        # chunk ci draws from rng.child(ci): chunks [0, 4), [4, 8), [8, 10)
+        ref = [rng.child(ci).generator().random(m) for ci, m in enumerate((4, 4, 2))]
+        np.testing.assert_array_equal(u, np.concatenate(ref))
+
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_threads_do_not_change_results(self, threads):
+        serial = map_chunks(self._draws, 23, RngStream(22), 5, 1)
+        pooled = map_chunks(self._draws, 23, RngStream(22), 5, threads)
+        for a, b in zip(serial, pooled):
+            np.testing.assert_array_equal(a, b)
 
 
 BAD_HORIZONS = [(1.0, 0.0), (1.0, -1e-3), (0.0, 1e-3), (-1.0, 1e-3),
@@ -75,60 +95,6 @@ class TestGridSteps:
     @pytest.mark.parametrize("engine", sorted(_grid_engines()))
     def test_grid_engines_accept_one_step(self, engine):
         _grid_engines()[engine](0.1, 0.1)
-
-
-class TestSampleBm:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_bm(0, 0.1, RngStream(1))
-        with pytest.raises(ValueError):
-            sample_bm(10, -1.0, RngStream(1))
-
-    def test_starts_at_zero_and_length(self):
-        b = sample_bm(100, 0.01, RngStream(1))
-        assert b.values[0] == 0.0 and b.n_steps == 100
-
-    def test_terminal_moments(self):
-        gen = RngStream(5).generator()
-        finals = np.array([sample_bm(100, 0.01, gen).values[-1] for _ in range(10000)])
-        assert abs(finals.mean()) < 3e-2
-        assert abs(finals.var() - 1.0) < 0.05
-
-
-class TestLevyReflect:
-    def test_hand_example(self):
-        r = levy_reflect(BrownianGrid(dt=1.0, values=np.array([0.0, -1.0, 1.0])))
-        assert np.allclose(r.R, [0, 0, 2])
-        assert np.allclose(r.L, [0, 1, 1])
-
-    def test_nondecreasing_driver(self):
-        b = BrownianGrid(dt=1.0, values=np.array([0.0, 0.5, 1.5, 1.6]))
-        r = levy_reflect(b)
-        assert np.all(r.L == 0) and np.allclose(r.R, b.values)
-
-    def test_local_time_mean(self):
-        # E[-min B over [0,1]] = E|B_1| = sqrt(2/pi); the grid minimum sits
-        # about 0.5826*sqrt(dt) above the continuous one
-        dt = 1e-4
-        gen = RngStream(7).generator()
-        k = int(1 / dt)
-        ls = np.empty(4000)
-        for i in range(ls.size):
-            ls[i] = levy_reflect(sample_bm(k, dt, gen)).L[-1]
-        target = math.sqrt(2 / math.pi)
-        se = ls.std(ddof=1) / math.sqrt(ls.size)
-        assert abs(ls.mean() - target) < 3 * se + 0.7 * math.sqrt(dt)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-3, 3), min_size=1, max_size=40))
-    def test_pathwise_identity(self, incr):
-        vals = np.concatenate([[0.0], np.cumsum(incr)])
-        r = levy_reflect(BrownianGrid(dt=0.5, values=vals))
-        assert np.all(r.R >= 0)
-        assert np.all(np.diff(r.L) >= 0) and r.L[0] == 0
-        assert np.allclose(np.diff(r.R), np.diff(vals) + np.diff(r.L))
-        grows = np.diff(r.L) > 0
-        assert np.all(r.R[1:][grows] == 0.0)
 
 
 class TestHeatKernels:

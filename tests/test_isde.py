@@ -6,7 +6,10 @@ from scipy.special import ndtr
 
 from starflow.graphs import make_star
 from starflow.halfline import RngStream
-from starflow.isde import isde_forward, sample_isde_terminals
+from starflow.isde import (
+    _replica_endpoints, isde_forward, isde_n2_from_noise, sample_coalescence_times,
+    sample_first_legs, sample_isde_terminals,
+)
 from starflow.stats import ks_against_cdf
 
 G = make_star(3, [0.5, 0.3, 0.2])
@@ -86,3 +89,157 @@ class TestSampleTerminals:
         _, _, WT = sample_isde_terminals(G, T, 0.02, 4000, RngStream(46))
         for i in range(G.n_rays):
             assert ks_against_cdf(WT[:, i] / math.sqrt(T), ndtr).p_value > 1e-3, i
+
+
+# -- pair engines --------------------------------------------------------------
+# Frozen copies of the shared-noise pair loops (one chunk, stream child 0):
+# step size, exact bridge-minimum step of the pivot, transfer test and the
+# conditioned redraw of the next moving ray, in the engines' draw order.
+
+def _h_reference(dt, o_rad, p_rad):
+    z2 = o_rad * o_rad + p_rad * p_rad
+    far = np.minimum(o_rad / 12.0, np.maximum(p_rad / 12.0, o_rad / 48.0)) ** 2
+    return np.maximum(np.minimum(dt, z2 / 144.0), far)
+
+
+def _cond_redraw_reference(probs, banned, u):
+    w = np.broadcast_to(probs, (banned.size, probs.size)).copy()
+    w[np.arange(banned.size), banned] = 0.0
+    cw = np.cumsum(w, axis=1)
+    return (u[:, None] * cw[:, -1:] >= cw).sum(axis=1).astype(np.int64)
+
+
+def _pair_step_reference(gen, dt, probs, cum, orad, oray, prad, pray):
+    ma = orad.size
+    h = _h_reference(dt, orad, prad)
+    sq = np.sqrt(h)
+    zp, zo = gen.standard_normal(ma), gen.standard_normal(ma)
+    um, ub, uc, ud = gen.random(ma), gen.random(ma), gen.random(ma), gen.random(ma)
+    w = prad + sq * zp
+    mn = 0.5 * (prad + w - np.sqrt((prad - w) ** 2
+                                   - 2.0 * h * np.log(np.maximum(um, 1e-320))))
+    dL = np.where(mn < 0.0, -mn, 0.0)
+    p_new = w + dL
+    p_ray_new = np.where(dL > 0.0, np.searchsorted(cum, uc), pray)
+    o_new = orad + sq * np.where(oray == pray, zp, zo)
+    crossed = o_new <= 0.0
+    transfer = crossed | (ub < np.exp(-2.0 * orad * np.maximum(o_new, 0.0) / h))
+    nxt = p_ray_new[transfer]
+    bad = nxt == oray[transfer]
+    nxt[bad] = _cond_redraw_reference(probs, oray[transfer][bad], ud[transfer][bad])
+    return h, o_new, p_new, p_ray_new, crossed, transfer, nxt
+
+
+def _first_legs_reference(g, start_ray, dt, n, rng, n_legs):
+    probs = g.probs_array
+    cum = np.cumsum(probs)
+    gen = rng.child(0).generator()
+    ratios = np.empty((n, n_legs))
+    chains = np.empty((n, n_legs + 1), dtype=np.int64)
+    chains[:, 0] = start_ray
+    for leg in range(n_legs):
+        o_rad, o_ray = np.ones(n), chains[:, leg].copy()
+        p_rad, p_ray = np.zeros(n), np.searchsorted(cum, gen.random(n))
+        idx = np.arange(n)
+        while idx.size:
+            _, o_new, p_new, p_ray_new, _, done, nxt = _pair_step_reference(
+                gen, dt, probs, cum, o_rad, o_ray, p_rad, p_ray)
+            ratios[idx[done], leg] = p_new[done]
+            chains[idx[done], leg + 1] = nxt
+            keep = ~done
+            idx, o_rad, o_ray = idx[keep], o_new[keep], o_ray[keep]
+            p_rad, p_ray = p_new[keep], p_ray_new[keep]
+    return ratios, chains
+
+
+def _coalescence_reference(g, start_ray, start_rad, dt, n, rng, t_max, t_cap):
+    probs = g.probs_array
+    cum = np.cumsum(probs)
+    tols = np.array([4.0, 2.0, 1.0]) * math.sqrt(dt)
+    gen = rng.child(0).generator()
+    o_rad, o_ray = np.full(n, start_rad), np.full(n, start_ray, dtype=np.int64)
+    p_rad, p_ray = np.zeros(n), np.searchsorted(cum, gen.random(n))
+    t = np.zeros(n)
+    times = np.full((n, 3), np.nan)
+    budget = t_max
+    while True:
+        sub = np.flatnonzero(np.isnan(times[:, -1]) & (t < budget))
+        if sub.size == 0:
+            if np.mean(~np.isnan(times[:, -1])) >= 0.99 or budget >= t_cap:
+                return tols, times
+            budget *= 2.0
+            continue
+        while sub.size:
+            h, o_new, p_new, p_ray_new, crossed, transfer, nxt = _pair_step_reference(
+                gen, dt, probs, cum, o_rad[sub], o_ray[sub], p_rad[sub], p_ray[sub])
+            ue = gen.random(sub.size)
+            o_ray_new = o_ray[sub].copy()
+            o_ray_new[transfer] = nxt
+            pivot_rad = np.where(crossed, -o_new, 0.0)
+            o_new, p_new = (np.where(transfer, p_new, o_new),
+                            np.where(transfer, pivot_rad, p_new))
+            p_ray_new = np.where(transfer, np.searchsorted(cum, ue), p_ray_new)
+            tn = t[sub] + h
+            o_rad[sub], o_ray[sub], p_rad[sub], p_ray[sub] = o_new, o_ray_new, p_new, p_ray_new
+            t[sub] = tn
+            mx = np.maximum(o_new, p_new)
+            for j in range(3):
+                hit = (mx < tols[j]) & np.isnan(times[sub, j])
+                times[sub[hit], j] = tn[hit]
+            sub = sub[np.isnan(times[sub, -1]) & (tn < budget)]
+
+
+class TestPairEngines:
+    @pytest.mark.parametrize("seed, start_ray", [(51, 0), (52, 2)])
+    def test_first_legs_bit_identical_to_reference_loop(self, seed, start_ray):
+        out = sample_first_legs(G, start_ray, 0.01, 100, RngStream(seed), n_legs=2)
+        ratios, chains = _first_legs_reference(G, start_ray, 0.01, 100,
+                                               RngStream(seed), 2)
+        np.testing.assert_array_equal(out.ratios, ratios)
+        np.testing.assert_array_equal(out.chains, chains)
+        assert np.all(out.chains[:, 1:] != out.chains[:, :-1])
+
+    @pytest.mark.parametrize("seed, start", [(53, (0, 1.0)), (54, (2, 0.5))])
+    def test_coalescence_bit_identical_to_reference_loop(self, seed, start):
+        out = sample_coalescence_times(G, G.point(*start), G.origin(), 0.01, 40,
+                                       RngStream(seed), 4.0, t_cap=64.0)
+        tols, times = _coalescence_reference(G, *start, 0.01, 40, RngStream(seed),
+                                             4.0, 64.0)
+        np.testing.assert_array_equal(out.tols, tols)
+        np.testing.assert_array_equal(out.times, times)
+        assert np.isfinite(times[:, -1]).any()
+
+    def test_threads_do_not_change_results(self):
+        a = sample_first_legs(G, 1, 0.01, 30, RngStream(55), n_legs=1, chunk=7, threads=1)
+        b = sample_first_legs(G, 1, 0.01, 30, RngStream(55), n_legs=1, chunk=7, threads=3)
+        np.testing.assert_array_equal(a.ratios, b.ratios)
+        np.testing.assert_array_equal(a.chains, b.chains)
+        c = sample_coalescence_times(G, G.point(1, 1.0), G.origin(), 0.01, 20,
+                                     RngStream(56), 4.0, t_cap=16.0, chunk=7, threads=1)
+        d = sample_coalescence_times(G, G.point(1, 1.0), G.origin(), 0.01, 20,
+                                     RngStream(56), 4.0, t_cap=16.0, chunk=7, threads=3)
+        np.testing.assert_array_equal(c.times, d.times)
+
+
+class TestReplicaEndpoints:
+    def test_origin_start_ray_is_apart_from_step_zero_coin(self):
+        # From the origin a replica starts on ray i w.p. p_i. With one step of
+        # dW = (+0.1, -0.1, -0.1), rays 1 and 2 fold and redraw, so
+        # P(end on ray 0) = 0.2 + 0.8 * 0.2 = 0.36. Reusing the redraw coin as
+        # the starting ray would never move a folded replica: 0.2.
+        g = make_star(3, [0.2, 0.5, 0.3])
+        dW = np.array([[0.1], [-0.1], [-0.1]])
+        m = 20000
+        rays, rads = _replica_endpoints(g, g.origin(), dW, m, RngStream(57).generator())
+        np.testing.assert_allclose(rads, 0.1)
+        frac = np.mean(rays == 0)
+        assert abs(frac - 0.36) <= 4 * math.sqrt(0.36 * 0.64 / m)
+
+    def test_two_rays_follow_the_euler_map(self):
+        g = make_star(2, [0.3, 0.7])
+        dW = 0.1 * RngStream(58).generator().standard_normal((2, 200))
+        for x0 in (g.origin(), g.point(1, 0.2)):
+            rays, rads = _replica_endpoints(g, x0, dW, 5, RngStream(59).generator())
+            end = isde_n2_from_noise(g, x0, dW, 0.01)
+            np.testing.assert_array_equal(rays, end.rays[-1])
+            np.testing.assert_array_equal(rads, end.radials[-1])

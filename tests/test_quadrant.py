@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from starflow.halfline import RngStream
 from starflow.quadrant import (
@@ -108,6 +109,17 @@ class TestClosedForms:
     def test_cdf_endpoints(self):
         assert ys_cdf(math.pi / 4, 1.0, 0.0) == 0.0
         assert ys_cdf(math.pi / 4, 1.0, np.inf) == pytest.approx(1.0)
+
+    def test_cdf_against_quadrature(self):
+        # at theta = pi/4, y = 0.5: w = 0.25/1.25 = 0.2, so the CDF is the
+        # beta ratio I_0.2(1/4, 3/4), computed here by quadrature
+        a, b = 0.25, 0.75
+        dens = lambda t: t ** (a - 1) * (1 - t) ** (b - 1)
+        num, _ = integrate.quad(dens, 0, 0.2, epsabs=1e-13, epsrel=1e-13)
+        den, _ = integrate.quad(dens, 0, 1, epsabs=1e-13, epsrel=1e-13)
+        val = ys_cdf(math.pi / 4, 1.0, 0.5)
+        assert val == pytest.approx(num / den, rel=1e-10)
+        assert val == pytest.approx(0.6085663817129537, rel=1e-9)  # frozen oracle value
 
     def test_cdf_scaling(self):
         for y in (0.2, 1.0, 3.7):

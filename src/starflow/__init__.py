@@ -13,7 +13,10 @@ from .halfline import (
     RngStream, bridge_crossing_prob, bridge_min, heat_kernels, map_chunks,
     reflected_increment,
 )
-from .stats import KSResult, MCEstimate, ks_against_cdf, ks_two_sample, mc_estimate
+from .stats import (
+    KSResult, MCEstimate, ks_against_cdf, ks_two_sample, mc_estimate,
+    reg_incomplete_beta,
+)
 from .walsh import (
     ResidualSummary, WalshPath, freidlin_sheu_residual, sample_exact_steps,
     sample_residual_summaries, sample_wbm_terminals, semigroup_apply,

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .halfline import RngStream, map_chunks, reflected_increment
+from .stats import reg_incomplete_beta
 
 __all__ = [
     "LegOverflowError", "OrbmLeg", "LegSamples", "AngleSource", "FixedAngles",
@@ -256,8 +256,7 @@ def ys_cdf(theta: float, x: float, y) -> float | np.ndarray:
     z = (y_arr / x) ** 2
     with np.errstate(invalid="ignore"):
         w = np.where(np.isinf(z), 1.0, z / (1.0 + z))
-    cdf = betainc(a, b, w)
-    return float(cdf) if y_arr.ndim == 0 else cdf
+    return reg_incomplete_beta(a, b, w)
 
 
 def ys_moment(theta: float, b: float, x: float = 1.0) -> float:

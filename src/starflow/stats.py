@@ -1,5 +1,6 @@
-"""Monte Carlo estimators and Kolmogorov-Smirnov tests (asymptotic p-values
-from scipy.special.kolmogorov)."""
+"""Monte Carlo estimators, Kolmogorov-Smirnov tests (asymptotic p-values
+from scipy.special.kolmogorov) and the regularized incomplete beta function
+(scipy.special.betainc behind a domain check)."""
 
 from __future__ import annotations
 
@@ -7,11 +8,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov
+from scipy.special import betainc, kolmogorov
 
 __all__ = [
     "MCEstimate", "KSResult",
-    "mc_estimate", "ks_against_cdf", "ks_two_sample",
+    "mc_estimate", "ks_against_cdf", "ks_two_sample", "reg_incomplete_beta",
 ]
 
 
@@ -73,3 +74,15 @@ def ks_two_sample(a, b) -> KSResult:
     ne = a.size * b.size / (a.size + b.size)
     return KSResult(statistic=d, p_value=float(kolmogorov(math.sqrt(ne) * d)),
                     n=min(a.size, b.size))
+
+
+def reg_incomplete_beta(a: float, b: float, x):
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 and scalar or
+    array x in [0, 1]; out-of-domain arguments raise instead of giving nan."""
+    if a <= 0 or b <= 0:
+        raise ValueError("a and b must be > 0")
+    x_arr = np.asarray(x, dtype=float)
+    if np.any((x_arr < 0) | (x_arr > 1)):
+        raise ValueError("x must lie in [0, 1]")
+    out = betainc(a, b, x_arr)
+    return float(out) if out.ndim == 0 else out

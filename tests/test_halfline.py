@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import erf
 
@@ -204,3 +205,74 @@ class TestReflectedIncrement:
         i = np.arange(1, n + 1)
         d = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
         assert d < 1.95 / math.sqrt(n) * 1.5
+
+
+def _reflect_chain(incr, u, h):
+    """Chain exact reflected steps from 0: the reflected path R and its
+    local time L at the grid times, for driver increments incr."""
+    R, L = [0.0], [0.0]
+    for dx, ui in zip(incr, u):
+        y, dl = reflected_increment(R[-1], h, dx / math.sqrt(h), ui)
+        R.append(y)
+        L.append(L[-1] + dl)
+    return np.array(R), np.array(L)
+
+
+class TestLevyReflect:
+    """Chained reflected_increment steps are the Levy-Skorokhod reflection of
+    the driver: R = B + L with L = max(0, -min B), the minimum taken over
+    the sampled bridges; at u = 1 the bridges never dip below their ends."""
+
+    def test_hand_example(self):
+        R, L = _reflect_chain([-1.0, 2.0], [1.0, 1.0], 1.0)
+        assert np.allclose(R, [0, 0, 2])
+        assert np.allclose(L, [0, 1, 1])
+        # from 1 back to 1 over h = 1: the bridge minimum is 1 - sqrt(-log(u)/2)
+        y, dl = reflected_increment(1.0, 1.0, 0.0, math.exp(-2.0))
+        assert dl == 0.0 and y == pytest.approx(1.0)
+        y, dl = reflected_increment(1.0, 1.0, 0.0, math.exp(-8.0))
+        assert dl == pytest.approx(1.0) and y == pytest.approx(2.0)
+
+    def test_nondecreasing_driver(self):
+        vals = np.array([0.0, 0.5, 1.5, 1.6])
+        R, L = _reflect_chain(np.diff(vals), np.ones(3), 1.0)
+        assert np.all(L == 0) and np.allclose(R, vals)
+
+    def test_local_time_mean(self):
+        # exact steps: L_1 = -min of B over [0,1] in law, E = E|B_1| = sqrt(2/pi),
+        # with no grid bias however coarse the steps
+        gen = RngStream(7).generator()
+        n, k = 20000, 8
+        h = 1.0 / k
+        y = np.zeros(n)
+        ls = np.zeros(n)
+        for _ in range(k):
+            y, dl = reflected_increment(y, h, gen.standard_normal(n), gen.random(n))
+            ls += dl
+        target = math.sqrt(2 / math.pi)
+        se = ls.std(ddof=1) / math.sqrt(n)
+        assert abs(ls.mean() - target) < 3 * se
+        assert ls.var() == pytest.approx(1 - 2 / math.pi, abs=0.02)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-3, 3), st.floats(1e-12, 1.0)),
+                    min_size=1, max_size=40))
+    def test_pathwise_identity(self, steps):
+        incr = np.array([dx for dx, _ in steps])
+        u = np.array([ui for _, ui in steps])
+        h = 0.5
+        vals = np.concatenate([[0.0], np.cumsum(incr)])
+        R, L = _reflect_chain(incr, u, h)
+        assert np.all(R >= 0)
+        assert np.all(np.diff(L) >= 0) and L[0] == 0
+        assert np.allclose(np.diff(R), incr + np.diff(L))
+        # L is the Skorokhod map of the free path's bridge minima
+        mins = bridge_min(vals[:-1], vals[1:], h, u)
+        assert np.allclose(L[1:], np.maximum(0.0, -np.minimum.accumulate(mins)))
+        # at u = 1 this is the grid reflection, which is 0 wherever L grows
+        Rg, Lg = _reflect_chain(incr, np.ones(incr.size), h)
+        assert np.allclose(Lg, np.maximum(0.0, -np.minimum.accumulate(vals)))
+        assert np.allclose(Rg, vals + Lg)
+        grows = np.diff(Lg) > 0
+        assert np.allclose(Rg[1:][grows], 0.0, rtol=0, atol=1e-12)
+        assert np.all(L >= Lg - 1e-9)

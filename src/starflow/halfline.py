@@ -57,6 +57,8 @@ def map_chunks(fn, n: int, rng: RngStream, chunk: int, threads: int) -> tuple:
     or on ``threads`` workers, and each tuple entry is concatenated in
     chunk order, so the output does not depend on ``threads``.
     """
+    if n < 1 or threads < 1:
+        raise ValueError(f"need n >= 1 and threads >= 1, got n = {n}, threads = {threads}")
     ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
 
     def run(ci):

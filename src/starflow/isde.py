@@ -418,6 +418,8 @@ def sample_first_legs(g: StarGraph, start_ray: int, dt: float, n: int,
     """Simulate two-point legs from (e_i(1), 0), restarting at unit scale
     after each transfer (the x-scaling of the leg law makes the ratios and
     the ray chain scale-free)."""
+    if n_legs < 1:
+        raise ValueError(f"need n_legs >= 1, got {n_legs}")
     probs = g.probs_array
     cum = np.cumsum(probs)
     theta0 = math.atan2(probs[start_ray], 1.0 - probs[start_ray])
@@ -607,6 +609,8 @@ def sample_kernel_dispersions(g: StarGraph, T: float, dts, n_runs: int, m: int,
                               rng: RngStream, x0: GraphPoint | None = None,
                               ) -> dict[float, np.ndarray]:
     """Replica-cloud dispersions per grid resolution (criterion engine)."""
+    if n_runs < 1:
+        raise ValueError(f"need n_runs >= 1, got {n_runs}")
     if x0 is None:
         x0 = g.origin()
     out = {}

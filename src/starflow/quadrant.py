@@ -493,6 +493,8 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
     """
     if not (0.0 < eps_stop < x):
         raise ValueError("need 0 < eps_stop < x")
+    if dt <= 0 or max_legs < 1:
+        raise ValueError("need dt > 0 and max_legs >= 1")
 
     def run(lo, hi, stream):
         m = hi - lo

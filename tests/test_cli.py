@@ -1,11 +1,16 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
 from starflow import cli, graphs
+from starflow.halfline import RngStream
 
 NUMERIC_KEYS = ("estimates", "ks_results", "bound_checks", "checks", "diagnostics")
+REPORT_KEYS = {"schema", "experiment", "config", "seed", "estimates", "ks_results",
+               "bound_checks", "checks", "passed", "diagnostics", "wall_time"}
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
 WALKER_COUNTS = {"dt", "batch_steps", "path_steps", "halvings", "floor_hits", "clamps",
                  "touches_mean", "touches_max", "paths_untouched"}
 
@@ -42,9 +47,7 @@ class TestMetricIsde:
     def test_passes_and_reports_schema(self, tmp_path, graph_file):
         rc, report = run_metric(tmp_path, graph_file)
         assert rc == 0 and report["passed"]
-        assert set(report) == {"schema", "experiment", "config", "seed", "estimates",
-                               "ks_results", "bound_checks", "checks", "passed",
-                               "diagnostics", "wall_time"}
+        assert set(report) == REPORT_KEYS
         assert report["schema"] == cli.SCHEMA == 2
         assert report["experiment"] == "metric-isde" and report["seed"] == 3
         assert set(report["estimates"]) == {"terminal_distance", "terminal_distance_fine"}
@@ -76,3 +79,125 @@ class TestMetricIsde:
     def test_bad_dt(self, tmp_path, graph_file, dt):
         rc, report = run_metric(tmp_path, graph_file, "--dt", dt)
         assert rc == 3 and report is None
+
+
+# small sizes that run each experiment in well under a second
+TINY = {
+    "orbm-leg": ["--theta", repr(math.pi / 6), "--paths", "300"],
+    "quadrant": ["--theta1", "1.0", "--theta2", "1.0", "--paths", "50", "--dt", "0.01",
+                 "--eps", "0.01"],
+    "walsh-kernel": ["--paths", "300"],
+    "isde": ["--paths", "200", "--dt", "0.05"],
+    "two-point": ["--paths", "100", "--dt", "0.01", "--legs", "2"],
+    "coalesce": ["--paths", "2", "--dt", "0.01"],
+    "filtered-kernel": ["--runs", "3", "--dt", "0.05", "--m", "4"],
+    "metric-isde": ["--paths", "4", "--dt", "0.01"],
+}
+# further tiny argument sets that reach the fields the first one leaves unread
+VARIANTS = {
+    "quadrant": [["--angle-lo", "0.5", "--angle-hi", "1.0", "--paths", "20", "--dt", "0.01",
+                  "--eps", "0.01"]],
+    "metric-isde": [["--paths", "4", "--dt", "0.01", "--x0-ray", "1", "--x0-r", "0.1"]],
+}
+
+
+def tiny_argv(name, graph_file, args=None):
+    argv = [name, *(TINY[name] if args is None else args)]
+    return argv + ["--graph-file", graph_file] if name == "metric-isde" else argv
+
+
+def run_main(argv, out):
+    rc = cli.main([*argv, "--out", str(out)])
+    return rc, json.loads(out.read_text()) if out.exists() else None
+
+
+def declared(name):
+    return set(cli.EXPERIMENTS[name][1].split())
+
+
+def reads_of(name, cfg):
+    """Config fields that the experiment body reads when run on cfg."""
+    reads = set()
+
+    class Recording(cli.ExperimentConfig):
+        def __getattribute__(self, attr):
+            reads.add(attr)
+            return object.__getattribute__(self, attr)
+
+    rec = Recording(**dataclasses.asdict(cfg))
+    reads.clear()
+    cli.EXPERIMENTS[name][0](rec, RngStream(cfg.seed))
+    return reads & CONFIG_FIELDS
+
+
+@pytest.mark.parametrize("name", list(cli.EXPERIMENTS))
+class TestEveryExperiment:
+    def test_report_and_replay(self, tmp_path, graph_file, name):
+        rc, a = run_main(tiny_argv(name, graph_file), tmp_path / "a.json")
+        assert rc in (0, cli.EXIT_CHECKS_FAILED)
+        assert (rc == 0) == a["passed"] == all(a["checks"].values())
+        assert set(a) == REPORT_KEYS and a["schema"] == 2 and a["experiment"] == name
+        assert set(a["config"]) == CONFIG_FIELDS and "fmt" not in a["config"]
+        _, b = run_main(tiny_argv(name, graph_file), tmp_path / "b.json")
+        assert numeric(a) == numeric(b)
+
+    def test_declared_fields_are_the_fields_read(self, tmp_path, graph_file, name):
+        """Each run reads only declared fields, and the runs together read
+        every one of them; the csv branches are taken where there is one."""
+        csv = ["--csv", str(tmp_path / "dump")] if "csv" in declared(name) else []
+        seen = set()
+        for args in [TINY[name], *VARIANTS.get(name, [])]:
+            args = cli.build_parser().parse_args(tiny_argv(name, graph_file, args) + csv)
+            reads = reads_of(name, cli.config_from_args(args))
+            assert reads <= declared(name) | set(cli.RUN_OPTIONS)
+            seen |= reads
+        assert seen - set(cli.RUN_OPTIONS) == declared(name)
+
+    def test_help_renders_with_the_run_options(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert "--seed" in text and "--threads" in text and "--out" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["isde", "--x0-r", "0.5"],
+    ["orbm-leg", "--theta", "0.5", "--tmax", "1"],
+    ["orbm-leg"],
+    ["filtered-kernel", "--x0-r", "0.5"],
+    # a prefix of --x0-ray, rejected because abbreviations are off
+    ["two-point", "--x0-r", "1"],
+])
+def test_unread_or_missing_option_is_usage_error(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["two-point", "--legs", "0"],
+    ["filtered-kernel", "--runs", "0"],
+    ["quadrant", "--theta1", "1.0", "--theta2", "1.0", "--max-legs", "0"],
+    ["coalesce", "--paths", "0"],
+    ["coalesce", "--paths", "2", "--threads", "-2"],
+    ["isde", "--probs", "0.5,0.5", "--n-rays", "3"],
+    ["isde", "--n-rays", "0"],
+])
+def test_bad_value_exits_3(tmp_path, argv):
+    rc, report = run_main(argv, tmp_path / "r.json")
+    assert rc == cli.EXIT_BAD_CONFIG == 3 and report is None
+
+
+def test_probs_set_the_ray_count():
+    args = cli.build_parser().parse_args(["isde", "--probs", "0.25,0.75"])
+    cfg = cli.config_from_args(args)
+    assert cfg.n_rays == 2 and cfg.probs == (0.25, 0.75)
+    assert cli.config_from_args(cli.build_parser().parse_args(["isde"])).probs == (1 / 3,) * 3
+
+
+def test_seed_defaults_to_the_environment(monkeypatch):
+    monkeypatch.setenv("STARFLOW_SEED", "5")
+    assert cli.config_from_args(cli.build_parser().parse_args(["isde"])).seed == 5
+    assert cli.config_from_args(cli.build_parser().parse_args(["isde", "--seed", "2"])).seed == 2

@@ -20,7 +20,7 @@ from .stats import (
 from .walsh import (
     ResidualSummary, WalshPath, freidlin_sheu_residual, sample_exact_steps,
     sample_residual_summaries, sample_wbm_terminals, semigroup_apply,
-    wbm_coupled_path, wbm_exact_step,
+    wbm_coupled_path,
 )
 from .quadrant import (
     AngleSource, FixedAngles, LegOverflowError, LegSamples, OrbmLeg,

@@ -84,8 +84,9 @@ class ExperimentConfig:
         "flag": "--no-refine", "help": "end legs only at grid crossings"})
 
     def __post_init__(self):
-        if self.n_rays < 1:
-            raise ValueError(f"need n_rays >= 1, got {self.n_rays}")
+        for name in ("n_rays", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"need {name} >= 1, got {getattr(self, name)}")
         self.probs = tuple(float(p) for p in self.probs) or (1.0 / self.n_rays,) * self.n_rays
         if len(self.probs) != self.n_rays:
             raise ValueError(f"{len(self.probs)} ray weights for n_rays = {self.n_rays}")
@@ -226,10 +227,15 @@ def _exp_walsh_kernel(cfg: ExperimentConfig, rng: RngStream):
 def _exp_isde(cfg: ExperimentConfig, rng: RngStream):
     """``W<i>_is_brownian`` needs a KS p-value > 1e-3 for W_i(T)/sqrt(T)
     against the standard normal. The assembled noises are exact in law, so
-    the false-failure rate is 1e-3 per ray, 3e-3 over three rays."""
+    the false-failure rate is 1e-3 per ray, 3e-3 over three rays.
+
+    ``isometry_<f>`` needs |z| <= ndtri(1 - 1e-3/4) = 3.48 for the mean of
+    the per-path isometry defects (``ResidualSummary.isometry_defects``) at
+    dt and at dt/4: two-sided, Bonferroni over the two levels, so the
+    false-failure rate is 1e-3 per test function, 3e-3 over the three."""
     g = cfg.star()
     rays, rads, WT = isde.sample_isde_terminals(g, cfg.T, cfg.dt, cfg.paths, rng.child(0))
-    from scipy.special import ndtr
+    from scipy.special import ndtr, ndtri
     estimates, ks_results, checks = {}, {}, {}
     sT = math.sqrt(cfg.T)
     for i in range(g.n_rays):
@@ -251,13 +257,16 @@ def _exp_isde(cfg: ExperimentConfig, rng: RngStream):
     res = walsh.sample_residual_summaries(g, fs, cfg.T, cfg.dt, cfg.paths, rng.child(1))
     res_fine = walsh.sample_residual_summaries(g, fs, cfg.T, cfg.dt / 4,
                                                max(cfg.paths // 4, 1000), rng.child(2))
+    z_max = ndtri(1 - 1e-3 / 4)
     for nm, summ in res.items():
         est = stats.mc_estimate(summ.residuals)
         estimates[f"residual_{nm}"] = _est(summ.residuals)
         checks[f"residual_{nm}_centered"] = abs(est.mean) <= 3 * est.stderr
         ratio, ratio_f = summ.variance_ratio, res_fine[nm].variance_ratio
         estimates[f"variance_ratio_{nm}"] = {"mean": ratio, "stderr": abs(ratio_f - ratio), "n": summ.residuals.size}
-        checks[f"isometry_{nm}"] = 0.9 <= ratio_f <= 1.1
+        levels = (_est(summ.isometry_defects), _est(res_fine[nm].isometry_defects))
+        estimates[f"isometry_{nm}"], estimates[f"isometry_{nm}_fine"] = levels
+        checks[f"isometry_{nm}"] = all(abs(e["mean"]) <= z_max * e["stderr"] for e in levels)
     return estimates, ks_results, {}, checks, {}
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .graphs import GraphPoint, StarGraph
 from .halfline import RngStream, grid_steps, map_chunks, reflected_increment
 from .quadrant import SAFETY
-from .walsh import WalshPath, wbm_coupled_path, _point_state
+from .walsh import WalshPath, _coupled_step, _point_state, _start_state, wbm_coupled_path
 
 __all__ = [
     "IsdeSolution", "N2NoisePath", "NPointPath", "TimeChangedPair",
@@ -67,10 +67,6 @@ class IsdeSolution:
     W: np.ndarray   # (N, K+1) cumulative edge noises
     V: np.ndarray   # (N, K+1) cumulative auxiliary noises
 
-    @property
-    def dt(self) -> float:
-        return self.path.dt
-
 
 def isde_forward(g: StarGraph, x0: GraphPoint, T: float, dt: float,
                  rng: RngStream) -> IsdeSolution:
@@ -98,11 +94,8 @@ def sample_isde_terminals(g: StarGraph, T: float, dt: float, n: int,
     K = grid_steps(T, dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
-    ray0, r0 = _point_state(g, x0)
     sq = math.sqrt(dt)
-    rad = np.full(n, r0)
-    rays = (np.searchsorted(cum, gen.random(n)) if x0.is_vertex
-            else np.full(n, ray0, dtype=np.int64))
+    rays, rad = _start_state(cum, x0, n, gen)
     WT = np.zeros((n, g.n_rays))
     rows = np.arange(n)
     for _ in range(K):
@@ -111,10 +104,7 @@ def sample_isde_terminals(g: StarGraph, T: float, dt: float, n: int,
         u = gen.random(n)
         WT += dV
         WT[rows, rays] += xi - dV[rows, rays]
-        y = rad + xi
-        folded = np.flatnonzero(y < 0.0)
-        rays[folded] = np.searchsorted(cum, u[folded])
-        rad = np.abs(y)
+        rad, _ = _coupled_step(cum, rays, rad, xi, u)
     return rays, rad, WT
 
 
@@ -141,9 +131,6 @@ class N2NoisePath:
     @property
     def radials(self) -> np.ndarray:
         return np.abs(self.signed)
-
-    def point(self, k: int) -> GraphPoint:
-        return self.graph.point(int(self.rays[k]), float(self.radials[k]))
 
 
 def isde_n2_from_noise(g2: StarGraph, x0: GraphPoint,
@@ -193,9 +180,6 @@ class NPointPath:
     def n_points(self) -> int:
         return self.rays.shape[1]
 
-    def point(self, k: int, j: int) -> GraphPoint:
-        return self.graph.point(int(self.rays[k, j]), float(self.radials[k, j]))
-
     def to_csv(self, path) -> None:
         taus = set(self.tau_events)
         with open(path, "w", newline="") as fh:
@@ -226,24 +210,25 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
     cum = np.cumsum(g.probs_array)
     sq = math.sqrt(dt)
 
-    rays = np.zeros(n, dtype=np.int64)
-    rad = np.zeros(n)
+    # row n is a phantom pivot from the origin: it generates W until a
+    # point first reaches the origin
+    rays = np.zeros(n + 1, dtype=np.int64)
+    rad = np.zeros(n + 1)
     for j, s in enumerate(starts):
         rays[j], rad[j] = _point_state(g, s)
-    rep = np.arange(n)  # coalescence representative (union by smaller index)
+    rep = np.arange(n + 1)  # coalescence representative (union by smaller index)
     at_zero = [j for j in range(n) if rad[j] == 0.0]
     pivot = at_zero[0] if at_zero else -1
     for j in at_zero[1:]:
         rep[j] = at_zero[0]
-    phantom_ray = int(np.searchsorted(cum, gen.random()))
-    phantom_rad = 0.0
+    rays[n] = _start_state(cum, g.origin(), 1, gen)[0][0]
     if pivot >= 0:
-        rays[pivot] = phantom_ray
+        rays[pivot] = rays[n]
 
     out_rays = np.empty((K + 1, n), dtype=np.int64)
     out_rad = np.empty((K + 1, n))
     out_piv = np.empty(K + 1, dtype=np.int64)
-    out_rays[0], out_rad[0], out_piv[0] = rays, rad, pivot
+    out_rays[0], out_rad[0], out_piv[0] = rays[:n], rad[:n], pivot
     tau_events: list[int] = []
     coalesced: dict[tuple[int, int], int] = {
         (int(a), int(b)): 0 for ai, a in enumerate(at_zero)
@@ -251,27 +236,12 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
 
     for k in range(K):
         xi = sq * gen.standard_normal()
-        dV = sq * gen.standard_normal(g.n_rays)
-        coin = int(np.searchsorted(cum, gen.random()))
-        coin2 = int(np.searchsorted(cum, gen.random()))
-        piv_ray = rays[pivot] if pivot >= 0 else phantom_ray
-        dW = dV.copy()
-        dW[piv_ray] = xi
+        dW = sq * gen.standard_normal(g.n_rays)
+        u = gen.random(2)  # the pivot's redraw, then a new pivot's ray
+        piv = slice(pivot, pivot + 1) if pivot >= 0 else slice(n, n + 1)
+        dW[rays[piv]] = xi
         movers = [j for j in range(n) if rep[j] == j and j != pivot]
-        # pivot (or phantom) reflects and redraws at zero touches
-        if pivot >= 0:
-            y = rad[pivot] + xi
-            if y < 0.0:
-                rad[pivot] = -y
-                rays[pivot] = coin
-            else:
-                rad[pivot] = y
-        else:
-            y = phantom_rad + xi
-            if y < 0.0:
-                phantom_rad, phantom_ray = -y, coin
-            else:
-                phantom_rad = y
+        rad[piv], _ = _coupled_step(cum, rays[piv], rad[piv], xi, u)
         hits = []
         for j in movers:
             nr = rad[j] + dW[rays[j]]
@@ -281,10 +251,8 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
         if hits:
             new_pivot = min(hits, key=lambda j: rad[j])
             tau_events.append(k + 1)
-            for j in hits:
-                rad[j] = -rad[j]
-                if j == new_pivot:
-                    rays[j] = coin2
+            rad[hits] = -rad[hits]
+            rays[new_pivot] = np.searchsorted(cum, u[1])
             pivot = new_pivot
         # coalescence at the origin, absorbing
         alive = [j for j in range(n) if rep[j] == j]
@@ -299,7 +267,7 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
                         pivot = lo
         rays = rays[rep]
         rad = rad[rep]
-        out_rays[k + 1], out_rad[k + 1] = rays, rad
+        out_rays[k + 1], out_rad[k + 1] = rays[:n], rad[:n]
         out_piv[k + 1] = pivot
     return NPointPath(graph=g, dt=dt, rays=out_rays, radials=out_rad,
                       pivot_index=out_piv, tau_events=tau_events,
@@ -554,53 +522,67 @@ class FilteredKernelEstimate:
     histogram: np.ndarray    # (N, bins) counts per (ray, radial bin)
     seed_info: tuple
 
-    @property
-    def m(self) -> int:
-        return len(self.rays)
 
+def _replica_batch(g: StarGraph, x0: GraphPoint, T: float, dt: float, n_runs: int,
+                   m: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (rays, radials), each (n_runs, m), of m re-solves per run
+    that share the run's directly drawn edge noises W.
 
-def _replica_endpoints(g: StarGraph, x0, dW: np.ndarray, m: int,
-                       gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """m conditional re-solves given the edge-noise increments dW (N, K)."""
-    N, K = dW.shape
-    if N == 2:
-        # strong solution: every replica is the two-ray Euler map of dW
-        # (the map does not use dt; it only labels the returned path)
-        end = isde_n2_from_noise(g, x0, dW, math.nan)
-        return np.full(m, end.rays[-1]), np.full(m, end.radials[-1])
-    ray0, r0 = _point_state(g, x0)
+    The runs go through ``map_chunks`` in chunks of 65536 // m. A chunk's
+    replicas draw their starting rays; then each step draws the (runs, N)
+    noises and one redraw uniform per replica and takes the coupled Walsh
+    step. For N = 2 each run draws its (2, K) noises at once and every
+    replica is their two-ray Euler map.
+    """
+    if m < 2:
+        raise ValueError("need m >= 2 replicas")
+    K = grid_steps(T, dt)
+    sq = math.sqrt(dt)
     cum = np.cumsum(g.probs_array)
-    coins = np.searchsorted(cum, gen.random((m, K)))
-    rad = np.full(m, r0)
-    # from the origin the starting ray has its own draw, apart from the
-    # redraw coins of step 0
-    rays = (np.searchsorted(cum, gen.random(m)) if r0 == 0.0
-            else np.full(m, ray0, dtype=np.int64))
-    for k in range(K):
-        y = rad + dW[rays, k]
-        neg = y < 0.0
-        rad = np.abs(y)
-        rays = np.where(neg, coins[:, k], rays)
-    return rays, rad
+
+    def run(lo, hi, stream):
+        gen = stream.generator()
+        c = hi - lo
+        if g.n_rays == 2:
+            rays, rads = np.empty((c, m), dtype=np.int64), np.empty((c, m))
+            for r in range(c):
+                end = isde_n2_from_noise(g, x0, sq * gen.standard_normal((2, K)), dt)
+                rays[r], rads[r] = end.rays[-1], end.radials[-1]
+            return rays, rads
+        rays, rad = _start_state(cum, x0, c * m, gen)
+        run_of = np.repeat(np.arange(c), m)
+        for _ in range(K):
+            dW = sq * gen.standard_normal((c, g.n_rays))
+            rad, _ = _coupled_step(cum, rays, rad, dW[run_of, rays], gen.random(c * m))
+        return rays.reshape(c, m), rad.reshape(c, m)
+
+    return map_chunks(run, n_runs, rng, max(1, 65536 // m), 1)
+
+
+def _dispersions(rays: np.ndarray, rads: np.ndarray, n_rays: int) -> np.ndarray:
+    """Largest graph distance between two replicas, per row: the widest
+    spread on one ray, or the two farthest replicas on distinct rays."""
+    on = [rays == i for i in range(n_rays)]
+    hi = np.stack([np.where(o, rads, -np.inf).max(axis=1) for o in on], axis=1)
+    lo = np.stack([np.where(o, rads, np.inf).min(axis=1) for o in on], axis=1)
+    top = np.sort(np.pad(hi, ((0, 0), (1, 0)), constant_values=-np.inf), axis=1)
+    return np.maximum((hi - lo).max(axis=1), top[:, -1] + top[:, -2])
 
 
 def filtered_kernel(g: StarGraph, x0: GraphPoint, T: float, dt: float, m: int,
                     rng: RngStream, bins: int = 20) -> FilteredKernelEstimate:
-    """Endpoint cloud of m re-solves sharing one assembled W."""
-    if m < 2:
-        raise ValueError("need m >= 2 replicas")
-    sol = isde_forward(g, x0, T, dt, rng.child(0))
-    dW = np.diff(sol.W, axis=1)
-    rays, rads = _replica_endpoints(g, x0, dW, m, rng.child(1).generator())
-    same = rays[:, None] == rays[None, :]
-    dmat = np.where(same, np.abs(rads[:, None] - rads[None, :]),
-                    rads[:, None] + rads[None, :])
+    """Endpoint cloud of m re-solves sharing one W: the one-run case of
+    the replica engine. The re-solves use only W, and W is drawn directly.
+    That is exact in law: in the forward construction dW^i_k is dB_k on the
+    ray of X_k and dV^i_k off it, both N(0, dt) and independent of each
+    other and of the past, so W is a Brownian family whatever X does."""
+    rays, rads = _replica_batch(g, x0, T, dt, 1, m, rng)
     hi = max(1e-9, float(rads.max()))
     edges = np.linspace(0.0, hi, bins + 1)
     hist = np.stack([np.histogram(rads[rays == i], bins=edges)[0]
                      for i in range(g.n_rays)])
-    return FilteredKernelEstimate(rays=rays, radials=rads,
-                                  dispersion=float(dmat.max()),
+    return FilteredKernelEstimate(rays=rays[0], radials=rads[0],
+                                  dispersion=float(_dispersions(rays, rads, g.n_rays)[0]),
                                   bin_edges=edges, histogram=hist,
                                   seed_info=(rng.seed, rng.index))
 
@@ -608,16 +590,17 @@ def filtered_kernel(g: StarGraph, x0: GraphPoint, T: float, dt: float, m: int,
 def sample_kernel_dispersions(g: StarGraph, T: float, dts, n_runs: int, m: int,
                               rng: RngStream, x0: GraphPoint | None = None,
                               ) -> dict[float, np.ndarray]:
-    """Replica-cloud dispersions per grid resolution (criterion engine)."""
+    """Replica-cloud dispersions per grid resolution (criterion engine).
+
+    Level di steps all n_runs x m replicas as one batch on rng.child(di).
+    Each run's W is drawn directly, with no forward path: its increments
+    are fresh N(0, dt) whatever ray a forward solution is on, so this is
+    exact in law (see ``filtered_kernel``).
+    """
     if n_runs < 1:
         raise ValueError(f"need n_runs >= 1, got {n_runs}")
     if x0 is None:
         x0 = g.origin()
-    out = {}
-    for di, dt in enumerate(dts):
-        disps = np.empty(n_runs)
-        for run in range(n_runs):
-            est = filtered_kernel(g, x0, T, dt, m, rng.child(di).child(run))
-            disps[run] = est.dispersion
-        out[float(dt)] = disps
-    return out
+    return {float(dt): _dispersions(*_replica_batch(g, x0, T, dt, n_runs, m, rng.child(di)),
+                                   g.n_rays)
+            for di, dt in enumerate(dts)}

@@ -19,6 +19,13 @@ Two simulation modes:
   than clipping to the running minimum, keeps the pathwise expansion
   residuals centered: clipping destroys the overshoot value at every zero
   touch and biases them at order sqrt(dt).)
+
+The coupled step exists once, as ``_coupled_step``, and every star-graph
+grid engine starts from ``_start_state`` and takes that step: here
+``wbm_coupled_path`` (one path), ``sample_wbm_terminals`` and
+``sample_residual_summaries``; in ``isde`` the forward terminals
+``sample_isde_terminals``, the pivot of ``npoint_motion`` and the replicas
+of the filtered kernel. Each engine keeps its own draw order.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .graphs import DomainFunction, GraphPoint, StarGraph
 from .halfline import RngStream, grid_steps, heat_kernels
 
 __all__ = [
-    "WalshPath", "wbm_exact_step", "exact_step_arrays", "sample_exact_steps",
+    "WalshPath", "exact_step_arrays", "sample_exact_steps",
     "wbm_coupled_path", "sample_wbm_terminals", "semigroup_apply",
     "freidlin_sheu_residual", "ResidualSummary", "sample_residual_summaries",
 ]
@@ -92,13 +99,6 @@ def exact_step_arrays(g: StarGraph, rays: np.ndarray, radials: np.ndarray,
     return np.where(keep, rays, fresh), rho
 
 
-def wbm_exact_step(g: StarGraph, x: GraphPoint, dt: float, rng: RngStream) -> GraphPoint:
-    """One exact draw from the transition kernel started at x."""
-    ray, r = _point_state(g, x)
-    rays, rhos = exact_step_arrays(g, np.array([ray]), np.array([r]), dt, rng.generator())
-    return g.point(int(rays[0]), float(rhos[0]))
-
-
 def sample_exact_steps(g: StarGraph, x: GraphPoint, t: float, n: int,
                        rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """n independent exact kernel draws from x; returns (rays, radials)."""
@@ -106,42 +106,48 @@ def sample_exact_steps(g: StarGraph, x: GraphPoint, t: float, n: int,
     return exact_step_arrays(g, np.full(n, ray), np.full(n, r), t, rng.generator())
 
 
+def _start_state(cum: np.ndarray, x0: GraphPoint, n: int,
+                 gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(rays, radials) of n paths at x0. From the origin each path draws its
+    starting ray from the weights (``cum`` cumulative) with one uniform of
+    its own, apart from the redraw uniforms of its steps."""
+    if x0.is_vertex:
+        return np.searchsorted(cum, gen.random(n)), np.zeros(n)
+    return np.full(n, x0.edge, dtype=np.int64), np.full(n, x0.coord)
+
+
+def _coupled_step(cum: np.ndarray, rays: np.ndarray, radials: np.ndarray,
+                  xi: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coupled Walsh step of a batch: y = radials + xi, radial |y|, and
+    the rows with y < 0 fold and take a ray drawn from the weights (``cum``
+    cumulative) with their uniform u. Updates rays in place and returns
+    (|y|, folded rows); a folded row's local time grows by 2 |y|."""
+    y = radials + xi
+    folded = np.flatnonzero(y < 0.0)
+    rays[folded] = np.searchsorted(cum, u[folded])
+    return np.abs(y), folded
+
+
 def wbm_coupled_path(g: StarGraph, x0: GraphPoint, T: float, dt: float,
                      rng: RngStream) -> WalshPath:
     """Coupled-mode path on [0, T]: folded radial over a stored driver, ray
-    redrawn from the weights at every origin crossing."""
+    redrawn from the weights at every origin crossing. Draws the K driver
+    increments, then the K redraw uniforms, then the starting ray."""
     K = grid_steps(T, dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
-    ray0, r0 = _point_state(g, x0)
-
     xi = gen.standard_normal(K) * math.sqrt(dt)
-    coins = np.searchsorted(cum, gen.random(K))
-    rays = np.empty(K + 1, dtype=np.int64)
-    radials = np.empty(K + 1)
-    L = np.empty(K + 1)
-    rays[0] = ray0 if not x0.is_vertex else int(np.searchsorted(cum, gen.random()))
-    radials[0] = r0
-    L[0] = 0.0
-    rad = r0
-    ray = rays[0]
-    lt = 0.0
+    u = gen.random(K)
+    ray, rad = _start_state(cum, x0, 1, gen)
+    rays, radials, dL = [ray[0]], [rad[0]], [0.0]
     for k in range(K):
-        y = rad + xi[k]
-        if y < 0.0:
-            lt -= 2.0 * y
-            rad = -y
-            ray = coins[k]
-        else:
-            rad = y
-        rays[k + 1] = ray
-        radials[k + 1] = rad
-        L[k + 1] = lt
-    driver = np.empty(K + 1)
-    driver[0] = 0.0
-    np.cumsum(xi, out=driver[1:])
-    return WalshPath(graph=g, dt=dt, rays=rays, radials=radials,
-                     radial_localtime=L, driver=driver)
+        rad, folded = _coupled_step(cum, ray, rad, xi[k:k + 1], u[k:k + 1])
+        rays.append(ray[0])
+        radials.append(rad[0])
+        dL.append(2.0 * rad[0] if folded.size else 0.0)
+    return WalshPath(graph=g, dt=dt, rays=np.array(rays), radials=np.array(radials),
+                     radial_localtime=np.cumsum(dL),
+                     driver=np.concatenate([[0.0], np.cumsum(xi)]))
 
 
 def sample_wbm_terminals(g: StarGraph, x0: GraphPoint, T: float, dt: float,
@@ -150,19 +156,11 @@ def sample_wbm_terminals(g: StarGraph, x0: GraphPoint, T: float, dt: float,
     K = grid_steps(T, dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
-    ray0, r0 = _point_state(g, x0)
     sq = math.sqrt(dt)
-    rad = np.full(n, r0)
-    if x0.is_vertex:
-        rays = np.searchsorted(cum, gen.random(n))
-    else:
-        rays = np.full(n, ray0, dtype=np.int64)
+    rays, rad = _start_state(cum, x0, n, gen)
     for _ in range(K):
-        y = rad + sq * gen.standard_normal(n)
-        u = gen.random(n)
-        folded = np.flatnonzero(y < 0.0)
-        rays[folded] = np.searchsorted(cum, u[folded])
-        rad = np.abs(y)
+        xi = sq * gen.standard_normal(n)
+        rad, _ = _coupled_step(cum, rays, rad, xi, gen.random(n))
     return rays, rad
 
 
@@ -231,10 +229,18 @@ class ResidualSummary:
     residuals: np.ndarray          # M_T per path
     martingale_part: np.ndarray    # f(X_T)-f(X_0)-(dt/2) sum f'' - f'(0) L_T per path
     isometry_prediction: float     # dt * sum_k mean[(f'(X_k))^2]
+    bracket: np.ndarray            # dt * sum_k f'(X_k)^2 per path
 
     @property
     def variance_ratio(self) -> float:
         return float(np.var(self.martingale_part, ddof=1) / self.isometry_prediction)
+
+    @property
+    def isometry_defects(self) -> np.ndarray:
+        """Per path, d = (mart - mean mart)^2 - bracket. The discrete Ito
+        isometry E(sum f' dB)^2 = E bracket gives E d = 0, up to the
+        residual's share of the variance and a -Var(mart)/n term."""
+        return (self.martingale_part - self.martingale_part.mean()) ** 2 - self.bracket
 
 
 def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
@@ -251,17 +257,13 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
     K = grid_steps(T, dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
-    ray0, r0 = _point_state(g, x0)
     sq = math.sqrt(dt)
-    rad = np.full(n, r0)
-    if x0.is_vertex:
-        rays = np.searchsorted(cum, gen.random(n))
-    else:
-        rays = np.full(n, ray0, dtype=np.int64)
+    rays, rad = _start_state(cum, x0, n, gen)
     L = np.zeros(n)
     names = list(fs)
     sum_fp_dB = {nm: np.zeros(n) for nm in names}
     sum_fpp = {nm: np.zeros(n) for nm in names}
+    bracket = {nm: np.zeros(n) for nm in names}  # sum_k f'^2 per path, times dt at the end
     sum_fp2 = {nm: 0.0 for nm in names}
     part = g.ray_partition(rays, rad)
     f0 = {nm: fs[nm].value_arrays(rays, rad, part=part) for nm in names}
@@ -273,12 +275,11 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
             fp = fs[nm].derivative_arrays(rays, rad, part=part)
             sum_fp_dB[nm] += fp * xi
             sum_fpp[nm] += fs[nm].second_derivative_arrays(rays, rad, part=part)
-            sum_fp2[nm] += float(np.mean(fp * fp))
-        y = rad + xi
-        folded = np.flatnonzero(y < 0.0)
-        L[folded] -= 2.0 * y[folded]
-        rays[folded] = np.searchsorted(cum, u[folded])
-        rad = np.abs(y)
+            fp2 = fp * fp
+            bracket[nm] += fp2
+            sum_fp2[nm] += float(np.mean(fp2))
+        rad, folded = _coupled_step(cum, rays, rad, xi, u)
+        L[folded] += 2.0 * rad[folded]
     part = g.ray_partition(rays, rad)
     out = {}
     for nm in names:
@@ -289,5 +290,6 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
             residuals=mart - sum_fp_dB[nm],
             martingale_part=mart,
             isometry_prediction=dt * sum_fp2[nm],
+            bracket=np.multiply(bracket[nm], dt, out=bracket[nm]),
         )
     return out

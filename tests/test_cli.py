@@ -184,6 +184,7 @@ def test_unread_or_missing_option_is_usage_error(tmp_path, argv):
     ["coalesce", "--paths", "2", "--threads", "-2"],
     ["isde", "--probs", "0.5,0.5", "--n-rays", "3"],
     ["isde", "--n-rays", "0"],
+    ["isde", "--threads", "-2", "--paths", "10", "--dt", "0.1"],
 ])
 def test_bad_value_exits_3(tmp_path, argv):
     rc, report = run_main(argv, tmp_path / "r.json")

@@ -7,10 +7,11 @@ from scipy.special import ndtr
 from starflow.graphs import make_star
 from starflow.halfline import RngStream
 from starflow.isde import (
-    _replica_endpoints, isde_forward, isde_n2_from_noise, sample_coalescence_times,
-    sample_first_legs, sample_isde_terminals,
+    _dispersions, filtered_kernel, isde_forward, isde_n2_from_noise, npoint_motion,
+    sample_coalescence_times, sample_first_legs, sample_isde_terminals,
+    sample_kernel_dispersions,
 )
-from starflow.stats import ks_against_cdf
+from starflow.stats import ks_against_cdf, ks_two_sample
 
 G = make_star(3, [0.5, 0.3, 0.2])
 
@@ -89,6 +90,98 @@ class TestSampleTerminals:
         _, _, WT = sample_isde_terminals(G, T, 0.02, 4000, RngStream(46))
         for i in range(G.n_rays):
             assert ks_against_cdf(WT[:, i] / math.sqrt(T), ndtr).p_value > 1e-3, i
+
+
+def _npoint_reference(g, starts, T, dt, rng, tol_c):
+    """Scalar loop: the pivot (or, while no point sits at the origin, a
+    phantom started there) folds and redraws with the first coin; movers
+    ride their ray's noise, and the hit nearest below 0 pivots with the
+    second coin; points within tol_c of the origin coalesce."""
+    n, K = len(starts), round(T / dt)
+    gen = rng.generator()
+    cum = np.cumsum(g.probs_array)
+    sq = math.sqrt(dt)
+    rays = np.array([0 if s.is_vertex else s.edge for s in starts], dtype=np.int64)
+    rad = np.array([0.0 if s.is_vertex else s.coord for s in starts])
+    rep = np.arange(n)
+    at_zero = [j for j in range(n) if rad[j] == 0.0]
+    pivot = at_zero[0] if at_zero else -1
+    for j in at_zero[1:]:
+        rep[j] = at_zero[0]
+    phantom_ray = int(np.searchsorted(cum, gen.random()))
+    phantom_rad = 0.0
+    if pivot >= 0:
+        rays[pivot] = phantom_ray
+    out_rays, out_rad, out_piv = [rays.copy()], [rad.copy()], [pivot]
+    taus = []
+    coalesced = {(a, b): 0 for ai, a in enumerate(at_zero) for b in at_zero[ai + 1:]}
+    for k in range(K):
+        xi = sq * gen.standard_normal()
+        dV = sq * gen.standard_normal(g.n_rays)
+        coin = int(np.searchsorted(cum, gen.random()))
+        coin2 = int(np.searchsorted(cum, gen.random()))
+        dW = dV.copy()
+        dW[rays[pivot] if pivot >= 0 else phantom_ray] = xi
+        movers = [j for j in range(n) if rep[j] == j and j != pivot]
+        if pivot >= 0:
+            y = rad[pivot] + xi
+            if y < 0.0:
+                rad[pivot], rays[pivot] = -y, coin
+            else:
+                rad[pivot] = y
+        else:
+            y = phantom_rad + xi
+            if y < 0.0:
+                phantom_rad, phantom_ray = -y, coin
+            else:
+                phantom_rad = y
+        hits = []
+        for j in movers:
+            rad[j] += dW[rays[j]]
+            if rad[j] <= 0.0:
+                hits.append(j)
+        if hits:
+            new_pivot = min(hits, key=lambda j: rad[j])
+            taus.append(k + 1)
+            for j in hits:
+                rad[j] = -rad[j]
+                if j == new_pivot:
+                    rays[j] = coin2
+            pivot = new_pivot
+        near = [j for j in range(n) if rep[j] == j and rad[j] < tol_c]
+        for ai, a in enumerate(near):
+            for b in near[ai + 1:]:
+                lo, hi = min(a, b), max(a, b)
+                if rep[hi] == hi:
+                    coalesced.setdefault((lo, hi), k + 1)
+                    rep[rep == hi] = lo
+                    if pivot == hi:
+                        pivot = lo
+        rays, rad = rays[rep], rad[rep]
+        out_rays.append(rays.copy())
+        out_rad.append(rad.copy())
+        out_piv.append(pivot)
+    return np.array(out_rays), np.array(out_rad), np.array(out_piv), taus, coalesced
+
+
+class TestNPointMotion:
+    @pytest.mark.parametrize("seed, starts", [
+        (61, [None, (1, 0.5)]),
+        (62, [(0, 0.3), (2, 0.6)]),
+        (63, [(0, 0.4), None, (2, 0.2)]),
+        (64, [None, None, (1, 0.3)]),
+    ])
+    def test_bit_identical_to_reference_loop(self, seed, starts):
+        starts = [G.origin() if s is None else G.point(*s) for s in starts]
+        tol = 0.05
+        out = npoint_motion(G, starts, 2.0, 0.01, RngStream(seed), tol_c=tol)
+        rays, rads, piv, taus, coalesced = _npoint_reference(
+            G, starts, 2.0, 0.01, RngStream(seed), tol)
+        np.testing.assert_array_equal(out.rays, rays)
+        np.testing.assert_array_equal(out.radials, rads)
+        np.testing.assert_array_equal(out.pivot_index, piv)
+        assert out.tau_events == taus and out.coalesced_pairs == coalesced
+        assert taus
 
 
 # -- pair engines --------------------------------------------------------------
@@ -221,25 +314,95 @@ class TestPairEngines:
         np.testing.assert_array_equal(c.times, d.times)
 
 
+def _dispersions_reference(g, T, dt, n_runs, m, rng):
+    """Per-run loop: W assembled by isde_forward around a forward path, then
+    m replicas from the origin with their own starting rays and redraw
+    coins, folded one step at a time."""
+    cum = np.cumsum(g.probs_array)
+    out = np.empty(n_runs)
+    for run in range(n_runs):
+        stream = rng.child(run)
+        dW = np.diff(isde_forward(g, g.origin(), T, dt, stream.child(0)).W, axis=1)
+        gen = stream.child(1).generator()
+        coins = np.searchsorted(cum, gen.random((m, dW.shape[1])))
+        rays, rad = np.searchsorted(cum, gen.random(m)), np.zeros(m)
+        for k in range(dW.shape[1]):
+            y = rad + dW[rays, k]
+            rays, rad = np.where(y < 0.0, coins[:, k], rays), np.abs(y)
+        same = rays[:, None] == rays[None, :]
+        out[run] = np.where(same, np.abs(rad[:, None] - rad[None, :]),
+                            rad[:, None] + rad[None, :]).max()
+    return out
+
+
 class TestReplicaEndpoints:
     def test_origin_start_ray_is_apart_from_step_zero_coin(self):
-        # From the origin a replica starts on ray i w.p. p_i. With one step of
-        # dW = (+0.1, -0.1, -0.1), rays 1 and 2 fold and redraw, so
-        # P(end on ray 0) = 0.2 + 0.8 * 0.2 = 0.36. Reusing the redraw coin as
-        # the starting ray would never move a folded replica: 0.2.
+        # One step from the origin: a replica starting on ray i ends at radial
+        # |dW^i|, so the radials group the replicas by starting ray. A group
+        # with dW^i < 0 folds and redraws, so its end rays follow the weights.
+        # Reusing the redraw coin as the starting ray would never move a
+        # folded replica: every group would end on one ray.
         g = make_star(3, [0.2, 0.5, 0.3])
-        dW = np.array([[0.1], [-0.1], [-0.1]])
-        m = 20000
-        rays, rads = _replica_endpoints(g, g.origin(), dW, m, RngStream(57).generator())
-        np.testing.assert_allclose(rads, 0.1)
-        frac = np.mean(rays == 0)
-        assert abs(frac - 0.36) <= 4 * math.sqrt(0.36 * 0.64 / m)
+        m, dt = 20000, 0.01
+        est = filtered_kernel(g, g.origin(), dt, dt, m, RngStream(57))
+        radii, group = np.unique(est.radials, return_inverse=True)
+        assert radii.size == 3
+        mixed = 0
+        for gi in range(3):
+            rays = est.rays[group == gi]
+            size = rays.size
+            p_start = g.probs[int(rays[0])] if np.all(rays == rays[0]) else None
+            if p_start is None:
+                mixed += 1
+                for i, p in enumerate(g.probs):
+                    assert abs(np.mean(rays == i) - p) <= 4 * math.sqrt(p * (1 - p) / size)
+            else:
+                assert abs(size / m - p_start) <= 4 * math.sqrt(p_start * (1 - p_start) / m)
+        assert mixed >= 1
 
     def test_two_rays_follow_the_euler_map(self):
+        # For N = 2 each run draws its (2, K) noise block and every replica
+        # is the Euler map of it, so all dispersions are exactly 0.
         g = make_star(2, [0.3, 0.7])
-        dW = 0.1 * RngStream(58).generator().standard_normal((2, 200))
+        T, dt = 2.0, 0.01
         for x0 in (g.origin(), g.point(1, 0.2)):
-            rays, rads = _replica_endpoints(g, x0, dW, 5, RngStream(59).generator())
-            end = isde_n2_from_noise(g, x0, dW, 0.01)
-            np.testing.assert_array_equal(rays, end.rays[-1])
-            np.testing.assert_array_equal(rads, end.radials[-1])
+            est = filtered_kernel(g, x0, T, dt, 5, RngStream(59))
+            dW = math.sqrt(dt) * RngStream(59).child(0).generator().standard_normal((2, 200))
+            end = isde_n2_from_noise(g, x0, dW, dt)
+            np.testing.assert_array_equal(est.rays, end.rays[-1])
+            np.testing.assert_array_equal(est.radials, end.radials[-1])
+            assert est.dispersion == 0.0
+        disp = sample_kernel_dispersions(g, 1.0, [0.1, 0.025], 7, 4, RngStream(60))
+        for d in disp.values():
+            np.testing.assert_array_equal(d, 0.0)
+
+    def test_dispersions_match_per_run_reference(self):
+        # W drawn directly against W assembled around a forward path: the two
+        # laws agree (each grid increment is a fresh N(0, dt) either way), so
+        # the two-sample KS p-value is uniform and the test fails a correct
+        # engine with probability 1e-3.
+        g = make_star(3, [0.2, 0.5, 0.3])
+        T, dt, runs, m = 1.0, 0.02, 300, 8
+        batch = sample_kernel_dispersions(g, T, [dt], runs, m, RngStream(65))[dt]
+        ref = _dispersions_reference(g, T, dt, runs, m, RngStream(66))
+        assert batch.shape == (runs,) and np.all(batch >= 0.0)
+        assert ks_two_sample(batch, ref).p_value > 1e-3
+
+    def test_one_run_batch_is_filtered_kernel(self):
+        # level 0 of the batch runs on rng.child(0), and its first chunk
+        # on child 0 again, as filtered_kernel's one run does
+        g = make_star(3, [0.2, 0.5, 0.3])
+        one = filtered_kernel(g, g.origin(), 0.5, 0.01, 6, RngStream(67).child(0))
+        disp = sample_kernel_dispersions(g, 0.5, [0.01], 1, 6, RngStream(67))[0.01]
+        assert disp[0] == one.dispersion > 0.0
+
+    def test_dispersion_is_the_largest_pairwise_distance(self):
+        # same ray: |r_a - r_b|; distinct rays: r_a + r_b
+        gen = RngStream(68).generator()
+        for n_rays in (1, 2, 3, 5):
+            rays = gen.integers(0, n_rays, (200, 7))
+            rads = np.where(gen.random((200, 7)) < 0.1, 0.0, gen.exponential(size=(200, 7)))
+            same = rays[:, :, None] == rays[:, None, :]
+            pairwise = np.where(same, np.abs(rads[:, :, None] - rads[:, None, :]),
+                                rads[:, :, None] + rads[:, None, :]).max(axis=(1, 2))
+            np.testing.assert_array_equal(_dispersions(rays, rads, n_rays), pairwise)

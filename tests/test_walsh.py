@@ -11,8 +11,7 @@ from starflow.halfline import RngStream
 from starflow.stats import ks_against_cdf, ks_two_sample, mc_estimate
 from starflow.walsh import (
     freidlin_sheu_residual, sample_exact_steps, sample_residual_summaries,
-    sample_wbm_terminals, semigroup_apply, wbm_coupled_path, wbm_exact_step,
-    exact_step_arrays,
+    sample_wbm_terminals, semigroup_apply, wbm_coupled_path, exact_step_arrays,
 )
 
 
@@ -47,11 +46,6 @@ class TestExactStep:
         p_emp = float(np.mean(rays == 0))
         p_true = 1 / 3 + 2 / 3 * erf(r0 / math.sqrt(2 * t))
         assert abs(p_emp - p_true) <= 3 * math.sqrt(p_true * (1 - p_true) / n)
-
-    def test_single_draw_wrapper(self):
-        g = make_star(2, [0.5, 0.5])
-        pt = wbm_exact_step(g, g.origin(), 0.3, RngStream(4))
-        assert pt.is_vertex or pt.coord > 0
 
     def test_two_half_steps_match_one_full(self):
         g = make_star(3, [0.5, 0.3, 0.2])
@@ -234,6 +228,20 @@ class TestFreidlinSheu:
         broken = summ.residuals + 1.0 * _mean_localtime_proxy(g, 20000)
         assert abs(broken.mean()) > 5 * e.stderr
 
+    def test_isometry_defects_are_centered(self):
+        # E[(sum f' dB)^2] = E[dt sum f'^2] (discrete Ito isometry), so the
+        # per-path defects have mean about 0; a 3.48-stderr band fails a
+        # correct engine with probability about 5e-4 per function
+        g = make_star(3, [0.5, 0.3, 0.2])
+        f1, g1 = canonical_test_functions(g, 0)
+        quad = per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])
+        out = sample_residual_summaries(g, {"f1": f1, "g1": g1, "quad": quad},
+                                        1.0, 4e-3, 4000, RngStream(20))
+        for nm, summ in out.items():
+            assert summ.bracket.mean() == pytest.approx(summ.isometry_prediction, rel=1e-12)
+            e = mc_estimate(summ.isometry_defects)
+            assert abs(e.mean) <= 3.48 * e.stderr, nm
+
     def test_isometry_ratio_tightens_with_dt(self):
         g = make_star(2, [0.5, 0.5])
         f1, _ = canonical_test_functions(g, 0)
@@ -311,6 +319,32 @@ def _terminals_reference(g, x0, T, dt, n, rng):
     return rays, rad
 
 
+def _coupled_path_reference(g, x0, T, dt, rng):
+    """Scalar loop: all driver increments, then all redraw coins, then the
+    starting ray from the origin; fold and redraw at each crossing."""
+    K = round(T / dt)
+    gen = rng.generator()
+    cum = np.cumsum(g.probs_array)
+    xi = gen.standard_normal(K) * math.sqrt(dt)
+    coins = np.searchsorted(cum, gen.random(K))
+    ray = int(np.searchsorted(cum, gen.random())) if x0.is_vertex else x0.edge
+    rad = 0.0 if x0.is_vertex else x0.coord
+    rays, radials, L = [ray], [rad], [0.0]
+    lt = 0.0
+    for k in range(K):
+        y = rad + xi[k]
+        if y < 0.0:
+            lt -= 2.0 * y
+            rad = -y
+            ray = coins[k]
+        else:
+            rad = y
+        rays.append(ray)
+        radials.append(rad)
+        L.append(lt)
+    return np.array(rays), np.array(radials), np.array(L), np.concatenate([[0.0], np.cumsum(xi)])
+
+
 class TestBatchEnginesMatchReference:
     """The batch engines share one partition per step and look up redraw
     coins only where a path folds; outputs must equal the plain loop's."""
@@ -339,6 +373,18 @@ class TestBatchEnginesMatchReference:
         ref_rays, ref_rads = _terminals_reference(g, x0, 1.0, 0.01, 300, RngStream(seed))
         np.testing.assert_array_equal(rays, ref_rays)
         np.testing.assert_array_equal(rads, ref_rads)
+
+    @pytest.mark.parametrize("seed, x0", [(26, None), (27, (2, 0.3)), (28, (0, 0.05))])
+    def test_coupled_path_bit_identical(self, seed, x0):
+        g = self.G
+        x0 = g.origin() if x0 is None else g.point(*x0)
+        path = wbm_coupled_path(g, x0, 2.0, 0.01, RngStream(seed))
+        rays, radials, L, driver = _coupled_path_reference(g, x0, 2.0, 0.01, RngStream(seed))
+        np.testing.assert_array_equal(path.rays, rays)
+        np.testing.assert_array_equal(path.radials, radials)
+        np.testing.assert_array_equal(path.radial_localtime, L)
+        np.testing.assert_array_equal(path.driver, driver)
+        assert L[-1] > 0.0 and len(set(rays)) > 1
 
     def test_residual_along_path_uses_pointwise_values(self):
         g = self.G

@@ -30,10 +30,10 @@ from .quadrant import (
 )
 from .isde import (
     CoalescenceSamples, FilteredKernelEstimate, FirstLegSamples, IsdeSolution,
-    N2NoisePath, NPointPath, TimeChangedPair, default_coalescence_tol,
+    N2NoisePath, NPointPath, default_coalescence_tol,
     filtered_kernel, isde_forward, isde_n2_from_noise, npoint_motion,
     sample_coalescence_times, sample_first_legs, sample_isde_terminals,
-    sample_kernel_dispersions, two_point_to_quadrant,
+    sample_kernel_dispersions,
 )
 from .metric import MetricIsdeSolution, metric_isde_forward
 

@@ -361,8 +361,7 @@ def _exp_metric_isde(cfg: ExperimentConfig, rng: RngStream):
     if not cfg.graph_file:
         raise ValueError("metric-isde needs --graph-file")
     g = graphs.load_graph(cfg.graph_file)
-    x0 = g.point(cfg.x0_ray, cfg.x0_r) if cfg.x0_r > 0 else \
-        graphs.GraphPoint(edge=None, coord=0.0, vertex=g.vertices[0])
+    x0 = g.point(cfg.x0_ray, cfg.x0_r)
     n = cfg.paths
 
     def level(dt, stream):

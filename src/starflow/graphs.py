@@ -1,10 +1,11 @@
-"""Star graphs, loop-free metric graphs, and test functions on them.
+"""Loop-free metric graphs, star graphs, and test functions on them.
 
-A star graph is N half-lines (rays) glued at one origin, each ray carrying a
-weight p_i; a metric graph is a finite set of oriented edges glued at
-vertices, with a weight family per vertex. Points are stored canonically:
-anything sitting on a vertex is the vertex, never an (edge, endpoint
-coordinate) pair, so equality is unambiguous.
+A metric graph is a finite set of oriented edges glued at vertices, with a
+weight family per vertex; an edge runs from one vertex to another, or to
+infinity (a ray). A star graph is the one-vertex metric graph: N rays
+leaving vertex 0, ray i carrying the weight p_i. Points are stored
+canonically: anything sitting on a vertex is the vertex, never an (edge,
+endpoint coordinate) pair, so equality is unambiguous.
 """
 
 from __future__ import annotations
@@ -22,19 +23,17 @@ CONTINUITY_TOL = 1e-9
 ORIGIN_VERTEX = 0  # the single vertex of a star graph
 
 
-def _validate_probs(probs: Sequence[float], where: str) -> tuple[float, ...]:
-    probs = tuple(float(p) for p in probs)
+def _validate_probs(probs: Sequence[float], where: str) -> None:
     if len(probs) == 1:
         # degree-1 vertex: the lone weight is 1 by convention
         if abs(probs[0] - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"{where}: single weight must be 1, got {probs[0]}")
-        return probs
+        return
     for p in probs:
         if not (0.0 < p < 1.0):
             raise ValueError(f"{where}: weight {p} outside (0, 1)")
     if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"{where}: weights sum to {sum(probs)}, not 1")
-    return probs
 
 
 @dataclass(frozen=True)
@@ -61,88 +60,6 @@ class GraphPoint:
 
 
 @dataclass(frozen=True)
-class StarGraph:
-    """N rays glued at one origin, ray i chosen with weight probs[i]."""
-
-    n_rays: int
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.n_rays < 1:
-            raise ValueError("need at least one ray")
-        if len(self.probs) != self.n_rays:
-            raise ValueError("probs length must equal n_rays")
-        object.__setattr__(self, "probs", _validate_probs(self.probs, "star"))
-
-    def point(self, ray: int, r: float) -> GraphPoint:
-        """The point e_ray(r); r = 0 canonicalizes to the origin."""
-        if not 0 <= ray < self.n_rays:
-            raise ValueError(f"ray {ray} out of range")
-        if r < 0:
-            raise ValueError("radial coordinate must be >= 0")
-        if r == 0.0:
-            return self.origin()
-        return GraphPoint(edge=ray, coord=float(r))
-
-    def origin(self) -> GraphPoint:
-        return GraphPoint(edge=None, coord=0.0, vertex=ORIGIN_VERTEX)
-
-    @property
-    def probs_array(self) -> np.ndarray:
-        return np.asarray(self.probs)
-
-    def ray_partition(self, rays, radials) -> RayPartition:
-        """Group a batch of points, given as (rays, radials) arrays, into
-        origin rows and per-ray rows (see RayPartition).
-
-        Raises ValueError when the arrays differ in shape, a ray id lies
-        outside [0, N), or a radial is negative or non-finite. The last case
-        is caught by counting: every row must land in exactly one group, so
-        the group sizes must sum to the batch size.
-        """
-        rays = np.asarray(rays)
-        radials = np.asarray(radials, dtype=float)
-        if rays.shape != radials.shape:
-            raise ValueError(f"rays shape {rays.shape} != radials shape {radials.shape}")
-        rays, flat = rays.ravel(), radials.ravel()
-        if rays.size and (rays.min() < 0 or rays.max() >= self.n_rays):
-            raise ValueError(f"ray ids must lie in [0, {self.n_rays})")
-        vertex = np.flatnonzero(flat == 0.0)
-        interior = (flat > 0.0) & (flat < math.inf)
-        rows = tuple(np.flatnonzero(interior & (rays == i)) for i in range(self.n_rays))
-        if vertex.size + sum(r.size for r in rows) != flat.size:
-            raise ValueError("radials must be finite and >= 0, ray ids integers")
-        return RayPartition(shape=radials.shape, vertex=vertex, ray_rows=rows,
-                            ray_radials=tuple(flat[r] for r in rows))
-
-
-@dataclass(frozen=True)
-class RayPartition:
-    """Rows of one (rays, radials) batch on a star graph, grouped once so
-    that every DomainFunction evaluated on the batch can share the grouping.
-
-    ``vertex`` holds the flat indices of origin rows (radial == 0);
-    ``ray_rows[i]`` the flat indices of the interior rows on ray i and
-    ``ray_radials[i]`` their radials. Every row of a batch of ``shape`` is in
-    exactly one group. Build it with ``StarGraph.ray_partition``.
-    """
-
-    shape: tuple[int, ...]
-    vertex: np.ndarray
-    ray_rows: tuple[np.ndarray, ...]
-    ray_radials: tuple[np.ndarray, ...]
-
-
-def make_star(n: int, probs: Sequence[float]) -> StarGraph:
-    """Validated star graph with n rays and the given ray weights."""
-    if n < 1:
-        raise ValueError("need at least one ray")
-    if len(probs) != n:
-        raise ValueError(f"expected {n} weights, got {len(probs)}")
-    return StarGraph(n_rays=n, probs=tuple(float(p) for p in probs))
-
-
-@dataclass(frozen=True)
 class Edge:
     """Oriented edge: runs from vertex ``src`` to vertex ``dst`` (or to
     infinity when ``dst`` is None, in which case length is inf)."""
@@ -164,22 +81,31 @@ class Edge:
 class MetricGraph:
     """Finite, connected, loop-free metric graph with per-vertex weights.
 
-    ``vertex_params[v]`` maps incident edge id -> weight; weights at each
-    vertex lie in (0,1) and sum to 1 (a degree-1 vertex carries weight 1).
+    Edge ids are the positions 0, 1, ... of the edges, so arrays indexed by
+    edge id need no lookup. ``vertex_params[v]`` maps incident edge id ->
+    weight; weights at each vertex lie in (0,1) and sum to 1 (a degree-1
+    vertex carries weight 1). ``edge_src``, ``edge_dst`` and ``edge_length``
+    hold per edge id the position in ``vertices`` of its from-end, of its
+    to-end (-1 for a ray) and its length (inf for a ray).
     """
 
     def __init__(self, vertices: Sequence[int], edges: Sequence[Edge],
                  vertex_params: dict[int, dict[int, float]]):
         self.vertices = tuple(sorted(set(int(v) for v in vertices)))
         self.edges = tuple(edges)
-        self._edge_by_id = {e.id: e for e in self.edges}
-        if len(self._edge_by_id) != len(self.edges):
-            raise ValueError("duplicate edge ids")
+        if [e.id for e in self.edges] != list(range(len(self.edges))):
+            raise ValueError("edge ids must be 0, 1, ... in the order of the edges")
+        vidx = {v: i for i, v in enumerate(self.vertices)}
         for e in self.edges:
-            if e.src not in self.vertices:
-                raise ValueError(f"edge {e.id}: unknown vertex {e.src}")
-            if e.dst is not None and e.dst not in self.vertices:
-                raise ValueError(f"edge {e.id}: unknown vertex {e.dst}")
+            for w in (e.src, e.dst):
+                if w is not None and w not in vidx:
+                    raise ValueError(f"edge {e.id}: unknown vertex {w}")
+        self.edge_src = np.array([vidx[e.src] for e in self.edges], dtype=np.int64)
+        self.edge_dst = np.array([-1 if e.dst is None else vidx[e.dst] for e in self.edges],
+                                 dtype=np.int64)
+        self.edge_length = np.array([e.length for e in self.edges])
+        self._incident = {v: [e for e in self.edges if v in (e.src, e.dst)]
+                          for v in self.vertices}
 
         self.vertex_params: dict[int, dict[int, float]] = {}
         for v in self.vertices:
@@ -197,10 +123,12 @@ class MetricGraph:
         self._vertex_dist = self._shortest_vertex_paths()
 
     def incident(self, v: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == v or e.dst == v]
+        return self._incident[v]
 
     def edge(self, edge_id: int) -> Edge:
-        return self._edge_by_id[edge_id]
+        if not 0 <= edge_id < len(self.edges):
+            raise ValueError(f"unknown edge {edge_id}")
+        return self.edges[edge_id]
 
     def _check_connected(self):
         seen = {self.vertices[0]}
@@ -237,8 +165,8 @@ class MetricGraph:
     def point(self, edge_id: int, coord: float) -> GraphPoint:
         """Point on an edge; endpoint coordinates canonicalize to vertices."""
         e = self.edge(edge_id)
-        if coord < 0 or coord > e.length:
-            raise ValueError(f"coord {coord} outside [0, {e.length}]")
+        if not (0.0 <= coord <= e.length and math.isfinite(coord)):
+            raise ValueError(f"coord {coord} outside [0, {e.length}] or not finite")
         if coord == 0.0:
             return GraphPoint(edge=None, coord=0.0, vertex=e.src)
         if coord == e.length:
@@ -255,15 +183,99 @@ class MetricGraph:
             out.append((e.dst, e.length - x.coord))
         return out
 
+    def partition(self, edges, coords) -> EdgePartition:
+        """Group a batch of points, given as (edges, coords) arrays, into
+        vertex rows and per-edge interior rows (see EdgePartition).
 
-def distance(g: StarGraph | MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
+        Raises ValueError when the arrays differ in shape, an edge id is not
+        an integer in [0, n_edges), or a coord is non-finite or outside
+        [0, length] of its edge. The last case is caught by counting: every
+        row must land in exactly one group, so the group sizes must sum to
+        the batch size.
+        """
+        ids = np.asarray(edges)
+        coords = np.asarray(coords, dtype=float)
+        if ids.shape != coords.shape:
+            raise ValueError(f"edges shape {ids.shape} != coords shape {coords.shape}")
+        if ids.size and ids.dtype.kind not in "iu":
+            raise ValueError("edge ids must be integers")
+        ids, flat = ids.ravel().astype(np.int64, copy=False), coords.ravel()
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self.edges)):
+            raise ValueError(f"edge ids must lie in [0, {len(self.edges)})")
+        at_src = np.flatnonzero(flat == 0.0)
+        vertex_rows, vertex_index = [at_src], [self.edge_src[ids[at_src]]]
+        inside = (flat > 0.0) & (flat < math.inf)   # nan and inf join no group
+        edge_rows = []
+        for e in self.edges:
+            on = inside & (ids == e.id)
+            if e.dst is None:
+                edge_rows.append(np.flatnonzero(on))
+                continue
+            edge_rows.append(np.flatnonzero(on & (flat < e.length)))
+            at_dst = np.flatnonzero(on & (flat == e.length))
+            vertex_rows.append(at_dst)
+            vertex_index.append(np.full(at_dst.size, self.edge_dst[e.id]))
+        vertex_rows = np.concatenate(vertex_rows)
+        if vertex_rows.size + sum(r.size for r in edge_rows) != flat.size:
+            raise ValueError("coords must lie in [0, length] of their edge")
+        return EdgePartition(shape=coords.shape, vertex_rows=vertex_rows,
+                             vertex_index=np.concatenate(vertex_index),
+                             edge_rows=tuple(edge_rows),
+                             edge_coords=tuple(flat[r] for r in edge_rows))
+
+
+@dataclass(frozen=True)
+class EdgePartition:
+    """Rows of one (edges, coords) batch on a metric graph, grouped once so
+    that every DomainFunction evaluated on the batch can share the grouping.
+
+    ``vertex_rows`` holds the flat indices of rows on a vertex (coord 0 is
+    the edge's from-end, coord == length its to-end) and ``vertex_index``
+    the position of that vertex in ``MetricGraph.vertices``;
+    ``edge_rows[e]`` the flat indices of the interior rows on edge e and
+    ``edge_coords[e]`` their coords. Every row of a batch of ``shape`` is in
+    exactly one group. Build it with ``MetricGraph.partition``.
+    """
+
+    shape: tuple[int, ...]
+    vertex_rows: np.ndarray
+    vertex_index: np.ndarray
+    edge_rows: tuple[np.ndarray, ...]
+    edge_coords: tuple[np.ndarray, ...]
+
+
+class StarGraph(MetricGraph):
+    """N rays glued at one origin: the one-vertex metric graph whose edge i
+    is an infinite ray leaving vertex 0, chosen with weight probs[i]."""
+
+    def __init__(self, n_rays: int, probs: Sequence[float]):
+        rays = [Edge(id=i, src=ORIGIN_VERTEX, dst=None, length=math.inf)
+                for i in range(n_rays)]
+        super().__init__([ORIGIN_VERTEX], rays, {ORIGIN_VERTEX: dict(enumerate(probs))})
+
+    @property
+    def n_rays(self) -> int:
+        return len(self.edges)
+
+    @property
+    def probs(self) -> tuple[float, ...]:
+        return tuple(self.vertex_params[ORIGIN_VERTEX].values())
+
+    @property
+    def probs_array(self) -> np.ndarray:
+        return np.asarray(self.probs)
+
+    def origin(self) -> GraphPoint:
+        return GraphPoint(edge=None, coord=0.0, vertex=ORIGIN_VERTEX)
+
+
+def make_star(n: int, probs: Sequence[float]) -> StarGraph:
+    """Validated star graph with n rays and the given ray weights."""
+    return StarGraph(n, probs)
+
+
+def distance(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
     """Path distance between two points of g."""
-    if isinstance(g, StarGraph):
-        rx = 0.0 if x.is_vertex else x.coord
-        ry = 0.0 if y.is_vertex else y.coord
-        if not x.is_vertex and not y.is_vertex and x.edge == y.edge:
-            return abs(rx - ry)
-        return rx + ry
     best = math.inf
     if not x.is_vertex and not y.is_vertex and x.edge == y.edge:
         best = abs(x.coord - y.coord)
@@ -283,7 +295,7 @@ class DomainFunction:
     over incoming edges of p_i h_i'(L_i-), and likewise for f''.
     """
 
-    def __init__(self, g: StarGraph | MetricGraph,
+    def __init__(self, g: MetricGraph,
                  edge_funcs: Sequence[tuple[Callable, Callable, Callable]],
                  vertex_overrides: dict[int, tuple[float | None, float | None]] | None = None):
         # vertex_overrides supplies closed-form vertex derivative values when
@@ -291,27 +303,13 @@ class DomainFunction:
         self.graph = g
         self.edge_funcs = list(edge_funcs)
         self.vertex_overrides = dict(vertex_overrides or {})
-        if isinstance(g, StarGraph):
-            if len(self.edge_funcs) != g.n_rays:
-                raise ValueError("one (h, h', h'') triple per ray required")
-        else:
-            if len(self.edge_funcs) != len(g.edges):
-                raise ValueError("one (h, h', h'') triple per edge required")
+        if len(self.edge_funcs) != len(g.edges):
+            raise ValueError("one (h, h', h'') triple per edge required")
         self._check_continuity()
-
-    def _vertices(self):
-        if isinstance(self.graph, StarGraph):
-            return (ORIGIN_VERTEX,)
-        return self.graph.vertices
 
     def _incident_limits(self, v: int):
         """(weight, h, h', h'', endpoint coord, outgoing flag) per incident edge."""
         g = self.graph
-        if isinstance(g, StarGraph):
-            for i in range(g.n_rays):
-                h, dh, d2h = self.edge_funcs[i]
-                yield g.probs[i], h, dh, d2h, 0.0, True
-            return
         for e in g.incident(v):
             h, dh, d2h = self.edge_funcs[e.id]
             p = g.vertex_params[v][e.id]
@@ -321,7 +319,7 @@ class DomainFunction:
                 yield p, h, dh, d2h, e.length, False
 
     def _check_continuity(self):
-        for v in self._vertices():
+        for v in self.graph.vertices:
             vals = [h(r0) for (_, h, _, _, r0, _) in self._incident_limits(v)]
             if max(vals) - min(vals) > CONTINUITY_TOL:
                 raise ValueError(f"discontinuous at vertex {v}: {vals}")
@@ -330,23 +328,22 @@ class DomainFunction:
         vals = [h(r0) for (_, h, _, _, r0, _) in self._incident_limits(v)]
         return vals[0]
 
-    def vertex_derivative(self, v: int) -> float:
+    def _weighted_sum(self, which: int, v: int) -> float:
+        """Weighted one-sided derivative (which 1) or second derivative
+        (which 2) at vertex v, unless an override gives it."""
         ov = self.vertex_overrides.get(v)
-        if ov is not None and ov[0] is not None:
-            return ov[0]
+        if ov is not None and ov[which - 1] is not None:
+            return ov[which - 1]
         s = 0.0
-        for (p, _, dh, _, r0, outgoing) in self._incident_limits(v):
-            s += p * dh(r0) if outgoing else -p * dh(r0)
+        for (p, *funcs, r0, outgoing) in self._incident_limits(v):
+            s += p * funcs[which](r0) if outgoing else -p * funcs[which](r0)
         return s
 
+    def vertex_derivative(self, v: int) -> float:
+        return self._weighted_sum(1, v)
+
     def vertex_second_derivative(self, v: int) -> float:
-        ov = self.vertex_overrides.get(v)
-        if ov is not None and ov[1] is not None:
-            return ov[1]
-        s = 0.0
-        for (p, _, _, d2h, r0, outgoing) in self._incident_limits(v):
-            s += p * d2h(r0) if outgoing else -p * d2h(r0)
-        return s
+        return self._weighted_sum(2, v)
 
     def value(self, x: GraphPoint) -> float:
         if x.is_vertex:
@@ -368,43 +365,39 @@ class DomainFunction:
 
     def in_domain(self, tol: float = 1e-12) -> bool:
         """Whether the weighted derivative vanishes at every vertex."""
-        return all(abs(self.vertex_derivative(v)) <= tol for v in self._vertices())
+        return all(abs(self.vertex_derivative(v)) <= tol for v in self.graph.vertices)
 
-    # vectorized evaluation over (ray, radial) arrays; vertex rows use the
-    # weighted conventions. Star graphs only. ``part`` is a partition of
-    # this batch from StarGraph.ray_partition, built here when not given.
-    def _eval_arrays(self, which: int, rays, radials,
-                     part: RayPartition | None = None) -> np.ndarray:
+    # vectorized evaluation over (edge, coord) arrays; vertex rows use the
+    # weighted conventions. ``part`` is a partition of this batch from
+    # MetricGraph.partition, built here when not given.
+    def _eval_arrays(self, which: int, edges, coords,
+                     part: EdgePartition | None = None) -> np.ndarray:
         g = self.graph
-        if not isinstance(g, StarGraph):
-            raise TypeError("array evaluation supports star graphs only")
         if part is None:
-            part = g.ray_partition(rays, radials)
-        elif part.shape != np.shape(radials):
+            part = g.partition(edges, coords)
+        elif part.shape != np.shape(coords):
             raise ValueError(f"partition built for shape {part.shape}, "
-                             f"batch has shape {np.shape(radials)}")
+                             f"batch has shape {np.shape(coords)}")
         out = np.empty(part.shape)
         flat = out.reshape(-1)
-        for funcs, rows, r in zip(self.edge_funcs, part.ray_rows, part.ray_radials):
+        for funcs, rows, c in zip(self.edge_funcs, part.edge_rows, part.edge_coords):
             if rows.size:
-                flat[rows] = funcs[which](r)
-        if part.vertex.size:
-            if which == 0:
-                v0 = self.vertex_value(ORIGIN_VERTEX)
-            elif which == 1:
-                v0 = self.vertex_derivative(ORIGIN_VERTEX)
-            else:
-                v0 = self.vertex_second_derivative(ORIGIN_VERTEX)
-            flat[part.vertex] = v0
+                flat[rows] = funcs[which](c)
+        if part.vertex_rows.size:
+            at = (self.vertex_value, self.vertex_derivative,
+                  self.vertex_second_derivative)[which]
+            flat[part.vertex_rows] = np.array([at(v) for v in g.vertices])[part.vertex_index]
         return out
 
-    def value_arrays(self, rays, radials, part: RayPartition | None = None):
+    # the batch is (edge ids, coords); the parameters keep their star-graph
+    # names, under which callers and perfbench/tracer.py may pass them
+    def value_arrays(self, rays, radials, part: EdgePartition | None = None):
         return self._eval_arrays(0, rays, radials, part)
 
-    def derivative_arrays(self, rays, radials, part: RayPartition | None = None):
+    def derivative_arrays(self, rays, radials, part: EdgePartition | None = None):
         return self._eval_arrays(1, rays, radials, part)
 
-    def second_derivative_arrays(self, rays, radials, part: RayPartition | None = None):
+    def second_derivative_arrays(self, rays, radials, part: EdgePartition | None = None):
         return self._eval_arrays(2, rays, radials, part)
 
 
@@ -470,16 +463,19 @@ def metric_graph_to_dict(g: MetricGraph) -> dict:
 
 
 def metric_graph_from_dict(d: dict) -> MetricGraph:
-    edges = [
-        Edge(id=int(e["id"]), src=int(e["from"]),
-             dst=None if e["to"] == "inf" else int(e["to"]),
-             length=math.inf if e["length"] == "inf" else float(e["length"]))
-        for e in d["edges"]
-    ]
-    params = {int(v): {int(i): float(p) for i, p in m.items()}
-              for v, m in d["params"].items()}
-    return MetricGraph(vertices=[int(v) for v in d["vertices"]],
-                       edges=edges, vertex_params=params)
+    try:
+        edges = [
+            Edge(id=int(e["id"]), src=int(e["from"]),
+                 dst=None if e["to"] == "inf" else int(e["to"]),
+                 length=math.inf if e["length"] == "inf" else float(e["length"]))
+            for e in d["edges"]
+        ]
+        params = {int(v): {int(i): float(p) for i, p in m.items()}
+                  for v, m in d["params"].items()}
+        vertices = [int(v) for v in d["vertices"]]
+    except KeyError as err:
+        raise ValueError(f"graph description has no key {err}") from None
+    return MetricGraph(vertices=vertices, edges=edges, vertex_params=params)
 
 
 def save_graph(g: MetricGraph, path) -> None:

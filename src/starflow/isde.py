@@ -38,10 +38,10 @@ from .quadrant import SAFETY
 from .walsh import WalshPath, _coupled_step, _point_state, _start_state, wbm_coupled_path
 
 __all__ = [
-    "IsdeSolution", "N2NoisePath", "NPointPath", "TimeChangedPair",
+    "IsdeSolution", "N2NoisePath", "NPointPath",
     "FilteredKernelEstimate", "FirstLegSamples", "CoalescenceSamples",
     "isde_forward", "sample_isde_terminals", "isde_n2_from_noise",
-    "npoint_motion", "two_point_to_quadrant",
+    "npoint_motion",
     "sample_first_legs", "sample_coalescence_times",
     "filtered_kernel", "sample_kernel_dispersions", "default_coalescence_tol",
 ]
@@ -272,49 +272,6 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
     return NPointPath(graph=g, dt=dt, rays=out_rays, radials=out_rad,
                       pivot_index=out_piv, tau_events=tau_events,
                       coalesced_pairs=coalesced, tol_c=tol_c)
-
-
-# -- two-point <-> quadrant correspondence ------------------------------------
-
-@dataclass
-class TimeChangedPair:
-    """Time-changed two-point motion: the common-ray time is excised."""
-
-    Ur: np.ndarray
-    Vr: np.ndarray
-    A: np.ndarray              # grid-index clock: counted steps before k
-    gamma: np.ndarray          # original grid indices realizing the r-clock
-    leg_bounds: np.ndarray     # r-clock indices of the transfer times
-    thetas: np.ndarray         # reflection angle in force on each leg
-    ray_chain: np.ndarray      # moving-point ray per leg
-
-
-def two_point_to_quadrant(path: NPointPath) -> TimeChangedPair:
-    """Build (U^r, V^r) from a two-point path started at (x, 0), x != 0."""
-    if path.n_points != 2:
-        raise ValueError("two-point path required")
-    if path.pivot_index[0] < 0 or path.radials[0].max() == 0.0:
-        raise ValueError("start must be one point away from the origin, one at it")
-    probs = path.graph.probs_array
-    K1 = path.rays.shape[0]
-    piv = path.pivot_index
-    mover = 1 - piv  # two points: the non-pivot index
-    mover_ray = path.rays[np.arange(K1), mover]
-    U = path.radials[np.arange(K1), mover]
-    pv_ray = path.rays[np.arange(K1), piv]
-    pv_rad = path.radials[np.arange(K1), piv]
-    V = np.where((pv_ray == mover_ray) & (pv_rad > 0.0), -pv_rad, pv_rad)
-    counted = V >= 0.0
-    A = np.concatenate([[0], np.cumsum(counted[:-1])])
-    gamma = np.flatnonzero(counted)
-    taus = np.asarray(path.tau_events, dtype=np.int64)
-    leg_bounds = A[taus] if taus.size else np.empty(0, dtype=np.int64)
-    chain_idx = np.concatenate([[0], taus[taus < K1 - 1]])
-    ray_chain = mover_ray[chain_idx]
-    thetas = np.arctan(probs[ray_chain] / (1.0 - probs[ray_chain]))
-    return TimeChangedPair(Ur=U[counted], Vr=V[counted], A=A, gamma=gamma,
-                           leg_bounds=leg_bounds, thetas=thetas,
-                           ray_chain=ray_chain)
 
 
 # -- batch two-point engines ---------------------------------------------------

@@ -1,9 +1,13 @@
 """Batch simulation of the interface SDE on a metric graph.
 
 Layout: n paths advance together. Each path's state is three arrays, its
-edge (a column index into ``edge_ids``), its coordinate measured from the
-edge's from-end, and its own clock t, plus its row of the terminal edge
-noises W (n, n_edges). Only terminal state is kept, no per-step history.
+edge id (edge ids are the positions 0..n_edges-1 of the graph's edges), its
+coordinate measured from the edge's from-end, and its own clock t, plus its
+row of the terminal edge noises W (n, n_edges), whose column e is edge e.
+The graph's own arrays, indexed by edge id, give each edge's from-end and
+to-end vertex (``MetricGraph.edge_src``, ``edge_dst``, as positions in
+``vertices``, -1 at infinity) and its length (``edge_length``, inf for a
+ray). Only terminal state is kept, no per-step history.
 Step sizes are per path, so paths fall off the common grid once one of
 them halves a step; a path drops out of the working set when its clock
 reaches T, and the batch runs until the last one does.
@@ -56,10 +60,9 @@ class MetricIsdeSolution:
     consumed, and the engine's work counts."""
 
     graph: MetricGraph
-    edge_ids: tuple
     edges: np.ndarray          # (n,) terminal edge id
     coords: np.ndarray         # (n,) terminal coordinate from the edge's from-end
-    W: np.ndarray              # (n, n_edges) terminal edge noises, columns as edge_ids
+    W: np.ndarray              # (n, n_edges) terminal edge noises, column e for edge e
     touches: np.ndarray        # (n,) vertex touches per path
     n_steps: int               # batch steps
     path_steps: int            # steps summed over paths
@@ -78,40 +81,32 @@ class MetricIsdeSolution:
 
 @dataclass
 class _GraphTables:
-    """Edge and vertex data of a graph as arrays indexed by edge column and
-    vertex index."""
+    """Per-vertex data of a graph as arrays indexed by vertex position;
+    the per-edge arrays are the graph's own."""
 
-    src: np.ndarray      # (n_edges,) vertex index of the from-end
-    dst: np.ndarray      # (n_edges,) vertex index of the to-end, -1 at infinity
-    length: np.ndarray   # (n_edges,) inf for rays
     vmin: np.ndarray     # (n_vertices,) shortest incident edge
     cum: np.ndarray      # (n_vertices, max_degree) cumulative weights, inf-padded
-    out: np.ndarray      # (n_vertices, max_degree) edge column per weight
+    out: np.ndarray      # (n_vertices, max_degree) edge id per weight
 
     @classmethod
     def build(cls, g: MetricGraph) -> "_GraphTables":
-        vidx = {v: i for i, v in enumerate(g.vertices)}
-        col = {e.id: j for j, e in enumerate(g.edges)}
-        src = np.array([vidx[e.src] for e in g.edges], dtype=np.int64)
-        dst = np.array([-1 if e.dst is None else vidx[e.dst] for e in g.edges],
-                       dtype=np.int64)
-        length = np.array([e.length for e in g.edges])
+        nv = len(g.vertices)
         deg = max(len(p) for p in g.vertex_params.values())
-        cum = np.full((len(vidx), deg), np.inf)
-        out = np.zeros((len(vidx), deg), dtype=np.int64)
-        vmin = np.empty(len(vidx))
-        for v, i in vidx.items():
+        cum = np.full((nv, deg), np.inf)
+        out = np.zeros((nv, deg), dtype=np.int64)
+        vmin = np.empty(nv)
+        for i, v in enumerate(g.vertices):
             params = g.vertex_params[v]
             ids = list(params)
             # the last cut stays inf, so rounding in the cumsum cannot run
             # the redraw off the end
             cum[i, :len(ids) - 1] = np.cumsum([params[e] for e in ids])[:-1]
-            out[i, :len(ids)] = [col[e] for e in ids]
-            vmin[i] = min(g.edge(e).length for e in ids)
-        return cls(src=src, dst=dst, length=length, vmin=vmin, cum=cum, out=out)
+            out[i, :len(ids)] = ids
+            vmin[i] = g.edge_length[ids].min()
+        return cls(vmin=vmin, cum=cum, out=out)
 
     def redraw(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Edge columns drawn from the weights of vertices v with uniforms u."""
+        """Edge ids drawn from the weights of vertices v with uniforms u."""
         return self.out[v, (self.cum[v] < u[:, None]).sum(axis=1)]
 
 
@@ -124,15 +119,14 @@ def metric_isde_forward(g: MetricGraph, x0: GraphPoint, T: float, dt: float,
         raise ValueError(f"need n >= 1 paths, got {n}")
     tab = _GraphTables.build(g)
     gen = rng.generator()
-    edge_ids = tuple(e.id for e in g.edges)
-    n_e = len(edge_ids)
+    n_e = len(g.edges)
 
     if x0.is_vertex:
         v0 = np.full(n, g.vertices.index(x0.vertex))
         e = tab.redraw(v0, gen.random(n))
-        c = np.where(tab.src[e] == v0, 0.0, tab.length[e])
+        c = np.where(g.edge_src[e] == v0, 0.0, g.edge_length[e])
     else:
-        e = np.full(n, edge_ids.index(x0.edge))
+        e = np.full(n, x0.edge, dtype=np.int64)
         c = np.full(n, float(x0.coord))
     t = np.zeros(n)
     W = np.zeros((n, n_e))
@@ -151,10 +145,10 @@ def metric_isde_forward(g: MetricGraph, x0: GraphPoint, T: float, dt: float,
         rows = np.arange(m)
 
         # anchor at the nearer endpoint (rays: always their from-end)
-        length = tab.length[e]
+        length = g.edge_length[e]
         near = c <= length - c
         radial = np.where(near, c, length - c)
-        v = np.where(near, tab.src[e], tab.dst[e])
+        v = np.where(near, g.edge_src[e], g.edge_dst[e])
         sign = np.where(near, 1.0, -1.0)
         lim = (np.minimum(length - radial, radial + tab.vmin[v]) / CLAMP_SIGMAS) ** 2
         h = np.minimum(dt, T - t)
@@ -180,10 +174,10 @@ def metric_isde_forward(g: MetricGraph, x0: GraphPoint, T: float, dt: float,
         if cross.size:
             vc = v[cross]
             e[cross] = tab.redraw(vc, u[cross])
-            sign[cross] = np.where(tab.src[e[cross]] == vc, 1.0, -1.0)
+            sign[cross] = np.where(g.edge_src[e[cross]] == vc, 1.0, -1.0)
             touches[cross] += 1
         radial = np.abs(y)
-        length = tab.length[e]
+        length = g.edge_length[e]
         past = radial > length
         if past.any():
             clamps += int(past.sum())
@@ -199,6 +193,6 @@ def metric_isde_forward(g: MetricGraph, x0: GraphPoint, T: float, dt: float,
             ids, e, c, t, W, touches = ids[keep], e[keep], c[keep], t[keep], W[keep], touches[keep]
 
     return MetricIsdeSolution(
-        graph=g, edge_ids=edge_ids, edges=np.asarray(edge_ids)[out_e], coords=out_c,
+        graph=g, edges=out_e, coords=out_c,
         W=out_W, touches=out_touch, n_steps=steps, path_steps=path_steps,
         halvings=halvings, floor_hits=floor_hits, clamps=clamps)

@@ -208,7 +208,7 @@ def freidlin_sheu_residual(path: WalshPath, f: DomainFunction) -> np.ndarray:
         raise ValueError("residuals need a coupled-mode path with its driver")
     vals = f.value_arrays(path.rays, path.radials)
     rays, radials = path.rays[:-1], path.radials[:-1]
-    part = path.graph.ray_partition(rays, radials)
+    part = path.graph.partition(rays, radials)
     fp = f.derivative_arrays(rays, radials, part=part)
     fpp = f.second_derivative_arrays(rays, radials, part=part)
     dB = np.diff(path.driver)
@@ -228,8 +228,12 @@ class ResidualSummary:
     name: str
     residuals: np.ndarray          # M_T per path
     martingale_part: np.ndarray    # f(X_T)-f(X_0)-(dt/2) sum f'' - f'(0) L_T per path
-    isometry_prediction: float     # dt * sum_k mean[(f'(X_k))^2]
     bracket: np.ndarray            # dt * sum_k f'(X_k)^2 per path
+
+    @property
+    def isometry_prediction(self) -> float:
+        """E[(sum f' dB)^2] by the discrete Ito isometry: the mean bracket."""
+        return float(self.bracket.mean())
 
     @property
     def variance_ratio(self) -> float:
@@ -264,23 +268,20 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
     sum_fp_dB = {nm: np.zeros(n) for nm in names}
     sum_fpp = {nm: np.zeros(n) for nm in names}
     bracket = {nm: np.zeros(n) for nm in names}  # sum_k f'^2 per path, times dt at the end
-    sum_fp2 = {nm: 0.0 for nm in names}
-    part = g.ray_partition(rays, rad)
+    part = g.partition(rays, rad)
     f0 = {nm: fs[nm].value_arrays(rays, rad, part=part) for nm in names}
     for _ in range(K):
         xi = sq * gen.standard_normal(n)
         u = gen.random(n)
-        part = g.ray_partition(rays, rad)
+        part = g.partition(rays, rad)
         for nm in names:
             fp = fs[nm].derivative_arrays(rays, rad, part=part)
             sum_fp_dB[nm] += fp * xi
             sum_fpp[nm] += fs[nm].second_derivative_arrays(rays, rad, part=part)
-            fp2 = fp * fp
-            bracket[nm] += fp2
-            sum_fp2[nm] += float(np.mean(fp2))
+            bracket[nm] += fp * fp
         rad, folded = _coupled_step(cum, rays, rad, xi, u)
         L[folded] += 2.0 * rad[folded]
-    part = g.ray_partition(rays, rad)
+    part = g.partition(rays, rad)
     out = {}
     for nm in names:
         fT = fs[nm].value_arrays(rays, rad, part=part)
@@ -289,7 +290,6 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
             name=nm,
             residuals=mart - sum_fp_dB[nm],
             martingale_part=mart,
-            isometry_prediction=dt * sum_fp2[nm],
             bracket=np.multiply(bracket[nm], dt, out=bracket[nm]),
         )
     return out

@@ -185,8 +185,18 @@ def test_unread_or_missing_option_is_usage_error(tmp_path, argv):
     ["isde", "--probs", "0.5,0.5", "--n-rays", "3"],
     ["isde", "--n-rays", "0"],
     ["isde", "--threads", "-2", "--paths", "10", "--dt", "0.1"],
+    ["metric-isde", "--x0-ray", "9", "--x0-r", "0.5"],   # the tree has 5 edges
+    ["metric-isde", "--x0-r", "-1"],
+    ["metric-isde", "--graph-file", "{no_edges}"],
 ])
-def test_bad_value_exits_3(tmp_path, argv):
+def test_bad_value_exits_3(tmp_path, graph_file, argv):
+    # metric-isde runs on the tree, or on a copy of it without its edges
+    no_edges = json.loads(open(graph_file).read())
+    del no_edges["edges"]
+    (tmp_path / "no_edges.json").write_text(json.dumps(no_edges))
+    argv = [a.format(no_edges=tmp_path / "no_edges.json") for a in argv]
+    if argv[0] == "metric-isde" and "--graph-file" not in argv:
+        argv += ["--paths", "4", "--dt", "0.01", "--graph-file", graph_file]
     rc, report = run_main(argv, tmp_path / "r.json")
     assert rc == cli.EXIT_BAD_CONFIG == 3 and report is None
 

@@ -61,6 +61,16 @@ class TestGraphPoint:
         assert g.point(1, 0.0).vertex == 0
         assert g.point(1, 1.0).vertex == 1
 
+    @pytest.mark.parametrize("edge, coord", [(3, 0.5), (-1, 0.5), (1, 1.5), (1, -0.1),
+                                             (0, math.inf), (0, math.nan), (1, math.nan)])
+    def test_bad_point_rejected(self, edge, coord):
+        with pytest.raises(ValueError, match="unknown edge|outside"):
+            _segment_graph().point(edge, coord)
+
+    def test_star_ray_has_no_far_end(self):
+        with pytest.raises(ValueError, match="outside"):
+            make_star(2, [0.5, 0.5]).point(1, math.inf)
+
 
 def _segment_graph() -> MetricGraph:
     # the real line with vertices at 0 and 1
@@ -197,7 +207,7 @@ class TestArrayEvaluation:
         return f1, g1, quad
 
     def test_matches_pointwise_with_and_without_partition(self):
-        part = self.G.ray_partition(self.RAYS, self.RADS)
+        part = self.G.partition(self.RAYS, self.RADS)
         pts = [self.G.point(int(i), float(r)) for i, r in zip(self.RAYS, self.RADS)]
         for f in self.functions():
             for arrays, point in ((f.value_arrays, f.value),
@@ -209,12 +219,13 @@ class TestArrayEvaluation:
                     arrays(self.RAYS, self.RADS, part=part), expected)
 
     def test_partition_groups(self):
-        part = self.G.ray_partition(self.RAYS, self.RADS)
-        np.testing.assert_array_equal(part.vertex, [3, 5, 7])
-        np.testing.assert_array_equal(part.ray_rows[0], [0, 6])
-        np.testing.assert_array_equal(part.ray_rows[1], [1, 8])
-        np.testing.assert_array_equal(part.ray_rows[2], [2, 4])
-        for rows, rads in zip(part.ray_rows, part.ray_radials):
+        part = self.G.partition(self.RAYS, self.RADS)
+        np.testing.assert_array_equal(part.vertex_rows, [3, 5, 7])
+        np.testing.assert_array_equal(part.vertex_index, [0, 0, 0])
+        np.testing.assert_array_equal(part.edge_rows[0], [0, 6])
+        np.testing.assert_array_equal(part.edge_rows[1], [1, 8])
+        np.testing.assert_array_equal(part.edge_rows[2], [2, 4])
+        for rows, rads in zip(part.edge_rows, part.edge_coords):
             np.testing.assert_array_equal(rads, self.RADS[rows])
 
     def test_batch_shape_kept(self):
@@ -238,7 +249,7 @@ class TestArrayEvaluation:
     def test_bad_batch_rejected(self, rays, rads):
         f1, _, _ = self.functions()
         with pytest.raises(ValueError):
-            self.G.ray_partition(rays, rads)
+            self.G.partition(rays, rads)
         with pytest.raises(ValueError):
             f1.value_arrays(rays, rads)
         with pytest.raises(ValueError):
@@ -246,19 +257,12 @@ class TestArrayEvaluation:
 
     def test_partition_of_other_batch_rejected(self):
         f1, _, _ = self.functions()
-        part = self.G.ray_partition(self.RAYS[:4], self.RADS[:4])
+        part = self.G.partition(self.RAYS[:4], self.RADS[:4])
         with pytest.raises(ValueError):
             f1.derivative_arrays(self.RAYS, self.RADS, part=part)
         with pytest.raises(ValueError):
             f1.value_arrays(self.RAYS[:4].reshape(2, 2), self.RADS[:4].reshape(2, 2),
                             part=part)
-
-    def test_metric_graph_rejected(self):
-        edges = [Edge(0, 0, None, math.inf), Edge(1, 0, None, math.inf)]
-        g = MetricGraph([0], edges, {0: {0: 0.5, 1: 0.5}})
-        f = DomainFunction(g, [(lambda r: r, lambda r: 1 + 0 * r, lambda r: 0 * r)] * 2)
-        with pytest.raises(TypeError):
-            f.value_arrays(np.array([0]), np.array([1.0]))
 
 
 class TestGraphJson:
@@ -278,6 +282,13 @@ class TestGraphJson:
         p2 = tmp_path / "g2.json"
         save_graph(g2, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("key", ["vertices", "edges", "params"])
+    def test_missing_key_named(self, key):
+        d = metric_graph_to_dict(_segment_graph())
+        del d[key]
+        with pytest.raises(ValueError, match=key):
+            metric_graph_from_dict(d)
 
     def test_orientation_preserved(self):
         d = {"vertices": [0, 1],

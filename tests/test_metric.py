@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from starflow.graphs import Edge, GraphPoint, MetricGraph
+from starflow.graphs import (
+    DomainFunction, Edge, GraphPoint, MetricGraph, distance, make_star, per_ray_quadratic,
+)
 from starflow.halfline import RngStream
 from starflow.metric import metric_isde_forward
 from starflow.stats import ks_against_cdf
@@ -67,8 +69,7 @@ class TestBatchEngine:
         # both kinds of path occur, so the identity is not checked on nothing
         assert 100 < quiet.sum() < sol.n - 100
         assert np.all(sol.edges[quiet] == edge)
-        col = sol.edge_ids.index(edge)
-        np.testing.assert_allclose(sol.coords[quiet] - coord, sol.W[quiet, col],
+        np.testing.assert_allclose(sol.coords[quiet] - coord, sol.W[quiet, edge],
                                    rtol=0, atol=1e-12)
 
     def test_counts_on_the_short_edge(self):
@@ -83,6 +84,112 @@ class TestBatchEngine:
         assert star_run.halvings == 0
         assert star_run.n_steps == 1000
         assert star_run.path_steps == 1000 * star_run.n
+
+
+class TestStarIsTheOneVertexGraph:
+    """make_star and the star written by hand as a metric graph are the same
+    graph: same partitions, evaluations, distances and walker output."""
+
+    RAYS = np.array([0, 1, 2, 0, 2, 1, 0, 2])
+    RADS = np.array([1.0, 2.0, 0.5, 0.0, 3.25, 0.0, 1e-9, 7.5])
+
+    def pair(self):
+        return make_star(3, STAR_WEIGHTS), star_as_metric_graph()
+
+    def test_same_partition(self):
+        a, b = (g.partition(self.RAYS, self.RADS) for g in self.pair())
+        assert a.shape == b.shape
+        for name in ("vertex_rows", "vertex_index"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        for name in ("edge_rows", "edge_coords"):
+            assert len(getattr(a, name)) == len(getattr(b, name)) == 3
+            for x, y in zip(getattr(a, name), getattr(b, name)):
+                np.testing.assert_array_equal(x, y)
+
+    def test_same_evaluations(self):
+        star, hand = self.pair()
+        f = per_ray_quadratic(star, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25], const=0.3)
+        h = DomainFunction(hand, f.edge_funcs)
+        for name in ("value_arrays", "derivative_arrays", "second_derivative_arrays"):
+            np.testing.assert_array_equal(getattr(f, name)(self.RAYS, self.RADS),
+                                          getattr(h, name)(self.RAYS, self.RADS))
+        assert f.vertex_derivative(0) == h.vertex_derivative(0)
+        assert f.vertex_second_derivative(0) == h.vertex_second_derivative(0)
+
+    def test_same_distances(self):
+        star, hand = self.pair()
+        pts = list(zip(self.RAYS.tolist(), self.RADS.tolist()))
+        for x in pts:
+            assert star.point(*x) == hand.point(*x)
+            for y in pts:
+                assert distance(star, star.point(*x), star.point(*y)) == \
+                    distance(hand, hand.point(*x), hand.point(*y))
+
+    @pytest.mark.parametrize("x0", [vertex(0), GraphPoint(edge=2, coord=0.3)])
+    def test_walker_bit_identical(self, x0):
+        a, b = (metric_isde_forward(g, x0, 0.5, 1e-2, RngStream(9), 200) for g in self.pair())
+        for name in ("edges", "coords", "W", "touches"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        for name in ("n_steps", "path_steps", "halvings", "floor_hits", "clamps"):
+            assert getattr(a, name) == getattr(b, name), name
+
+
+def _quadratic(a, b, c):
+    return (lambda r: a * r * r + b * r + c,
+            lambda r: 2.0 * a * r + b,
+            lambda r: 2.0 * a + 0.0 * r)
+
+
+class TestArrayEvaluationOnATree:
+    """On the 0.25-edge tree, array evaluation equals pointwise evaluation
+    at interior rows, at both ends of the finite edge and on the rays."""
+
+    EDGES = np.array([0, 0, 0, 1, 2, 3, 4, 0, 3, 1, 4])
+    COORDS = np.array([0.0, 0.1, 0.25, 0.7, 0.0, 1.2, 0.0, 0.2499, 2.0, 0.0, 0.5])
+
+    def function(self):
+        # quadratic on every edge; edge 0 takes the value 1 at vertex 0 to
+        # 1.5/16 - 0.5/4 + 1 = 0.96875 at vertex 1, both exact in binary
+        at_1 = 0.96875
+        funcs = [_quadratic(1.5, -0.5, 1.0), _quadratic(0.5, 0.25, 1.0),
+                 _quadratic(-0.75, 1.0, 1.0), _quadratic(0.25, -1.0, at_1),
+                 _quadratic(1.0, 0.5, at_1)]
+        return DomainFunction(short_edge_tree(), funcs)
+
+    def test_partition_finds_both_ends(self):
+        part = short_edge_tree().partition(self.EDGES, self.COORDS)
+        np.testing.assert_array_equal(np.sort(part.vertex_rows), [0, 2, 4, 6, 9])
+        at = dict(zip(part.vertex_rows.tolist(), part.vertex_index.tolist()))
+        assert at == {0: 0, 2: 1, 4: 0, 6: 1, 9: 0}
+        np.testing.assert_array_equal(part.edge_rows[0], [1, 7])
+        np.testing.assert_array_equal(part.edge_coords[0], [0.1, 0.2499])
+
+    def test_matches_pointwise(self):
+        f = self.function()
+        g = f.graph
+        pts = [g.point(int(e), float(c)) for e, c in zip(self.EDGES, self.COORDS)]
+        assert pts[2] == pts[6] == vertex(1)
+        part = g.partition(self.EDGES, self.COORDS)
+        for arrays, point in ((f.value_arrays, f.value),
+                              (f.derivative_arrays, f.derivative),
+                              (f.second_derivative_arrays, f.second_derivative)):
+            expected = np.array([point(x) for x in pts])
+            np.testing.assert_array_equal(arrays(self.EDGES, self.COORDS), expected)
+            np.testing.assert_array_equal(arrays(self.EDGES, self.COORDS, part=part), expected)
+        out = f.value_arrays(self.EDGES[:10].reshape(2, 5), self.COORDS[:10].reshape(2, 5))
+        assert out.shape == (2, 5)
+
+    @pytest.mark.parametrize("edges, coords", [
+        ([0, 5], [0.1, 1.0]),             # no edge 5
+        ([0, 1], [0.3, 1.0]),             # past the far end of edge 0
+        ([0, 1], [0.1, -1.0]),
+        ([3, 1], [math.inf, 1.0]),        # a ray has no far end
+        ([0, 1], [math.nan, 1.0]),
+        ([0.0, 1.0], [0.1, 1.0]),         # edge ids must be integers
+    ])
+    def test_bad_batch_rejected(self, edges, coords):
+        with pytest.raises(ValueError):
+            self.function().value_arrays(np.array(edges), np.array(coords))
 
 
 class TestStarAgreesWithWalsh:

@@ -157,7 +157,7 @@ def _exp_orbm_leg(cfg: ExperimentConfig, rng: RngStream):
     if cfg.csv:
         leg = quadrant.orbm_leg(theta, x, cfg.dt, rng.child(987), accel=True)
         leg.to_csv(cfg.csv + "_leg.csv")
-    return estimates, ks_results, bound_checks, checks, {}
+    return estimates, ks_results, bound_checks, checks, legs.diagnostics()
 
 
 def _exp_quadrant(cfg: ExperimentConfig, rng: RngStream):

@@ -92,6 +92,8 @@ class MetricGraph:
     def __init__(self, vertices: Sequence[int], edges: Sequence[Edge],
                  vertex_params: dict[int, dict[int, float]]):
         self.vertices = tuple(sorted(set(int(v) for v in vertices)))
+        if not self.vertices:
+            raise ValueError("a metric graph needs at least one vertex")
         self.edges = tuple(edges)
         if [e.id for e in self.edges] != list(range(len(self.edges))):
             raise ValueError("edge ids must be 0, 1, ... in the order of the edges")
@@ -463,6 +465,8 @@ def metric_graph_to_dict(g: MetricGraph) -> dict:
 
 
 def metric_graph_from_dict(d: dict) -> MetricGraph:
+    if not isinstance(d, dict):
+        raise ValueError(f"graph description must be a JSON object, not {type(d).__name__}")
     try:
         edges = [
             Edge(id=int(e["id"]), src=int(e["from"]),
@@ -475,6 +479,8 @@ def metric_graph_from_dict(d: dict) -> MetricGraph:
         vertices = [int(v) for v in d["vertices"]]
     except KeyError as err:
         raise ValueError(f"graph description has no key {err}") from None
+    except (TypeError, AttributeError) as err:
+        raise ValueError(f"malformed graph description: {err}") from None
     return MetricGraph(vertices=vertices, edges=edges, vertex_params=params)
 
 

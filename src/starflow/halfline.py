@@ -11,6 +11,14 @@ independent, and the same pair always reproduces the same bytes. Every
 batch engine runs through ``map_chunks``: the paths split into fixed
 chunks, chunk ci draws from the child stream ci, and the chunk results are
 merged in chunk order, so results do not depend on the number of workers.
+
+Engines draw only the words a step reads. ``Generator.random`` returns
+multiples of 2**-53, and a Brownian bridge from a to b over h dips below 0
+with probability exp(-2 a b / h). Where a b >= BRIDGE_CUT h (19 h) that is
+below exp(-38) < 2**-53, so the dip would need the uniform 0: a bridge
+minimum, or a crossing test of the same form, needs its uniform only below
+the cut-off. Skipping it above the cut-off changes the step only on the
+event u = 0, of probability 2**-53 per path-step.
 """
 
 from __future__ import annotations
@@ -22,10 +30,14 @@ import numpy as np
 
 __all__ = [
     "RngStream", "map_chunks", "heat_kernels", "bridge_crossing_prob",
-    "bridge_min", "reflected_increment", "check_horizon", "grid_steps",
+    "bridge_min", "reflected_increment", "check_horizon", "grid_steps", "BRIDGE_CUT",
 ]
 
 GRID_TOL = 1e-9  # relative slack allowed between T/dt and a whole step count
+
+# a b >= BRIDGE_CUT h puts exp(-2 a b / h), the probability that a bridge
+# from a to b over h dips below 0, under 2**-53 (see the module docstring)
+BRIDGE_CUT = math.ceil(53 * math.log(2.0) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,15 @@ Forward construction: a coupled Walsh path X provides the driver B, fresh
 auxiliary noises V^i are drawn, and the edge noises are assembled as
 dW^i = 1{X on ray i} dB + 1{X off ray i} dV^i (left-point indicators), so
 W is an N-dimensional Brownian family and X follows W^i on ray i exactly.
+The batch terminals ``sample_isde_terminals`` draw no off-ray increment:
+given the path their sum is Gaussian, and it is drawn once per ray.
 
 n-point motions share one W: between transfer times exactly one point (the
 pivot) sits at the origin and evolves as a fresh coupled Walsh path that
 generates W for the stretch; every other point rides its own ray's noise
-rigidly. A point hitting the origin becomes the next pivot. Points
+rigidly. A point hitting the origin becomes the next pivot. Each step
+draws the driver increment and the N ray noises, then a coin if the pivot
+folds and one more if a point becomes the new pivot. Points
 coalesce when both sit at the origin within tolerance; coalescence is
 absorbing.
 
@@ -88,7 +92,17 @@ def isde_forward(g: StarGraph, x0: GraphPoint, T: float, dt: float,
 def sample_isde_terminals(g: StarGraph, T: float, dt: float, n: int,
                           rng: RngStream, x0: GraphPoint | None = None,
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Terminal (rays, radials, W_T) over n forward solutions; W_T is (n, N)."""
+    """Terminal (rays, radials, W_T) over n forward solutions; W_T is (n, N).
+
+    Each step draws the n driver increments xi, credits xi to the ray each
+    path is on and counts that step there, then takes the coupled step.
+    The off-ray increments dV^i are never drawn one by one: given the path,
+    the C_i steps a path spends on ray i carry xi and its other K - C_i
+    steps carry iid N(0, dt) increments independent of the path, so their
+    sum is drawn at the end as sqrt(dt (K - C_i)) Z_i from one (n, N)
+    normal block. W_T has the forward construction's joint law with the
+    terminal state.
+    """
     if x0 is None:
         x0 = g.origin()
     K = grid_steps(T, dt)
@@ -96,15 +110,17 @@ def sample_isde_terminals(g: StarGraph, T: float, dt: float, n: int,
     cum = np.cumsum(g.probs_array)
     sq = math.sqrt(dt)
     rays, rad = _start_state(cum, x0, n, gen)
-    WT = np.zeros((n, g.n_rays))
-    rows = np.arange(n)
+    # flat (path, ray) cells: each path adds to one cell per step
+    on_sum = np.zeros((n, g.n_rays))
+    on_steps = np.zeros((n, g.n_rays))
+    row_cell = np.arange(n) * g.n_rays
     for _ in range(K):
         xi = sq * gen.standard_normal(n)
-        dV = sq * gen.standard_normal((n, g.n_rays))
-        u = gen.random(n)
-        WT += dV
-        WT[rows, rays] += xi - dV[rows, rays]
-        rad, _ = _coupled_step(cum, rays, rad, xi, u)
+        cell = row_cell + rays
+        np.add.at(on_sum.reshape(-1), cell, xi)
+        np.add.at(on_steps.reshape(-1), cell, 1.0)
+        rad, _ = _coupled_step(cum, rays, rad, xi, gen)
+    WT = on_sum + np.sqrt(dt * (K - on_steps)) * gen.standard_normal((n, g.n_rays))
     return rays, rad, WT
 
 
@@ -237,11 +253,10 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
     for k in range(K):
         xi = sq * gen.standard_normal()
         dW = sq * gen.standard_normal(g.n_rays)
-        u = gen.random(2)  # the pivot's redraw, then a new pivot's ray
         piv = slice(pivot, pivot + 1) if pivot >= 0 else slice(n, n + 1)
         dW[rays[piv]] = xi
         movers = [j for j in range(n) if rep[j] == j and j != pivot]
-        rad[piv], _ = _coupled_step(cum, rays[piv], rad[piv], xi, u)
+        rad[piv], _ = _coupled_step(cum, rays[piv], rad[piv], xi, gen)
         hits = []
         for j in movers:
             nr = rad[j] + dW[rays[j]]
@@ -252,7 +267,7 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
             new_pivot = min(hits, key=lambda j: rad[j])
             tau_events.append(k + 1)
             rad[hits] = -rad[hits]
-            rays[new_pivot] = np.searchsorted(cum, u[1])
+            rays[new_pivot] = np.searchsorted(cum, gen.random())
             pivot = new_pivot
         # coalescence at the origin, absorbing
         alive = [j for j in range(n) if rep[j] == j]
@@ -487,9 +502,9 @@ def _replica_batch(g: StarGraph, x0: GraphPoint, T: float, dt: float, n_runs: in
 
     The runs go through ``map_chunks`` in chunks of 65536 // m. A chunk's
     replicas draw their starting rays; then each step draws the (runs, N)
-    noises and one redraw uniform per replica and takes the coupled Walsh
-    step. For N = 2 each run draws its (2, K) noises at once and every
-    replica is their two-ray Euler map.
+    noises and takes the coupled Walsh step, which draws a redraw uniform
+    for each replica that folds. For N = 2 each run draws its (2, K) noises
+    at once and every replica is their two-ray Euler map.
     """
     if m < 2:
         raise ValueError("need m >= 2 replicas")
@@ -510,7 +525,7 @@ def _replica_batch(g: StarGraph, x0: GraphPoint, T: float, dt: float, n_runs: in
         run_of = np.repeat(np.arange(c), m)
         for _ in range(K):
             dW = sq * gen.standard_normal((c, g.n_rays))
-            rad, _ = _coupled_step(cum, rays, rad, dW[run_of, rays], gen.random(c * m))
+            rad, _ = _coupled_step(cum, rays, rad, dW[run_of, rays], gen)
         return rays.reshape(c, m), rad.reshape(c, m)
 
     return map_chunks(run, n_runs, rng, max(1, 65536 // m), 1)

@@ -20,6 +20,16 @@ Y_S values are resolved (the x-scaling of the law makes the refined steps
 exact replicas of coarser ones). dt remains the crossing resolution on
 the X boundary. Leg durations have infinite mean for every theta, which is
 why the far-field coarsening is not optional for batch work.
+
+Per step each active leg draws two normals, z1 for X and z2 for Y. With
+w = Y + sqrt(h) z2, the legs with Y w < BRIDGE_CUT h then draw the uniform
+of their bridge minimum, and (with refine) the legs that neither crossed
+nor touched (dL = 0) and have X X_new < BRIDGE_CUT h draw the uniform of
+the within-step crossing test, each in leg order. Above the cut-off either
+event has probability below 2**-53, the resolution of the uniforms (see
+``halfline``), so the scheme is the one that draws both uniforms for every
+leg except on the event u = 0, of probability 2**-53 per path-step. At
+theta = pi/6 and dt = 1e-3 it draws about 2.3 words per path-step, not 4.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .halfline import RngStream, map_chunks, reflected_increment
+from .halfline import BRIDGE_CUT, RngStream, map_chunks, reflected_increment
 from .stats import reg_incomplete_beta
 
 __all__ = [
@@ -97,10 +107,20 @@ class LegSamples:
     sup_abs: np.ndarray
     inf_abs: np.ndarray
     durations: np.ndarray
+    batch_steps: int         # steps of the leg batches, summed over chunks
+    path_steps: int          # active legs summed over those steps
+    bridge_uniforms: int     # bridge-minimum uniforms drawn
+    crossing_uniforms: int   # within-step crossing uniforms drawn
 
     @property
     def n(self) -> int:
         return len(self.ys)
+
+    def diagnostics(self) -> dict:
+        """The engine's work counts."""
+        return {"batch_steps": self.batch_steps, "path_steps": self.path_steps,
+                "bridge_uniforms": self.bridge_uniforms,
+                "crossing_uniforms": self.crossing_uniforms}
 
 
 def _leg_batch(theta, x, dt, n, gen, refine=True, accel=True,
@@ -125,7 +145,7 @@ def _leg_batch(theta, x, dt, n, gen, refine=True, accel=True,
     if record:
         rec.append((X.copy(), Y.copy(), L.copy(), np.zeros(n), np.zeros(n), np.zeros(n)))
     s2 = SAFETY * SAFETY
-    steps = 0
+    steps = path_steps = n_bridge = n_cross = 0
     while idx.size:
         steps += 1
         if steps > max_steps:
@@ -138,16 +158,20 @@ def _leg_batch(theta, x, dt, n, gen, refine=True, accel=True,
         sq = np.sqrt(h)
         z1 = gen.standard_normal(m)
         z2 = gen.standard_normal(m)
-        um = gen.random(m)
-        ub = gen.random(m)
-        Ynew, dL = reflected_increment(Y, h, z2, um)
+        Ynew = Y + sq * z2
+        dL = np.zeros(m)
+        near = np.flatnonzero(Y * Ynew < BRIDGE_CUT * h)
+        Ynew[near], dL[near] = reflected_increment(Y[near], h[near], z2[near],
+                                                   gen.random(near.size))
         Xnew = X + sq * z1 - tan_t * dL
         cross = Xnew <= 0.0
+        done = cross.copy()
         if refine:
-            pb = np.exp(-2.0 * X * np.maximum(Xnew, 0.0) / h)
-            done = cross | ((dL == 0.0) & (ub < pb))
-        else:
-            done = cross
+            cand = np.flatnonzero(~cross & (dL == 0.0) & (X * Xnew < BRIDGE_CUT * h))
+            done[cand] = gen.random(cand.size) < np.exp(-2.0 * X[cand] * Xnew[cand] / h[cand])
+            n_cross += cand.size
+        path_steps += m
+        n_bridge += near.size
         az = np.sqrt(np.maximum(Xnew, 0.0) ** 2 + Ynew * Ynew)
         sup = np.maximum(sup, az)
         inf = np.minimum(inf, np.where(done, Ynew, az))
@@ -175,7 +199,7 @@ def _leg_batch(theta, x, dt, n, gen, refine=True, accel=True,
             X = Xnew
             Y = Ynew
             L = L + dL
-    return ys, ls, sups, infs, durs, rec, steps
+    return ys, ls, sups, infs, durs, rec, np.array([steps, path_steps, n_bridge, n_cross])
 
 
 def orbm_leg(theta: float, x: float, dt: float, rng: RngStream,
@@ -227,12 +251,16 @@ def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
     theta_arr = np.broadcast_to(np.asarray(theta, dtype=float), (n,))
 
     def run(lo, hi, stream):
-        return _leg_batch(theta_arr[lo:hi], x, dt, hi - lo, stream.generator(),
-                          refine=refine, accel=accel, max_steps=max_steps)[:5]
+        *out, _, counts = _leg_batch(theta_arr[lo:hi], x, dt, hi - lo, stream.generator(),
+                                     refine=refine, accel=accel, max_steps=max_steps)
+        return (*out, counts[None, :])
 
-    ys, ls, sups, infs, durs = map_chunks(run, n, rng, chunk, threads)
+    ys, ls, sups, infs, durs, counts = map_chunks(run, n, rng, chunk, threads)
+    steps, path_steps, n_bridge, n_cross = (int(c) for c in counts.sum(axis=0))
     return LegSamples(theta=float(np.min(theta_arr)), x=x, dt=dt, ys=ys,
-                      local_times=ls, sup_abs=sups, inf_abs=infs, durations=durs)
+                      local_times=ls, sup_abs=sups, inf_abs=infs, durations=durs,
+                      batch_steps=steps, path_steps=path_steps,
+                      bridge_uniforms=n_bridge, crossing_uniforms=n_cross)
 
 
 def _check_theta(theta: float) -> None:

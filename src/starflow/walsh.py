@@ -25,7 +25,11 @@ grid engine starts from ``_start_state`` and takes that step: here
 ``wbm_coupled_path`` (one path), ``sample_wbm_terminals`` and
 ``sample_residual_summaries``; in ``isde`` the forward terminals
 ``sample_isde_terminals``, the pivot of ``npoint_motion`` and the replicas
-of the filtered kernel. Each engine keeps its own draw order.
+of the filtered kernel. The engine draws the driver increments; the step
+draws the redraw coins itself, one uniform per folding row after the fold
+test, in row order, and none for the rows that keep their ray. That is
+exact: whichever rows fold, their coins are iid U(0,1) and independent of
+the increments and of the past, as coins drawn for every row would be.
 """
 
 from __future__ import annotations
@@ -117,14 +121,17 @@ def _start_state(cum: np.ndarray, x0: GraphPoint, n: int,
 
 
 def _coupled_step(cum: np.ndarray, rays: np.ndarray, radials: np.ndarray,
-                  xi: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  xi: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The coupled Walsh step of a batch: y = radials + xi, radial |y|, and
     the rows with y < 0 fold and take a ray drawn from the weights (``cum``
-    cumulative) with their uniform u. Updates rays in place and returns
-    (|y|, folded rows); a folded row's local time grows by 2 |y|."""
+    cumulative) with one uniform each, drawn from gen in row order after
+    the fold test; rows that do not fold draw nothing. Updates rays in
+    place and returns (|y|, folded rows); a folded row's local time grows
+    by 2 |y|."""
     y = radials + xi
     folded = np.flatnonzero(y < 0.0)
-    rays[folded] = np.searchsorted(cum, u[folded])
+    if folded.size:
+        rays[folded] = np.searchsorted(cum, gen.random(folded.size))
     return np.abs(y), folded
 
 
@@ -132,16 +139,16 @@ def wbm_coupled_path(g: StarGraph, x0: GraphPoint, T: float, dt: float,
                      rng: RngStream) -> WalshPath:
     """Coupled-mode path on [0, T]: folded radial over a stored driver, ray
     redrawn from the weights at every origin crossing. Draws the K driver
-    increments, then the K redraw uniforms, then the starting ray."""
+    increments, then the starting ray, then one redraw uniform per
+    crossing, in step order."""
     K = grid_steps(T, dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
     xi = gen.standard_normal(K) * math.sqrt(dt)
-    u = gen.random(K)
     ray, rad = _start_state(cum, x0, 1, gen)
     rays, radials, dL = [ray[0]], [rad[0]], [0.0]
     for k in range(K):
-        rad, folded = _coupled_step(cum, ray, rad, xi[k:k + 1], u[k:k + 1])
+        rad, folded = _coupled_step(cum, ray, rad, xi[k:k + 1], gen)
         rays.append(ray[0])
         radials.append(rad[0])
         dL.append(2.0 * rad[0] if folded.size else 0.0)
@@ -159,8 +166,7 @@ def sample_wbm_terminals(g: StarGraph, x0: GraphPoint, T: float, dt: float,
     sq = math.sqrt(dt)
     rays, rad = _start_state(cum, x0, n, gen)
     for _ in range(K):
-        xi = sq * gen.standard_normal(n)
-        rad, _ = _coupled_step(cum, rays, rad, xi, gen.random(n))
+        rad, _ = _coupled_step(cum, rays, rad, sq * gen.standard_normal(n), gen)
     return rays, rad
 
 
@@ -253,8 +259,8 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
     """Batch terminal residuals for several test functions on shared paths.
 
     Each step partitions the batch by ray once and shares that partition
-    across every test function; the redraw coins are drawn at full width,
-    but only the paths that fold at that step look theirs up.
+    across every test function; it draws the n driver increments, and a
+    redraw coin only for the paths that fold.
     """
     if x0 is None:
         x0 = g.origin()
@@ -272,14 +278,13 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
     f0 = {nm: fs[nm].value_arrays(rays, rad, part=part) for nm in names}
     for _ in range(K):
         xi = sq * gen.standard_normal(n)
-        u = gen.random(n)
         part = g.partition(rays, rad)
         for nm in names:
             fp = fs[nm].derivative_arrays(rays, rad, part=part)
             sum_fp_dB[nm] += fp * xi
             sum_fpp[nm] += fs[nm].second_derivative_arrays(rays, rad, part=part)
             bracket[nm] += fp * fp
-        rad, folded = _coupled_step(cum, rays, rad, xi, u)
+        rad, folded = _coupled_step(cum, rays, rad, xi, gen)
         L[folded] += 2.0 * rad[folded]
     part = g.partition(rays, rad)
     out = {}

@@ -188,17 +188,32 @@ def test_unread_or_missing_option_is_usage_error(tmp_path, argv):
     ["metric-isde", "--x0-ray", "9", "--x0-r", "0.5"],   # the tree has 5 edges
     ["metric-isde", "--x0-r", "-1"],
     ["metric-isde", "--graph-file", "{no_edges}"],
+    ["metric-isde", "--graph-file", "{no_vertices}"],
+    ["metric-isde", "--graph-file", "{a_list}"],
 ])
 def test_bad_value_exits_3(tmp_path, graph_file, argv):
-    # metric-isde runs on the tree, or on a copy of it without its edges
+    # metric-isde runs on the tree, on a copy of it without its edges, on a
+    # graph with no vertices or on a file holding a JSON list
     no_edges = json.loads(open(graph_file).read())
     del no_edges["edges"]
-    (tmp_path / "no_edges.json").write_text(json.dumps(no_edges))
-    argv = [a.format(no_edges=tmp_path / "no_edges.json") for a in argv]
+    files = {"no_edges": no_edges, "no_vertices": {"vertices": [], "edges": [], "params": {}},
+             "a_list": [no_edges]}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in argv]
     if argv[0] == "metric-isde" and "--graph-file" not in argv:
         argv += ["--paths", "4", "--dt", "0.01", "--graph-file", graph_file]
     rc, report = run_main(argv, tmp_path / "r.json")
     assert rc == cli.EXIT_BAD_CONFIG == 3 and report is None
+
+
+def test_orbm_leg_reports_its_work(tmp_path, graph_file):
+    _, report = run_main(tiny_argv("orbm-leg", graph_file), tmp_path / "r.json")
+    d = report["diagnostics"]
+    assert set(d) == {"batch_steps", "path_steps", "bridge_uniforms", "crossing_uniforms"}
+    assert 1 <= d["batch_steps"] <= d["path_steps"]
+    assert 0 < d["bridge_uniforms"] < d["path_steps"]
+    assert 0 < d["crossing_uniforms"] < d["path_steps"]
 
 
 def test_probs_set_the_ray_count():

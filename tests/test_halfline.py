@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 from scipy.special import erf
 
 from starflow import isde, walsh
 from starflow.graphs import canonical_test_functions, make_star
 from starflow.halfline import (
-    RngStream, bridge_crossing_prob, bridge_min, grid_steps, heat_kernels,
+    BRIDGE_CUT, RngStream, bridge_crossing_prob, bridge_min, grid_steps, heat_kernels,
     map_chunks, reflected_increment,
 )
 
@@ -205,6 +205,28 @@ class TestReflectedIncrement:
         i = np.arange(1, n + 1)
         d = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
         assert d < 1.95 / math.sqrt(n) * 1.5
+
+    def test_cut_off_is_below_the_uniform_resolution(self):
+        # Generator.random returns multiples of 2**-53, and past the cut-off
+        # the bridge dips below 0 with probability under 2**-53
+        u = RngStream(5).generator().random(100000)
+        assert np.all(u * 2.0 ** 53 == np.floor(u * 2.0 ** 53))
+        assert math.exp(-2.0 * BRIDGE_CUT) < 2.0 ** -53
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-12, 1e2), st.floats(0.0, 1e9), st.floats(-40.0, 40.0),
+           st.floats(2.0 ** -53, 1.0))
+    def test_no_local_time_past_the_cut_off(self, h, s, z, u):
+        # y = s sqrt(h); numpy's normal draws stay within |z| < 40, so the
+        # endpoint w = y + sqrt(h) z is never many orders of magnitude from
+        # y when y w >= BRIDGE_CUT h: there the step is the free one for
+        # the smallest positive uniform and every larger one
+        y = s * math.sqrt(h)
+        w = y + math.sqrt(h) * z
+        assume(y * w >= BRIDGE_CUT * h)
+        for v in (2.0 ** -53, u):
+            y_new, dl = reflected_increment(y, h, z, v)
+            assert dl == 0.0 and y_new == w
 
 
 def _reflect_chain(incr, u, h):

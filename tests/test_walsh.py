@@ -273,7 +273,8 @@ def _start(g, x0, n, gen, cum):
 
 
 def _residuals_reference(g, fs, T, dt, n, rng, x0):
-    """Per-step loop with per-call masks and coins looked up at full width."""
+    """Per-step loop with per-call masks and a coin drawn, after the step's
+    driver increments, for each path that folds, in path order."""
     K = round(T / dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
@@ -286,7 +287,6 @@ def _residuals_reference(g, fs, T, dt, n, rng, x0):
     s_fp2 = {nm: np.zeros(n) for nm in fs}
     for _ in range(K):
         xi = sq * gen.standard_normal(n)
-        coins = np.searchsorted(cum, gen.random(n))
         for nm, f in fs.items():
             fp = _eval_masks(f, 1, rays, rad)
             s_dB[nm] += fp * xi
@@ -295,7 +295,8 @@ def _residuals_reference(g, fs, T, dt, n, rng, x0):
         y = rad + xi
         neg = y < 0.0
         L = np.where(neg, L - 2.0 * y, L)
-        rays = np.where(neg, coins, rays)
+        rays = rays.copy()
+        rays[neg] = np.searchsorted(cum, gen.random(np.count_nonzero(neg)))
         rad = np.abs(y)
     out = {}
     for nm, f in fs.items():
@@ -312,20 +313,19 @@ def _terminals_reference(g, x0, T, dt, n, rng):
     rays, rad = _start(g, x0, n, gen, cum)
     for _ in range(K):
         y = rad + math.sqrt(dt) * gen.standard_normal(n)
-        coins = np.searchsorted(cum, gen.random(n))
-        rays = np.where(y < 0.0, coins, rays)
+        rays = rays.copy()
+        rays[y < 0.0] = np.searchsorted(cum, gen.random(np.count_nonzero(y < 0.0)))
         rad = np.abs(y)
     return rays, rad
 
 
 def _coupled_path_reference(g, x0, T, dt, rng):
-    """Scalar loop: all driver increments, then all redraw coins, then the
-    starting ray from the origin; fold and redraw at each crossing."""
+    """Scalar loop: all driver increments, then the starting ray from the
+    origin; fold at each crossing and redraw the ray with a fresh coin."""
     K = round(T / dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
     xi = gen.standard_normal(K) * math.sqrt(dt)
-    coins = np.searchsorted(cum, gen.random(K))
     ray = int(np.searchsorted(cum, gen.random())) if x0.is_vertex else x0.edge
     rad = 0.0 if x0.is_vertex else x0.coord
     rays, radials, L = [ray], [rad], [0.0]
@@ -335,7 +335,7 @@ def _coupled_path_reference(g, x0, T, dt, rng):
         if y < 0.0:
             lt -= 2.0 * y
             rad = -y
-            ray = coins[k]
+            ray = int(np.searchsorted(cum, gen.random()))
         else:
             rad = y
         rays.append(ray)
@@ -345,7 +345,7 @@ def _coupled_path_reference(g, x0, T, dt, rng):
 
 
 class TestBatchEnginesMatchReference:
-    """The batch engines share one partition per step and look up redraw
+    """The batch engines share one partition per step and draw redraw
     coins only where a path folds; outputs must equal the plain loop's."""
 
     G = make_star(3, [0.5, 0.3, 0.2])
@@ -384,6 +384,13 @@ class TestBatchEnginesMatchReference:
         np.testing.assert_array_equal(path.radial_localtime, L)
         np.testing.assert_array_equal(path.driver, driver)
         assert L[-1] > 0.0 and len(set(rays)) > 1
+
+    def test_residual_summaries_draw_a_coin_only_per_fold(self, philox_words):
+        g = self.G
+        n, K = 2000, 100
+        sample_residual_summaries(g, {"f1": canonical_test_functions(g, 0)[0]},
+                                  1.0, 1.0 / K, n, RngStream(29))
+        assert philox_words() / (n * K) < 1.3
 
     def test_residual_along_path_uses_pointwise_values(self):
         g = self.G

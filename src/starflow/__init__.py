@@ -18,20 +18,19 @@ from .stats import (
     reg_incomplete_beta,
 )
 from .walsh import (
-    ResidualSummary, WalshPath, freidlin_sheu_residual, sample_exact_steps,
-    sample_residual_summaries, sample_wbm_terminals, semigroup_apply,
-    wbm_coupled_path,
+    ResidualSamples, ResidualSummary, WalshPath, sample_exact_steps,
+    sample_residual_summaries, semigroup_apply,
 )
 from .quadrant import (
     AngleSource, FixedAngles, LegOverflowError, LegSamples, OrbmLeg,
-    QuadrantBatch, QuadrantProcess, UniformAngles, expected_boundary_local_time,
-    orbm_leg, quadrant_process, sample_legs, sample_quadrant_processes,
+    QuadrantBatch, QuadrantPath, UniformAngles, expected_boundary_local_time,
+    sample_legs, sample_quadrant_processes,
     tail_bound, ys_cdf, ys_log_mean, ys_log_square_moment, ys_moment,
 )
 from .isde import (
-    CoalescenceSamples, FilteredKernelEstimate, FirstLegSamples, IsdeSolution,
+    CoalescenceSamples, FilteredKernelEstimate, FirstLegSamples,
     N2NoisePath, NPointPath, default_coalescence_tol,
-    filtered_kernel, isde_forward, isde_n2_from_noise, npoint_motion,
+    filtered_kernel, isde_n2_from_noise, npoint_motion,
     sample_coalescence_times, sample_first_legs, sample_isde_terminals,
     sample_kernel_dispersions,
 )

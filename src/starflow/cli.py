@@ -59,7 +59,8 @@ class ExperimentConfig:
     threads: int = 1
     out: str | None = None
     csv: str | None = field(default=None, metadata={
-        "help": "path prefix for a dump of one sample path (coalesce: the "
+        "help": "path prefix for a dump of path 0 of the checked batch "
+                "(walsh-kernel, two-point: one fresh path; coalesce: the "
                 "survival curve; filtered-kernel: the kernel histogram)"})
     theta: float | None = field(default=None, metadata={"help": "radians", "required": True})
     theta1: float | None = field(default=None, metadata={"help": "radians"})
@@ -108,8 +109,8 @@ def _exp_orbm_leg(cfg: ExperimentConfig, rng: RngStream):
     theta, x = cfg.theta, cfg.x
     if theta is None:
         raise ValueError("orbm-leg needs --theta")
-    legs = quadrant.sample_legs(theta, x, cfg.dt, cfg.paths, rng,
-                                refine=cfg.refine, threads=cfg.threads)
+    legs = quadrant.sample_legs(theta, x, cfg.dt, cfg.paths, rng, refine=cfg.refine,
+                                threads=cfg.threads, record=int(bool(cfg.csv)))
     estimates = {
         "ys_mean": _est(legs.ys),
         "ys_half_moment": _est(np.sqrt(legs.ys)),
@@ -155,8 +156,7 @@ def _exp_orbm_leg(cfg: ExperimentConfig, rng: RngStream):
         "tail_bounds": all(b["passed"] for b in bound_checks.values()),
     }
     if cfg.csv:
-        leg = quadrant.orbm_leg(theta, x, cfg.dt, rng.child(987), accel=True)
-        leg.to_csv(cfg.csv + "_leg.csv")
+        legs.paths[0].to_csv(cfg.csv + "_leg.csv")
     return estimates, ks_results, bound_checks, checks, legs.diagnostics()
 
 
@@ -171,7 +171,7 @@ def _exp_quadrant(cfg: ExperimentConfig, rng: RngStream):
         raise ValueError("quadrant needs --theta1/--theta2 or --angle-lo/--angle-hi")
     batch = quadrant.sample_quadrant_processes(
         source, cfg.x, cfg.dt, cfg.eps_stop, cfg.max_legs, cfg.paths, rng,
-        threads=cfg.threads)
+        threads=cfg.threads, record=int(bool(cfg.csv)))
     estimates = {
         "local_time_total": _est(batch.l_totals),
         "n_legs": _est(batch.n_legs.astype(float)),
@@ -184,9 +184,7 @@ def _exp_quadrant(cfg: ExperimentConfig, rng: RngStream):
         checks["local_time_formula"] = abs(est["mean"] - expected) <= 0.05 * expected
         estimates["local_time_expected"] = {"mean": expected, "stderr": 0.0, "n": 0}
     if cfg.csv:
-        proc = quadrant.quadrant_process(source, cfg.x, cfg.dt, cfg.eps_stop,
-                                         cfg.max_legs, rng.child(987), keep_paths=True)
-        proc.to_csv(cfg.csv + "_quadrant.csv")
+        batch.paths[0].to_csv(cfg.csv + "_quadrant.csv")
     return estimates, {}, {}, checks, {}
 
 
@@ -219,8 +217,9 @@ def _exp_walsh_kernel(cfg: ExperimentConfig, rng: RngStream):
     sig = np.sqrt(np.maximum(freqf * (1 - freqf), 1e-12) / cfg.paths)
     checks["ray_frequencies"] = bool(np.all(np.abs(freq2 - freqf) <= 3 * np.sqrt(2) * sig))
     if cfg.csv:
-        path = walsh.wbm_coupled_path(g, x0, cfg.T, cfg.dt, rng.child(987))
-        path.to_csv(cfg.csv + "_walsh.csv")
+        coupled = walsh.sample_residual_summaries(g, {}, cfg.T, cfg.dt, 1, rng.child(987),
+                                                  x0=x0, record=1)
+        coupled.paths[0].to_csv(cfg.csv + "_walsh.csv")
     return estimates, ks_results, {}, checks, {}
 
 
@@ -254,9 +253,10 @@ def _exp_isde(cfg: ExperimentConfig, rng: RngStream):
         g, [0.5 + 0.25 * i for i in range(g.n_rays)],
         [(-1) ** i * 0.5 for i in range(g.n_rays)])
     fs = {"f1": f1, "g1": g1, "ray_quadratic": quad_f}
-    res = walsh.sample_residual_summaries(g, fs, cfg.T, cfg.dt, cfg.paths, rng.child(1))
-    res_fine = walsh.sample_residual_summaries(g, fs, cfg.T, cfg.dt / 4,
-                                               max(cfg.paths // 4, 1000), rng.child(2))
+    res = walsh.sample_residual_summaries(g, fs, cfg.T, cfg.dt, cfg.paths,
+                                          rng.child(1)).summaries
+    res_fine = walsh.sample_residual_summaries(g, fs, cfg.T, cfg.dt / 4, max(cfg.paths // 4, 1000),
+                                               rng.child(2)).summaries
     z_max = ndtri(1 - 1e-3 / 4)
     for nm, summ in res.items():
         est = stats.mc_estimate(summ.residuals)

@@ -86,8 +86,12 @@ def map_chunks(fn, n: int, rng: RngStream, chunk: int, threads: int) -> tuple:
 
 
 def check_horizon(T: float, dt: float) -> None:
-    """Raise ValueError unless the horizon T and the step dt are finite and > 0."""
-    for name, val in (("T", T), ("dt", dt)):
+    """Raise ValueError unless the horizon T and the step dt are finite and > 0.
+
+    The adaptive engines pass their start radius or time budget as T: a NaN
+    or infinite one would keep them stepping forever.
+    """
+    for name, val in (("the horizon T (or start radius)", T), ("the step dt", dt)):
         if not (math.isfinite(val) and val > 0):
             raise ValueError(f"{name} must be finite and > 0, got {val}")
 

@@ -1,11 +1,12 @@
 """Interface-SDE solutions and flow machinery on star graphs.
 
-Forward construction: a coupled Walsh path X provides the driver B, fresh
-auxiliary noises V^i are drawn, and the edge noises are assembled as
-dW^i = 1{X on ray i} dB + 1{X off ray i} dV^i (left-point indicators), so
-W is an N-dimensional Brownian family and X follows W^i on ray i exactly.
-The batch terminals ``sample_isde_terminals`` draw no off-ray increment:
-given the path their sum is Gaussian, and it is drawn once per ray.
+Forward construction, in ``sample_isde_terminals``: a coupled Walsh path
+X provides the driver B, and the edge noises are
+dW^i = 1{X on ray i} dB + 1{X off ray i} dV^i (left-point indicators) with
+auxiliary noises V^i independent of X, so W is an N-dimensional Brownian
+family and X follows W^i on ray i exactly. The engine draws no off-ray
+increment: given the path their sum is Gaussian, and it is drawn once per
+ray.
 
 n-point motions share one W: between transfer times exactly one point (the
 pivot) sits at the origin and evolves as a fresh coupled Walsh path that
@@ -37,14 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphPoint, StarGraph
-from .halfline import RngStream, grid_steps, map_chunks, reflected_increment
+from .halfline import RngStream, check_horizon, grid_steps, map_chunks, reflected_increment
 from .quadrant import SAFETY
-from .walsh import WalshPath, _coupled_step, _point_state, _start_state, wbm_coupled_path
+from .walsh import _coupled_step, _point_state, _start_state
 
 __all__ = [
-    "IsdeSolution", "N2NoisePath", "NPointPath",
+    "N2NoisePath", "NPointPath",
     "FilteredKernelEstimate", "FirstLegSamples", "CoalescenceSamples",
-    "isde_forward", "sample_isde_terminals", "isde_n2_from_noise",
+    "sample_isde_terminals", "isde_n2_from_noise",
     "npoint_motion",
     "sample_first_legs", "sample_coalescence_times",
     "filtered_kernel", "sample_kernel_dispersions", "default_coalescence_tol",
@@ -59,35 +60,6 @@ def default_coalescence_tol(dt: float) -> float:
 
 
 # -- forward construction -----------------------------------------------------
-
-@dataclass
-class IsdeSolution:
-    """A solution path with its assembled edge noises.
-
-    W increments satisfy dW^i = 1{ray==i} dB + 1{ray!=i} dV^i exactly at
-    every grid index (left-point ray)."""
-
-    path: WalshPath
-    W: np.ndarray   # (N, K+1) cumulative edge noises
-    V: np.ndarray   # (N, K+1) cumulative auxiliary noises
-
-
-def isde_forward(g: StarGraph, x0: GraphPoint, T: float, dt: float,
-                 rng: RngStream) -> IsdeSolution:
-    """Forward solution: coupled Walsh path plus assembled edge noises."""
-    path = wbm_coupled_path(g, x0, T, dt, rng.child(0))
-    K = path.n_steps
-    gen = rng.child(1).generator()
-    dV = gen.standard_normal((g.n_rays, K)) * math.sqrt(dt)
-    dB = np.diff(path.driver)
-    on_ray = path.rays[:-1][None, :] == np.arange(g.n_rays)[:, None]
-    dW = np.where(on_ray, dB[None, :], dV)
-    W = np.zeros((g.n_rays, K + 1))
-    np.cumsum(dW, axis=1, out=W[:, 1:])
-    V = np.zeros((g.n_rays, K + 1))
-    np.cumsum(dV, axis=1, out=V[:, 1:])
-    return IsdeSolution(path=path, W=W, V=V)
-
 
 def sample_isde_terminals(g: StarGraph, T: float, dt: float, n: int,
                           rng: RngStream, x0: GraphPoint | None = None,
@@ -358,6 +330,7 @@ def sample_first_legs(g: StarGraph, start_ray: int, dt: float, n: int,
     """Simulate two-point legs from (e_i(1), 0), restarting at unit scale
     after each transfer (the x-scaling of the leg law makes the ratios and
     the ray chain scale-free)."""
+    check_horizon(1.0, dt)
     if n_legs < 1:
         raise ValueError(f"need n_legs >= 1, got {n_legs}")
     probs = g.probs_array
@@ -422,6 +395,7 @@ def sample_coalescence_times(g: StarGraph, x: GraphPoint, y: GraphPoint,
     small power of T) and the far-field step coarsening makes the cost of
     each budget doubling logarithmic, which keeps huge caps affordable.
     """
+    check_horizon(t_max, dt)
     probs = g.probs_array
     cum = np.cumsum(probs)
     tols = np.asarray(sorted(tol_factors, reverse=True), dtype=float) * math.sqrt(dt)

@@ -30,6 +30,10 @@ event has probability below 2**-53, the resolution of the uniforms (see
 ``halfline``), so the scheme is the one that draws both uniforms for every
 leg except on the event u = 0, of probability 2**-53 per path-step. At
 theta = pi/6 and dt = 1e-3 it draws about 2.3 words per path-step, not 4.
+
+No leg or quadrant path is simulated on its own: ``record`` keeps whole
+paths of the first rows of a batch (``OrbmLeg``, ``QuadrantPath``), and
+keeping them changes no number the batch returns.
 """
 
 from __future__ import annotations
@@ -37,19 +41,17 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .halfline import BRIDGE_CUT, RngStream, map_chunks, reflected_increment
+from .halfline import BRIDGE_CUT, RngStream, check_horizon, map_chunks, reflected_increment
 from .stats import reg_incomplete_beta
 
 __all__ = [
     "LegOverflowError", "OrbmLeg", "LegSamples", "AngleSource", "FixedAngles",
-    "UniformAngles", "QuadrantProcess",
-    "orbm_leg", "sample_legs", "ys_cdf", "ys_moment", "ys_log_mean",
+    "UniformAngles", "QuadrantPath", "sample_legs", "ys_cdf", "ys_moment", "ys_log_mean",
     "ys_log_square_moment", "tail_bound", "expected_boundary_local_time",
-    "quadrant_process", "sample_quadrant_processes", "QuadrantBatch",
+    "sample_quadrant_processes", "QuadrantBatch",
 ]
 
 SAFETY = 12.0  # step stays this many standard deviations away from boundaries
@@ -61,18 +63,17 @@ class LegOverflowError(RuntimeError):
 
 @dataclass
 class OrbmLeg:
-    """One simulated half-plane leg with its recorded path."""
+    """A recorded leg: its grid path, driver and step sizes, and the batch's
+    terminal values for it."""
 
     theta: float
     x: float
-    dt: float
     X: np.ndarray
     Y: np.ndarray
     L: np.ndarray
     B1: np.ndarray
     B2: np.ndarray
     step_sizes: np.ndarray
-    S_index: int
     Y_S: float
     L_at_S: float
     sup_abs: float
@@ -111,6 +112,7 @@ class LegSamples:
     path_steps: int          # active legs summed over those steps
     bridge_uniforms: int     # bridge-minimum uniforms drawn
     crossing_uniforms: int   # within-step crossing uniforms drawn
+    paths: list[OrbmLeg]     # the recorded legs
 
     @property
     def n(self) -> int:
@@ -124,8 +126,13 @@ class LegSamples:
 
 
 def _leg_batch(theta, x, dt, n, gen, refine=True, accel=True,
-               max_steps=10 ** 8, record=False):
-    """Vectorized leg simulation; theta and x may be scalars or (n,) arrays."""
+               max_steps=10 ** 8, record=0):
+    """Vectorized leg simulation; theta and x may be scalars or (n,) arrays.
+
+    With record = k it keeps, per step, (ids, X, Y, L, dB1, dB2, h) of the
+    rows among 0..k-1 still active. Compaction keeps the row order, so they
+    are the prefix of idx below k.
+    """
     tan_t = np.broadcast_to(np.tan(np.asarray(theta, dtype=float)), (n,)).copy()
     X = np.broadcast_to(np.asarray(x, dtype=float), (n,)).astype(float).copy()
     if np.any(X <= 0):
@@ -141,9 +148,7 @@ def _leg_batch(theta, x, dt, n, gen, refine=True, accel=True,
     sups = np.zeros(n)
     infs = np.zeros(n)
     durs = np.zeros(n)
-    rec = [] if record else None
-    if record:
-        rec.append((X.copy(), Y.copy(), L.copy(), np.zeros(n), np.zeros(n), np.zeros(n)))
+    rec = [[a[:record].copy() for a in (idx, X, Y, L)] + [np.zeros(record)] * 3]
     s2 = SAFETY * SAFETY
     steps = path_steps = n_bridge = n_cross = 0
     while idx.size:
@@ -177,8 +182,9 @@ def _leg_batch(theta, x, dt, n, gen, refine=True, accel=True,
         inf = np.minimum(inf, np.where(done, Ynew, az))
         elapsed = elapsed + h
         if record:
-            rec.append((Xnew.copy(), Ynew.copy(), (L + dL).copy(),
-                        sq * z1, sq * z2, h.copy()))
+            r = np.searchsorted(idx, record)
+            rec.append([a.copy() for a in (idx[:r], Xnew[:r], Ynew[:r], L[:r] + dL[:r],
+                                           sq[:r] * z1[:r], sq[:r] * z2[:r], h[:r])])
         if done.any():
             d_ids = idx[done]
             ys[d_ids] = Ynew[done]
@@ -202,43 +208,29 @@ def _leg_batch(theta, x, dt, n, gen, refine=True, accel=True,
     return ys, ls, sups, infs, durs, rec, np.array([steps, path_steps, n_bridge, n_cross])
 
 
-def orbm_leg(theta: float, x: float, dt: float, rng: RngStream,
-             refine: bool = True, accel: bool = False,
-             max_steps: int = 10 ** 8) -> OrbmLeg:
-    """Simulate one leg of law P^theta_x, recording the full path.
-
-    The recorded grid is uniform at dt unless ``accel`` is set, in which
-    case far-field steps coarsen and corner steps refine (step sizes are
-    recorded). Termination: first grid index with X <= 0, plus (with
-    ``refine``) bridge-sampled crossings inside steps where L is flat.
-    """
-    _check_theta(theta)
-    if x <= 0:
-        raise ValueError("x must be > 0")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    ys, ls, sups, infs, durs, rec, _ = _leg_batch(
-        theta, x, dt, 1, rng.generator(), refine=refine, accel=accel,
-        max_steps=max_steps, record=True)
-    X = np.array([r[0][0] for r in rec])
-    Y = np.array([r[1][0] for r in rec])
-    L = np.array([r[2][0] for r in rec])
-    dB1 = np.array([r[3][0] for r in rec])[1:]
-    dB2 = np.array([r[4][0] for r in rec])[1:]
-    hs = np.array([r[5][0] for r in rec])[1:]
-    B1 = np.concatenate([[0.0], np.cumsum(dB1)])
-    B2 = np.concatenate([[0.0], np.cumsum(dB2)])
-    k = len(X) - 1
-    return OrbmLeg(theta=theta, x=x, dt=dt, X=X, Y=Y, L=L, B1=B1, B2=B2,
-                   step_sizes=hs, S_index=k, Y_S=float(ys[0]), L_at_S=float(ls[0]),
-                   sup_abs=float(sups[0]), inf_abs=float(infs[0]))
+def _recorded_legs(rec, theta, x, out, scale):
+    """The OrbmLeg of each recorded row j of a leg batch, from its record
+    ``rec`` and its terminal (ys, local times, sups, infs) ``out``, with
+    lengths multiplied by scale[j] and times by scale[j]^2."""
+    ids, *cols = (np.concatenate(c) for c in zip(*rec))
+    order = np.argsort(ids, kind="stable")
+    ends = np.cumsum(np.bincount(ids, minlength=len(scale)))[:-1]
+    legs = []
+    for j, (X, Y, L, dB1, dB2, h) in enumerate(zip(*(np.split(c[order], ends) for c in cols))):
+        u = scale[j]
+        legs.append(OrbmLeg(theta=float(theta[j]), x=u * x, X=u * X, Y=u * Y, L=u * L,
+                            B1=u * np.cumsum(dB1), B2=u * np.cumsum(dB2),
+                            step_sizes=u * u * h[1:], Y_S=u * out[0][j], L_at_S=u * out[1][j],
+                            sup_abs=u * out[2][j], inf_abs=u * out[3][j]))
+    return legs
 
 
 def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
                 refine: bool = True, accel: bool = True,
                 max_steps: int = 10 ** 8, chunk: int = 65536,
-                threads: int = 1) -> LegSamples:
-    """Terminal summaries of n independent legs.
+                threads: int = 1, record: int = 0) -> LegSamples:
+    """Terminal summaries of n independent legs, and the paths of legs
+    0..record-1 (taken from chunk 0).
 
     Chunks run through ``map_chunks``: results are identical for any
     thread count.
@@ -246,21 +238,27 @@ def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
     """
     _check_theta(np.min(theta))
     _check_theta(np.max(theta))
-    if x <= 0 or dt <= 0 or n < 1:
-        raise ValueError("need x > 0, dt > 0, n >= 1")
+    check_horizon(x, dt)
+    if not 0 <= record <= min(n, chunk):
+        raise ValueError(f"need 0 <= record <= min(n, chunk), got {record}")
     theta_arr = np.broadcast_to(np.asarray(theta, dtype=float), (n,))
+    paths = []
 
     def run(lo, hi, stream):
-        *out, _, counts = _leg_batch(theta_arr[lo:hi], x, dt, hi - lo, stream.generator(),
-                                     refine=refine, accel=accel, max_steps=max_steps)
-        return (*out, counts[None, :])
+        k = record if lo == 0 else 0
+        *out, durs, rec, counts = _leg_batch(theta_arr[lo:hi], x, dt, hi - lo, stream.generator(),
+                                             refine=refine, accel=accel, max_steps=max_steps,
+                                             record=k)
+        if k:
+            paths.extend(_recorded_legs(rec, theta_arr, x, out, np.ones(k)))
+        return (*out, durs, counts[None, :])
 
     ys, ls, sups, infs, durs, counts = map_chunks(run, n, rng, chunk, threads)
     steps, path_steps, n_bridge, n_cross = (int(c) for c in counts.sum(axis=0))
     return LegSamples(theta=float(np.min(theta_arr)), x=x, dt=dt, ys=ys,
                       local_times=ls, sup_abs=sups, inf_abs=infs, durations=durs,
                       batch_steps=steps, path_steps=path_steps,
-                      bridge_uniforms=n_bridge, crossing_uniforms=n_cross)
+                      bridge_uniforms=n_bridge, crossing_uniforms=n_cross, paths=paths)
 
 
 def _check_theta(theta: float) -> None:
@@ -364,10 +362,6 @@ class AngleSource:
     lo: float
     hi: float
 
-    def angle(self, n: int, thetas: Sequence[float], us: Sequence[float],
-              gen: np.random.Generator) -> float:
-        raise NotImplementedError
-
     def angles_batch(self, n: int, m: int, gen: np.random.Generator) -> np.ndarray:
         """Vector of leg-n angles for m paths (for batch experiments)."""
         raise NotImplementedError
@@ -386,9 +380,6 @@ class FixedAngles(AngleSource):
         self.lo = min(self.theta1, self.theta2)
         self.hi = max(self.theta1, self.theta2)
 
-    def angle(self, n, thetas, us, gen):
-        return self.theta1 if n % 2 == 0 else self.theta2
-
     def angles_batch(self, n, m, gen):
         return np.full(m, self.theta1 if n % 2 == 0 else self.theta2)
 
@@ -406,36 +397,17 @@ class UniformAngles(AngleSource):
         if self.lo > self.hi:
             raise ValueError("lo > hi")
 
-    def angle(self, n, thetas, us, gen):
-        return float(gen.uniform(self.lo, self.hi))
-
     def angles_batch(self, n, m, gen):
         return gen.uniform(self.lo, self.hi, size=m)
 
 
 @dataclass
-class QuadrantProcess:
-    """Concatenated legs with alternating reflected coordinate.
+class QuadrantPath:
+    """A recorded quadrant process: its legs, each rescaled by its entry
+    radius U_n (the x-scaling of the leg law), so that leg n runs on the
+    time scale U_n^2 and carries its angle."""
 
-    Leg n is simulated at unit scale and rescaled by the entry radius U_n
-    (the x-scaling of the leg law); its absolute grid spacing is U_n^2 dt.
-    ``status`` is "corner" when the endpoint dropped below eps_stop and
-    "leg_cap" when max_legs ran out first.
-    """
-
-    x: float
-    dt: float
-    eps_stop: float
-    thetas: list[float]
-    us: list[float]                  # U_0 = x, then leg endpoints
     legs: list[OrbmLeg]
-    sigma0_time: float
-    L_total: float
-    status: str
-
-    @property
-    def terminated(self) -> bool:
-        return self.status == "corner"
 
     def to_csv(self, path) -> None:
         """Assembled quadrant path (coordinates swapped on odd legs)."""
@@ -455,48 +427,6 @@ class QuadrantProcess:
                 l0 += float(leg.L[-1])
 
 
-def quadrant_process(source: AngleSource, x: float, dt: float, eps_stop: float,
-                     max_legs: int, rng: RngStream,
-                     keep_paths: bool = False) -> QuadrantProcess:
-    """Simulate the quadrant process until the leg endpoint drops below
-    eps_stop (corner proxy) or max_legs is exhausted."""
-    if not (0.0 < eps_stop < x):
-        raise ValueError("need 0 < eps_stop < x")
-    if dt <= 0 or max_legs < 1:
-        raise ValueError("need dt > 0 and max_legs >= 1")
-    gen = rng.generator()
-    thetas: list[float] = []
-    us: list[float] = [float(x)]
-    legs: list[OrbmLeg] = []
-    t_total = 0.0
-    l_total = 0.0
-    u = float(x)
-    status = "leg_cap"
-    for n in range(max_legs):
-        th = source.angle(n, thetas, us, gen)
-        _check_theta(th)
-        thetas.append(th)
-        leg = orbm_leg(th, 1.0, dt, rng.child(n), refine=True, accel=True)
-        ratio = leg.Y_S
-        l_total += u * leg.L_at_S
-        t_total += u * u * float(np.sum(leg.step_sizes))
-        if keep_paths:
-            legs.append(OrbmLeg(
-                theta=th, x=u, dt=u * u * dt, X=u * leg.X, Y=u * leg.Y,
-                L=u * leg.L, B1=u * leg.B1, B2=u * leg.B2,
-                step_sizes=u * u * leg.step_sizes, S_index=leg.S_index,
-                Y_S=u * leg.Y_S, L_at_S=u * leg.L_at_S,
-                sup_abs=u * leg.sup_abs, inf_abs=u * leg.inf_abs))
-        u = u * ratio
-        us.append(u)
-        if u < eps_stop:
-            status = "corner"
-            break
-    return QuadrantProcess(x=x, dt=dt, eps_stop=eps_stop, thetas=thetas,
-                           us=us, legs=legs, sigma0_time=t_total,
-                           L_total=l_total, status=status)
-
-
 @dataclass
 class QuadrantBatch:
     """Summaries of a batch of quadrant processes."""
@@ -505,6 +435,7 @@ class QuadrantBatch:
     n_legs: np.ndarray
     terminated: np.ndarray
     sigma0_times: np.ndarray
+    paths: list[QuadrantPath]   # the recorded processes
 
     @property
     def n(self) -> int:
@@ -514,18 +445,25 @@ class QuadrantBatch:
 def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
                               eps_stop: float, max_legs: int, n: int,
                               rng: RngStream, chunk: int = 65536,
-                              threads: int = 1) -> QuadrantBatch:
-    """Batch quadrant processes (unit legs per round, vectorized over paths).
+                              threads: int = 1, record: int = 0) -> QuadrantBatch:
+    """Batch quadrant processes (unit legs per round, vectorized over paths),
+    and the legs of processes 0..record-1 (taken from chunk 0).
 
-    Requires an AngleSource with a batch rule (fixed pair or uniform draws).
+    Each process runs until its leg endpoint drops below eps_stop (corner
+    proxy) or max_legs is exhausted.
     """
+    check_horizon(x, dt)
     if not (0.0 < eps_stop < x):
         raise ValueError("need 0 < eps_stop < x")
-    if dt <= 0 or max_legs < 1:
-        raise ValueError("need dt > 0 and max_legs >= 1")
+    if max_legs < 1:
+        raise ValueError("need max_legs >= 1")
+    if not 0 <= record <= min(n, chunk):
+        raise ValueError(f"need 0 <= record <= min(n, chunk), got {record}")
+    paths = [QuadrantPath([]) for _ in range(record)]
 
     def run(lo, hi, stream):
         m = hi - lo
+        k = record if lo == 0 else 0
         gen = stream.generator()
         u = np.full(m, float(x))
         l_tot = np.zeros(m)
@@ -537,9 +475,13 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
             if ma == 0:
                 break
             th = source.angles_batch(leg_i, ma, gen)
-            ys, lleg, _, _, durs, _, _ = _leg_batch(
-                th, 1.0, dt, ma, stream.child(leg_i).generator(),
-                refine=True, accel=True)
+            r = np.searchsorted(active, k)  # the recorded processes still active
+            *out, durs, rec, _ = _leg_batch(th, 1.0, dt, ma, stream.child(leg_i).generator(),
+                                            refine=True, accel=True, record=r)
+            ys, lleg = out[:2]
+            if r:
+                for j, leg in zip(active[:r], _recorded_legs(rec, th, 1.0, out, u[active[:r]])):
+                    paths[j].legs.append(leg)
             l_tot[active] += u[active] * lleg
             t_tot[active] += u[active] ** 2 * durs
             u[active] = u[active] * ys
@@ -547,4 +489,4 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
             active = active[u[active] >= eps_stop]
         return l_tot, n_legs, u < eps_stop, t_tot
 
-    return QuadrantBatch(*map_chunks(run, n, rng, chunk, threads))
+    return QuadrantBatch(*map_chunks(run, n, rng, chunk, threads), paths=paths)

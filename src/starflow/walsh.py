@@ -11,8 +11,7 @@ Two simulation modes:
   and contributes -2 (radial + dB) to the running local time), and the ray
   is redrawn from the weights at every crossing step. The identity
   |X_k| - |X_0| - L_k = B_k holds exactly, and L increases only on steps
-  that pass through the origin. The driver is exposed so edge noises can
-  be assembled around the path. The ray-redraw rule is exact only in the
+  that pass through the origin. The ray-redraw rule is exact only in the
   dt -> 0 limit; over one macroscopic excursion the last redraw before
   leaving zero dominates, which recovers the correct excursion weights.
   This is the documented bias source of coupled mode. (Folding, rather
@@ -22,8 +21,8 @@ Two simulation modes:
 
 The coupled step exists once, as ``_coupled_step``, and every star-graph
 grid engine starts from ``_start_state`` and takes that step: here
-``wbm_coupled_path`` (one path), ``sample_wbm_terminals`` and
-``sample_residual_summaries``; in ``isde`` the forward terminals
+``sample_residual_summaries``, which also records whole paths (rows of its
+batch) as ``WalshPath``; in ``isde`` the forward terminals
 ``sample_isde_terminals``, the pivot of ``npoint_motion`` and the replicas
 of the filtered kernel. The engine draws the driver increments; the step
 draws the redraw coins itself, one uniform per folding row after the fold
@@ -45,28 +44,28 @@ from .graphs import DomainFunction, GraphPoint, StarGraph
 from .halfline import RngStream, grid_steps, heat_kernels
 
 __all__ = [
-    "WalshPath", "exact_step_arrays", "sample_exact_steps",
-    "wbm_coupled_path", "sample_wbm_terminals", "semigroup_apply",
-    "freidlin_sheu_residual", "ResidualSummary", "sample_residual_summaries",
+    "WalshPath", "exact_step_arrays", "sample_exact_steps", "semigroup_apply",
+    "ResidualSummary", "ResidualSamples", "sample_residual_summaries",
 ]
 
 
 @dataclass
 class WalshPath:
-    """Coupled-mode path: rays/radials per grid index, the running local
-    time of the radial part (discrete Tanaka corrections, increasing only
-    on origin-crossing steps), and the driving Brownian motion."""
+    """A recorded coupled-mode path: rays/radials per grid index, the
+    running local time of the radial part (discrete Tanaka corrections,
+    increasing only on origin-crossing steps), and the driver increments."""
 
     graph: StarGraph
     dt: float
     rays: np.ndarray
     radials: np.ndarray
     radial_localtime: np.ndarray
-    driver: np.ndarray | None
+    increments: np.ndarray
 
     @property
-    def n_steps(self) -> int:
-        return len(self.radials) - 1
+    def driver(self) -> np.ndarray:
+        """The driving Brownian motion at the grid indices."""
+        return np.concatenate([[0.0], np.cumsum(self.increments)])
 
     def point(self, k: int) -> GraphPoint:
         return self.graph.point(int(self.rays[k]), float(self.radials[k]))
@@ -75,14 +74,14 @@ class WalshPath:
         return [self.point(k) for k in range(len(self.radials))]
 
     def to_csv(self, path) -> None:
+        driver = self.driver
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["t", "edge", "coord", "localtime", "driver"])
             for k in range(len(self.radials)):
                 w.writerow([repr(k * self.dt), int(self.rays[k]),
                             repr(float(self.radials[k])),
-                            repr(float(self.radial_localtime[k])),
-                            repr(float(self.driver[k])) if self.driver is not None else ""])
+                            repr(float(self.radial_localtime[k])), repr(float(driver[k]))])
 
 
 def _point_state(g: StarGraph, x: GraphPoint) -> tuple[int, float]:
@@ -135,41 +134,6 @@ def _coupled_step(cum: np.ndarray, rays: np.ndarray, radials: np.ndarray,
     return np.abs(y), folded
 
 
-def wbm_coupled_path(g: StarGraph, x0: GraphPoint, T: float, dt: float,
-                     rng: RngStream) -> WalshPath:
-    """Coupled-mode path on [0, T]: folded radial over a stored driver, ray
-    redrawn from the weights at every origin crossing. Draws the K driver
-    increments, then the starting ray, then one redraw uniform per
-    crossing, in step order."""
-    K = grid_steps(T, dt)
-    gen = rng.generator()
-    cum = np.cumsum(g.probs_array)
-    xi = gen.standard_normal(K) * math.sqrt(dt)
-    ray, rad = _start_state(cum, x0, 1, gen)
-    rays, radials, dL = [ray[0]], [rad[0]], [0.0]
-    for k in range(K):
-        rad, folded = _coupled_step(cum, ray, rad, xi[k:k + 1], gen)
-        rays.append(ray[0])
-        radials.append(rad[0])
-        dL.append(2.0 * rad[0] if folded.size else 0.0)
-    return WalshPath(graph=g, dt=dt, rays=np.array(rays), radials=np.array(radials),
-                     radial_localtime=np.cumsum(dL),
-                     driver=np.concatenate([[0.0], np.cumsum(xi)]))
-
-
-def sample_wbm_terminals(g: StarGraph, x0: GraphPoint, T: float, dt: float,
-                         n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Terminal (rays, radials) of n coupled paths at time T."""
-    K = grid_steps(T, dt)
-    gen = rng.generator()
-    cum = np.cumsum(g.probs_array)
-    sq = math.sqrt(dt)
-    rays, rad = _start_state(cum, x0, n, gen)
-    for _ in range(K):
-        rad, _ = _coupled_step(cum, rays, rad, sq * gen.standard_normal(n), gen)
-    return rays, rad
-
-
 def semigroup_apply(g: StarGraph, f: DomainFunction, t: float, x: GraphPoint) -> float:
     """Quadrature evaluation of the Walsh semigroup applied to f at (t, x).
 
@@ -203,30 +167,6 @@ def semigroup_apply(g: StarGraph, f: DomainFunction, t: float, x: GraphPoint) ->
     return total
 
 
-def freidlin_sheu_residual(path: WalshPath, f: DomainFunction) -> np.ndarray:
-    """Per-index residual of the pathwise expansion of f along the path.
-
-    M_k = f(X_k) - f(X_0) - sum_{j<k} f'(X_j) dB_j - (dt/2) sum_{j<k} f''(X_j)
-          - f'(0) L_k.
-    A discrete martingale up to the coupled-mode discretization bias.
-    """
-    if path.driver is None:
-        raise ValueError("residuals need a coupled-mode path with its driver")
-    vals = f.value_arrays(path.rays, path.radials)
-    rays, radials = path.rays[:-1], path.radials[:-1]
-    part = path.graph.partition(rays, radials)
-    fp = f.derivative_arrays(rays, radials, part=part)
-    fpp = f.second_derivative_arrays(rays, radials, part=part)
-    dB = np.diff(path.driver)
-    M = np.empty(len(vals))
-    M[0] = 0.0
-    M[1:] = (vals[1:] - vals[0]
-             - np.cumsum(fp * dB)
-             - 0.5 * path.dt * np.cumsum(fpp)
-             - f.vertex_derivative(0) * path.radial_localtime[1:])
-    return M
-
-
 @dataclass
 class ResidualSummary:
     """Terminal residual statistics for one test function over a batch."""
@@ -253,17 +193,32 @@ class ResidualSummary:
         return (self.martingale_part - self.martingale_part.mean()) ** 2 - self.bracket
 
 
+@dataclass
+class ResidualSamples:
+    """The residual engine's output: a summary per test function, and the
+    recorded paths."""
+
+    summaries: dict[str, ResidualSummary]
+    paths: list[WalshPath]
+
+
 def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
                               T: float, dt: float, n: int, rng: RngStream,
-                              x0: GraphPoint | None = None) -> dict[str, ResidualSummary]:
-    """Batch terminal residuals for several test functions on shared paths.
+                              x0: GraphPoint | None = None, record: int = 0) -> ResidualSamples:
+    """Batch terminal residuals for several test functions on shared paths,
+    and the paths of rows 0..record-1.
 
+    The residual of f along a path is
+    M_K = f(X_K) - f(X_0) - sum_k f'(X_k) dB_k - (dt/2) sum_k f''(X_k) - f'(0) L_K,
+    a discrete martingale up to the coupled-mode discretization bias.
     Each step partitions the batch by ray once and shares that partition
     across every test function; it draws the n driver increments, and a
     redraw coin only for the paths that fold.
     """
     if x0 is None:
         x0 = g.origin()
+    if not 0 <= record <= n:
+        raise ValueError(f"need 0 <= record <= n, got {record}")
     K = grid_steps(T, dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
@@ -276,6 +231,7 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
     bracket = {nm: np.zeros(n) for nm in names}  # sum_k f'^2 per path, times dt at the end
     part = g.partition(rays, rad)
     f0 = {nm: fs[nm].value_arrays(rays, rad, part=part) for nm in names}
+    rec = [(rays[:record].copy(), rad[:record].copy(), np.zeros(record), np.zeros(record))]
     for _ in range(K):
         xi = sq * gen.standard_normal(n)
         part = g.partition(rays, rad)
@@ -286,6 +242,8 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
             bracket[nm] += fp * fp
         rad, folded = _coupled_step(cum, rays, rad, xi, gen)
         L[folded] += 2.0 * rad[folded]
+        if record:
+            rec.append([a[:record].copy() for a in (rays, rad, L, xi)])
     part = g.partition(rays, rad)
     out = {}
     for nm in names:
@@ -297,4 +255,6 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
             martingale_part=mart,
             bracket=np.multiply(bracket[nm], dt, out=bracket[nm]),
         )
-    return out
+    rays_k, rad_k, l_k, xi_k = (np.stack(c) for c in zip(*rec))
+    return ResidualSamples(out, [WalshPath(g, dt, rays_k[:, j], rad_k[:, j], l_k[:, j],
+                                           xi_k[1:, j]) for j in range(record)])

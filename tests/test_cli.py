@@ -190,6 +190,15 @@ def test_unread_or_missing_option_is_usage_error(tmp_path, argv):
     ["metric-isde", "--graph-file", "{no_edges}"],
     ["metric-isde", "--graph-file", "{no_vertices}"],
     ["metric-isde", "--graph-file", "{a_list}"],
+    # NaN or negative steps, starts and budgets once kept the adaptive engines
+    # stepping forever
+    ["orbm-leg", "--theta", "0.5", "--x", "nan"],
+    ["orbm-leg", "--theta", "0.5", "--dt", "nan"],
+    ["quadrant", "--theta1", "1.0", "--theta2", "1.0", "--dt", "nan"],
+    ["two-point", "--dt", "nan"],
+    ["two-point", "--dt", "-0.01", "--legs", "1"],
+    ["coalesce", "--dt", "nan"],
+    ["coalesce", "--tmax", "nan", "--dt", "0.01"],
 ])
 def test_bad_value_exits_3(tmp_path, graph_file, argv):
     # metric-isde runs on the tree, on a copy of it without its edges, on a
@@ -205,6 +214,40 @@ def test_bad_value_exits_3(tmp_path, graph_file, argv):
         argv += ["--paths", "4", "--dt", "0.01", "--graph-file", graph_file]
     rc, report = run_main(argv, tmp_path / "r.json")
     assert rc == cli.EXIT_BAD_CONFIG == 3 and report is None
+
+
+# each experiment with a --csv dump: its file suffix and its header
+DUMPS = {
+    "orbm-leg": ("_leg.csv", "t,X,Y,L"),
+    "quadrant": ("_quadrant.csv", "t,X,Y,L"),
+    "walsh-kernel": ("_walsh.csv", "t,edge,coord,localtime,driver"),
+    "two-point": ("_two_point.csv", "t,point_1_edge,point_1_coord,point_2_edge,"
+                                    "point_2_coord,pivot_index,tau_flag"),
+    "coalesce": ("_survival.csv", "t,survival"),
+    "filtered-kernel": ("_kernel_hist.json", None),
+}
+
+
+def test_every_dump_is_listed():
+    assert set(DUMPS) == {name for name in cli.EXPERIMENTS if "csv" in declared(name)}
+
+
+@pytest.mark.parametrize("name", list(DUMPS))
+def test_dump_leaves_the_report_unchanged(tmp_path, graph_file, name):
+    """--csv writes its file, with its header and a full row per line, and
+    changes none of the report's numbers."""
+    _, plain = run_main(tiny_argv(name, graph_file), tmp_path / "a.json")
+    prefix = str(tmp_path / "dump")
+    _, dumped = run_main(tiny_argv(name, graph_file) + ["--csv", prefix], tmp_path / "b.json")
+    assert numeric(dumped) == numeric(plain)
+    suffix, header = DUMPS[name]
+    text = open(prefix + suffix).read()
+    if header is None:
+        assert set(json.loads(text)) == {"bins", "counts", "dispersion", "seeds"}
+        return
+    lines = text.splitlines()
+    assert lines[0] == header and len(lines) > 1
+    assert all(len(line.split(",")) == len(header.split(",")) for line in lines)
 
 
 def test_orbm_leg_reports_its_work(tmp_path, graph_file):

@@ -63,10 +63,6 @@ def _grid_engines():
     g = make_star(3, [0.2, 0.5, 0.3])
     f, _ = canonical_test_functions(g, 0)
     return {
-        "wbm_coupled_path": lambda T, dt: walsh.wbm_coupled_path(
-            g, g.origin(), T, dt, RngStream(1)),
-        "sample_wbm_terminals": lambda T, dt: walsh.sample_wbm_terminals(
-            g, g.origin(), T, dt, 4, RngStream(1)),
         "sample_residual_summaries": lambda T, dt: walsh.sample_residual_summaries(
             g, {"f": f}, T, dt, 4, RngStream(1)),
         "sample_isde_terminals": lambda T, dt: isde.sample_isde_terminals(

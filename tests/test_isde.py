@@ -7,38 +7,13 @@ from scipy.special import ndtr
 from starflow.graphs import make_star
 from starflow.halfline import RngStream
 from starflow.isde import (
-    _dispersions, filtered_kernel, isde_forward, isde_n2_from_noise, npoint_motion,
+    _dispersions, filtered_kernel, isde_n2_from_noise, npoint_motion,
     sample_coalescence_times, sample_first_legs, sample_isde_terminals,
     sample_kernel_dispersions,
 )
 from starflow.stats import ks_against_cdf, ks_two_sample
 
 G = make_star(3, [0.5, 0.3, 0.2])
-
-
-class TestForwardNoises:
-    @pytest.mark.parametrize("x0", [None, (1, 0.4)])
-    def test_edge_noise_is_driver_on_ray_aux_noise_off(self, x0):
-        x0 = G.origin() if x0 is None else G.point(*x0)
-        T, dt, rng = 4.0, 0.01, RngStream(41)
-        sol = isde_forward(G, x0, T, dt, rng)
-        K = sol.path.n_steps
-        # the auxiliary noises are the first draws of the second child stream
-        dV = rng.child(1).generator().standard_normal((G.n_rays, K)) * math.sqrt(dt)
-        dB = np.diff(sol.path.driver)
-        on_ray = sol.path.rays[:-1] == np.arange(G.n_rays)[:, None]
-        dW = np.where(on_ray, dB, dV)
-        np.testing.assert_array_equal(sol.W[:, 0], 0.0)
-        np.testing.assert_array_equal(sol.W[:, 1:], np.cumsum(dW, axis=1))
-        np.testing.assert_array_equal(sol.V[:, 1:], np.cumsum(dV, axis=1))
-        # each ray's noise follows the driver on the steps that start on it;
-        # the path visits every ray, so both branches are exercised
-        for i in range(G.n_rays):
-            assert on_ray[i].any() and not on_ray[i].all()
-            np.testing.assert_allclose(np.diff(sol.W[i])[on_ray[i]], dB[on_ray[i]],
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(np.diff(sol.W[i])[~on_ray[i]], dV[i][~on_ray[i]],
-                                       rtol=0, atol=1e-12)
 
 
 def _terminals_reference(g, T, dt, n, rng, x0):
@@ -327,15 +302,37 @@ class TestPairEngines:
         np.testing.assert_array_equal(c.times, d.times)
 
 
+def _forward_noises(g, T, dt, rng):
+    """(N, K) edge-noise increments assembled around a forward path from the
+    origin: a scalar coupled Walsh path (its K driver increments, then its
+    starting ray, then a coin per fold) on rng.child(0), and auxiliary
+    noises dV on rng.child(1); dW^i is the driver on the path's ray and dV^i
+    off it."""
+    K = round(T / dt)
+    gen = rng.child(0).generator()
+    cum = np.cumsum(g.probs_array)
+    xi = gen.standard_normal(K) * math.sqrt(dt)
+    ray, rad = int(np.searchsorted(cum, gen.random())), 0.0
+    rays = []
+    for k in range(K):
+        rays.append(ray)
+        y = rad + xi[k]
+        if y < 0.0:
+            ray = int(np.searchsorted(cum, gen.random()))
+        rad = abs(y)
+    dV = rng.child(1).generator().standard_normal((g.n_rays, K)) * math.sqrt(dt)
+    return np.where(np.array(rays)[None, :] == np.arange(g.n_rays)[:, None], xi[None, :], dV)
+
+
 def _dispersions_reference(g, T, dt, n_runs, m, rng):
-    """Per-run loop: W assembled by isde_forward around a forward path, then
-    m replicas from the origin with their own starting rays and redraw
-    coins, folded one step at a time."""
+    """Per-run loop: W assembled around a forward path, then m replicas
+    from the origin with their own starting rays and redraw coins, folded
+    one step at a time."""
     cum = np.cumsum(g.probs_array)
     out = np.empty(n_runs)
     for run in range(n_runs):
         stream = rng.child(run)
-        dW = np.diff(isde_forward(g, g.origin(), T, dt, stream.child(0)).W, axis=1)
+        dW = _forward_noises(g, T, dt, stream.child(0))
         gen = stream.child(1).generator()
         coins = np.searchsorted(cum, gen.random((m, dW.shape[1])))
         rays, rad = np.searchsorted(cum, gen.random(m)), np.zeros(m)

@@ -8,7 +8,7 @@ from scipy import integrate
 from starflow.halfline import RngStream
 from starflow.quadrant import (
     FixedAngles, LegOverflowError, UniformAngles, expected_boundary_local_time,
-    orbm_leg, quadrant_process, sample_legs, sample_quadrant_processes,
+    sample_legs, sample_quadrant_processes,
     tail_bound, ys_cdf, ys_log_mean, ys_log_square_moment, ys_moment,
 )
 from starflow.stats import ks_against_cdf, ks_two_sample, mc_estimate
@@ -21,37 +21,42 @@ def _hill(x, k):
 
 
 class TestOrbmLeg:
+    """Recorded legs: rows 0..k-1 of a sample_legs batch."""
+
     def test_grid_identities_exact(self):
-        leg = orbm_leg(math.pi / 4, 1.0, 1e-3, RngStream(1))
-        assert np.allclose(leg.Y, leg.B2 + leg.L, rtol=0, atol=1e-12)
-        assert np.allclose(leg.X, 1.0 + leg.B1 - math.tan(leg.theta) * leg.L,
-                           rtol=0, atol=1e-12)
-        assert np.all(leg.Y >= 0)
-        assert np.all(np.diff(leg.L) >= 0)
-        assert np.all(leg.X[:-1] > 0)
-        assert leg.Y_S == leg.Y[-1] and leg.S_index == len(leg.X) - 1
+        for leg in sample_legs(math.pi / 4, 1.0, 1e-3, 200, RngStream(1), record=3).paths:
+            assert np.allclose(leg.Y, leg.B2 + leg.L, rtol=0, atol=1e-12)
+            assert np.allclose(leg.X, 1.0 + leg.B1 - math.tan(leg.theta) * leg.L,
+                               rtol=0, atol=1e-12)
+            assert np.all(leg.Y >= 0)
+            assert np.all(np.diff(leg.L) >= 0)
+            assert np.all(leg.X[:-1] > 0)
+            assert leg.Y_S == leg.Y[-1] and leg.L_at_S == leg.L[-1]
 
     def test_local_time_grows_only_at_boundary(self):
-        leg = orbm_leg(math.pi / 3, 1.0, 1e-3, RngStream(2))
-        dl = np.diff(leg.L)
-        # with exact bridge increments, dL > 0 means the within-step minimum
-        # dipped below zero; the pre-step value must be near the boundary
-        assert np.all(dl[leg.Y[:-1] > 6 * math.sqrt(np.max(leg.step_sizes))] == 0)
+        for leg in sample_legs(math.pi / 3, 1.0, 1e-3, 200, RngStream(2), record=3).paths:
+            dl = np.diff(leg.L)
+            # with exact bridge increments, dL > 0 means the within-step minimum
+            # dipped below zero; the pre-step value must be near the boundary
+            assert np.all(dl[leg.Y[:-1] > 6 * math.sqrt(np.max(leg.step_sizes))] == 0)
 
     def test_validation(self):
         for bad in [(-0.1, 1, 1e-3), (math.pi / 2, 1, 1e-3), (0.5, -1, 1e-3),
-                    (0.5, 1, 0.0)]:
+                    (0.5, 1, 0.0), (0.5, math.nan, 1e-3), (0.5, math.inf, 1e-3),
+                    (0.5, 1, math.nan), (0.5, 1, -1e-3)]:
             with pytest.raises(ValueError):
-                orbm_leg(bad[0], bad[1], bad[2], RngStream(3))
+                sample_legs(bad[0], bad[1], bad[2], 10, RngStream(3))
 
     def test_overflow_error(self):
         with pytest.raises(LegOverflowError):
-            orbm_leg(math.pi / 6, 1.0, 1e-6, RngStream(4), accel=False, max_steps=50)
+            sample_legs(math.pi / 6, 1.0, 1e-6, 10, RngStream(4), accel=False, max_steps=50)
 
     def test_extremes_bracket_path(self):
-        leg = orbm_leg(math.pi / 4, 1.0, 1e-3, RngStream(5), accel=True)
-        assert leg.inf_abs <= 1.0 <= leg.sup_abs
-        assert leg.inf_abs <= leg.Y_S
+        for leg in sample_legs(math.pi / 4, 1.0, 1e-3, 200, RngStream(5), record=3).paths:
+            assert leg.inf_abs <= 1.0 <= leg.sup_abs
+            assert leg.inf_abs <= leg.Y_S
+            az = np.sqrt(np.maximum(leg.X, 0.0) ** 2 + leg.Y * leg.Y)
+            assert leg.sup_abs == az.max()
 
 
 class TestLegSamples:
@@ -262,40 +267,45 @@ class TestClosedForms:
 class TestQuadrantProcess:
     def test_structure_and_termination(self):
         src = FixedAngles(math.pi / 3, math.pi / 3)
-        proc = quadrant_process(src, 1.0, 1e-3, 1e-3, 200, RngStream(12), keep_paths=True)
-        assert proc.status == "corner"
-        assert proc.us[0] == 1.0 and proc.us[-1] < 1e-3
-        assert len(proc.legs) == len(proc.thetas) == len(proc.us) - 1
-        for n, leg in enumerate(proc.legs):
-            assert leg.x == pytest.approx(proc.us[n])
-            assert proc.us[n + 1] == pytest.approx(leg.Y_S)
-        # leg-wise local time accumulates
-        assert proc.L_total == pytest.approx(sum(l.L_at_S for l in proc.legs))
+        batch = sample_quadrant_processes(src, 1.0, 1e-3, 1e-3, 200, 20, RngStream(12),
+                                          record=3)
+        for j, proc in enumerate(batch.paths):
+            assert batch.terminated[j] and len(proc.legs) == batch.n_legs[j]
+            assert proc.legs[0].x == 1.0 and proc.legs[-1].Y_S < 1e-3
+            assert all(leg.Y_S >= 1e-3 for leg in proc.legs[:-1])
+            for leg, nxt in zip(proc.legs, proc.legs[1:]):
+                assert nxt.x == pytest.approx(leg.Y_S)
+            # leg-wise local time and time accumulate
+            assert batch.l_totals[j] == pytest.approx(sum(l.L_at_S for l in proc.legs))
+            assert batch.sigma0_times[j] == pytest.approx(sum(l.times[-1] for l in proc.legs))
 
     def test_angles_alternate(self):
         src = FixedAngles(math.pi / 3, math.pi / 4)
-        proc = quadrant_process(src, 1.0, 1e-3, 1e-2, 200, RngStream(13))
-        for n, th in enumerate(proc.thetas):
-            assert th == (math.pi / 3 if n % 2 == 0 else math.pi / 4)
+        proc = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 200, 5, RngStream(13),
+                                         record=1).paths[0]
+        assert len(proc.legs) > 1
+        for n, leg in enumerate(proc.legs):
+            assert leg.theta == (math.pi / 3 if n % 2 == 0 else math.pi / 4)
 
     def test_leg_cap_flagged(self):
         src = FixedAngles(math.pi / 6, math.pi / 6)
-        proc = quadrant_process(src, 1.0, 1e-3, 1e-6, 2, RngStream(14))
-        assert proc.status == "leg_cap" and not proc.terminated
+        batch = sample_quadrant_processes(src, 1.0, 1e-3, 1e-6, 2, 5, RngStream(14), record=1)
+        assert not batch.terminated[0] and len(batch.paths[0].legs) == batch.n_legs[0] == 2
 
     def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            quadrant_process(FixedAngles(1.0, 1.0), 1.0, 1e-3, 2.0, 10, RngStream(15))
+        src = FixedAngles(1.0, 1.0)
+        for x, dt, eps, max_legs in [(1.0, 1e-3, 2.0, 10), (1.0, 1e-3, 0.0, 10),
+                                     (1.0, math.nan, 1e-2, 10), (math.nan, 1e-3, 1e-2, 10),
+                                     (math.inf, 1e-3, 1e-2, 10), (1.0, 1e-3, 1e-2, 0)]:
+            with pytest.raises(ValueError):
+                sample_quadrant_processes(src, x, dt, eps, max_legs, 10, RngStream(15))
 
     def test_ratio_law_and_drift(self):
         # U_{n+1}/U_n are independent with the leg endpoint law
         src = FixedAngles(math.pi / 3, math.pi / 3)
-        ratios = []
-        for k in range(400):
-            proc = quadrant_process(src, 1.0, 1e-3, 1e-2, 50, RngStream(16).child(k))
-            us = np.array(proc.us)
-            ratios.extend((us[1:] / us[:-1]).tolist())
-        ratios = np.array(ratios)
+        batch = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 50, 400, RngStream(16),
+                                          record=400)
+        ratios = np.array([leg.Y_S / leg.x for proc in batch.paths for leg in proc.legs])
         r = ks_against_cdf(ratios ** 2, lambda w: ys_cdf(math.pi / 3, 1.0, np.sqrt(w)))
         assert r.statistic < 0.05
         e = mc_estimate(np.log(ratios))
@@ -348,3 +358,41 @@ class TestQuadrantProcess:
         # leave the band around 2/3, so the check above can fail
         kappa = 2.0 / 3.0
         assert abs(hill_of(math.pi / 3, math.pi / 3, 2) - kappa) > 4 * kappa / math.sqrt(k)
+
+
+class TestRecordingIsPassive:
+    """record = k keeps rows 0..k-1 of chunk 0 and changes no output."""
+
+    def test_legs(self):
+        plain = sample_legs(math.pi / 5, 1.0, 1e-3, 300, RngStream(70), chunk=100)
+        kept = sample_legs(math.pi / 5, 1.0, 1e-3, 300, RngStream(70), chunk=100, record=100)
+        for f in ("ys", "local_times", "sup_abs", "inf_abs", "durations"):
+            np.testing.assert_array_equal(getattr(plain, f), getattr(kept, f))
+        assert plain.diagnostics() == kept.diagnostics() and plain.paths == []
+        assert len(kept.paths) == 100
+        for j, leg in enumerate(kept.paths):
+            assert leg.Y[-1] == leg.Y_S == kept.ys[j]
+            assert leg.L[-1] == leg.L_at_S == kept.local_times[j]
+            assert (leg.sup_abs, leg.inf_abs) == (kept.sup_abs[j], kept.inf_abs[j])
+            assert leg.times[-1] == kept.durations[j]
+
+    def test_quadrant(self):
+        src = UniformAngles(math.pi / 6, math.pi / 3)
+        plain = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 100, 60, RngStream(71), chunk=20)
+        kept = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 100, 60, RngStream(71), chunk=20,
+                                         record=20)
+        for f in ("l_totals", "n_legs", "terminated", "sigma0_times"):
+            np.testing.assert_array_equal(getattr(plain, f), getattr(kept, f))
+        assert plain.paths == [] and len(kept.paths) == 20
+        for j, proc in enumerate(kept.paths):
+            assert sum(leg.L_at_S for leg in proc.legs) == kept.l_totals[j]
+            assert len(proc.legs) == kept.n_legs[j]
+            assert kept.terminated[j] == (proc.legs[-1].Y_S < 1e-2)
+
+    @pytest.mark.parametrize("record, chunk", [(-1, 100), (301, 1000), (101, 100)])
+    def test_out_of_range_record_rejected(self, record, chunk):
+        with pytest.raises(ValueError):
+            sample_legs(math.pi / 5, 1.0, 1e-3, 300, RngStream(72), chunk=chunk, record=record)
+        with pytest.raises(ValueError):
+            sample_quadrant_processes(FixedAngles(1.0, 1.0), 1.0, 1e-3, 1e-2, 10, 300,
+                                      RngStream(72), chunk=chunk, record=record)

@@ -8,10 +8,10 @@ from scipy.stats import norm
 from starflow.graphs import canonical_test_functions, make_star, per_ray_quadratic
 from starflow.graphs import DomainFunction
 from starflow.halfline import RngStream
+from starflow.isde import sample_isde_terminals
 from starflow.stats import ks_against_cdf, ks_two_sample, mc_estimate
 from starflow.walsh import (
-    freidlin_sheu_residual, sample_exact_steps, sample_residual_summaries,
-    sample_wbm_terminals, semigroup_apply, wbm_coupled_path, exact_step_arrays,
+    sample_exact_steps, sample_residual_summaries, semigroup_apply, exact_step_arrays,
 )
 
 
@@ -134,39 +134,46 @@ class TestSemigroup:
             semigroup_apply(g, f1, 0.0, g.origin())
 
 
+def _recorded(g, x0, T, dt, seed, k=3, n=50):
+    """Rows 0..k-1 of the coupled engine's batch, recorded."""
+    return sample_residual_summaries(g, {}, T, dt, n, RngStream(seed), x0=x0, record=k).paths
+
+
 class TestCoupledPath:
     def test_driver_identity_exact(self):
         g = make_star(3, [0.5, 0.3, 0.2])
-        p = wbm_coupled_path(g, g.origin(), 1.0, 1e-3, RngStream(8))
-        assert np.allclose(p.radials - p.radials[0] - p.radial_localtime, p.driver,
-                           rtol=0, atol=1e-10)
+        for p in _recorded(g, g.origin(), 1.0, 1e-3, 8):
+            assert np.allclose(p.radials - p.radials[0] - p.radial_localtime, p.driver,
+                               rtol=0, atol=1e-10)
 
     def test_local_time_grows_only_at_crossings(self):
         g = make_star(2, [0.5, 0.5])
-        p = wbm_coupled_path(g, g.point(0, 0.3), 2.0, 1e-3, RngStream(9))
-        dL = np.diff(p.radial_localtime)
-        assert np.all(dL >= 0)
-        xi = np.diff(p.driver)
-        crossing = p.radials[:-1] + xi < 0.0
-        assert np.array_equal(dL > 0, crossing)
-        # fold: dL = -2(rad + xi) and new radial = |rad + xi| at crossings
-        y = (p.radials[:-1] + xi)[crossing]
-        assert np.allclose(dL[crossing], -2.0 * y)
-        assert np.allclose(p.radials[1:][crossing], -y)
-        # ray changes only at crossing steps
-        changes = np.diff(p.rays) != 0
-        assert np.all(crossing[changes])
+        for p in _recorded(g, g.point(0, 0.3), 2.0, 1e-3, 9):
+            dL = np.diff(p.radial_localtime)
+            assert np.all(dL >= 0)
+            xi = p.increments
+            crossing = p.radials[:-1] + xi < 0.0
+            assert np.array_equal(dL > 0, crossing)
+            # fold: dL = -2(rad + xi) and new radial = |rad + xi| at crossings
+            y = (p.radials[:-1] + xi)[crossing]
+            assert np.allclose(dL[crossing], -2.0 * y)
+            assert np.allclose(p.radials[1:][crossing], -y)
+            # ray changes only at crossing steps
+            changes = np.diff(p.rays) != 0
+            assert np.all(crossing[changes])
 
     def test_initial_ray_kept_until_first_crossing(self):
         g = make_star(3, [1 / 3, 1 / 3, 1 / 3])
-        p = wbm_coupled_path(g, g.point(2, 0.5), 1.0, 1e-3, RngStream(10))
-        dL = np.diff(p.radial_localtime)
-        first = np.argmax(dL > 0) + 1 if (dL > 0).any() else len(p.radials)
-        assert np.all(p.rays[:first] == 2)
+        for p in _recorded(g, g.point(2, 0.5), 1.0, 1e-3, 10):
+            dL = np.diff(p.radial_localtime)
+            first = np.argmax(dL > 0) + 1 if (dL > 0).any() else len(p.radials)
+            assert np.all(p.rays[:first] == 2)
 
+    # the forward terminals' rays and radials are the coupled Walsh
+    # terminals: sample_isde_terminals draws its off-ray sums after the path
     def test_occupation_fractions(self):
         g = make_star(3, [0.5, 0.3, 0.2])
-        rays, _ = sample_wbm_terminals(g, g.origin(), 4.0, 1e-3, 20000, RngStream(11))
+        rays, _, _ = sample_isde_terminals(g, 4.0, 1e-3, 20000, RngStream(11))
         freq = np.bincount(rays, minlength=3) / 20000
         for i, p in enumerate(g.probs):
             # grid-zero redraw bias is O(sqrt(dt)); allow it on top of MC noise
@@ -174,7 +181,7 @@ class TestCoupledPath:
 
     def test_symmetric_two_ray_signed_radial_is_gaussian(self):
         g = make_star(2, [0.5, 0.5])
-        rays, rads = sample_wbm_terminals(g, g.origin(), 1.0, 2.5e-4, 20000, RngStream(12))
+        rays, rads, _ = sample_isde_terminals(g, 1.0, 2.5e-4, 20000, RngStream(12))
         signed = np.where(rays == 0, rads, -rads)
         r = ks_against_cdf(signed, lambda v: norm.cdf(v, scale=1.0))
         assert r.statistic < 0.015
@@ -183,7 +190,7 @@ class TestCoupledPath:
         g = make_star(3, [0.5, 0.3, 0.2])
         f1, g1 = canonical_test_functions(g, 0)
         x0 = g.origin()
-        rays, rads = sample_wbm_terminals(g, g.origin(), 1.0, 2.5e-4, 30000, RngStream(13))
+        rays, rads, _ = sample_isde_terminals(g, 1.0, 2.5e-4, 30000, RngStream(13))
         for f in (f1, g1):
             vals = f.value_arrays(rays, rads)
             e = mc_estimate(vals)
@@ -194,23 +201,16 @@ class TestCoupledPath:
 class TestFreidlinSheu:
     def test_constant_residual_zero(self):
         g = make_star(2, [0.4, 0.6])
-        p = wbm_coupled_path(g, g.origin(), 0.5, 1e-3, RngStream(14))
-        res = freidlin_sheu_residual(p, constant_one(g))
-        assert np.allclose(res, 0.0)
-
-    def test_missing_driver_rejected(self):
-        g = make_star(2, [0.4, 0.6])
-        p = wbm_coupled_path(g, g.origin(), 0.5, 1e-3, RngStream(15))
-        p.driver = None
-        with pytest.raises(ValueError):
-            freidlin_sheu_residual(p, constant_one(g))
+        out = sample_residual_summaries(g, {"one": constant_one(g)}, 0.5, 1e-3, 200,
+                                        RngStream(14)).summaries
+        assert np.allclose(out["one"].residuals, 0.0)
 
     def test_canonical_residual_centered(self):
         g = make_star(3, [0.5, 0.3, 0.2])
         f1, g1 = canonical_test_functions(g, 0)
         quad = per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])
         fs = {"f1": f1, "g1": g1, "quad": quad}
-        out = sample_residual_summaries(g, fs, 1.0, 1e-3, 20000, RngStream(16))
+        out = sample_residual_summaries(g, fs, 1.0, 1e-3, 20000, RngStream(16)).summaries
         for nm, summ in out.items():
             e = mc_estimate(summ.residuals)
             assert abs(e.mean) <= 3.5 * e.stderr, nm
@@ -221,7 +221,7 @@ class TestFreidlinSheu:
         quad = per_ray_quadratic(g, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         assert quad.vertex_derivative(0) == pytest.approx(1.0)
         out = sample_residual_summaries(g, {"q": quad}, 1.0, 1e-3, 20000, RngStream(17))
-        summ = out["q"]
+        summ = out.summaries["q"]
         e = mc_estimate(summ.residuals)
         assert abs(e.mean) <= 3.5 * e.stderr
         # martingale part without subtracting f'(0) L would be off by E[L] > 0
@@ -237,15 +237,15 @@ class TestFreidlinSheu:
         quad = per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])
         out = sample_residual_summaries(g, {"f1": f1, "g1": g1, "quad": quad},
                                         1.0, 4e-3, 4000, RngStream(20))
-        for nm, summ in out.items():
+        for nm, summ in out.summaries.items():
             e = mc_estimate(summ.isometry_defects)
             assert abs(e.mean) <= 3.48 * e.stderr, nm
 
     def test_isometry_ratio_tightens_with_dt(self):
         g = make_star(2, [0.5, 0.5])
         f1, _ = canonical_test_functions(g, 0)
-        coarse = sample_residual_summaries(g, {"f": f1}, 1.0, 4e-3, 20000, RngStream(18))
-        fine = sample_residual_summaries(g, {"f": f1}, 1.0, 1e-3, 20000, RngStream(19))
+        coarse = sample_residual_summaries(g, {"f": f1}, 1.0, 4e-3, 20000, RngStream(18)).summaries
+        fine = sample_residual_summaries(g, {"f": f1}, 1.0, 1e-3, 20000, RngStream(19)).summaries
         assert abs(fine["f"].variance_ratio - 1.0) < 0.1
         # Var(f1(X_T)) = p q T for the canonical slope pair
         v = np.var(fine["f"].martingale_part, ddof=1)
@@ -306,42 +306,24 @@ def _residuals_reference(g, fs, T, dt, n, rng, x0):
     return out
 
 
-def _terminals_reference(g, x0, T, dt, n, rng):
+def _coupled_reference(g, x0, T, dt, n, rng):
+    """Per-step loop: the driver increments, then a coin for each path that
+    folds, in path order. Returns the (K+1, n) rays, radials and local
+    times, and the (K, n) increments."""
     K = round(T / dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
     rays, rad = _start(g, x0, n, gen, cum)
+    hist, xis = [(rays, rad, np.zeros(n))], []
     for _ in range(K):
-        y = rad + math.sqrt(dt) * gen.standard_normal(n)
+        xi = math.sqrt(dt) * gen.standard_normal(n)
+        y = rad + xi
         rays = rays.copy()
         rays[y < 0.0] = np.searchsorted(cum, gen.random(np.count_nonzero(y < 0.0)))
+        hist.append((rays, np.abs(y), np.where(y < 0.0, hist[-1][2] - 2.0 * y, hist[-1][2])))
         rad = np.abs(y)
-    return rays, rad
-
-
-def _coupled_path_reference(g, x0, T, dt, rng):
-    """Scalar loop: all driver increments, then the starting ray from the
-    origin; fold at each crossing and redraw the ray with a fresh coin."""
-    K = round(T / dt)
-    gen = rng.generator()
-    cum = np.cumsum(g.probs_array)
-    xi = gen.standard_normal(K) * math.sqrt(dt)
-    ray = int(np.searchsorted(cum, gen.random())) if x0.is_vertex else x0.edge
-    rad = 0.0 if x0.is_vertex else x0.coord
-    rays, radials, L = [ray], [rad], [0.0]
-    lt = 0.0
-    for k in range(K):
-        y = rad + xi[k]
-        if y < 0.0:
-            lt -= 2.0 * y
-            rad = -y
-            ray = int(np.searchsorted(cum, gen.random()))
-        else:
-            rad = y
-        rays.append(ray)
-        radials.append(rad)
-        L.append(lt)
-    return np.array(rays), np.array(radials), np.array(L), np.concatenate([[0.0], np.cumsum(xi)])
+        xis.append(xi)
+    return (*(np.array(h) for h in zip(*hist)), np.array(xis))
 
 
 class TestBatchEnginesMatchReference:
@@ -357,7 +339,7 @@ class TestBatchEnginesMatchReference:
         f1, g1 = canonical_test_functions(g, 0)
         quad = per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])
         fs = {"f1": f1, "g1": g1, "quad": quad}
-        out = sample_residual_summaries(g, fs, 1.0, 0.01, 300, RngStream(seed), x0=x0)
+        out = sample_residual_summaries(g, fs, 1.0, 0.01, 300, RngStream(seed), x0=x0).summaries
         ref = _residuals_reference(g, fs, 1.0, 0.01, 300, RngStream(seed), x0)
         for nm, (res, mart, iso) in ref.items():
             np.testing.assert_array_equal(out[nm].residuals, res)
@@ -366,24 +348,28 @@ class TestBatchEnginesMatchReference:
 
     @pytest.mark.parametrize("seed, x0", [(23, None), (24, (1, 0.2))])
     def test_wbm_terminals_bit_identical(self, seed, x0):
+        # the coupled Walsh terminals, as the forward terminals' rays and radials
         g = self.G
         x0 = g.origin() if x0 is None else g.point(*x0)
-        rays, rads = sample_wbm_terminals(g, x0, 1.0, 0.01, 300, RngStream(seed))
-        ref_rays, ref_rads = _terminals_reference(g, x0, 1.0, 0.01, 300, RngStream(seed))
-        np.testing.assert_array_equal(rays, ref_rays)
-        np.testing.assert_array_equal(rads, ref_rads)
+        rays, rads, _ = sample_isde_terminals(g, 1.0, 0.01, 300, RngStream(seed), x0=x0)
+        ref_rays, ref_rads, _, _ = _coupled_reference(g, x0, 1.0, 0.01, 300, RngStream(seed))
+        np.testing.assert_array_equal(rays, ref_rays[-1])
+        np.testing.assert_array_equal(rads, ref_rads[-1])
 
     @pytest.mark.parametrize("seed, x0", [(26, None), (27, (2, 0.3)), (28, (0, 0.05))])
     def test_coupled_path_bit_identical(self, seed, x0):
+        # the recorded rows of the residual engine are columns of the loop's batch
         g = self.G
         x0 = g.origin() if x0 is None else g.point(*x0)
-        path = wbm_coupled_path(g, x0, 2.0, 0.01, RngStream(seed))
-        rays, radials, L, driver = _coupled_path_reference(g, x0, 2.0, 0.01, RngStream(seed))
-        np.testing.assert_array_equal(path.rays, rays)
-        np.testing.assert_array_equal(path.radials, radials)
-        np.testing.assert_array_equal(path.radial_localtime, L)
-        np.testing.assert_array_equal(path.driver, driver)
-        assert L[-1] > 0.0 and len(set(rays)) > 1
+        paths = sample_residual_summaries(g, {}, 2.0, 0.01, 40, RngStream(seed), x0=x0,
+                                          record=4).paths
+        rays, radials, L, xi = _coupled_reference(g, x0, 2.0, 0.01, 40, RngStream(seed))
+        for j, path in enumerate(paths):
+            np.testing.assert_array_equal(path.rays, rays[:, j])
+            np.testing.assert_array_equal(path.radials, radials[:, j])
+            np.testing.assert_array_equal(path.radial_localtime, L[:, j])
+            np.testing.assert_array_equal(path.increments, xi[:, j])
+        assert L[-1, :4].max() > 0.0 and np.any(rays[:, :4] != rays[0, :4])
 
     def test_residual_summaries_draw_a_coin_only_per_fold(self, philox_words):
         g = self.G
@@ -393,19 +379,47 @@ class TestBatchEnginesMatchReference:
         assert philox_words() / (n * K) < 1.3
 
     def test_residual_along_path_uses_pointwise_values(self):
+        # the residual of a recorded row, summed point by point in the
+        # engine's order, is that row's terminal residual
         g = self.G
         quad = per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])
-        path = wbm_coupled_path(g, g.origin(), 0.5, 0.01, RngStream(25))
-        M = freidlin_sheu_residual(path, quad)
-        pts = path.points()
-        fp = np.array([quad.derivative(x) for x in pts[:-1]])
-        fpp = np.array([quad.second_derivative(x) for x in pts[:-1]])
-        vals = np.array([quad.value(x) for x in pts])
-        expected = (vals[1:] - vals[0] - np.cumsum(fp * np.diff(path.driver))
-                    - 0.5 * path.dt * np.cumsum(fpp)
-                    - quad.vertex_derivative(0) * path.radial_localtime[1:])
-        assert M[0] == 0.0
-        np.testing.assert_array_equal(M[1:], expected)
+        out = sample_residual_summaries(g, {"q": quad}, 0.5, 0.01, 30, RngStream(25), record=3)
+        for j, path in enumerate(out.paths):
+            pts = path.points()
+            s_dB = s_fpp = 0.0
+            for x, xi in zip(pts[:-1], path.increments):
+                s_dB += quad.derivative(x) * xi
+                s_fpp += quad.second_derivative(x)
+            mart = (quad.value(pts[-1]) - quad.value(pts[0]) - 0.5 * path.dt * s_fpp
+                    - quad.vertex_derivative(0) * path.radial_localtime[-1])
+            assert mart - s_dB == out.summaries["q"].residuals[j]
+
+
+class TestRecordingIsPassive:
+    G = make_star(3, [0.5, 0.3, 0.2])
+
+    @pytest.mark.parametrize("x0", [None, (1, 0.2)])
+    def test_residual_summaries(self, x0):
+        g = self.G
+        x0 = g.origin() if x0 is None else g.point(*x0)
+        fs = {"f1": canonical_test_functions(g, 0)[0],
+              "quad": per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])}
+        plain = sample_residual_summaries(g, fs, 1.0, 0.01, 200, RngStream(73), x0=x0)
+        kept = sample_residual_summaries(g, fs, 1.0, 0.01, 200, RngStream(73), x0=x0, record=10)
+        assert plain.paths == [] and len(kept.paths) == 10
+        for nm in fs:
+            for f in ("residuals", "martingale_part", "bracket"):
+                np.testing.assert_array_equal(getattr(plain.summaries[nm], f),
+                                              getattr(kept.summaries[nm], f))
+        # the engine's terminal rays and radials are the forward terminals'
+        rays, rads, _ = sample_isde_terminals(g, 1.0, 0.01, 200, RngStream(73), x0=x0)
+        for j, path in enumerate(kept.paths):
+            assert (path.rays[-1], path.radials[-1]) == (rays[j], rads[j])
+
+    @pytest.mark.parametrize("record", [-1, 51])
+    def test_out_of_range_record_rejected(self, record):
+        with pytest.raises(ValueError):
+            sample_residual_summaries(self.G, {}, 1.0, 0.1, 50, RngStream(74), record=record)
 
 
 def _mean_localtime_proxy(g, n):

@@ -96,9 +96,10 @@ class ExperimentConfig:
         return graphs.make_star(self.n_rays, list(self.probs))
 
 
-def _est(samples) -> dict:
+def _est(samples, scale: float = 1.0) -> dict:
+    """Mean and stderr of scale * samples, estimated on samples."""
     e = stats.mc_estimate(samples)
-    return {"mean": e.mean, "stderr": e.stderr, "n": e.n}
+    return {"mean": scale * e.mean, "stderr": scale * e.stderr, "n": e.n}
 
 
 def _ks(res: stats.KSResult) -> dict:
@@ -111,12 +112,14 @@ def _exp_orbm_leg(cfg: ExperimentConfig, rng: RngStream):
         raise ValueError("orbm-leg needs --theta")
     legs = quadrant.sample_legs(theta, x, cfg.dt, cfg.paths, rng, refine=cfg.refine,
                                 threads=cfg.threads, record=int(bool(cfg.csv)))
+    # the means of Y_S and L are estimated at unit scale, where their
+    # squares stay finite for any start x
     estimates = {
-        "ys_mean": _est(legs.ys),
+        "ys_mean": _est(legs.ys / x, x),
         "ys_half_moment": _est(np.sqrt(legs.ys)),
         "log_ys_mean": _est(np.log(legs.ys)),
         "log_ys_square_mean": _est(np.log(legs.ys / x) ** 2),
-        "local_time_mean": _est(legs.local_times),
+        "local_time_mean": _est(legs.local_times / x, x),
     }
     ks = stats.ks_against_cdf((legs.ys / x) ** 2,
                               lambda w: quadrant.ys_cdf(theta, 1.0, np.sqrt(w)))

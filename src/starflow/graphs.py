@@ -20,7 +20,7 @@ import numpy as np
 PROB_SUM_TOL = 1e-12
 CONTINUITY_TOL = 1e-9
 
-ORIGIN_VERTEX = 0  # the single vertex of a star graph
+ORIGIN_VERTEX = 0  # the single vertex of a star graph, and its position in vertices
 
 
 def _validate_probs(probs: Sequence[float], where: str) -> None:
@@ -87,6 +87,12 @@ class MetricGraph:
     vertex carries weight 1). ``edge_src``, ``edge_dst`` and ``edge_length``
     hold per edge id the position in ``vertices`` of its from-end, of its
     to-end (-1 for a ray) and its length (inf for a ray).
+
+    The weight table is the one rule for leaving a vertex: row i of
+    ``vertex_cum`` holds the running sums of the weights at vertex
+    ``vertices[i]`` with its last cut set to inf (and inf past its degree),
+    and ``vertex_edges[i]`` the edge id of each weight. ``draw_edges`` reads
+    it, so rounding in the sums can never draw past the last edge.
     """
 
     def __init__(self, vertices: Sequence[int], edges: Sequence[Edge],
@@ -120,9 +126,24 @@ class MetricGraph:
             ordered = {e.id: float(params[e.id]) for e in inc}
             _validate_probs(list(ordered.values()), f"vertex {v}")
             self.vertex_params[v] = ordered
+        deg = max(len(p) for p in self.vertex_params.values())
+        self.vertex_cum = np.full((len(self.vertices), deg), np.inf)
+        self.vertex_edges = np.zeros((len(self.vertices), deg), dtype=np.int64)
+        for i, params in enumerate(self.vertex_params.values()):
+            self.vertex_cum[i, :len(params) - 1] = np.cumsum(list(params.values()))[:-1]
+            self.vertex_edges[i, :len(params)] = list(params)
 
         self._check_connected()
         self._vertex_dist = self._shortest_vertex_paths()
+
+    def draw_edges(self, v, u):
+        """Edge ids drawn from the weights at vertex position v with the
+        uniforms u: weight k is drawn when u lies in (cut k-1, cut k]. v is
+        one position (a searchsorted on its row) or an array of positions,
+        one per uniform (a compare over their rows)."""
+        if isinstance(v, np.ndarray):
+            return self.vertex_edges[v, (self.vertex_cum[v] < u[:, None]).sum(axis=1)]
+        return self.vertex_edges[v].take(self.vertex_cum[v].searchsorted(u))
 
     def incident(self, v: int) -> list[Edge]:
         return self._incident[v]

@@ -118,8 +118,8 @@ def heat_kernels(t: float, r, rho):
     and the absorbing kernel phi_t(rho-r)-phi_t(rho+r), phi_t the centered
     Gaussian density of variance t. Satisfies 0 <= q_zero <= q_plus.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and > 0, got {t}")
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if np.any(r < 0) or np.any(rho < 0):
@@ -135,11 +135,14 @@ def heat_kernels(t: float, r, rho):
 
 
 def bridge_crossing_prob(a, b, dt):
-    """Probability a Brownian bridge from a to b over dt hits 0 (a, b > 0)."""
+    """Probability a Brownian bridge from a to b over dt hits 0 (a, b > 0,
+    dt finite and > 0)."""
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
-    if np.any(a_arr <= 0) or np.any(b_arr <= 0) or np.any(np.asarray(dt) <= 0):
-        raise ValueError("bridge_crossing_prob needs a, b, dt > 0")
+    dt_arr = np.asarray(dt, dtype=float)
+    if not (np.all(a_arr > 0) and np.all(b_arr > 0)
+            and np.all(np.isfinite(dt_arr) & (dt_arr > 0))):
+        raise ValueError("bridge_crossing_prob needs a, b > 0 and dt finite and > 0")
     out = np.exp(-2.0 * a_arr * b_arr / dt)
     return float(out) if out.ndim == 0 else out
 

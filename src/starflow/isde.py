@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphPoint, StarGraph
+from .graphs import ORIGIN_VERTEX, GraphPoint, StarGraph
 from .halfline import RngStream, check_horizon, grid_steps, map_chunks, reflected_increment
 from .quadrant import SAFETY
 from .walsh import _coupled_step, _point_state, _start_state
@@ -79,9 +79,8 @@ def sample_isde_terminals(g: StarGraph, T: float, dt: float, n: int,
         x0 = g.origin()
     K = grid_steps(T, dt)
     gen = rng.generator()
-    cum = np.cumsum(g.probs_array)
     sq = math.sqrt(dt)
-    rays, rad = _start_state(cum, x0, n, gen)
+    rays, rad = _start_state(g, x0, n, gen)
     # flat (path, ray) cells: each path adds to one cell per step
     on_sum = np.zeros((n, g.n_rays))
     on_steps = np.zeros((n, g.n_rays))
@@ -91,7 +90,7 @@ def sample_isde_terminals(g: StarGraph, T: float, dt: float, n: int,
         cell = row_cell + rays
         np.add.at(on_sum.reshape(-1), cell, xi)
         np.add.at(on_steps.reshape(-1), cell, 1.0)
-        rad, _ = _coupled_step(cum, rays, rad, xi, gen)
+        rad, _ = _coupled_step(g, ORIGIN_VERTEX, rays, rad + xi, gen)
     WT = on_sum + np.sqrt(dt * (K - on_steps)) * gen.standard_normal((n, g.n_rays))
     return rays, rad, WT
 
@@ -195,7 +194,6 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
     if tol_c is None:
         tol_c = default_coalescence_tol(dt)
     gen = rng.generator()
-    cum = np.cumsum(g.probs_array)
     sq = math.sqrt(dt)
 
     # row n is a phantom pivot from the origin: it generates W until a
@@ -209,7 +207,7 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
     pivot = at_zero[0] if at_zero else -1
     for j in at_zero[1:]:
         rep[j] = at_zero[0]
-    rays[n] = _start_state(cum, g.origin(), 1, gen)[0][0]
+    rays[n] = _start_state(g, g.origin(), 1, gen)[0][0]
     if pivot >= 0:
         rays[pivot] = rays[n]
 
@@ -228,7 +226,7 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
         piv = slice(pivot, pivot + 1) if pivot >= 0 else slice(n, n + 1)
         dW[rays[piv]] = xi
         movers = [j for j in range(n) if rep[j] == j and j != pivot]
-        rad[piv], _ = _coupled_step(cum, rays[piv], rad[piv], xi, gen)
+        rad[piv], _ = _coupled_step(g, ORIGIN_VERTEX, rays[piv], rad[piv] + xi, gen)
         hits = []
         for j in movers:
             nr = rad[j] + dW[rays[j]]
@@ -239,7 +237,7 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
             new_pivot = min(hits, key=lambda j: rad[j])
             tau_events.append(k + 1)
             rad[hits] = -rad[hits]
-            rays[new_pivot] = np.searchsorted(cum, gen.random())
+            rays[new_pivot] = g.draw_edges(ORIGIN_VERTEX, gen.random())
             pivot = new_pivot
         # coalescence at the origin, absorbing
         alive = [j for j in range(n) if rep[j] == j]
@@ -284,8 +282,9 @@ def _cond_redraw(probs: np.ndarray, banned: np.ndarray, u: np.ndarray) -> np.nda
     return (target[:, None] >= cw).sum(axis=1).astype(np.int64)
 
 
-def _pair_step(gen, dt, probs, cum, o_rad, o_ray, p_rad, p_ray):
-    """One shared-noise step of a batch of pairs (moving point o, pivot p).
+def _pair_step(g, gen, dt, o_rad, o_ray, p_rad, p_ray):
+    """One shared-noise step of a batch of pairs (moving point o, pivot p)
+    on the star g.
 
     Draws zp, zo, um, ub, uc, ud in that order. Returns (h, o_new, p_new,
     p_ray_new, crossed, transfer, nxt): the step sizes, the new radials and
@@ -300,14 +299,14 @@ def _pair_step(gen, dt, probs, cum, o_rad, o_ray, p_rad, p_ray):
     zo = gen.standard_normal(m)
     um, ub, uc, ud = (gen.random(m) for _ in range(4))
     p_new, dL = reflected_increment(p_rad, h, zp, um)
-    p_ray_new = np.where(dL > 0.0, np.searchsorted(cum, uc), p_ray)
+    p_ray_new = np.where(dL > 0.0, g.draw_edges(ORIGIN_VERTEX, uc), p_ray)
     o_new = o_rad + np.sqrt(h) * np.where(o_ray == p_ray, zp, zo)
     crossed = o_new <= 0.0
     transfer = crossed | (ub < np.exp(-2.0 * o_rad * np.maximum(o_new, 0.0) / h))
     nxt = p_ray_new[transfer]
     bad = nxt == o_ray[transfer]
     if bad.any():
-        nxt[bad] = _cond_redraw(probs, o_ray[transfer][bad], ud[transfer][bad])
+        nxt[bad] = _cond_redraw(g.probs_array, o_ray[transfer][bad], ud[transfer][bad])
     return h, o_new, p_new, p_ray_new, crossed, transfer, nxt
 
 
@@ -334,7 +333,6 @@ def sample_first_legs(g: StarGraph, start_ray: int, dt: float, n: int,
     if n_legs < 1:
         raise ValueError(f"need n_legs >= 1, got {n_legs}")
     probs = g.probs_array
-    cum = np.cumsum(probs)
     theta0 = math.atan2(probs[start_ray], 1.0 - probs[start_ray])
 
     def run(lo, hi, stream):
@@ -345,11 +343,11 @@ def sample_first_legs(g: StarGraph, start_ray: int, dt: float, n: int,
         chains[:, 0] = start_ray
         for leg in range(n_legs):
             o_rad, o_ray = np.ones(m), chains[:, leg].copy()
-            p_rad, p_ray = np.zeros(m), np.searchsorted(cum, gen.random(m))
+            p_rad, p_ray = np.zeros(m), g.draw_edges(ORIGIN_VERTEX, gen.random(m))
             idx = np.arange(m)
             while idx.size:
                 _, o_rad, p_rad, p_ray, _, done, nxt = _pair_step(
-                    gen, dt, probs, cum, o_rad, o_ray, p_rad, p_ray)
+                    g, gen, dt, o_rad, o_ray, p_rad, p_ray)
                 if done.any():
                     ratios[idx[done], leg] = p_rad[done]
                     chains[idx[done], leg + 1] = nxt
@@ -396,8 +394,6 @@ def sample_coalescence_times(g: StarGraph, x: GraphPoint, y: GraphPoint,
     each budget doubling logarithmic, which keeps huge caps affordable.
     """
     check_horizon(t_max, dt)
-    probs = g.probs_array
-    cum = np.cumsum(probs)
     tols = np.asarray(sorted(tol_factors, reverse=True), dtype=float) * math.sqrt(dt)
     n_tol = len(tols)
     if t_cap is None:
@@ -418,7 +414,7 @@ def sample_coalescence_times(g: StarGraph, x: GraphPoint, y: GraphPoint,
         o_rad = np.full(m, float(start_rad))
         o_ray = np.full(m, start_ray, dtype=np.int64)
         p_rad = np.zeros(m)
-        p_ray = np.searchsorted(cum, gen.random(m))
+        p_ray = g.draw_edges(ORIGIN_VERTEX, gen.random(m))
         t = np.zeros(m)
         times = np.full((m, n_tol), np.nan)
         budget = t_max
@@ -432,14 +428,14 @@ def sample_coalescence_times(g: StarGraph, x: GraphPoint, y: GraphPoint,
                 continue
             while sub.size:
                 h, o_new, p_new, p_ray_new, crossed, transfer, nxt = _pair_step(
-                    gen, dt, probs, cum, o_rad[sub], o_ray[sub], p_rad[sub], p_ray[sub])
+                    g, gen, dt, o_rad[sub], o_ray[sub], p_rad[sub], p_ray[sub])
                 ue = gen.random(sub.size)
                 if transfer.any():
                     # swap roles: the pivot moves on, the arriving point pivots
                     o_ray[sub[transfer]] = nxt
                     o_new, p_new = (np.where(transfer, p_new, o_new),
                                     np.where(transfer, np.where(crossed, -o_new, 0.0), p_new))
-                    p_ray_new = np.where(transfer, np.searchsorted(cum, ue), p_ray_new)
+                    p_ray_new = np.where(transfer, g.draw_edges(ORIGIN_VERTEX, ue), p_ray_new)
                 tn = t[sub] + h
                 o_rad[sub], p_rad[sub], p_ray[sub], t[sub] = o_new, p_new, p_ray_new, tn
                 mx = np.maximum(o_new, p_new)
@@ -484,7 +480,6 @@ def _replica_batch(g: StarGraph, x0: GraphPoint, T: float, dt: float, n_runs: in
         raise ValueError("need m >= 2 replicas")
     K = grid_steps(T, dt)
     sq = math.sqrt(dt)
-    cum = np.cumsum(g.probs_array)
 
     def run(lo, hi, stream):
         gen = stream.generator()
@@ -495,11 +490,11 @@ def _replica_batch(g: StarGraph, x0: GraphPoint, T: float, dt: float, n_runs: in
                 end = isde_n2_from_noise(g, x0, sq * gen.standard_normal((2, K)), dt)
                 rays[r], rads[r] = end.rays[-1], end.radials[-1]
             return rays, rads
-        rays, rad = _start_state(cum, x0, c * m, gen)
+        rays, rad = _start_state(g, x0, c * m, gen)
         run_of = np.repeat(np.arange(c), m)
         for _ in range(K):
             dW = sq * gen.standard_normal((c, g.n_rays))
-            rad, _ = _coupled_step(cum, rays, rad, dW[run_of, rays], gen)
+            rad, _ = _coupled_step(g, ORIGIN_VERTEX, rays, rad + dW[run_of, rays], gen)
         return rays.reshape(c, m), rad.reshape(c, m)
 
     return map_chunks(run, n_runs, rng, max(1, 65536 // m), 1)

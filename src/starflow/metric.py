@@ -21,15 +21,18 @@ radial plus the shortest edge at the anchor vertex, so a step can neither
 cross an edge nor fold past the end of a short one; halving stops below
 FLOOR_H. In the interior the coordinate follows the edge noise directly.
 A step that crosses the vertex (radial + increment < 0) is a vertex touch:
-the outgoing edge is redrawn from the vertex's weights and the overshoot
-is folded onto it (radial = |y|, the discrete Tanaka rule of ``walsh``).
+the coupled Walsh step of ``walsh`` redraws the outgoing edge from the
+vertex's weights (``MetricGraph.draw_edges``) and folds the overshoot onto
+it (radial = |y|, the discrete Tanaka rule); paths start as the star
+engines do, from ``walsh._start_state``.
 A radial that still ends past the far vertex, a 6-sigma event, is clamped
 to it.
 
 Draw order, one Philox generator per call: n uniforms for the starting
 edge when x0 is a vertex, then per batch step, over the paths still
-running in path order, a (m, n_edges) block of standard normals and m
-uniforms for the redraw. Every edge gets one raw Gaussian per step; the
+running in path order, a (m, n_edges) block of standard normals and then
+one redraw uniform per crossing row, in row order; rows that keep their
+edge draw no coin. Every edge gets one raw Gaussian per step; the
 driving edge consumes its own and the others keep theirs as auxiliary
 noise, so each path's W is a Brownian family and the interior identity
 d(coord) = dW_edge holds exactly.
@@ -46,6 +49,7 @@ import numpy as np
 
 from .graphs import GraphPoint, MetricGraph
 from .halfline import RngStream, check_horizon
+from .walsh import _coupled_step, _start_state
 
 __all__ = ["MetricIsdeSolution", "metric_isde_forward"]
 
@@ -79,37 +83,6 @@ class MetricIsdeSolution:
         return self.graph.point(int(self.edges[k]), float(self.coords[k]))
 
 
-@dataclass
-class _GraphTables:
-    """Per-vertex data of a graph as arrays indexed by vertex position;
-    the per-edge arrays are the graph's own."""
-
-    vmin: np.ndarray     # (n_vertices,) shortest incident edge
-    cum: np.ndarray      # (n_vertices, max_degree) cumulative weights, inf-padded
-    out: np.ndarray      # (n_vertices, max_degree) edge id per weight
-
-    @classmethod
-    def build(cls, g: MetricGraph) -> "_GraphTables":
-        nv = len(g.vertices)
-        deg = max(len(p) for p in g.vertex_params.values())
-        cum = np.full((nv, deg), np.inf)
-        out = np.zeros((nv, deg), dtype=np.int64)
-        vmin = np.empty(nv)
-        for i, v in enumerate(g.vertices):
-            params = g.vertex_params[v]
-            ids = list(params)
-            # the last cut stays inf, so rounding in the cumsum cannot run
-            # the redraw off the end
-            cum[i, :len(ids) - 1] = np.cumsum([params[e] for e in ids])[:-1]
-            out[i, :len(ids)] = ids
-            vmin[i] = g.edge_length[ids].min()
-        return cls(vmin=vmin, cum=cum, out=out)
-
-    def redraw(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Edge ids drawn from the weights of vertices v with uniforms u."""
-        return self.out[v, (self.cum[v] < u[:, None]).sum(axis=1)]
-
-
 def metric_isde_forward(g: MetricGraph, x0: GraphPoint, T: float, dt: float,
                         rng: RngStream, n: int,
                         max_steps: int = 10 ** 8) -> MetricIsdeSolution:
@@ -117,17 +90,12 @@ def metric_isde_forward(g: MetricGraph, x0: GraphPoint, T: float, dt: float,
     check_horizon(T, dt)
     if n < 1:
         raise ValueError(f"need n >= 1 paths, got {n}")
-    tab = _GraphTables.build(g)
+    # the shortest edge at each vertex bounds a step anchored there
+    vmin = np.array([g.edge_length[list(p)].min() for p in g.vertex_params.values()])
     gen = rng.generator()
     n_e = len(g.edges)
 
-    if x0.is_vertex:
-        v0 = np.full(n, g.vertices.index(x0.vertex))
-        e = tab.redraw(v0, gen.random(n))
-        c = np.where(g.edge_src[e] == v0, 0.0, g.edge_length[e])
-    else:
-        e = np.full(n, x0.edge, dtype=np.int64)
-        c = np.full(n, float(x0.coord))
+    e, c = _start_state(g, x0, n, gen)
     t = np.zeros(n)
     W = np.zeros((n, n_e))
     touches = np.zeros(n, dtype=np.int64)
@@ -150,7 +118,7 @@ def metric_isde_forward(g: MetricGraph, x0: GraphPoint, T: float, dt: float,
         radial = np.where(near, c, length - c)
         v = np.where(near, g.edge_src[e], g.edge_dst[e])
         sign = np.where(near, 1.0, -1.0)
-        lim = (np.minimum(length - radial, radial + tab.vmin[v]) / CLAMP_SIGMAS) ** 2
+        lim = (np.minimum(length - radial, radial + vmin[v]) / CLAMP_SIGMAS) ** 2
         h = np.minimum(dt, T - t)
         big = np.flatnonzero(h >= lim)
         if big.size:
@@ -167,16 +135,11 @@ def metric_isde_forward(g: MetricGraph, x0: GraphPoint, T: float, dt: float,
             h[big] = hb
 
         dw = np.sqrt(h)[:, None] * gen.standard_normal((m, n_e))
-        u = gen.random(m)
         W += dw
-        y = radial + sign * dw[rows, e]
-        cross = np.flatnonzero(y < 0.0)
+        radial, cross = _coupled_step(g, v, e, radial + sign * dw[rows, e], gen)
         if cross.size:
-            vc = v[cross]
-            e[cross] = tab.redraw(vc, u[cross])
-            sign[cross] = np.where(g.edge_src[e[cross]] == vc, 1.0, -1.0)
+            sign[cross] = np.where(g.edge_src[e[cross]] == v[cross], 1.0, -1.0)
             touches[cross] += 1
-        radial = np.abs(y)
         length = g.edge_length[e]
         past = radial > length
         if past.any():

@@ -9,9 +9,12 @@ x^b cos(theta)/cos(theta - b pi/2); E[log Y_S] = log x - (pi/2) tan(theta);
 E[(log(Y_S/x))^2] = (pi^2/4)(1 + 2 tan^2 theta); and the sup/inf tail
 bounds c_b (x/a)^b and c_b (a/x)^b.
 
-Simulation scheme. Per step of size h the reflected coordinate and its
-local-time increment are sampled exactly (Brownian-bridge minimum), so the
-grid identities Y_k = B2_k + L_k and X_k = x + B1_k - tan(theta) L_k hold
+Simulation scheme. Every leg is simulated from (1, 0) and rescaled to its
+start x by the x-scaling of the law (lengths times x, times times x^2), so
+no start radius, however small or large, reaches the stepping loop, and dt
+is a step relative to x. Per step of size h the reflected coordinate and
+its local-time increment are sampled exactly (Brownian-bridge minimum), so
+the grid identities Y_k = B2_k + L_k and X_k = x + B1_k - tan(theta) L_k hold
 exactly and the local time carries no grid bias. The step size adapts:
 h = max(min(dt, (|Z|/12)^2), (X/12)^2) -- coarse far from the boundaries
 (12 standard deviations of safety; boundary contact within a coarse step
@@ -98,7 +101,9 @@ class OrbmLeg:
 
 @dataclass
 class LegSamples:
-    """Terminal summaries of a batch of legs (one entry per leg)."""
+    """Terminal summaries of a batch of legs (one entry per leg). The
+    durations are x^2 times those of the unit legs, inf where that passes
+    the float range (x above about 1e154)."""
 
     theta: float
     x: float
@@ -125,18 +130,16 @@ class LegSamples:
                 "crossing_uniforms": self.crossing_uniforms}
 
 
-def _leg_batch(theta, x, dt, n, gen, refine=True, accel=True,
-               max_steps=10 ** 8, record=0):
-    """Vectorized leg simulation; theta and x may be scalars or (n,) arrays.
+def _leg_batch(theta, dt, n, gen, refine=True, max_steps=10 ** 8, record=0):
+    """Vectorized simulation of n unit legs (start (1, 0)); theta may be a
+    scalar or an (n,) array. Callers rescale a leg to its start x.
 
     With record = k it keeps, per step, (ids, X, Y, L, dB1, dB2, h) of the
     rows among 0..k-1 still active. Compaction keeps the row order, so they
     are the prefix of idx below k.
     """
     tan_t = np.broadcast_to(np.tan(np.asarray(theta, dtype=float)), (n,)).copy()
-    X = np.broadcast_to(np.asarray(x, dtype=float), (n,)).astype(float).copy()
-    if np.any(X <= 0):
-        raise ValueError("start x must be > 0")
+    X = np.ones(n)
     Y = np.zeros(n)
     L = np.zeros(n)
     sup = X.copy()
@@ -156,10 +159,7 @@ def _leg_batch(theta, x, dt, n, gen, refine=True, accel=True,
         if steps > max_steps:
             raise LegOverflowError(f"leg exceeded {max_steps} steps")
         m = idx.size
-        if accel:
-            h = np.maximum(np.minimum(dt, (X * X + Y * Y) / s2), X * X / s2)
-        else:
-            h = np.full(m, float(dt))
+        h = np.maximum(np.minimum(dt, (X * X + Y * Y) / s2), X * X / s2)
         sq = np.sqrt(h)
         z1 = gen.standard_normal(m)
         z2 = gen.standard_normal(m)
@@ -208,17 +208,18 @@ def _leg_batch(theta, x, dt, n, gen, refine=True, accel=True,
     return ys, ls, sups, infs, durs, rec, np.array([steps, path_steps, n_bridge, n_cross])
 
 
-def _recorded_legs(rec, theta, x, out, scale):
-    """The OrbmLeg of each recorded row j of a leg batch, from its record
-    ``rec`` and its terminal (ys, local times, sups, infs) ``out``, with
-    lengths multiplied by scale[j] and times by scale[j]^2."""
+def _recorded_legs(rec, theta, out, scale):
+    """The OrbmLeg of each recorded row j of a unit leg batch, from its
+    record ``rec`` and its terminal (ys, local times, sups, infs) ``out``,
+    with lengths multiplied by scale[j] and times by scale[j]^2 (inf past
+    the float range, as in ``LegSamples``)."""
     ids, *cols = (np.concatenate(c) for c in zip(*rec))
     order = np.argsort(ids, kind="stable")
     ends = np.cumsum(np.bincount(ids, minlength=len(scale)))[:-1]
     legs = []
     for j, (X, Y, L, dB1, dB2, h) in enumerate(zip(*(np.split(c[order], ends) for c in cols))):
-        u = scale[j]
-        legs.append(OrbmLeg(theta=float(theta[j]), x=u * x, X=u * X, Y=u * Y, L=u * L,
+        u = float(scale[j])
+        legs.append(OrbmLeg(theta=float(theta[j]), x=u, X=u * X, Y=u * Y, L=u * L,
                             B1=u * np.cumsum(dB1), B2=u * np.cumsum(dB2),
                             step_sizes=u * u * h[1:], Y_S=u * out[0][j], L_at_S=u * out[1][j],
                             sup_abs=u * out[2][j], inf_abs=u * out[3][j]))
@@ -226,11 +227,14 @@ def _recorded_legs(rec, theta, x, out, scale):
 
 
 def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
-                refine: bool = True, accel: bool = True,
-                max_steps: int = 10 ** 8, chunk: int = 65536,
+                refine: bool = True, max_steps: int = 10 ** 8, chunk: int = 65536,
                 threads: int = 1, record: int = 0) -> LegSamples:
-    """Terminal summaries of n independent legs, and the paths of legs
-    0..record-1 (taken from chunk 0).
+    """Terminal summaries of n independent legs from (x, 0), and the paths
+    of legs 0..record-1 (taken from chunk 0).
+
+    The legs run at unit scale (see the module docstring), so dt is the
+    step relative to x, and the outputs at x are x times those at 1 from
+    the same stream (durations x^2 times).
 
     Chunks run through ``map_chunks``: results are identical for any
     thread count.
@@ -246,11 +250,13 @@ def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
 
     def run(lo, hi, stream):
         k = record if lo == 0 else 0
-        *out, durs, rec, counts = _leg_batch(theta_arr[lo:hi], x, dt, hi - lo, stream.generator(),
-                                             refine=refine, accel=accel, max_steps=max_steps,
-                                             record=k)
+        *out, durs, rec, counts = _leg_batch(theta_arr[lo:hi], dt, hi - lo, stream.generator(),
+                                             refine=refine, max_steps=max_steps, record=k)
         if k:
-            paths.extend(_recorded_legs(rec, theta_arr, x, out, np.ones(k)))
+            paths.extend(_recorded_legs(rec, theta_arr, out, np.full(k, float(x))))
+        for a in out:
+            a *= x
+        durs *= x * x   # inf for x above about 1e154, and so are those durations
         return (*out, durs, counts[None, :])
 
     ys, ls, sups, infs, durs, counts = map_chunks(run, n, rng, chunk, threads)
@@ -476,11 +482,11 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
                 break
             th = source.angles_batch(leg_i, ma, gen)
             r = np.searchsorted(active, k)  # the recorded processes still active
-            *out, durs, rec, _ = _leg_batch(th, 1.0, dt, ma, stream.child(leg_i).generator(),
-                                            refine=True, accel=True, record=r)
+            *out, durs, rec, _ = _leg_batch(th, dt, ma, stream.child(leg_i).generator(),
+                                            record=r)
             ys, lleg = out[:2]
             if r:
-                for j, leg in zip(active[:r], _recorded_legs(rec, th, 1.0, out, u[active[:r]])):
+                for j, leg in zip(active[:r], _recorded_legs(rec, th, out, u[active[:r]])):
                     paths[j].legs.append(leg)
             l_tot[active] += u[active] * lleg
             t_tot[active] += u[active] ** 2 * durs

@@ -19,16 +19,19 @@ Two simulation modes:
   residuals centered: clipping destroys the overshoot value at every zero
   touch and biases them at order sqrt(dt).)
 
-The coupled step exists once, as ``_coupled_step``, and every star-graph
-grid engine starts from ``_start_state`` and takes that step: here
+The coupled step exists once, as ``_coupled_step``, and every grid engine
+on a graph starts from ``_start_state`` and takes that step: here
 ``sample_residual_summaries``, which also records whole paths (rows of its
 batch) as ``WalshPath``; in ``isde`` the forward terminals
 ``sample_isde_terminals``, the pivot of ``npoint_motion`` and the replicas
-of the filtered kernel. The engine draws the driver increments; the step
-draws the redraw coins itself, one uniform per folding row after the fold
-test, in row order, and none for the rows that keep their ray. That is
-exact: whichever rows fold, their coins are iid U(0,1) and independent of
-the increments and of the past, as coins drawn for every row would be.
+of the filtered kernel; and in ``metric`` the walker, at the vertex each
+path is anchored to. They, and the exact kernel step, draw edges from the
+graph's weight table, ``MetricGraph.draw_edges``. The engine
+draws the driver increments; the step draws the redraw coins itself, one
+uniform per folding row after the fold test, in row order, and none for
+the rows that keep their edge. That is exact: whichever rows fold, their
+coins are iid U(0,1) and independent of the increments and of the past,
+as coins drawn for every row would be.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .graphs import DomainFunction, GraphPoint, StarGraph
+from .graphs import ORIGIN_VERTEX, DomainFunction, GraphPoint, MetricGraph, StarGraph
 from .halfline import RngStream, grid_steps, heat_kernels
 
 __all__ = [
@@ -93,12 +96,12 @@ def _point_state(g: StarGraph, x: GraphPoint) -> tuple[int, float]:
 def exact_step_arrays(g: StarGraph, rays: np.ndarray, radials: np.ndarray,
                       t: float, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized exact kernel step from (rays, radials) over time t."""
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and > 0, got {t}")
     n = radials.size
     rho = np.abs(radials + math.sqrt(t) * gen.standard_normal(n))
     keep = gen.random(n) < np.tanh(radials * rho / t)
-    fresh = np.searchsorted(np.cumsum(g.probs_array), gen.random(n))
+    fresh = g.draw_edges(ORIGIN_VERTEX, gen.random(n))
     return np.where(keep, rays, fresh), rho
 
 
@@ -109,28 +112,31 @@ def sample_exact_steps(g: StarGraph, x: GraphPoint, t: float, n: int,
     return exact_step_arrays(g, np.full(n, ray), np.full(n, r), t, rng.generator())
 
 
-def _start_state(cum: np.ndarray, x0: GraphPoint, n: int,
+def _start_state(g: MetricGraph, x0: GraphPoint, n: int,
                  gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(rays, radials) of n paths at x0. From the origin each path draws its
-    starting ray from the weights (``cum`` cumulative) with one uniform of
-    its own, apart from the redraw uniforms of its steps."""
+    """(edges, coords) of n paths at x0. From a vertex each path draws its
+    starting edge from the vertex's weights with one uniform and sits at
+    that edge's end at the vertex (coord 0 on a star's rays)."""
     if x0.is_vertex:
-        return np.searchsorted(cum, gen.random(n)), np.zeros(n)
-    return np.full(n, x0.edge, dtype=np.int64), np.full(n, x0.coord)
+        v0 = g.vertices.index(x0.vertex)
+        edges = g.draw_edges(v0, gen.random(n))
+        return edges, np.where(g.edge_src[edges] == v0, 0.0, g.edge_length[edges])
+    return np.full(n, x0.edge, dtype=np.int64), np.full(n, float(x0.coord))
 
 
-def _coupled_step(cum: np.ndarray, rays: np.ndarray, radials: np.ndarray,
-                  xi: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The coupled Walsh step of a batch: y = radials + xi, radial |y|, and
-    the rows with y < 0 fold and take a ray drawn from the weights (``cum``
-    cumulative) with one uniform each, drawn from gen in row order after
-    the fold test; rows that do not fold draw nothing. Updates rays in
-    place and returns (|y|, folded rows); a folded row's local time grows
-    by 2 |y|."""
-    y = radials + xi
+def _coupled_step(g: MetricGraph, v, edges: np.ndarray, y: np.ndarray,
+                  gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The coupled Walsh step of a batch at the vertices of positions v (a
+    scalar, or one per row): y is each row's distance to its vertex plus
+    its signed driver increment, the new distance is |y|, and the rows with
+    y < 0 fold and take an edge drawn from their vertex's weights with one
+    uniform each, drawn from gen in row order after the fold test; rows
+    that do not fold draw nothing. Updates edges in place and returns
+    (|y|, folded rows); a folded row's local time grows by 2 |y|."""
     folded = np.flatnonzero(y < 0.0)
     if folded.size:
-        rays[folded] = np.searchsorted(cum, gen.random(folded.size))
+        edges[folded] = g.draw_edges(v[folded] if isinstance(v, np.ndarray) else v,
+                                     gen.random(folded.size))
     return np.abs(y), folded
 
 
@@ -141,8 +147,8 @@ def semigroup_apply(g: StarGraph, f: DomainFunction, t: float, x: GraphPoint) ->
     fbar the weight-average of the ray restrictions and f_i the restriction
     on x's ray.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and > 0, got {t}")
     ray, r = _point_state(g, x)
     probs = g.probs_array
 
@@ -221,9 +227,8 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
         raise ValueError(f"need 0 <= record <= n, got {record}")
     K = grid_steps(T, dt)
     gen = rng.generator()
-    cum = np.cumsum(g.probs_array)
     sq = math.sqrt(dt)
-    rays, rad = _start_state(cum, x0, n, gen)
+    rays, rad = _start_state(g, x0, n, gen)
     L = np.zeros(n)
     names = list(fs)
     sum_fp_dB = {nm: np.zeros(n) for nm in names}
@@ -240,7 +245,7 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
             sum_fp_dB[nm] += fp * xi
             sum_fpp[nm] += fs[nm].second_derivative_arrays(rays, rad, part=part)
             bracket[nm] += fp * fp
-        rad, folded = _coupled_step(cum, rays, rad, xi, gen)
+        rad, folded = _coupled_step(g, ORIGIN_VERTEX, rays, rad + xi, gen)
         L[folded] += 2.0 * rad[folded]
         if record:
             rec.append([a[:record].copy() for a in (rays, rad, L, xi)])

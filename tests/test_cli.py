@@ -199,6 +199,8 @@ def test_unread_or_missing_option_is_usage_error(tmp_path, argv):
     ["two-point", "--dt", "-0.01", "--legs", "1"],
     ["coalesce", "--dt", "nan"],
     ["coalesce", "--tmax", "nan", "--dt", "0.01"],
+    ["walsh-kernel", "--T", "nan", "--paths", "10"],
+    ["walsh-kernel", "--T", "inf", "--paths", "10"],
 ])
 def test_bad_value_exits_3(tmp_path, graph_file, argv):
     # metric-isde runs on the tree, on a copy of it without its edges, on a
@@ -257,6 +259,15 @@ def test_orbm_leg_reports_its_work(tmp_path, graph_file):
     assert 1 <= d["batch_steps"] <= d["path_steps"]
     assert 0 < d["bridge_uniforms"] < d["path_steps"]
     assert 0 < d["crossing_uniforms"] < d["path_steps"]
+
+
+@pytest.mark.parametrize("x", ["1e-300", "1e200"])
+def test_orbm_leg_at_an_extreme_start_radius(tmp_path, graph_file, x):
+    # legs run at unit scale: a start of 1e-300 once never moved, and one
+    # of 1e200 turned the leg state to NaN
+    rc, report = run_main(tiny_argv("orbm-leg", graph_file) + ["--x", x], tmp_path / "r.json")
+    assert rc in (0, cli.EXIT_CHECKS_FAILED)
+    assert all(math.isfinite(v) for e in report["estimates"].values() for v in e.values())
 
 
 def test_probs_set_the_ray_count():

@@ -123,8 +123,9 @@ class TestHeatKernels:
         assert val == pytest.approx(heat_kernels(s + t, r, rho)[0], abs=1e-6)
 
     def test_invalid_t(self):
-        with pytest.raises(ValueError):
-            heat_kernels(0.0, 1.0, 1.0)
+        for t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                heat_kernels(t, 1.0, 1.0)
 
 
 class TestBridgeCrossing:
@@ -142,8 +143,10 @@ class TestBridgeCrossing:
     def test_validation(self):
         with pytest.raises(ValueError):
             bridge_crossing_prob(-1.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            bridge_crossing_prob(1.0, 1.0, 0.0)
+        for a, b, dt in ((1.0, 1.0, 0.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+                         (math.nan, 1.0, 0.1), (1.0, 1.0, [0.1, math.inf])):
+            with pytest.raises(ValueError):
+                bridge_crossing_prob(a, b, dt)
 
     def test_against_simulated_bridges(self):
         # fine random walks pinned at both ends, a = b = 0.2, dt = 0.1

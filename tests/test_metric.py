@@ -80,10 +80,59 @@ class TestBatchEngine:
         assert sol.n_steps > 100 and sol.path_steps > 500 * 100
         assert sol.touches.sum() > 0
 
+    def test_draws_a_coin_only_for_crossing_rows(self, philox_words):
+        # n_edges normals per path-step, plus one uniform per vertex touch
+        # (and n for the starting edges); a coin for every row would cost
+        # n_edges + 1 words per path-step
+        g = short_edge_tree()
+        sol = metric_isde_forward(g, vertex(0), 1.0, 1e-2, RngStream(8), 500)
+        words = philox_words()
+        assert words >= len(g.edges) * sol.path_steps + sol.touches.sum() + sol.n
+        assert words / sol.path_steps < len(g.edges) + 0.5
+
     def test_fixed_grid_without_short_edges(self, star_run):
         assert star_run.halvings == 0
         assert star_run.n_steps == 1000
         assert star_run.path_steps == 1000 * star_run.n
+
+
+class TestWeightTable:
+    """draw_edges draws what searchsorted on the running sums of a vertex's
+    weights draws, for every uniform up to the last partial sum."""
+
+    def cases(self):
+        u = np.random.default_rng(0).random(4000)
+        for g in (make_star(3, STAR_WEIGHTS), short_edge_tree()):
+            for i, params in enumerate(g.vertex_params.values()):
+                cum = np.cumsum(list(params.values()))
+                # the cuts themselves, where searchsorted takes the lower edge
+                at = np.concatenate([u[u <= cum[-1]], cum])
+                yield g, i, at, np.array(list(params))[np.searchsorted(cum, at)]
+
+    def test_one_vertex(self):
+        for g, i, u, want in self.cases():
+            np.testing.assert_array_equal(g.draw_edges(i, u), want)
+            assert g.draw_edges(i, float(u[0])) == want[0]
+
+    def test_one_vertex_per_row(self):
+        for g, i, u, want in self.cases():
+            np.testing.assert_array_equal(g.draw_edges(np.full(u.size, i), u), want)
+        # rows at both vertices of the tree in one call, against the scalar form
+        g = short_edge_tree()
+        rng = np.random.default_rng(1)
+        v, u = rng.integers(0, 2, 2000), rng.random(2000)
+        want = [g.draw_edges(int(a), float(b)) for a, b in zip(v, u)]
+        np.testing.assert_array_equal(g.draw_edges(v, u), want)
+
+    def test_past_the_last_partial_sum(self):
+        # the last cut is inf, so rounding in the sums cannot draw past
+        # the last edge of a vertex
+        g = short_edge_tree()
+        assert np.all(np.isinf(g.vertex_cum[:, -1]))
+        for i, params in enumerate(g.vertex_params.values()):
+            last = list(params)[-1]
+            assert g.draw_edges(i, 1.0) == last
+            np.testing.assert_array_equal(g.draw_edges(np.full(2, i), np.ones(2)), [last] * 2)
 
 
 class TestStarIsTheOneVertexGraph:

@@ -25,10 +25,8 @@ class TestOrbmLeg:
 
     @staticmethod
     def _legs(theta, seed):
-        """The leg of a one-leg batch on the uniform grid h = dt (which steps
-        every leg of a batch at dt), then rows 0..2 of an adaptive batch."""
-        return (sample_legs(theta, 1.0, 1e-3, 1, RngStream(seed), accel=False, record=1).paths
-                + sample_legs(theta, 1.0, 1e-3, 200, RngStream(seed), record=3).paths)
+        """Rows 0..2 of a batch."""
+        return sample_legs(theta, 1.0, 1e-3, 200, RngStream(seed), record=3).paths
 
     def test_grid_identities_exact(self):
         for leg in self._legs(math.pi / 4, 1):
@@ -58,7 +56,7 @@ class TestOrbmLeg:
 
     def test_overflow_error(self):
         with pytest.raises(LegOverflowError):
-            sample_legs(math.pi / 6, 1.0, 1e-6, 10, RngStream(4), accel=False, max_steps=50)
+            sample_legs(math.pi / 6, 1.0, 1e-6, 10, RngStream(4), max_steps=50)
 
     def test_extremes_bracket_path(self):
         for leg in sample_legs(math.pi / 4, 1.0, 1e-3, 200, RngStream(5), record=3).paths:
@@ -96,13 +94,29 @@ class TestLegSamples:
         assert r.statistic < 0.015
 
     def test_x_scaling_law(self):
-        # legs at (theta, x=2, 4 dt) equal 2 x legs at (theta, 1, dt) in law
-        a = sample_legs(math.pi / 3, 2.0, 4e-4, 20000, RngStream(7))
+        # legs at (theta, x=2, dt) equal 2 x legs at (theta, 1, dt) in law
+        # (dt is the step relative to x)
+        a = sample_legs(math.pi / 3, 2.0, 1e-4, 20000, RngStream(7))
         b = sample_legs(math.pi / 3, 1.0, 1e-4, 20000, RngStream(8))
         r = ks_two_sample(a.ys, 2.0 * b.ys)
         assert r.statistic < 0.015
         rl = ks_two_sample(a.local_times, 2.0 * b.local_times)
         assert rl.statistic < 0.015
+
+    @pytest.mark.parametrize("x", [1e-300, 0.37, 1e100, 1e200])
+    def test_batch_at_x_is_x_times_the_unit_batch(self, x):
+        # every leg runs at unit scale: a start of 1e-300 once never moved
+        # (its first step underflowed to 0) and one of 1e200 turned to NaN
+        one = sample_legs(math.pi / 5, 1.0, 1e-2, 200, RngStream(12), record=2)
+        at = sample_legs(math.pi / 5, x, 1e-2, 200, RngStream(12), record=2)
+        for f in ("ys", "local_times", "sup_abs", "inf_abs"):
+            np.testing.assert_array_equal(getattr(at, f), x * getattr(one, f))
+        # x * x is inf at 1e200, and so are those durations
+        np.testing.assert_array_equal(at.durations, one.durations * (x * x))
+        assert at.diagnostics() == one.diagnostics()
+        for a, b in zip(at.paths, one.paths):
+            assert a.x == x and a.Y_S == x * b.Y_S
+            np.testing.assert_array_equal(a.Y, x * b.Y)
 
     def test_threads_do_not_change_results(self):
         a = sample_legs(math.pi / 4, 1.0, 1e-3, 5000, RngStream(9), chunk=1024, threads=1)

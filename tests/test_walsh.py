@@ -11,6 +11,7 @@ from starflow.halfline import RngStream
 from starflow.isde import sample_isde_terminals
 from starflow.stats import ks_against_cdf, ks_two_sample, mc_estimate
 from starflow.walsh import (
+    _coupled_step, _start_state,
     sample_exact_steps, sample_residual_summaries, semigroup_apply, exact_step_arrays,
 )
 
@@ -130,8 +131,54 @@ class TestSemigroup:
     def test_invalid_t(self):
         g = make_star(2, [0.5, 0.5])
         f1, _ = canonical_test_functions(g, 0)
-        with pytest.raises(ValueError):
-            semigroup_apply(g, f1, 0.0, g.origin())
+        for t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                semigroup_apply(g, f1, t, g.origin())
+            with pytest.raises(ValueError):
+                sample_exact_steps(g, g.origin(), t, 10, RngStream(1))
+            with pytest.raises(ValueError):
+                exact_step_arrays(g, np.zeros(3, dtype=np.int64), np.ones(3), t,
+                                  RngStream(1).generator())
+
+
+class _TopUniforms:
+    """Generator stub: every uniform is 1 - 1e-13 and every normal -1."""
+
+    def random(self, size=None):
+        return 1.0 - 1e-13 if size is None else np.full(size, 1.0 - 1e-13)
+
+    def standard_normal(self, size=None):
+        return -1.0 if size is None else np.full(size, -1.0)
+
+
+class TestPastTheLastRay:
+    """The weights are validated only to 1e-12, so a uniform can lie above
+    their last partial sum; it must still draw the last ray, not ray N."""
+
+    def graph(self):
+        # the weights sum to 1 - 5e-13, below the uniform 1 - 1e-13
+        return make_star(2, [0.5, 0.5 - 5e-13])
+
+    def test_start_state(self):
+        g = self.graph()
+        rays, rad = _start_state(g, g.origin(), 4, _TopUniforms())
+        np.testing.assert_array_equal(rays, [1, 1, 1, 1])
+        g.partition(rays, rad)
+
+    def test_coupled_step(self):
+        g = self.graph()
+        rays = np.zeros(3, dtype=np.int64)
+        rad, folded = _coupled_step(g, 0, rays, np.array([-0.1, 0.2, -0.3]), _TopUniforms())
+        np.testing.assert_array_equal(folded, [0, 2])
+        np.testing.assert_array_equal(rays, [1, 0, 1])
+        g.partition(rays, rad)
+
+    def test_exact_step(self):
+        g = self.graph()
+        rays, rad = exact_step_arrays(g, np.zeros(3, dtype=np.int64), np.zeros(3), 0.5,
+                                      _TopUniforms())
+        np.testing.assert_array_equal(rays, [1, 1, 1])
+        g.partition(rays, rad)
 
 
 def _recorded(g, x0, T, dt, seed, k=3, n=50):

@@ -175,8 +175,9 @@ def _exp_quadrant(cfg: ExperimentConfig, rng: RngStream):
     batch = quadrant.sample_quadrant_processes(
         source, cfg.x, cfg.dt, cfg.eps_stop, cfg.max_legs, cfg.paths, rng,
         threads=cfg.threads, record=int(bool(cfg.csv)))
+    # estimated at unit scale, where the squares of L stay finite for any x
     estimates = {
-        "local_time_total": _est(batch.l_totals),
+        "local_time_total": _est(batch.l_totals / cfg.x, cfg.x),
         "n_legs": _est(batch.n_legs.astype(float)),
         "terminated_fraction": {"mean": float(np.mean(batch.terminated)),
                                 "stderr": 0.0, "n": int(batch.n)},
@@ -369,7 +370,7 @@ def _exp_metric_isde(cfg: ExperimentConfig, rng: RngStream):
 
     def level(dt, stream):
         sol = metric.metric_isde_forward(g, x0, cfg.T, dt, stream, n)
-        dists = np.array([graphs.distance(g, x0, sol.point(k)) for k in range(n)])
+        dists = graphs.distances(g, x0, sol.edges, sol.coords)
         diag = {"dt": dt, "batch_steps": sol.n_steps, "path_steps": sol.path_steps,
                 "halvings": sol.halvings, "floor_hits": sol.floor_hits,
                 "clamps": sol.clamps, "touches_mean": float(np.mean(sol.touches)),

@@ -86,7 +86,9 @@ class MetricGraph:
     weight; weights at each vertex lie in (0,1) and sum to 1 (a degree-1
     vertex carries weight 1). ``edge_src``, ``edge_dst`` and ``edge_length``
     hold per edge id the position in ``vertices`` of its from-end, of its
-    to-end (-1 for a ray) and its length (inf for a ray).
+    to-end (-1 for a ray) and its length (inf for a ray), and
+    ``vertex_dist[i, j]`` holds the path distance between the vertices at
+    positions i and j.
 
     The weight table is the one rule for leaving a vertex: row i of
     ``vertex_cum`` holds the running sums of the weights at vertex
@@ -134,7 +136,7 @@ class MetricGraph:
             self.vertex_edges[i, :len(params)] = list(params)
 
         self._check_connected()
-        self._vertex_dist = self._shortest_vertex_paths()
+        self.vertex_dist = self._shortest_vertex_paths()
 
     def draw_edges(self, v, u):
         """Edge ids drawn from the weights at vertex position v with the
@@ -166,24 +168,16 @@ class MetricGraph:
         if seen != set(self.vertices):
             raise ValueError("graph is not connected")
 
-    def _shortest_vertex_paths(self) -> dict[tuple[int, int], float]:
-        d = {(u, v): (0.0 if u == v else math.inf)
-             for u in self.vertices for v in self.vertices}
-        for e in self.edges:
-            if e.dst is not None:
-                key = (e.src, e.dst)
-                d[key] = min(d[key], e.length)
-                d[(e.dst, e.src)] = d[key]
-        for k in self.vertices:
-            for i in self.vertices:
-                for j in self.vertices:
-                    via = d[(i, k)] + d[(k, j)]
-                    if via < d[(i, j)]:
-                        d[(i, j)] = via
+    def _shortest_vertex_paths(self) -> np.ndarray:
+        """Floyd-Warshall over the vertex positions."""
+        d = np.full((len(self.vertices),) * 2, math.inf)
+        np.fill_diagonal(d, 0.0)
+        for u, v, length in zip(self.edge_src, self.edge_dst, self.edge_length):
+            if v >= 0:
+                d[u, v] = d[v, u] = min(d[u, v], length)
+        for k in range(len(self.vertices)):
+            d = np.minimum(d, d[:, k, None] + d[k])
         return d
-
-    def vertex_distance(self, u: int, v: int) -> float:
-        return self._vertex_dist[(u, v)]
 
     def point(self, edge_id: int, coord: float) -> GraphPoint:
         """Point on an edge; endpoint coordinates canonicalize to vertices."""
@@ -299,12 +293,36 @@ def make_star(n: int, probs: Sequence[float]) -> StarGraph:
 
 def distance(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
     """Path distance between two points of g."""
-    best = math.inf
-    if not x.is_vertex and not y.is_vertex and x.edge == y.edge:
-        best = abs(x.coord - y.coord)
-    for (u, du) in g.endpoint_offsets(x):
-        for (v, dv) in g.endpoint_offsets(y):
-            best = min(best, du + g.vertex_distance(u, v) + dv)
+    if y.is_vertex:
+        e = g.incident(y.vertex)[0]
+        edge, coord = e.id, (0.0 if e.src == y.vertex else e.length)
+    else:
+        edge, coord = y.edge, y.coord
+    return float(distances(g, x, [edge], [coord])[0])
+
+
+def distances(g: MetricGraph, x: GraphPoint, edges, coords) -> np.ndarray:
+    """Path distances from x to a batch of points of g, given as (edges,
+    coords) arrays; a coord of 0 or of its edge's length is the vertex at
+    that end. Each is the least of: the gap along a common edge, when
+    neither point is a vertex, and offset + vertex distance + offset, added
+    in that order, over the ends each point can leave by (only the vertex
+    itself for a point on one)."""
+    edges = np.asarray(edges, dtype=np.int64)
+    coords = np.asarray(coords, dtype=float)
+    length, src, dst = g.edge_length[edges], g.edge_src[edges], g.edge_dst[edges]
+    at_src, at_dst = coords == 0.0, coords == length
+    best = np.full(coords.shape, math.inf)
+    if not x.is_vertex:
+        same = np.flatnonzero(~at_src & ~at_dst & (edges == x.edge))
+        best[same] = np.abs(x.coord - coords[same])
+    # an inf offset rules an end out: the far end of a point on a vertex, or no end
+    ends = ((src, np.where(at_dst, math.inf, coords)),
+            (dst, np.where(at_src | (dst < 0), math.inf, length - coords)))
+    for u, du in g.endpoint_offsets(x):
+        row = g.vertex_dist[g.vertices.index(u)]
+        for v, dv in ends:
+            best = np.minimum(best, du + row[v] + dv)
     return best
 
 

@@ -78,10 +78,6 @@ class MetricIsdeSolution:
     def n(self) -> int:
         return len(self.edges)
 
-    def point(self, k: int) -> GraphPoint:
-        """Terminal point of path k."""
-        return self.graph.point(int(self.edges[k]), float(self.coords[k]))
-
 
 def metric_isde_forward(g: MetricGraph, x0: GraphPoint, T: float, dt: float,
                         rng: RngStream, n: int,

@@ -435,7 +435,10 @@ class QuadrantPath:
 
 @dataclass
 class QuadrantBatch:
-    """Summaries of a batch of quadrant processes."""
+    """Summaries of a batch of quadrant processes. The local times are x
+    times those of the processes run at unit scale, and the corner times
+    x^2 times, inf where that passes the float range (x above about
+    1e154)."""
 
     l_totals: np.ndarray
     n_legs: np.ndarray
@@ -456,7 +459,9 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
     and the legs of processes 0..record-1 (taken from chunk 0).
 
     Each process runs until its leg endpoint drops below eps_stop (corner
-    proxy) or max_legs is exhausted.
+    proxy) or max_legs is exhausted. The processes run at unit scale, from
+    1 down to eps_stop / x, as the legs do (see the module docstring), so
+    no start radius overflows the squared scales of the corner time.
     """
     check_horizon(x, dt)
     if not (0.0 < eps_stop < x):
@@ -466,12 +471,13 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
     if not 0 <= record <= min(n, chunk):
         raise ValueError(f"need 0 <= record <= min(n, chunk), got {record}")
     paths = [QuadrantPath([]) for _ in range(record)]
+    eps_unit = eps_stop / x
 
     def run(lo, hi, stream):
         m = hi - lo
         k = record if lo == 0 else 0
         gen = stream.generator()
-        u = np.full(m, float(x))
+        u = np.ones(m)   # entry radius of the next leg, relative to x
         l_tot = np.zeros(m)
         t_tot = np.zeros(m)
         n_legs = np.zeros(m, dtype=np.int64)
@@ -486,13 +492,15 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
                                             record=r)
             ys, lleg = out[:2]
             if r:
-                for j, leg in zip(active[:r], _recorded_legs(rec, th, out, u[active[:r]])):
+                for j, leg in zip(active[:r], _recorded_legs(rec, th, out, x * u[active[:r]])):
                     paths[j].legs.append(leg)
             l_tot[active] += u[active] * lleg
             t_tot[active] += u[active] ** 2 * durs
             u[active] = u[active] * ys
             n_legs[active] += 1
-            active = active[u[active] >= eps_stop]
-        return l_tot, n_legs, u < eps_stop, t_tot
+            active = active[u[active] >= eps_unit]
+        l_tot *= x
+        t_tot *= x * x   # inf for x above about 1e154, as in sample_legs
+        return l_tot, n_legs, u < eps_unit, t_tot
 
     return QuadrantBatch(*map_chunks(run, n, rng, chunk, threads), paths=paths)

@@ -32,6 +32,12 @@ uniform per folding row after the fold test, in row order, and none for
 the rows that keep their edge. That is exact: whichever rows fold, their
 coins are iid U(0,1) and independent of the increments and of the past,
 as coins drawn for every row would be.
+
+``semigroup_apply``, the quadrature reference of ``walsh-kernel``, loads
+``scipy.integrate`` on its first call rather than at import: that module
+pulls in ``scipy.optimize`` and ``scipy.linalg``, about a third of the
+CLI's start-up time and 25 MB of its memory, which every experiment but
+``walsh-kernel`` would pay for nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .graphs import ORIGIN_VERTEX, DomainFunction, GraphPoint, MetricGraph, StarGraph
 from .halfline import RngStream, grid_steps, heat_kernels
@@ -145,8 +150,11 @@ def semigroup_apply(g: StarGraph, f: DomainFunction, t: float, x: GraphPoint) ->
 
     The integrand is q_plus(t, r, .) fbar + q_zero(t, r, .) (f_i - fbar),
     fbar the weight-average of the ray restrictions and f_i the restriction
-    on x's ray.
+    on x's ray. ``scipy.integrate`` is imported here, on first use, so that
+    importing this module (and the CLI) does not load it.
     """
+    from scipy import integrate
+
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be finite and > 0, got {t}")
     ray, r = _point_state(g, x)

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -268,6 +271,43 @@ def test_orbm_leg_at_an_extreme_start_radius(tmp_path, graph_file, x):
     rc, report = run_main(tiny_argv("orbm-leg", graph_file) + ["--x", x], tmp_path / "r.json")
     assert rc in (0, cli.EXIT_CHECKS_FAILED)
     assert all(math.isfinite(v) for e in report["estimates"].values() for v in e.values())
+
+
+def test_quadrant_at_a_huge_start_radius(tmp_path):
+    # the processes run at unit scale; at 1e200 the corner time and the
+    # squares of the local-time estimate once overflowed
+    x, eps = 1e200, 1e198
+    base = ["quadrant", "--theta1", "1.0", "--theta2", "1.0", "--paths", "40", "--dt", "0.01"]
+    rc, at = run_main(base + ["--x", repr(x), "--eps", repr(eps)], tmp_path / "a.json")
+    _, one = run_main(base + ["--eps", repr(eps / x)], tmp_path / "b.json")
+    assert rc in (0, cli.EXIT_CHECKS_FAILED)
+    est_at, est_one = at["estimates"], one["estimates"]
+    for k in ("mean", "stderr"):
+        assert est_at["local_time_total"][k] / x == \
+            pytest.approx(est_one["local_time_total"][k], rel=1e-14)
+    assert est_at["n_legs"] == est_one["n_legs"]
+    assert est_at["terminated_fraction"] == est_one["terminated_fraction"]
+
+
+# loaded by walsh.semigroup_apply alone, on its first call
+DEFERRED_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.stats")
+
+
+def test_cli_import_leaves_the_quadrature_modules_unloaded(graph_file):
+    """Importing the CLI and building the config of every experiment loads
+    none of the modules that only the Walsh semigroup quadrature needs. A
+    fresh interpreter, because this one has loaded them for other tests."""
+    argvs = [tiny_argv(name, graph_file) for name in cli.EXPERIMENTS]
+    code = ("import json, sys\n"
+            "from starflow import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    cli.config_from_args(cli.build_parser().parse_args(argv))\n"
+            f"print(json.dumps([m for m in {DEFERRED_MODULES!r} if m in sys.modules]))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(out.stdout) == []
 
 
 def test_probs_set_the_ray_count():

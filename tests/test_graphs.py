@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from starflow import graphs
 from starflow.graphs import (
     DomainFunction, Edge, GraphPoint, MetricGraph, canonical_test_functions,
-    distance, load_graph, make_star, metric_graph_from_dict,
+    distance, distances, load_graph, make_star, metric_graph_from_dict,
     metric_graph_to_dict, per_ray_quadratic, save_graph,
 )
 
@@ -79,6 +79,41 @@ def _segment_graph() -> MetricGraph:
                        {0: {0: 0.5, 1: 0.5}, 1: {1: 0.5, 2: 0.5}})
 
 
+def _reference_vertex_distances(g):
+    """Floyd-Warshall by vertex id, the loop that ``vertex_dist`` replaced."""
+    d = {(u, v): (0.0 if u == v else math.inf) for u in g.vertices for v in g.vertices}
+    for e in g.edges:
+        if e.dst is not None:
+            d[(e.src, e.dst)] = d[(e.dst, e.src)] = min(d[(e.src, e.dst)], e.length)
+    for k in g.vertices:
+        for i in g.vertices:
+            for j in g.vertices:
+                if d[(i, k)] + d[(k, j)] < d[(i, j)]:
+                    d[(i, j)] = d[(i, k)] + d[(k, j)]
+    return d
+
+
+def _reference_distance(g, d, x, y):
+    """The scalar distance that ``distances`` replaced."""
+    best = math.inf
+    if not x.is_vertex and not y.is_vertex and x.edge == y.edge:
+        best = abs(x.coord - y.coord)
+    for (u, du) in g.endpoint_offsets(x):
+        for (v, dv) in g.endpoint_offsets(y):
+            best = min(best, du + d[(u, v)] + dv)
+    return best
+
+
+def _tree_graph() -> MetricGraph:
+    # a path 5 - 2 - 9 - 7 of edges 0.25, 1.3 and 0.7 with rays at 5, 2 and
+    # 7; the vertex ids are not their positions 2 < 5 < 7 < 9
+    edges = [Edge(0, 5, 2, 0.25), Edge(1, 9, 2, 1.3), Edge(2, 9, 7, 0.7),
+             Edge(3, 5, None, math.inf), Edge(4, 7, None, math.inf), Edge(5, 2, None, math.inf)]
+    params = {5: {0: 0.4, 3: 0.6}, 2: {0: 0.2, 1: 0.5, 5: 0.3}, 9: {1: 0.5, 2: 0.5},
+              7: {2: 0.3, 4: 0.7}}
+    return MetricGraph([5, 2, 9, 7], edges, params)
+
+
 class TestDistance:
     def test_same_ray(self):
         g = make_star(3, [1 / 3, 1 / 3, 1 / 3])
@@ -117,6 +152,29 @@ class TestDistance:
         g = MetricGraph([0, 1], edges, {0: {0: 0.5, 1: 0.5}, 1: {0: 0.5, 1: 0.5}})
         # around through the short edge beats going along the long one
         assert distance(g, g.point(1, 0.5), g.point(1, 3.9)) == pytest.approx(1.6)
+
+    @pytest.mark.parametrize("make", [_tree_graph, _segment_graph,
+                                      lambda: make_star(3, [0.5, 0.3, 0.2])])
+    def test_batch_equals_the_scalar_loop(self, make):
+        """``distances`` takes the candidates of the scalar loop it replaced,
+        summed in the same order, so the floats are equal."""
+        g = make()
+        d = _reference_vertex_distances(g)
+        assert all(g.vertex_dist[i, j] == d[(u, v)] for i, u in enumerate(g.vertices)
+                   for j, v in enumerate(g.vertices))
+        rng = np.random.default_rng(5)
+        edges = rng.integers(0, len(g.edges), 400)
+        finite = np.minimum(g.edge_length[edges], 3.0)
+        coords = rng.uniform(0.0, finite)
+        coords[::7] = 0.0                                   # on the from-end vertex
+        far = np.arange(3, edges.size, 7)
+        far = far[np.isfinite(g.edge_length[edges[far]])]
+        coords[far] = g.edge_length[edges[far]]             # on the to-end vertex
+        points = [g.point(int(e), float(c)) for e, c in zip(edges, coords)]
+        for x in points[:12] + [g.point(0, 0.0)]:
+            got = distances(g, x, edges, coords)
+            assert got.tolist() == [_reference_distance(g, d, x, y) for y in points]
+            assert [distance(g, x, y) for y in points] == got.tolist()
 
 
 class TestMetricGraphValidation:

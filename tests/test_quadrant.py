@@ -302,6 +302,26 @@ class TestQuadrantProcess:
             assert batch.l_totals[j] == pytest.approx(sum(l.L_at_S for l in proc.legs))
             assert batch.sigma0_times[j] == pytest.approx(sum(l.times[-1] for l in proc.legs))
 
+    @pytest.mark.parametrize("x", [1e-100, 1e100, 1e200])
+    def test_batch_at_x_is_x_times_the_unit_batch(self, x):
+        # processes run at unit scale down to eps_stop / x: at 1e200 the
+        # squared scales of the corner time once overflowed
+        src = FixedAngles(1.0, 1.0)
+        eps = 0.01 * x
+        one = sample_quadrant_processes(src, 1.0, 1e-2, eps / x, 100, 40, RngStream(19),
+                                        record=2)
+        at = sample_quadrant_processes(src, x, 1e-2, eps, 100, 40, RngStream(19), record=2)
+        np.testing.assert_array_equal(at.l_totals, x * one.l_totals)
+        # x * x is inf at 1e200, and so are those corner times
+        np.testing.assert_array_equal(at.sigma0_times, one.sigma0_times * (x * x))
+        np.testing.assert_array_equal(at.n_legs, one.n_legs)
+        np.testing.assert_array_equal(at.terminated, one.terminated)
+        assert at.terminated.any() and one.n_legs.max() > 1
+        for a, b in zip(at.paths, one.paths):
+            assert [leg.x for leg in a.legs] == [x * leg.x for leg in b.legs]
+            assert [leg.L_at_S / x for leg in a.legs] == \
+                pytest.approx([leg.L_at_S for leg in b.legs], rel=1e-15)
+
     def test_angles_alternate(self):
         src = FixedAngles(math.pi / 3, math.pi / 4)
         proc = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 200, 5, RngStream(13),

@@ -373,7 +373,8 @@ def _exp_metric_isde(cfg: ExperimentConfig, rng: RngStream):
         dists = graphs.distances(g, x0, sol.edges, sol.coords)
         diag = {"dt": dt, "batch_steps": sol.n_steps, "path_steps": sol.path_steps,
                 "halvings": sol.halvings, "floor_hits": sol.floor_hits,
-                "clamps": sol.clamps, "touches_mean": float(np.mean(sol.touches)),
+                "clamps": sol.clamps, "blocks": sol.blocks, "normals": sol.normals,
+                "touches_mean": float(np.mean(sol.touches)),
                 "touches_max": int(sol.touches.max()),
                 "paths_untouched": int(np.sum(sol.touches == 0))}
         return dists, diag

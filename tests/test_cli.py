@@ -15,7 +15,7 @@ REPORT_KEYS = {"schema", "experiment", "config", "seed", "estimates", "ks_result
                "bound_checks", "checks", "passed", "diagnostics", "wall_time"}
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
 WALKER_COUNTS = {"dt", "batch_steps", "path_steps", "halvings", "floor_hits", "clamps",
-                 "touches_mean", "touches_max", "paths_untouched"}
+                 "blocks", "normals", "touches_mean", "touches_max", "paths_untouched"}
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,10 @@ class TestMetricIsde:
         # 6 sqrt(0.01) exceeds the 0.25 edge, so the coarse level halves steps
         assert coarse["halvings"] > 0 and coarse["batch_steps"] > 100
         assert coarse["path_steps"] > 60 * 100
+        # blocks of plain steps: fewer loop passes than steps, about one
+        # normal per path-step
+        assert 1 <= coarse["blocks"] < coarse["batch_steps"]
+        assert coarse["path_steps"] < coarse["normals"] < 2 * coarse["path_steps"]
 
     def test_same_seed_same_numbers(self, tmp_path, graph_file):
         _, a = run_metric(tmp_path, graph_file, name="a.json")

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, ndtr
+from scipy.stats import chi2_contingency
 
+from starflow import metric
 from starflow.graphs import (
-    DomainFunction, Edge, GraphPoint, MetricGraph, distance, make_star, per_ray_quadratic,
+    DomainFunction, Edge, GraphPoint, MetricGraph, distance, distances, make_star,
+    per_ray_quadratic,
 )
 from starflow.halfline import RngStream
-from starflow.metric import metric_isde_forward
-from starflow.stats import ks_against_cdf
+from starflow.metric import CLAMP_SIGMAS, FLOOR_H, MAX_BLOCK, T_SLACK, metric_isde_forward
+from starflow.stats import ks_against_cdf, ks_two_sample
+from starflow.walsh import _coupled_step, _start_state
 
 STAR_WEIGHTS = (0.2, 0.5, 0.3)
 
@@ -37,6 +41,109 @@ def short_edge_tree():
 
 def vertex(v):
     return GraphPoint(edge=None, coord=0.0, vertex=v)
+
+
+class _Source:
+    """Stands in for an RngStream whose generator is gen."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def generator(self):
+        return self.gen
+
+
+class _Counting:
+    """A generator that counts the normals and uniforms it hands out."""
+
+    def __init__(self, gen):
+        self.gen, self.normals, self.uniforms = gen, 0, 0
+
+    def standard_normal(self, size):
+        out = self.gen.standard_normal(size)
+        self.normals += out.size
+        return out
+
+    def random(self, size):
+        out = self.gen.random(size)
+        self.uniforms += out.size
+        return out
+
+
+class _Constant:
+    """A generator whose every normal is z and every uniform u: the path
+    does not depend on which normal a step reads."""
+
+    def __init__(self, z, u):
+        self.z, self.u = z, u
+
+    def standard_normal(self, size):
+        return np.full(size, self.z)
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def _per_step_walker(g, x0, T, dt, gen, n):
+    """The walker before blocks: one batch step per loop pass, a normal
+    for every edge at every step (the driving edge's moves the path). A
+    frozen copy, the reference for the law and the counts of the blocked
+    walker; returns (edges, coords, touches, counts)."""
+    vmin = np.array([g.edge_length[list(p)].min() for p in g.vertex_params.values()])
+    n_e = len(g.edges)
+    e, c = _start_state(g, x0, n, gen)
+    t = np.zeros(n)
+    touches = np.zeros(n, dtype=np.int64)
+    ids = np.arange(n)
+    out_e, out_c = np.empty(n, dtype=np.int64), np.empty(n)
+    out_touch = np.empty(n, dtype=np.int64)
+    steps = path_steps = halvings = floor_hits = clamps = 0
+    while ids.size:
+        steps += 1
+        m = ids.size
+        path_steps += m
+        rows = np.arange(m)
+        length = g.edge_length[e]
+        near = c <= length - c
+        radial = np.where(near, c, length - c)
+        v = np.where(near, g.edge_src[e], g.edge_dst[e])
+        sign = np.where(near, 1.0, -1.0)
+        lim = (np.minimum(length - radial, radial + vmin[v]) / CLAMP_SIGMAS) ** 2
+        h = np.minimum(dt, T - t)
+        big = np.flatnonzero(h >= lim)
+        if big.size:
+            hb, lb = h[big], lim[big]
+            while True:
+                over = hb >= lb
+                if not over.any():
+                    break
+                hb[over] *= 0.5
+                halvings += int(over.sum())
+                hit = over & (hb < FLOOR_H)
+                floor_hits += int(hit.sum())
+                lb[hit] = np.inf
+            h[big] = hb
+        dw = np.sqrt(h)[:, None] * gen.standard_normal((m, n_e))
+        radial, cross = _coupled_step(g, v, e, radial + sign * dw[rows, e], gen)
+        if cross.size:
+            sign[cross] = np.where(g.edge_src[e[cross]] == v[cross], 1.0, -1.0)
+            touches[cross] += 1
+        length = g.edge_length[e]
+        past = radial > length
+        if past.any():
+            clamps += int(past.sum())
+            radial = np.minimum(radial, length)
+        c = np.where(sign > 0.0, radial, length - radial)
+        t += h
+        done = t >= T - T_SLACK
+        if done.any():
+            k = ids[done]
+            out_e[k], out_c[k], out_touch[k] = e[done], c[done], touches[done]
+            keep = ~done
+            ids, e, c, t, touches = ids[keep], e[keep], c[keep], t[keep], touches[keep]
+    counts = dict(n_steps=steps, path_steps=path_steps, halvings=halvings,
+                  floor_hits=floor_hits, clamps=clamps)
+    return out_e, out_c, out_touch, counts
 
 
 @pytest.fixture(scope="module")
@@ -81,19 +188,131 @@ class TestBatchEngine:
         assert sol.touches.sum() > 0
 
     def test_draws_a_coin_only_for_crossing_rows(self, philox_words):
-        # n_edges normals per path-step, plus one uniform per vertex touch
-        # (and n for the starting edges); a coin for every row would cost
-        # n_edges + 1 words per path-step
+        # an exact account of the draws: the normals the solution reports
+        # (one per path-step, the queues' remainder and n * n_edges for the
+        # undriven noise), one uniform per vertex touch and n for the
+        # starting edges; a coin for every row, or every edge's normal at
+        # every step, would cost 2 or n_edges words per path-step
         g = short_edge_tree()
-        sol = metric_isde_forward(g, vertex(0), 1.0, 1e-2, RngStream(8), 500)
+        gen = _Counting(RngStream(8).generator())
+        sol = metric_isde_forward(g, vertex(0), 1.0, 1e-2, _Source(gen), 500)
+        assert gen.normals == sol.normals
+        assert gen.uniforms == sol.touches.sum() + sol.n
+        assert 0 <= sol.normals - sol.path_steps - sol.n * len(g.edges) <= sol.n * MAX_BLOCK
+        # a standard normal reads one 64-bit word, or more on a ziggurat
+        # rejection (about 2 % of draws)
         words = philox_words()
-        assert words >= len(g.edges) * sol.path_steps + sol.touches.sum() + sol.n
-        assert words / sol.path_steps < len(g.edges) + 0.5
+        assert gen.normals + gen.uniforms <= words <= 1.05 * gen.normals + gen.uniforms
+        assert words / sol.path_steps < 1.5
 
     def test_fixed_grid_without_short_edges(self, star_run):
         assert star_run.halvings == 0
         assert star_run.n_steps == 1000
         assert star_run.path_steps == 1000 * star_run.n
+
+
+class TestBlocks:
+    """With every normal equal to z and every uniform to u a path does not
+    depend on which normal a step reads, so the blocked walker must take
+    the per-step walker's steps exactly, for any block length: the same
+    counts, touches and terminal edge, and the coordinate to 1e-12."""
+
+    @pytest.mark.parametrize("z, u, x0, T, dt", [
+        # bounces at vertex 1 on the short edge, halving near both ends
+        (0.7, 0.1, vertex(0), 1.0, 1e-2),
+        # crosses every halving band of the short edge, then out on ray 3
+        (0.05, 0.5, GraphPoint(edge=0, coord=0.01), 1.0, 1e-3),
+        # 9-sigma steps clamp at the far vertex
+        (-9.0, 0.1, GraphPoint(edge=1, coord=0.5), 1.0, 1e-3),
+        # a horizon off the grid
+        (1.0, 0.5, vertex(1), 0.37, 1e-2),
+    ])
+    @pytest.mark.parametrize("max_block", [1, 3, MAX_BLOCK])
+    def test_same_steps_as_the_per_step_walker(self, monkeypatch, max_block, z, u, x0, T, dt):
+        monkeypatch.setattr(metric, "MAX_BLOCK", max_block)
+        g = short_edge_tree()
+        sol = metric_isde_forward(g, x0, T, dt, _Source(_Constant(z, u)), 1)
+        edges, coords, touches, counts = _per_step_walker(g, x0, T, dt, _Constant(z, u), 1)
+        assert {k: getattr(sol, k) for k in counts} == counts
+        assert sol.edges[0] == edges[0] and sol.touches[0] == touches[0]
+        assert abs(sol.coords[0] - coords[0]) <= 1e-12 * max(1.0, coords[0])
+        assert counts["halvings"] > 0 and sol.blocks <= sol.path_steps
+
+    @pytest.mark.parametrize("T", [0.01, 0.1])
+    def test_every_step_in_the_halving_band_is_a_quarter_step(self, T):
+        # at the middle of the short edge the room is 0.125, so from dt =
+        # 1e-3 the rule halves twice (6 sqrt(dt / 2) = 0.134 >= 0.125 >
+        # 6 sqrt(dt / 4) = 0.095). With every normal 0 no path moves, so the
+        # 4N - 3 steps that start with dt left on the clock are dt / 4, and
+        # the last 3 dt / 4 go as 3.75e-4 (halved once from 7.5e-4) and
+        # 3.75e-4 (not halved)
+        g, dt, n = short_edge_tree(), 1e-3, 7
+        sol = metric_isde_forward(g, GraphPoint(edge=0, coord=0.125), T, dt,
+                                  _Source(_Constant(0.0, 0.5)), n)
+        N = round(T / dt)
+        assert sol.n_steps == 4 * N - 1 and sol.path_steps == n * sol.n_steps
+        assert sol.halvings == n * (2 * (4 * N - 3) + 1)
+        assert np.all(sol.coords == 0.125) and np.all(sol.edges == 0)
+        # the rows run their quarter steps in blocks of up to MAX_BLOCK
+        assert sol.blocks <= (4 * N - 3) // MAX_BLOCK + 3
+
+    def test_huge_radial(self):
+        # a radial of 1e300 squares past the float range; the 6-sigma test
+        # compares 6 sqrt(h) with the room instead
+        g = short_edge_tree()
+        sol = metric_isde_forward(g, GraphPoint(edge=3, coord=1e300), 1.0, 1e-3,
+                                  RngStream(12), 20)
+        assert sol.halvings == 0 and sol.floor_hits == 0 and sol.clamps == 0
+        assert np.all(sol.touches == 0) and np.all(sol.edges == 3)
+        assert np.all(sol.coords == 1e300)
+        assert sol.n_steps == 1000
+
+
+def _law_pvalues(x0, T, dt, seed, n=4000):
+    """p-values of the blocked walker against the per-step walker, n paths
+    each from x0: terminal edges (chi-squared on the 2 x edges table),
+    terminal distance and touches (two-sample KS)."""
+    g = short_edge_tree()
+    sol = metric_isde_forward(g, x0, T, dt, RngStream(seed, (0,)), n)
+    edges, coords, touches, _ = _per_step_walker(g, x0, T, dt,
+                                                 RngStream(seed, (1,)).generator(), n)
+    table = np.array([np.bincount(sol.edges, minlength=5), np.bincount(edges, minlength=5)])
+    return (chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue,
+            ks_two_sample(distances(g, x0, sol.edges, sol.coords),
+                          distances(g, x0, edges, coords)).p_value,
+            ks_two_sample(sol.touches, touches).p_value)
+
+
+def _brownian_pvalues(seed, n=4000, T=1.0):
+    """KS p-values of W_e(T) / sqrt(T) against N(0, 1), one per edge, and
+    the largest |correlation| * sqrt(n) over the pairs of edges."""
+    sol = metric_isde_forward(short_edge_tree(), vertex(0), T, 1e-2, RngStream(seed), n)
+    ks = [ks_against_cdf(sol.W[:, e] / math.sqrt(T), ndtr).p_value for e in range(5)]
+    r = np.corrcoef(sol.W.T)[np.triu_indices(5, 1)]
+    return ks, float(np.max(np.abs(r)) * math.sqrt(n))
+
+
+class TestLawAgainstPerStepWalker:
+    """Blocks, the per-row queues and the undriven noise drawn at the end
+    leave the law of the per-step walker. Six two-sample tests (three at
+    each start) and five KS tests of W pass at p > 1e-3, and the ten
+    correlations of W within 4 / sqrt(n) (two-sided 6.3e-5 each), so by
+    Bonferroni at most 6e-3 + 5e-3 + 6.3e-4 = 1.2 % of seeds fail. Over
+    seeds 0-19 every one passed; the smallest p-values were 0.018 (from
+    vertex 0), 0.0081 (from edge 0) and 0.0076 (W), and the largest
+    |correlation| 2.7 / sqrt(n)."""
+
+    @pytest.mark.parametrize("x0, T, dt", [
+        (vertex(0), 1.0, 1e-2),                       # halving near the short edge
+        (GraphPoint(edge=0, coord=0.1), 0.5, 1e-3),
+    ])
+    def test_terminal_law(self, x0, T, dt):
+        assert min(_law_pvalues(x0, T, dt, seed=3)) > 1e-3
+
+    def test_w_is_a_brownian_family(self):
+        ks, r = _brownian_pvalues(seed=3)
+        assert min(ks) > 1e-3
+        assert r < 4.0
 
 
 class TestWeightTable:

@@ -5,7 +5,7 @@ Monte Carlo verification of the closed-form laws."""
 
 from .graphs import (
     CONTINUITY_TOL, PROB_SUM_TOL, DomainFunction, Edge, GraphPoint,
-    MetricGraph, StarGraph, canonical_test_functions, distance, distances,
+    MetricGraph, StarGraph, canonical_test_functions, distances,
     load_graph, make_star, metric_graph_from_dict, metric_graph_to_dict,
     per_ray_quadratic, save_graph,
 )

@@ -9,16 +9,17 @@ The options are the fields of ``ExperimentConfig``, declared there once.
 Every experiment takes the run options ``--seed`` (default
 ``$STARFLOW_SEED``, else 0), ``--threads`` and ``--out``, plus exactly the
 fields it reads, as listed in ``EXPERIMENTS``; ``starflow <experiment>
---help`` lists them.
+--help`` lists them. The engines run on one thread, and ``--threads``
+accepts only 1.
 
 Exit codes: 0 when all checks passed their declared tolerances; 1 when
 some check failed (the report is still written); 2 for usage errors,
 among them an option the experiment does not read; 3 for invalid
-configuration values.
+configuration values and for a file (graph, report or dump) that cannot
+be read or written; no report is written then.
 
 Reproducibility: the same config and seed produce byte-identical numeric
-output; worker counts only change wall time (fixed chunking, one stream
-per chunk, ordered merge).
+output (fixed chunking, one stream per chunk, ordered merge).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ExperimentConfig:
                       metadata={"help": "default $STARFLOW_SEED, else 0"})
     paths: int = 10000
     dt: float = 1e-3
-    threads: int = 1
+    threads: int = field(default=1, metadata={"help": "only 1: the engines run on one thread"})
     out: str | None = None
     csv: str | None = field(default=None, metadata={
         "help": "path prefix for a dump of path 0 of the checked batch "
@@ -85,9 +86,10 @@ class ExperimentConfig:
         "flag": "--no-refine", "help": "end legs only at grid crossings"})
 
     def __post_init__(self):
-        for name in ("n_rays", "threads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"need {name} >= 1, got {getattr(self, name)}")
+        if self.n_rays < 1:
+            raise ValueError(f"need n_rays >= 1, got {self.n_rays}")
+        if self.threads != 1:
+            raise ValueError(f"the engines run on one thread, got threads = {self.threads}")
         self.probs = tuple(float(p) for p in self.probs) or (1.0 / self.n_rays,) * self.n_rays
         if len(self.probs) != self.n_rays:
             raise ValueError(f"{len(self.probs)} ray weights for n_rays = {self.n_rays}")
@@ -111,7 +113,7 @@ def _exp_orbm_leg(cfg: ExperimentConfig, rng: RngStream):
     if theta is None:
         raise ValueError("orbm-leg needs --theta")
     legs = quadrant.sample_legs(theta, x, cfg.dt, cfg.paths, rng, refine=cfg.refine,
-                                threads=cfg.threads, record=int(bool(cfg.csv)))
+                                record=int(bool(cfg.csv)))
     # the means of Y_S and L are estimated at unit scale, where their
     # squares stay finite for any start x
     estimates = {
@@ -174,7 +176,7 @@ def _exp_quadrant(cfg: ExperimentConfig, rng: RngStream):
         raise ValueError("quadrant needs --theta1/--theta2 or --angle-lo/--angle-hi")
     batch = quadrant.sample_quadrant_processes(
         source, cfg.x, cfg.dt, cfg.eps_stop, cfg.max_legs, cfg.paths, rng,
-        threads=cfg.threads, record=int(bool(cfg.csv)))
+        record=int(bool(cfg.csv)))
     # estimated at unit scale, where the squares of L stay finite for any x
     estimates = {
         "local_time_total": _est(batch.l_totals / cfg.x, cfg.x),
@@ -249,7 +251,9 @@ def _exp_isde(cfg: ExperimentConfig, rng: RngStream):
     for i in range(g.n_rays):
         for j in range(i + 1, g.n_rays):
             c = float(np.corrcoef(WT[:, i], WT[:, j])[0, 1])
-            estimates[f"corr_W{i}_W{j}"] = {"mean": c, "stderr": 1.0 / sT / math.sqrt(cfg.paths), "n": cfg.paths}
+            # a correlation is scale-free: its stderr is 1 / sqrt(paths) at any T
+            estimates[f"corr_W{i}_W{j}"] = {"mean": c, "stderr": 1.0 / math.sqrt(cfg.paths),
+                                            "n": cfg.paths}
             corr_ok = corr_ok and abs(c) <= 3.0 / math.sqrt(cfg.paths)
     checks["noises_uncorrelated"] = corr_ok
     f1, g1 = graphs.canonical_test_functions(g, 0)
@@ -276,8 +280,7 @@ def _exp_isde(cfg: ExperimentConfig, rng: RngStream):
 
 def _exp_two_point(cfg: ExperimentConfig, rng: RngStream):
     g = cfg.star()
-    first = isde.sample_first_legs(g, cfg.x0_ray, cfg.dt, cfg.paths, rng,
-                                   n_legs=cfg.legs, threads=cfg.threads)
+    first = isde.sample_first_legs(g, cfg.x0_ray, cfg.dt, cfg.paths, rng, n_legs=cfg.legs)
     theta0 = first.theta0
     ks = stats.ks_against_cdf(first.first_leg_vs ** 2,
                               lambda w: quadrant.ys_cdf(theta0, 1.0, np.sqrt(w)))
@@ -310,8 +313,7 @@ def _exp_two_point(cfg: ExperimentConfig, rng: RngStream):
 def _exp_coalesce(cfg: ExperimentConfig, rng: RngStream):
     g = cfg.star()
     res = isde.sample_coalescence_times(
-        g, g.point(cfg.x0_ray, cfg.x), g.origin(), cfg.dt, cfg.paths, rng,
-        cfg.tmax, threads=cfg.threads)
+        g, g.point(cfg.x0_ray, cfg.x), g.origin(), cfg.dt, cfg.paths, rng, cfg.tmax)
     frac = res.fraction_coalesced()
     estimates = {"coalesced_fraction": {"mean": frac, "stderr": 0.0, "n": cfg.paths}}
     for j, tol in enumerate(res.tols):
@@ -492,12 +494,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = config_from_args(args)
+        out = cfg.out or f"{cfg.experiment}_report.json"
+        if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+            raise OSError(f"the report {out!r} is not a file in an existing directory")
         report = run(cfg)
-    except (ValueError, FileNotFoundError) as exc:
+        write_report(report, out)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    out = cfg.out or f"{cfg.experiment}_report.json"
-    write_report(report, out)
     for name, ok in report["checks"].items():
         print(f"[{'PASS' if ok else 'FAIL'}] {name}")
     print(f"report: {out}")

@@ -291,16 +291,6 @@ def make_star(n: int, probs: Sequence[float]) -> StarGraph:
     return StarGraph(n, probs)
 
 
-def distance(g: MetricGraph, x: GraphPoint, y: GraphPoint) -> float:
-    """Path distance between two points of g."""
-    if y.is_vertex:
-        e = g.incident(y.vertex)[0]
-        edge, coord = e.id, (0.0 if e.src == y.vertex else e.length)
-    else:
-        edge, coord = y.edge, y.coord
-    return float(distances(g, x, [edge], [coord])[0])
-
-
 def distances(g: MetricGraph, x: GraphPoint, edges, coords) -> np.ndarray:
     """Path distances from x to a batch of points of g, given as (edges,
     coords) arrays; a coord of 0 or of its edge's length is the vertex at
@@ -385,28 +375,6 @@ class DomainFunction:
 
     def vertex_second_derivative(self, v: int) -> float:
         return self._weighted_sum(2, v)
-
-    def value(self, x: GraphPoint) -> float:
-        if x.is_vertex:
-            return self.vertex_value(x.vertex)
-        h, _, _ = self.edge_funcs[x.edge]
-        return h(x.coord)
-
-    def derivative(self, x: GraphPoint) -> float:
-        if x.is_vertex:
-            return self.vertex_derivative(x.vertex)
-        _, dh, _ = self.edge_funcs[x.edge]
-        return dh(x.coord)
-
-    def second_derivative(self, x: GraphPoint) -> float:
-        if x.is_vertex:
-            return self.vertex_second_derivative(x.vertex)
-        _, _, d2h = self.edge_funcs[x.edge]
-        return d2h(x.coord)
-
-    def in_domain(self, tol: float = 1e-12) -> bool:
-        """Whether the weighted derivative vanishes at every vertex."""
-        return all(abs(self.vertex_derivative(v)) <= tol for v in self.graph.vertices)
 
     # vectorized evaluation over (edge, coord) arrays; vertex rows use the
     # weighted conventions. ``part`` is a partition of this batch from

@@ -10,7 +10,8 @@ Random numbers come from counter-based Philox streams: a stream is a
 independent, and the same pair always reproduces the same bytes. Every
 batch engine runs through ``map_chunks``: the paths split into fixed
 chunks, chunk ci draws from the child stream ci, and the chunk results are
-merged in chunk order, so results do not depend on the number of workers.
+merged in chunk order, so a result depends only on the seed, n and the
+chunk size.
 
 Engines draw only the words a step reads. ``Generator.random`` returns
 multiples of 2**-53, and a Brownian bridge from a to b over h dips below 0
@@ -61,27 +62,17 @@ class RngStream:
         return RngStream(self.seed, self.index + (int(k),))
 
 
-def map_chunks(fn, n: int, rng: RngStream, chunk: int, threads: int) -> tuple:
-    """Run ``fn(lo, hi, stream)`` on the chunks [lo, hi) of range(n).
+def map_chunks(fn, n: int, rng: RngStream, chunk: int) -> tuple:
+    """Run ``fn(lo, hi, stream)`` on the chunks [lo, hi) of range(n), in order.
 
     Chunk ci gets the stream rng.child(ci). fn returns a tuple of arrays
-    whose first axis runs over the chunk's paths; the chunks run serially
-    or on ``threads`` workers, and each tuple entry is concatenated in
-    chunk order, so the output does not depend on ``threads``.
+    whose first axis runs over the chunk's paths, and each tuple entry is
+    concatenated in chunk order.
     """
-    if n < 1 or threads < 1:
-        raise ValueError(f"need n >= 1 and threads >= 1, got n = {n}, threads = {threads}")
-    ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-
-    def run(ci):
-        return fn(*ranges[ci], rng.child(ci))
-
-    if threads <= 1 or len(ranges) <= 1:
-        results = [run(ci) for ci in range(len(ranges))]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, range(len(ranges))))
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    results = [fn(lo, min(lo + chunk, n), rng.child(ci))
+               for ci, lo in enumerate(range(0, n, chunk))]
     return tuple(np.concatenate(parts) for parts in zip(*results))
 
 

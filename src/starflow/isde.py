@@ -324,8 +324,7 @@ class FirstLegSamples:
 
 
 def sample_first_legs(g: StarGraph, start_ray: int, dt: float, n: int,
-                      rng: RngStream, n_legs: int = 1, chunk: int = 65536,
-                      threads: int = 1) -> FirstLegSamples:
+                      rng: RngStream, n_legs: int = 1, chunk: int = 65536) -> FirstLegSamples:
     """Simulate two-point legs from (e_i(1), 0), restarting at unit scale
     after each transfer (the x-scaling of the leg law makes the ratios and
     the ray chain scale-free)."""
@@ -356,7 +355,7 @@ def sample_first_legs(g: StarGraph, start_ray: int, dt: float, n: int,
                     p_rad, p_ray = p_rad[keep], p_ray[keep]
         return ratios, chains
 
-    ratios, chains = map_chunks(run, n, rng, chunk, threads)
+    ratios, chains = map_chunks(run, n, rng, chunk)
     return FirstLegSamples(theta0=theta0, ratios=ratios, chains=chains)
 
 
@@ -381,8 +380,7 @@ def sample_coalescence_times(g: StarGraph, x: GraphPoint, y: GraphPoint,
                              t_max: float, tol_factors=(1.0, 2.0, 4.0),
                              target_fraction: float = 0.99,
                              t_cap: float | None = None,
-                             chunk: int = 65536, threads: int = 1,
-                             ) -> CoalescenceSamples:
+                             chunk: int = 65536) -> CoalescenceSamples:
     """Two-point coalescence times with multi-tolerance detection.
 
     Detection level j fires at the first step where both radials are below
@@ -447,7 +445,7 @@ def sample_coalescence_times(g: StarGraph, x: GraphPoint, y: GraphPoint,
                 sub = sub[~done]
         return (times,)
 
-    times, = map_chunks(run, n, rng, chunk, threads)
+    times, = map_chunks(run, n, rng, chunk)
     return CoalescenceSamples(tols=tols, times=times, t_max=t_max)
 
 
@@ -497,7 +495,7 @@ def _replica_batch(g: StarGraph, x0: GraphPoint, T: float, dt: float, n_runs: in
             rad, _ = _coupled_step(g, ORIGIN_VERTEX, rays, rad + dW[run_of, rays], gen)
         return rays.reshape(c, m), rad.reshape(c, m)
 
-    return map_chunks(run, n_runs, rng, max(1, 65536 // m), 1)
+    return map_chunks(run, n_runs, rng, max(1, 65536 // m))
 
 
 def _dispersions(rays: np.ndarray, rads: np.ndarray, n_rays: int) -> np.ndarray:

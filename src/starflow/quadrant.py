@@ -228,7 +228,7 @@ def _recorded_legs(rec, theta, out, scale):
 
 def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
                 refine: bool = True, max_steps: int = 10 ** 8, chunk: int = 65536,
-                threads: int = 1, record: int = 0) -> LegSamples:
+                record: int = 0) -> LegSamples:
     """Terminal summaries of n independent legs from (x, 0), and the paths
     of legs 0..record-1 (taken from chunk 0).
 
@@ -236,9 +236,8 @@ def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
     step relative to x, and the outputs at x are x times those at 1 from
     the same stream (durations x^2 times).
 
-    Chunks run through ``map_chunks``: results are identical for any
-    thread count.
-    ``theta`` may be a scalar or an (n,) array of per-leg angles.
+    Chunk ci of ``chunk`` legs runs through ``map_chunks`` on the stream
+    rng.child(ci). ``theta`` may be a scalar or an (n,) array of per-leg angles.
     """
     _check_theta(np.min(theta))
     _check_theta(np.max(theta))
@@ -259,7 +258,7 @@ def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
         durs *= x * x   # inf for x above about 1e154, and so are those durations
         return (*out, durs, counts[None, :])
 
-    ys, ls, sups, infs, durs, counts = map_chunks(run, n, rng, chunk, threads)
+    ys, ls, sups, infs, durs, counts = map_chunks(run, n, rng, chunk)
     steps, path_steps, n_bridge, n_cross = (int(c) for c in counts.sum(axis=0))
     return LegSamples(theta=float(np.min(theta_arr)), x=x, dt=dt, ys=ys,
                       local_times=ls, sup_abs=sups, inf_abs=infs, durations=durs,
@@ -363,10 +362,7 @@ def expected_boundary_local_time(theta1: float, theta2: float, x: float = 1.0) -
 # -- quadrant process with per-leg angles ------------------------------------
 
 class AngleSource:
-    """Supplies the reflection angle for each leg, within declared bounds."""
-
-    lo: float
-    hi: float
+    """Supplies the reflection angle for each leg."""
 
     def angles_batch(self, n: int, m: int, gen: np.random.Generator) -> np.ndarray:
         """Vector of leg-n angles for m paths (for batch experiments)."""
@@ -383,8 +379,6 @@ class FixedAngles(AngleSource):
     def __post_init__(self):
         _check_theta(self.theta1)
         _check_theta(self.theta2)
-        self.lo = min(self.theta1, self.theta2)
-        self.hi = max(self.theta1, self.theta2)
 
     def angles_batch(self, n, m, gen):
         return np.full(m, self.theta1 if n % 2 == 0 else self.theta2)
@@ -454,7 +448,7 @@ class QuadrantBatch:
 def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
                               eps_stop: float, max_legs: int, n: int,
                               rng: RngStream, chunk: int = 65536,
-                              threads: int = 1, record: int = 0) -> QuadrantBatch:
+                              record: int = 0) -> QuadrantBatch:
     """Batch quadrant processes (unit legs per round, vectorized over paths),
     and the legs of processes 0..record-1 (taken from chunk 0).
 
@@ -503,4 +497,4 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
         t_tot *= x * x   # inf for x above about 1e154, as in sample_legs
         return l_tot, n_legs, u < eps_unit, t_tot
 
-    return QuadrantBatch(*map_chunks(run, n, rng, chunk, threads), paths=paths)
+    return QuadrantBatch(*map_chunks(run, n, rng, chunk), paths=paths)

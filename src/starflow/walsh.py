@@ -75,12 +75,6 @@ class WalshPath:
         """The driving Brownian motion at the grid indices."""
         return np.concatenate([[0.0], np.cumsum(self.increments)])
 
-    def point(self, k: int) -> GraphPoint:
-        return self.graph.point(int(self.rays[k]), float(self.radials[k]))
-
-    def points(self) -> list[GraphPoint]:
-        return [self.point(k) for k in range(len(self.radials))]
-
     def to_csv(self, path) -> None:
         driver = self.driver
         with open(path, "w", newline="") as fh:

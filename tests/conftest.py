@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from starflow.halfline import RngStream
+from starflow import isde, quadrant
+from starflow.halfline import RngStream, map_chunks
 
 
 @pytest.fixture
@@ -27,3 +29,45 @@ def philox_words(monkeypatch):
         return total
 
     return words
+
+
+@pytest.fixture
+def pointwise():
+    """``pointwise(f, which, x)``: the value (which 0), derivative (1) or
+    second derivative (2) of the DomainFunction f at the point x, from its
+    edge function there or its vertex value on a vertex."""
+    def at(f, which, x):
+        if x.is_vertex:
+            return (f.vertex_value, f.vertex_derivative,
+                    f.vertex_second_derivative)[which](x.vertex)
+        return f.edge_funcs[x.edge][which](x.coord)
+
+    return at
+
+
+@pytest.fixture
+def check_chunks(monkeypatch):
+    """Record the kernel that a batch engine of quadrant or isde hands to
+    map_chunks. ``check_chunks(outputs, n, chunk, rng)``, after one engine
+    run on n paths in chunks of ``chunk`` from rng, checks that rows
+    [lo, hi) of each output array are the kernel's run on chunk ci with
+    the stream rng.child(ci), for every chunk in order."""
+    kernels = []
+
+    def record(fn, *args):
+        kernels.append(fn)
+        return map_chunks(fn, *args)
+
+    for mod in (quadrant, isde):
+        monkeypatch.setattr(mod, "map_chunks", record)
+
+    def check(outputs, n, chunk, rng):
+        kernel, = kernels
+        starts = range(0, n, chunk)
+        assert len(starts) > 1
+        for ci, lo in enumerate(starts):
+            hi = min(lo + chunk, n)
+            for got, want in zip(outputs, kernel(lo, hi, rng.child(ci))):
+                np.testing.assert_array_equal(got[lo:hi], want)
+
+    return check

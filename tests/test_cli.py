@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,11 +74,6 @@ class TestMetricIsde:
         _, b = run_metric(tmp_path, graph_file, name="b.json")
         assert numeric(a) == numeric(b)
 
-    def test_threads_do_not_change_numbers(self, tmp_path, graph_file):
-        _, a = run_metric(tmp_path, graph_file, "--threads", "1", name="a.json")
-        _, b = run_metric(tmp_path, graph_file, "--threads", "2", name="b.json")
-        assert numeric(a) == numeric(b)
-
     def test_missing_graph_file(self, tmp_path):
         rc, report = run_metric(tmp_path, str(tmp_path / "absent.json"))
         assert rc == cli.EXIT_BAD_CONFIG == 3 and report is None
@@ -115,7 +111,7 @@ def tiny_argv(name, graph_file, args=None):
 
 def run_main(argv, out):
     rc = cli.main([*argv, "--out", str(out)])
-    return rc, json.loads(out.read_text()) if out.exists() else None
+    return rc, json.loads(out.read_text()) if out.is_file() else None
 
 
 def declared(name):
@@ -167,6 +163,15 @@ class TestEveryExperiment:
         text = capsys.readouterr().out
         assert "--seed" in text and "--threads" in text and "--out" in text
 
+    def test_threads_accepts_only_one(self, tmp_path, capsys, graph_file, name):
+        # the benchmark passes --threads 1 to every experiment
+        args = cli.build_parser().parse_args(tiny_argv(name, graph_file) + ["--threads", "1"])
+        assert cli.config_from_args(args).threads == 1
+        rc, report = run_main(tiny_argv(name, graph_file) + ["--threads", "2"],
+                              tmp_path / "r.json")
+        assert rc == cli.EXIT_BAD_CONFIG and report is None
+        assert "the engines run on one thread" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv", [
     ["isde", "--x0-r", "0.5"],
@@ -208,20 +213,31 @@ def test_unread_or_missing_option_is_usage_error(tmp_path, argv):
     ["coalesce", "--tmax", "nan", "--dt", "0.01"],
     ["walsh-kernel", "--T", "nan", "--paths", "10"],
     ["walsh-kernel", "--T", "inf", "--paths", "10"],
+    # files that cannot be read or written: exit 3, not the failed-check 1
+    ["metric-isde", "--graph-file", "{a_directory}"],
+    ["walsh-kernel", "--paths", "10", "--out", "{no_dir}/r.json"],
+    ["walsh-kernel", "--paths", "10", "--out", "{a_directory}"],
 ])
 def test_bad_value_exits_3(tmp_path, graph_file, argv):
     # metric-isde runs on the tree, on a copy of it without its edges, on a
-    # graph with no vertices or on a file holding a JSON list
+    # graph with no vertices, on a file holding a JSON list or on a directory
     no_edges = json.loads(open(graph_file).read())
     del no_edges["edges"]
     files = {"no_edges": no_edges, "no_vertices": {"vertices": [], "edges": [], "params": {}},
              "a_list": [no_edges]}
     for name, doc in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in argv]
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    paths.update(a_directory=tmp_path, no_dir=tmp_path / "absent")
+    argv = [a.format(**paths) for a in argv]
     if argv[0] == "metric-isde" and "--graph-file" not in argv:
         argv += ["--paths", "4", "--dt", "0.01", "--graph-file", graph_file]
-    rc, report = run_main(argv, tmp_path / "r.json")
+    out = tmp_path / "r.json"
+    if "--out" in argv:   # the case's own report path replaces r.json
+        i = argv.index("--out")
+        out = Path(argv[i + 1])
+        del argv[i:i + 2]
+    rc, report = run_main(argv, out)
     assert rc == cli.EXIT_BAD_CONFIG == 3 and report is None
 
 
@@ -275,6 +291,14 @@ def test_orbm_leg_at_an_extreme_start_radius(tmp_path, graph_file, x):
     rc, report = run_main(tiny_argv("orbm-leg", graph_file) + ["--x", x], tmp_path / "r.json")
     assert rc in (0, cli.EXIT_CHECKS_FAILED)
     assert all(math.isfinite(v) for e in report["estimates"].values() for v in e.values())
+
+
+def test_isde_correlation_stderr_does_not_scale_with_T(tmp_path):
+    # a correlation is scale-free, so its stderr is 1 / sqrt(paths) at T = 4 too
+    _, report = run_main(["isde", "--paths", "200", "--dt", "0.05", "--T", "4"],
+                         tmp_path / "r.json")
+    for pair in ("W0_W1", "W0_W2", "W1_W2"):
+        assert report["estimates"][f"corr_{pair}"]["stderr"] == 1 / math.sqrt(200)
 
 
 def test_quadrant_at_a_huge_start_radius(tmp_path):

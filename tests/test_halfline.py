@@ -41,18 +41,11 @@ class TestMapChunks:
 
     def test_chunk_streams_and_order(self):
         rng = RngStream(21)
-        ids, u = map_chunks(self._draws, 10, rng, 4, 1)
+        ids, u = map_chunks(self._draws, 10, rng, 4)
         np.testing.assert_array_equal(ids, np.arange(10))
         # chunk ci draws from rng.child(ci): chunks [0, 4), [4, 8), [8, 10)
         ref = [rng.child(ci).generator().random(m) for ci, m in enumerate((4, 4, 2))]
         np.testing.assert_array_equal(u, np.concatenate(ref))
-
-    @pytest.mark.parametrize("threads", [2, 3, 8])
-    def test_threads_do_not_change_results(self, threads):
-        serial = map_chunks(self._draws, 23, RngStream(22), 5, 1)
-        pooled = map_chunks(self._draws, 23, RngStream(22), 5, threads)
-        for a, b in zip(serial, pooled):
-            np.testing.assert_array_equal(a, b)
 
 
 BAD_HORIZONS = [(1.0, 0.0), (1.0, -1e-3), (0.0, 1e-3), (-1.0, 1e-3),

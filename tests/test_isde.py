@@ -290,16 +290,16 @@ class TestPairEngines:
         np.testing.assert_array_equal(out.times, times)
         assert np.isfinite(times[:, -1]).any()
 
-    def test_threads_do_not_change_results(self):
-        a = sample_first_legs(G, 1, 0.01, 30, RngStream(55), n_legs=1, chunk=7, threads=1)
-        b = sample_first_legs(G, 1, 0.01, 30, RngStream(55), n_legs=1, chunk=7, threads=3)
-        np.testing.assert_array_equal(a.ratios, b.ratios)
-        np.testing.assert_array_equal(a.chains, b.chains)
-        c = sample_coalescence_times(G, G.point(1, 1.0), G.origin(), 0.01, 20,
-                                     RngStream(56), 4.0, t_cap=16.0, chunk=7, threads=1)
-        d = sample_coalescence_times(G, G.point(1, 1.0), G.origin(), 0.01, 20,
-                                     RngStream(56), 4.0, t_cap=16.0, chunk=7, threads=3)
-        np.testing.assert_array_equal(c.times, d.times)
+    def test_first_leg_chunks_are_kernel_runs_in_order(self, check_chunks):
+        rng = RngStream(55)
+        a = sample_first_legs(G, 1, 0.01, 30, rng, n_legs=1, chunk=7)
+        check_chunks((a.ratios, a.chains), 30, 7, rng)
+
+    def test_coalescence_chunks_are_kernel_runs_in_order(self, check_chunks):
+        rng = RngStream(56)
+        c = sample_coalescence_times(G, G.point(1, 1.0), G.origin(), 0.01, 20, rng, 4.0,
+                                     t_cap=16.0, chunk=7)
+        check_chunks((c.times,), 20, 7, rng)
 
 
 def _forward_noises(g, T, dt, rng):

@@ -7,7 +7,7 @@ from scipy.stats import chi2_contingency
 
 from starflow import metric
 from starflow.graphs import (
-    DomainFunction, Edge, GraphPoint, MetricGraph, distance, distances, make_star,
+    DomainFunction, Edge, GraphPoint, MetricGraph, distances, make_star,
     per_ray_quadratic,
 )
 from starflow.halfline import RngStream
@@ -389,9 +389,9 @@ class TestStarIsTheOneVertexGraph:
         pts = list(zip(self.RAYS.tolist(), self.RADS.tolist()))
         for x in pts:
             assert star.point(*x) == hand.point(*x)
-            for y in pts:
-                assert distance(star, star.point(*x), star.point(*y)) == \
-                    distance(hand, hand.point(*x), hand.point(*y))
+            for e, c in pts:
+                assert distances(star, star.point(*x), [e], [c])[0] == \
+                    distances(hand, hand.point(*x), [e], [c])[0]
 
     @pytest.mark.parametrize("x0", [vertex(0), GraphPoint(edge=2, coord=0.3)])
     def test_walker_bit_identical(self, x0):
@@ -432,16 +432,15 @@ class TestArrayEvaluationOnATree:
         np.testing.assert_array_equal(part.edge_rows[0], [1, 7])
         np.testing.assert_array_equal(part.edge_coords[0], [0.1, 0.2499])
 
-    def test_matches_pointwise(self):
+    def test_matches_pointwise(self, pointwise):
         f = self.function()
         g = f.graph
         pts = [g.point(int(e), float(c)) for e, c in zip(self.EDGES, self.COORDS)]
         assert pts[2] == pts[6] == vertex(1)
         part = g.partition(self.EDGES, self.COORDS)
-        for arrays, point in ((f.value_arrays, f.value),
-                              (f.derivative_arrays, f.derivative),
-                              (f.second_derivative_arrays, f.second_derivative)):
-            expected = np.array([point(x) for x in pts])
+        for which, arrays in enumerate((f.value_arrays, f.derivative_arrays,
+                                        f.second_derivative_arrays)):
+            expected = np.array([pointwise(f, which, x) for x in pts])
             np.testing.assert_array_equal(arrays(self.EDGES, self.COORDS), expected)
             np.testing.assert_array_equal(arrays(self.EDGES, self.COORDS, part=part), expected)
         out = f.value_arrays(self.EDGES[:10].reshape(2, 5), self.COORDS[:10].reshape(2, 5))

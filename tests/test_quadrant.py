@@ -118,11 +118,10 @@ class TestLegSamples:
             assert a.x == x and a.Y_S == x * b.Y_S
             np.testing.assert_array_equal(a.Y, x * b.Y)
 
-    def test_threads_do_not_change_results(self):
-        a = sample_legs(math.pi / 4, 1.0, 1e-3, 5000, RngStream(9), chunk=1024, threads=1)
-        b = sample_legs(math.pi / 4, 1.0, 1e-3, 5000, RngStream(9), chunk=1024, threads=3)
-        assert np.array_equal(a.ys, b.ys)
-        assert np.array_equal(a.local_times, b.local_times)
+    def test_chunks_are_kernel_runs_in_order(self, check_chunks):
+        rng = RngStream(9)
+        s = sample_legs(math.pi / 4, 1.0, 1e-2, 10, rng, chunk=4)
+        check_chunks((s.ys, s.local_times, s.sup_abs, s.inf_abs, s.durations), 10, 4, rng)
 
     def test_per_leg_angles(self):
         thetas = np.where(np.arange(4000) % 2 == 0, math.pi / 3, math.pi / 6)
@@ -363,14 +362,11 @@ class TestQuadrantProcess:
         assert abs(e.mean - target) <= max(3 * e.stderr, 0.05 * target)
         assert np.mean(batch.terminated) > 0.999
 
-    def test_batch_threads_identical(self):
-        src = UniformAngles(math.pi / 6, math.pi / 3)
-        a = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 100, 3000,
-                                      RngStream(18), chunk=1000, threads=1)
-        b = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 100, 3000,
-                                      RngStream(18), chunk=1000, threads=4)
-        assert np.array_equal(a.l_totals, b.l_totals)
-        assert np.array_equal(a.n_legs, b.n_legs)
+    def test_chunks_are_kernel_runs_in_order(self, check_chunks):
+        rng = RngStream(18)
+        b = sample_quadrant_processes(UniformAngles(math.pi / 6, math.pi / 3), 1.0, 1e-2,
+                                      1e-1, 50, 10, rng, chunk=4)
+        check_chunks((b.l_totals, b.n_legs, b.terminated, b.sigma0_times), 10, 4, rng)
 
     def test_divergent_angles_grow(self):
         # When tan th1 tan th2 <= 1 the mean of L_total is infinite at every

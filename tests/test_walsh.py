@@ -74,14 +74,16 @@ class TestSemigroup:
         g = make_star(3, [0.5, 0.3, 0.2])
         _, g1 = canonical_test_functions(g, 1)
         x = g.point(1, 0.5)
-        assert semigroup_apply(g, g1, 1e-6, x) == pytest.approx(g1.value(x), abs=1e-3)
+        assert semigroup_apply(g, g1, 1e-6, x) == pytest.approx(
+            g1.value_arrays([1], [0.5])[0], abs=1e-3)
 
     def test_canonical_f_is_invariant(self):
         # f_i composes to a martingale: P_t f_i = f_i
         g = make_star(3, [0.5, 0.3, 0.2])
         f1, _ = canonical_test_functions(g, 0)
-        for t, x in [(0.1, g.point(0, 0.5)), (1.0, g.point(2, 0.4)), (0.5, g.origin())]:
-            assert semigroup_apply(g, f1, t, x) == pytest.approx(f1.value(x), abs=1e-7)
+        for t, (ray, r) in [(0.1, (0, 0.5)), (1.0, (2, 0.4)), (0.5, (0, 0.0))]:
+            assert semigroup_apply(g, f1, t, g.point(ray, r)) == pytest.approx(
+                f1.value_arrays([ray], [r])[0], abs=1e-7)
 
     def test_quadratic_growth_from_origin(self):
         # mean of g_i grows linearly: P_t g_i(0) = 2 p_i q_i t / 2 * 2 = p_i q_i t
@@ -432,12 +434,12 @@ class TestBatchEnginesMatchReference:
         quad = per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])
         out = sample_residual_summaries(g, {"q": quad}, 0.5, 0.01, 30, RngStream(25), record=3)
         for j, path in enumerate(out.paths):
-            pts = path.points()
+            f, fp, fpp = (_eval_masks(quad, which, path.rays, path.radials) for which in range(3))
             s_dB = s_fpp = 0.0
-            for x, xi in zip(pts[:-1], path.increments):
-                s_dB += quad.derivative(x) * xi
-                s_fpp += quad.second_derivative(x)
-            mart = (quad.value(pts[-1]) - quad.value(pts[0]) - 0.5 * path.dt * s_fpp
+            for k, xi in enumerate(path.increments):
+                s_dB += fp[k] * xi
+                s_fpp += fpp[k]
+            mart = (f[-1] - f[0] - 0.5 * path.dt * s_fpp
                     - quad.vertex_derivative(0) * path.radial_localtime[-1])
             assert mart - s_dB == out.summaries["q"].residuals[j]
 

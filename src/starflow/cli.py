@@ -16,7 +16,8 @@ Exit codes: 0 when all checks passed their declared tolerances; 1 when
 some check failed (the report is still written); 2 for usage errors,
 among them an option the experiment does not read; 3 for invalid
 configuration values and for a file (graph, report or dump) that cannot
-be read or written; no report is written then.
+be read or written; no report is written then. The directories of the
+report and of a dump are checked before any engine runs.
 
 Reproducibility: the same config and seed produce byte-identical numeric
 output (fixed chunking, one stream per chunk, ordered merge).
@@ -230,19 +231,36 @@ def _exp_walsh_kernel(cfg: ExperimentConfig, rng: RngStream):
 
 
 def _exp_isde(cfg: ExperimentConfig, rng: RngStream):
-    """``W<i>_is_brownian`` needs a KS p-value > 1e-3 for W_i(T)/sqrt(T)
+    """Both halves of the forward construction come from one grid engine
+    call at dt: the law of the edge noises W and the Freidlin-Sheu
+    residuals and isometry of the Walsh path X that drives them. A second
+    call at dt/4 gives the fine level of the isometry check.
+
+    ``W<i>_is_brownian`` needs a KS p-value > 1e-3 for W_i(T)/sqrt(T)
     against the standard normal. The assembled noises are exact in law, so
     the false-failure rate is 1e-3 per ray, 3e-3 over three rays.
 
     ``isometry_<f>`` needs |z| <= ndtri(1 - 1e-3/4) = 3.48 for the mean of
     the per-path isometry defects (``ResidualSummary.isometry_defects``) at
     dt and at dt/4: two-sided, Bonferroni over the two levels, so the
-    false-failure rate is 1e-3 per test function, 3e-3 over the three."""
+    false-failure rate is 1e-3 per test function, 3e-3 over the three.
+
+    The W checks and the residual checks read the same paths, so they are
+    not independent; the rates still add up, because Bonferroni's union
+    bound holds for dependent events too."""
     g = cfg.star()
-    rays, rads, WT = isde.sample_isde_terminals(g, cfg.T, cfg.dt, cfg.paths, rng.child(0))
+    f1, g1 = graphs.canonical_test_functions(g, 0)
+    quad_f = graphs.per_ray_quadratic(
+        g, [0.5 + 0.25 * i for i in range(g.n_rays)],
+        [(-1) ** i * 0.5 for i in range(g.n_rays)])
+    fs = {"f1": f1, "g1": g1, "ray_quadratic": quad_f}
+    coarse = walsh.sample_residual_summaries(g, fs, cfg.T, cfg.dt, cfg.paths, rng.child(1))
+    fine = walsh.sample_residual_summaries(g, fs, cfg.T, cfg.dt / 4, max(cfg.paths // 4, 1000),
+                                           rng.child(2))
     from scipy.special import ndtr, ndtri
     estimates, ks_results, checks = {}, {}, {}
     sT = math.sqrt(cfg.T)
+    WT = coarse.noises
     for i in range(g.n_rays):
         ks = stats.ks_against_cdf(WT[:, i] / sT, ndtr)
         ks_results[f"W{i}_normal"] = _ks(ks)
@@ -256,17 +274,9 @@ def _exp_isde(cfg: ExperimentConfig, rng: RngStream):
                                             "n": cfg.paths}
             corr_ok = corr_ok and abs(c) <= 3.0 / math.sqrt(cfg.paths)
     checks["noises_uncorrelated"] = corr_ok
-    f1, g1 = graphs.canonical_test_functions(g, 0)
-    quad_f = graphs.per_ray_quadratic(
-        g, [0.5 + 0.25 * i for i in range(g.n_rays)],
-        [(-1) ** i * 0.5 for i in range(g.n_rays)])
-    fs = {"f1": f1, "g1": g1, "ray_quadratic": quad_f}
-    res = walsh.sample_residual_summaries(g, fs, cfg.T, cfg.dt, cfg.paths,
-                                          rng.child(1)).summaries
-    res_fine = walsh.sample_residual_summaries(g, fs, cfg.T, cfg.dt / 4, max(cfg.paths // 4, 1000),
-                                               rng.child(2)).summaries
     z_max = ndtri(1 - 1e-3 / 4)
-    for nm, summ in res.items():
+    res_fine = fine.summaries
+    for nm, summ in coarse.summaries.items():
         est = stats.mc_estimate(summ.residuals)
         estimates[f"residual_{nm}"] = _est(summ.residuals)
         checks[f"residual_{nm}_centered"] = abs(est.mean) <= 3 * est.stderr
@@ -275,7 +285,9 @@ def _exp_isde(cfg: ExperimentConfig, rng: RngStream):
         levels = (_est(summ.isometry_defects), _est(res_fine[nm].isometry_defects))
         estimates[f"isometry_{nm}"], estimates[f"isometry_{nm}_fine"] = levels
         checks[f"isometry_{nm}"] = all(abs(e["mean"]) <= z_max * e["stderr"] for e in levels)
-    return estimates, ks_results, {}, checks, {}
+    diagnostics = {"coarse": {"dt": cfg.dt, **coarse.diagnostics()},
+                   "fine": {"dt": cfg.dt / 4, **fine.diagnostics()}}
+    return estimates, ks_results, {}, checks, diagnostics
 
 
 def _exp_two_point(cfg: ExperimentConfig, rng: RngStream):
@@ -497,6 +509,8 @@ def main(argv=None) -> int:
         out = cfg.out or f"{cfg.experiment}_report.json"
         if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
             raise OSError(f"the report {out!r} is not a file in an existing directory")
+        if cfg.csv and not os.path.isdir(os.path.dirname(cfg.csv) or "."):
+            raise OSError(f"the dump prefix {cfg.csv!r} is not in an existing directory")
         report = run(cfg)
         write_report(report, out)
     except (ValueError, OSError) as exc:

@@ -1,12 +1,15 @@
 """Interface-SDE solutions and flow machinery on star graphs.
 
-Forward construction, in ``sample_isde_terminals``: a coupled Walsh path
-X provides the driver B, and the edge noises are
+Forward construction, in the grid engine ``walsh.sample_residual_summaries``
+(``sample_isde_terminals`` returns its terminals and noises): a coupled
+Walsh path X provides the driver B, and the edge noises are
 dW^i = 1{X on ray i} dB + 1{X off ray i} dV^i (left-point indicators) with
 auxiliary noises V^i independent of X, so W is an N-dimensional Brownian
 family and X follows W^i on ray i exactly. The engine draws no off-ray
 increment: given the path their sum is Gaussian, and it is drawn once per
-ray.
+path and ray, after the last step. The same engine call gives the
+Freidlin-Sheu residuals of X, so both halves of the solution (X, W) are
+checked on one set of paths.
 
 n-point motions share one W: between transfer times exactly one point (the
 pivot) sits at the origin and evolves as a fresh coupled Walsh path that
@@ -40,7 +43,7 @@ import numpy as np
 from .graphs import ORIGIN_VERTEX, GraphPoint, StarGraph
 from .halfline import RngStream, check_horizon, grid_steps, map_chunks, reflected_increment
 from .quadrant import SAFETY
-from .walsh import _coupled_step, _point_state, _start_state
+from .walsh import _coupled_step, _point_state, _start_state, sample_residual_summaries
 
 __all__ = [
     "N2NoisePath", "NPointPath",
@@ -66,33 +69,12 @@ def sample_isde_terminals(g: StarGraph, T: float, dt: float, n: int,
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Terminal (rays, radials, W_T) over n forward solutions; W_T is (n, N).
 
-    Each step draws the n driver increments xi, credits xi to the ray each
-    path is on and counts that step there, then takes the coupled step.
-    The off-ray increments dV^i are never drawn one by one: given the path,
-    the C_i steps a path spends on ray i carry xi and its other K - C_i
-    steps carry iid N(0, dt) increments independent of the path, so their
-    sum is drawn at the end as sqrt(dt (K - C_i)) Z_i from one (n, N)
-    normal block. W_T has the forward construction's joint law with the
-    terminal state.
+    The grid engine ``walsh.sample_residual_summaries`` with no test
+    function: it steps the coupled Walsh paths and assembles W_T from their
+    driver increments and one off-ray normal per path and ray.
     """
-    if x0 is None:
-        x0 = g.origin()
-    K = grid_steps(T, dt)
-    gen = rng.generator()
-    sq = math.sqrt(dt)
-    rays, rad = _start_state(g, x0, n, gen)
-    # flat (path, ray) cells: each path adds to one cell per step
-    on_sum = np.zeros((n, g.n_rays))
-    on_steps = np.zeros((n, g.n_rays))
-    row_cell = np.arange(n) * g.n_rays
-    for _ in range(K):
-        xi = sq * gen.standard_normal(n)
-        cell = row_cell + rays
-        np.add.at(on_sum.reshape(-1), cell, xi)
-        np.add.at(on_steps.reshape(-1), cell, 1.0)
-        rad, _ = _coupled_step(g, ORIGIN_VERTEX, rays, rad + xi, gen)
-    WT = on_sum + np.sqrt(dt * (K - on_steps)) * gen.standard_normal((n, g.n_rays))
-    return rays, rad, WT
+    out = sample_residual_summaries(g, {}, T, dt, n, rng, x0=x0)
+    return out.rays, out.radials, out.noises
 
 
 # -- N = 2 strong solver ------------------------------------------------------

@@ -20,13 +20,16 @@ Two simulation modes:
   touch and biases them at order sqrt(dt).)
 
 The coupled step exists once, as ``_coupled_step``, and every grid engine
-on a graph starts from ``_start_state`` and takes that step: here
-``sample_residual_summaries``, which also records whole paths (rows of its
-batch) as ``WalshPath``; in ``isde`` the forward terminals
-``sample_isde_terminals``, the pivot of ``npoint_motion`` and the replicas
-of the filtered kernel; and in ``metric`` the walker, at the vertex each
-path is anchored to. They, and the exact kernel step, draw edges from the
-graph's weight table, ``MetricGraph.draw_edges``. The engine
+on a graph starts from ``_start_state`` and takes that step. Here it is
+``sample_residual_summaries``, the one grid engine of the coupled path on
+a star: one pass evaluates the test functions' residual sums, assembles
+the forward construction's edge noises W_T from the same driver
+increments, and records whole paths (rows of its batch) as ``WalshPath``;
+``isde.sample_isde_terminals`` is that engine with no test function. In
+``isde`` the step also moves the pivot of ``npoint_motion`` and the
+replicas of the filtered kernel, and in ``metric`` the walker, at the
+vertex each path is anchored to. They, and the exact kernel step, draw
+edges from the graph's weight table, ``MetricGraph.draw_edges``. An engine
 draws the driver increments; the step draws the redraw coins itself, one
 uniform per folding row after the fold test, in row order, and none for
 the rows that keep their edge. That is exact: whichever rows fold, their
@@ -55,6 +58,10 @@ __all__ = [
     "WalshPath", "exact_step_arrays", "sample_exact_steps", "semigroup_apply",
     "ResidualSummary", "ResidualSamples", "sample_residual_summaries",
 ]
+
+# grid rows (path-steps) per evaluation block of the grid engine: a batch
+# of n paths is evaluated every ROWS_PER_BLOCK // n steps
+ROWS_PER_BLOCK = 3 * 2 ** 13
 
 
 @dataclass
@@ -203,25 +210,79 @@ class ResidualSummary:
 
 @dataclass
 class ResidualSamples:
-    """The residual engine's output: a summary per test function, and the
-    recorded paths."""
+    """The grid engine's output: a summary per test function, the recorded
+    paths, the terminal rays and radials, the forward construction's edge
+    noises W_T, (n, N), and the engine's work counts."""
 
     summaries: dict[str, ResidualSummary]
     paths: list[WalshPath]
+    rays: np.ndarray
+    radials: np.ndarray
+    noises: np.ndarray
+    steps: int
+    blocks: int
+    coins: int
+
+    def diagnostics(self) -> dict:
+        """The engine's work counts: grid steps, path-steps, evaluation
+        blocks and redraw coins."""
+        return {"grid_steps": self.steps, "path_steps": self.steps * self.rays.size,
+                "eval_blocks": self.blocks, "redraw_coins": self.coins}
+
+
+def _fold(acc: np.ndarray, rows: np.ndarray) -> None:
+    """acc += rows[0] + rows[1] + ..., added in row order: numpy sums a
+    (b, n) array along axis 0 row by row when n > 1 (a (b, 1) sum is
+    pairwise). Overwrites rows[0]."""
+    rows[0] += acc
+    np.add.reduce(rows, axis=0, out=acc)
+
+
+def _values(g: StarGraph, fs: dict[str, DomainFunction], rays, rad) -> dict[str, np.ndarray]:
+    """Each test function's values on a batch, with one shared partition."""
+    part = g.partition(rays, rad)
+    return {nm: f.value_arrays(rays, rad, part=part) for nm, f in fs.items()}
+
+
+def _fold_block(g: StarGraph, fs: dict[str, DomainFunction], sums: dict[str, np.ndarray],
+                rays, rad, xi) -> None:
+    """Fold a (b, n) block of states and driver increments, step by row,
+    into each test function's per-path sums of f' dB, f'' and f'^2, with
+    one partition of the block shared by every function."""
+    part = g.partition(rays, rad)
+    for nm, f in fs.items():
+        s_dB, s_fpp, s_fp2 = sums[nm]
+        fp = f.derivative_arrays(rays, rad, part=part)
+        _fold(s_dB, fp * xi)
+        _fold(s_fpp, f.second_derivative_arrays(rays, rad, part=part))
+        _fold(s_fp2, np.multiply(fp, fp, out=fp))
 
 
 def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
                               T: float, dt: float, n: int, rng: RngStream,
                               x0: GraphPoint | None = None, record: int = 0) -> ResidualSamples:
-    """Batch terminal residuals for several test functions on shared paths,
-    and the paths of rows 0..record-1.
+    """The coupled-Walsh grid engine: batch terminal residuals for several
+    test functions on shared paths, the paths of rows 0..record-1, the
+    terminal states and the edge noises W_T of the forward construction.
 
     The residual of f along a path is
     M_K = f(X_K) - f(X_0) - sum_k f'(X_k) dB_k - (dt/2) sum_k f''(X_k) - f'(0) L_K,
     a discrete martingale up to the coupled-mode discretization bias.
-    Each step partitions the batch by ray once and shares that partition
-    across every test function; it draws the n driver increments, and a
-    redraw coin only for the paths that fold.
+    Each step draws the n driver increments xi, credits xi to the ray each
+    path is on, and takes the coupled step, which draws a redraw coin only
+    for the paths that fold; a path's steps on a ray are counted when it
+    folds and at the end. The states and increments of B = ROWS_PER_BLOCK
+    // n consecutive steps are evaluated as one block: one partition by
+    ray, shared by every test function, and one call per derivative,
+    folded into the sums in step order, so the sums are those of a
+    per-step loop bit for bit.
+
+    The off-ray increments dV^i of W are never drawn one by one: given the
+    path, the C_i steps a path spends on ray i carry xi and its other
+    K - C_i steps carry iid N(0, dt) increments independent of the path,
+    so their sum is drawn after the last step as sqrt(dt (K - C_i)) Z_i
+    from one (n, N) normal block. W_T has the forward construction's joint
+    law with the terminal state.
     """
     if x0 is None:
         x0 = g.origin()
@@ -232,36 +293,60 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
     sq = math.sqrt(dt)
     rays, rad = _start_state(g, x0, n, gen)
     L = np.zeros(n)
-    names = list(fs)
-    sum_fp_dB = {nm: np.zeros(n) for nm in names}
-    sum_fpp = {nm: np.zeros(n) for nm in names}
-    bracket = {nm: np.zeros(n) for nm in names}  # sum_k f'^2 per path, times dt at the end
-    part = g.partition(rays, rad)
-    f0 = {nm: fs[nm].value_arrays(rays, rad, part=part) for nm in names}
+    # flat (path, ray) cells: each path adds to one cell per step; its steps
+    # on a ray are counted per stint, when it folds and at the end
+    on_sum = np.zeros((n, g.n_rays))
+    on_steps = np.zeros((n, g.n_rays))
+    row_cell = np.arange(n) * g.n_rays
+    since = np.zeros(n, dtype=np.int64)   # the step that began each path's stint
+    # B steps per block (one step at n = 1, see _fold, and without test
+    # functions, when there is nothing to evaluate)
+    B = max(1, ROWS_PER_BLOCK // n) if fs and n > 1 else 1
+    blk_rays, blk_rad, blk_xi = (np.empty((B, n), dtype=np.int64), np.empty((B, n)),
+                                 np.empty((B, n)))
+    sums = {nm: np.zeros((3, n)) for nm in fs}  # sum f' dB, sum f'', sum f'^2 per path
+    f0 = _values(g, fs, rays, rad)
     rec = [(rays[:record].copy(), rad[:record].copy(), np.zeros(record), np.zeros(record))]
-    for _ in range(K):
-        xi = sq * gen.standard_normal(n)
-        part = g.partition(rays, rad)
-        for nm in names:
-            fp = fs[nm].derivative_arrays(rays, rad, part=part)
-            sum_fp_dB[nm] += fp * xi
-            sum_fpp[nm] += fs[nm].second_derivative_arrays(rays, rad, part=part)
-            bracket[nm] += fp * fp
+    blocks = coins = 0
+    for k in range(K):
+        b = k % B
+        xi = gen.standard_normal(n, out=blk_xi[b])
+        xi *= sq
+        if fs:
+            blk_rays[b], blk_rad[b] = rays, rad
+        cell = row_cell + rays
+        np.add.at(on_sum.reshape(-1), cell, xi)
         rad, folded = _coupled_step(g, ORIGIN_VERTEX, rays, rad + xi, gen)
         L[folded] += 2.0 * rad[folded]
+        on_steps.reshape(-1)[cell[folded]] += k + 1 - since[folded]
+        since[folded] = k + 1
+        coins += folded.size
         if record:
             rec.append([a[:record].copy() for a in (rays, rad, L, xi)])
-    part = g.partition(rays, rad)
+        if fs and (b == B - 1 or k == K - 1):
+            _fold_block(g, fs, sums, blk_rays[:b + 1], blk_rad[:b + 1], blk_xi[:b + 1])
+            blocks += 1
+    on_steps.reshape(-1)[row_cell + rays] += K - since
+    # W_T = on_sum + sqrt(dt (K - on_steps)) Z; this and M below are built
+    # in place, or the arrays of the last phase would set the peak memory
+    noises = np.subtract(K, on_steps, out=on_steps)
+    noises *= dt
+    np.sqrt(noises, out=noises)
+    noises *= gen.standard_normal((n, g.n_rays))
+    noises += on_sum
     out = {}
-    for nm in names:
-        fT = fs[nm].value_arrays(rays, rad, part=part)
-        mart = fT - f0[nm] - 0.5 * dt * sum_fpp[nm] - fs[nm].vertex_derivative(0) * L
+    for nm, mart in _values(g, fs, rays, rad).items():   # f(X_T), then M
+        s_dB, s_fpp, s_fp2 = sums[nm]
+        mart -= f0.pop(nm)
+        mart -= 0.5 * dt * s_fpp
+        mart -= fs[nm].vertex_derivative(0) * L
         out[nm] = ResidualSummary(
             name=nm,
-            residuals=mart - sum_fp_dB[nm],
+            residuals=mart - s_dB,
             martingale_part=mart,
-            bracket=np.multiply(bracket[nm], dt, out=bracket[nm]),
+            bracket=np.multiply(s_fp2, dt, out=s_fp2),
         )
     rays_k, rad_k, l_k, xi_k = (np.stack(c) for c in zip(*rec))
-    return ResidualSamples(out, [WalshPath(g, dt, rays_k[:, j], rad_k[:, j], l_k[:, j],
-                                           xi_k[1:, j]) for j in range(record)])
+    paths = [WalshPath(g, dt, rays_k[:, j], rad_k[:, j], l_k[:, j], xi_k[1:, j])
+             for j in range(record)]
+    return ResidualSamples(out, paths, rays, rad, noises, K, blocks, coins)

@@ -217,8 +217,10 @@ def test_unread_or_missing_option_is_usage_error(tmp_path, argv):
     ["metric-isde", "--graph-file", "{a_directory}"],
     ["walsh-kernel", "--paths", "10", "--out", "{no_dir}/r.json"],
     ["walsh-kernel", "--paths", "10", "--out", "{a_directory}"],
+    # a dump in a missing directory once failed only after the whole run
+    ["orbm-leg", "--theta", "0.5", "--csv", "{no_dir}/x"],
 ])
-def test_bad_value_exits_3(tmp_path, graph_file, argv):
+def test_bad_value_exits_3(tmp_path, graph_file, argv, monkeypatch):
     # metric-isde runs on the tree, on a copy of it without its edges, on a
     # graph with no vertices, on a file holding a JSON list or on a directory
     no_edges = json.loads(open(graph_file).read())
@@ -237,6 +239,11 @@ def test_bad_value_exits_3(tmp_path, graph_file, argv):
         i = argv.index("--out")
         out = Path(argv[i + 1])
         del argv[i:i + 2]
+    if "--csv" in argv:   # the dump's directory is checked before the experiment runs
+        def unreachable(cfg, rng):
+            raise AssertionError("the experiment ran before the dump's directory was checked")
+
+        monkeypatch.setitem(cli.EXPERIMENTS, argv[0], (unreachable, cli.EXPERIMENTS[argv[0]][1]))
     rc, report = run_main(argv, out)
     assert rc == cli.EXIT_BAD_CONFIG == 3 and report is None
 
@@ -291,6 +298,17 @@ def test_orbm_leg_at_an_extreme_start_radius(tmp_path, graph_file, x):
     rc, report = run_main(tiny_argv("orbm-leg", graph_file) + ["--x", x], tmp_path / "r.json")
     assert rc in (0, cli.EXIT_CHECKS_FAILED)
     assert all(math.isfinite(v) for e in report["estimates"].values() for v in e.values())
+
+
+def test_isde_reports_its_work(tmp_path):
+    _, report = run_main(tiny_argv("isde", None), tmp_path / "r.json")
+    coarse, fine = report["diagnostics"]["coarse"], report["diagnostics"]["fine"]
+    assert (coarse["dt"], fine["dt"]) == (0.05, 0.0125)
+    assert (coarse["grid_steps"], fine["grid_steps"]) == (20, 80)
+    assert coarse["path_steps"] == 20 * 200 and fine["path_steps"] == 80 * 1000
+    for level in (coarse, fine):
+        assert 1 <= level["eval_blocks"] <= level["grid_steps"]
+        assert 0 < level["redraw_coins"] < level["path_steps"]
 
 
 def test_isde_correlation_stderr_does_not_scale_with_T(tmp_path):

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import chdtr, ndtr
 
-from starflow.graphs import make_star
+from starflow.graphs import make_star, per_ray_quadratic
 from starflow.halfline import RngStream
 from starflow.isde import (
     _dispersions, filtered_kernel, isde_n2_from_noise, npoint_motion,
@@ -12,6 +12,7 @@ from starflow.isde import (
     sample_kernel_dispersions,
 )
 from starflow.stats import ks_against_cdf, ks_two_sample
+from starflow.walsh import sample_residual_summaries
 
 G = make_star(3, [0.5, 0.3, 0.2])
 
@@ -81,6 +82,37 @@ class TestSampleTerminals:
         _, _, WT = sample_isde_terminals(G, T, 0.02, 4000, RngStream(46))
         for i in range(G.n_rays):
             assert ks_against_cdf(WT[:, i] / math.sqrt(T), ndtr).p_value > 1e-3, i
+
+    def test_edge_noises_are_jointly_brownian(self):
+        # W_T / sqrt(T) is a standard normal vector in R^N, so |W_T|^2 / T is
+        # chi^2 with N degrees of freedom and u.W_T / sqrt(T) is N(0, 1) for a
+        # unit vector u off the axes; both p-values are uniform and the test
+        # fails a correct engine with probability about 2e-3. Over seeds
+        # 100-299 at this config the p-values average 0.51 and 0.50, with
+        # minima 0.008 and 0.011; at seed 48 they are 0.61 and 0.71.
+        T = 2.0
+        _, _, WT = sample_isde_terminals(G, T, 0.02, 4000, RngStream(48))
+        norm2 = np.sum(WT * WT, axis=1) / T
+        assert ks_against_cdf(norm2, lambda x: chdtr(G.n_rays, x)).p_value > 1e-3
+        u = np.array([1.0, 2.0, 2.0]) / 3.0
+        assert ks_against_cdf(WT @ u / math.sqrt(T), ndtr).p_value > 1e-3
+
+    def test_noises_and_terminals_come_from_the_recorded_paths(self):
+        # one engine call with a test function: a recorded row that never
+        # folds stays on its ray, so its noise on that ray is its driver sum,
+        # the radial's displacement
+        x0 = G.point(1, 0.5)
+        quad = per_ray_quadratic(G, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])
+        out = sample_residual_summaries(G, {"q": quad}, 0.25, 0.01, 200, RngStream(49),
+                                        x0=x0, record=200)
+        unfolded = [j for j, p in enumerate(out.paths) if p.radial_localtime[-1] == 0.0]
+        assert 0 < len(unfolded) < 200
+        for j in unfolded:
+            path = out.paths[j]
+            assert np.all(path.rays == 1)
+            assert abs(path.radials[-1] - path.radials[0] - out.noises[j, 1]) <= 1e-12
+        np.testing.assert_array_equal(out.rays, [p.rays[-1] for p in out.paths])
+        np.testing.assert_array_equal(out.radials, [p.radials[-1] for p in out.paths])
 
 
 def _npoint_reference(g, starts, T, dt, rng, tol_c):

@@ -11,7 +11,7 @@ from starflow.halfline import RngStream
 from starflow.isde import sample_isde_terminals
 from starflow.stats import ks_against_cdf, ks_two_sample, mc_estimate
 from starflow.walsh import (
-    _coupled_step, _start_state,
+    ROWS_PER_BLOCK, _coupled_step, _start_state,
     sample_exact_steps, sample_residual_summaries, semigroup_apply, exact_step_arrays,
 )
 
@@ -419,6 +419,33 @@ class TestBatchEnginesMatchReference:
             np.testing.assert_array_equal(path.radial_localtime, L[:, j])
             np.testing.assert_array_equal(path.increments, xi[:, j])
         assert L[-1, :4].max() > 0.0 and np.any(rays[:, :4] != rays[0, :4])
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_narrow_batches_bit_identical(self, n):
+        # a block of a narrow batch holds many steps; at n = 1 it holds one,
+        # because numpy sums a (B, 1) array along axis 0 pairwise
+        g = self.G
+        fs = {"g1": canonical_test_functions(g, 0)[1],
+              "quad": per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])}
+        out = sample_residual_summaries(g, fs, 1.0, 0.01, n, RngStream(30)).summaries
+        ref = _residuals_reference(g, fs, 1.0, 0.01, n, RngStream(30), g.origin())
+        for nm, (res, mart, _) in ref.items():
+            np.testing.assert_array_equal(out[nm].residuals, res)
+            np.testing.assert_array_equal(out[nm].martingale_part, mart)
+
+    def test_diagnostics_count_the_work(self):
+        g = self.G
+        n, K = 300, 100
+        f1 = canonical_test_functions(g, 0)[0]
+        out = sample_residual_summaries(g, {"f1": f1}, 1.0, 1.0 / K, n, RngStream(31), record=n)
+        folds = sum(int(np.count_nonzero(np.diff(p.radial_localtime))) for p in out.paths)
+        steps_per_block = ROWS_PER_BLOCK // n
+        assert out.diagnostics() == {"grid_steps": K, "path_steps": K * n,
+                                     "eval_blocks": -(-K // steps_per_block),
+                                     "redraw_coins": folds}
+        assert 1 < out.diagnostics()["eval_blocks"] < K and folds > 0
+        bare = sample_residual_summaries(g, {}, 1.0, 1.0 / K, n, RngStream(31))
+        assert bare.diagnostics() == {**out.diagnostics(), "eval_blocks": 0}
 
     def test_residual_summaries_draw_a_coin_only_per_fold(self, philox_words):
         g = self.G

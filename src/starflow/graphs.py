@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -317,47 +317,54 @@ def distances(g: MetricGraph, x: GraphPoint, edges, coords) -> np.ndarray:
 
 
 class DomainFunction:
-    """Scalar function on a graph given by per-edge restrictions h_i with
-    analytic first and second derivatives.
+    """Scalar function on a graph, a quadratic on each edge: row e of
+    ``coeffs`` is (a, b, c) and h_e(r) = a r^2 + b r + c, with r measured
+    from the edge's from-end. Every test function of the checks has this
+    form, so the grid engine sums moments of r per path and edge instead
+    of evaluating f' and f'' at every path-step.
 
-    At a vertex v the value is the common limit of the incident restrictions
-    (checked at construction), and derivatives use the weighted one-sided
-    convention: f'(v) = sum over outgoing edges of p_i h_i'(0+) minus the sum
-    over incoming edges of p_i h_i'(L_i-), and likewise for f''.
+    At a vertex the value is the common limit of the incident edges, c at
+    a from-end and a L^2 + b L + c at a to-end, equal to CONTINUITY_TOL
+    (else ValueError, as for coefficients that are not a finite
+    (n_edges, 3) array). Derivatives there are weighted one-sided sums:
+    f'(v) = sum over outgoing edges of p_e h_e'(0+) minus the sum over
+    incoming edges of p_e h_e'(L_e-), and likewise f''. ``vertex_overrides``
+    maps a vertex to exact (f'(v), f''(v)) values, None for the sum.
     """
 
-    def __init__(self, g: MetricGraph,
-                 edge_funcs: Sequence[tuple[Callable, Callable, Callable]],
+    def __init__(self, g: MetricGraph, coeffs,
                  vertex_overrides: dict[int, tuple[float | None, float | None]] | None = None):
-        # vertex_overrides supplies closed-form vertex derivative values when
-        # the constructor knows them exactly (weighted float sums carry dust)
         self.graph = g
-        self.edge_funcs = list(edge_funcs)
+        self.coeffs = np.array(coeffs, dtype=float)
+        if self.coeffs.shape != (len(g.edges), 3):
+            raise ValueError(f"need one (a, b, c) row per edge, shape ({len(g.edges)}, 3), "
+                             f"got {self.coeffs.shape}")
+        if not np.isfinite(self.coeffs).all():
+            raise ValueError("coefficients must be finite")
+        self.coeffs.flags.writeable = False
         self.vertex_overrides = dict(vertex_overrides or {})
-        if len(self.edge_funcs) != len(g.edges):
-            raise ValueError("one (h, h', h'') triple per edge required")
         self._check_continuity()
 
+    def edge_eval(self, which: int, e: int, r):
+        """h_e (which 0), h_e' (1) or h_e'' (2) at the coords r of edge e."""
+        a, b, c = self.coeffs[e]
+        return (a * r * r + b * r + c, 2.0 * a * r + b, 2.0 * a + 0.0 * r)[which]
+
     def _incident_limits(self, v: int):
-        """(weight, h, h', h'', endpoint coord, outgoing flag) per incident edge."""
-        g = self.graph
-        for e in g.incident(v):
-            h, dh, d2h = self.edge_funcs[e.id]
-            p = g.vertex_params[v][e.id]
-            if e.src == v:
-                yield p, h, dh, d2h, 0.0, True
-            else:
-                yield p, h, dh, d2h, e.length, False
+        """(weight, edge id, coord of v) per incident edge; the coord is 0
+        exactly on the edges leaving v."""
+        for e in self.graph.incident(v):
+            yield self.graph.vertex_params[v][e.id], e.id, 0.0 if e.src == v else e.length
 
     def _check_continuity(self):
         for v in self.graph.vertices:
-            vals = [h(r0) for (_, h, _, _, r0, _) in self._incident_limits(v)]
+            vals = [self.edge_eval(0, e, r0) for (_, e, r0) in self._incident_limits(v)]
             if max(vals) - min(vals) > CONTINUITY_TOL:
                 raise ValueError(f"discontinuous at vertex {v}: {vals}")
 
     def vertex_value(self, v: int) -> float:
-        vals = [h(r0) for (_, h, _, _, r0, _) in self._incident_limits(v)]
-        return vals[0]
+        _, e, r0 = next(self._incident_limits(v))
+        return self.edge_eval(0, e, r0)
 
     def _weighted_sum(self, which: int, v: int) -> float:
         """Weighted one-sided derivative (which 1) or second derivative
@@ -366,8 +373,9 @@ class DomainFunction:
         if ov is not None and ov[which - 1] is not None:
             return ov[which - 1]
         s = 0.0
-        for (p, *funcs, r0, outgoing) in self._incident_limits(v):
-            s += p * funcs[which](r0) if outgoing else -p * funcs[which](r0)
+        for p, e, r0 in self._incident_limits(v):
+            d = self.edge_eval(which, e, r0)
+            s += p * d if r0 == 0.0 else -p * d
         return s
 
     def vertex_derivative(self, v: int) -> float:
@@ -389,9 +397,9 @@ class DomainFunction:
                              f"batch has shape {np.shape(coords)}")
         out = np.empty(part.shape)
         flat = out.reshape(-1)
-        for funcs, rows, c in zip(self.edge_funcs, part.edge_rows, part.edge_coords):
+        for e, (rows, c) in enumerate(zip(part.edge_rows, part.edge_coords)):
             if rows.size:
-                flat[rows] = funcs[which](c)
+                flat[rows] = self.edge_eval(which, e, c)
         if part.vertex_rows.size:
             at = (self.vertex_value, self.vertex_derivative,
                   self.vertex_second_derivative)[which]
@@ -421,22 +429,10 @@ def canonical_test_functions(g: StarGraph, i: int) -> tuple[DomainFunction, Doma
         raise ValueError(f"ray {i} out of range")
     p = g.probs[i]
     q = 1.0 - p
-
-    def mk_f(slope):
-        return (lambda r, s=slope: s * r,
-                lambda r, s=slope: s + 0.0 * r,
-                lambda r: 0.0 * r)
-
-    def mk_g(slope):
-        s2 = slope * slope
-        return (lambda r, c=s2: c * r * r,
-                lambda r, c=s2: 2.0 * c * r,
-                lambda r, c=s2: 2.0 * c + 0.0 * r)
-
-    f_funcs = [mk_f(q if j == i else -p) for j in range(g.n_rays)]
-    g_funcs = [mk_g(q if j == i else p) for j in range(g.n_rays)]
-    f_i = DomainFunction(g, f_funcs, vertex_overrides={ORIGIN_VERTEX: (0.0, 0.0)})
-    g_i = DomainFunction(g, g_funcs,
+    slopes = [q if j == i else -p for j in range(g.n_rays)]
+    f_i = DomainFunction(g, [(0.0, s, 0.0) for s in slopes],
+                         vertex_overrides={ORIGIN_VERTEX: (0.0, 0.0)})
+    g_i = DomainFunction(g, [(s * s, 0.0, 0.0) for s in slopes],
                          vertex_overrides={ORIGIN_VERTEX: (0.0, 2.0 * p * q)})
     return f_i, g_i
 
@@ -446,13 +442,7 @@ def per_ray_quadratic(g: StarGraph, quad: Sequence[float], lin: Sequence[float],
     """h_i(r) = quad[i] r^2 + lin[i] r + const on each ray."""
     if len(quad) != g.n_rays or len(lin) != g.n_rays:
         raise ValueError("need one quadratic and one linear coefficient per ray")
-
-    def mk(a, b):
-        return (lambda r, a=a, b=b: a * r * r + b * r + const,
-                lambda r, a=a, b=b: 2.0 * a * r + b,
-                lambda r, a=a: 2.0 * a + 0.0 * r)
-
-    return DomainFunction(g, [mk(float(a), float(b)) for a, b in zip(quad, lin)])
+    return DomainFunction(g, [(a, b, const) for a, b in zip(quad, lin)])
 
 
 # -- JSON graph description files -------------------------------------------

@@ -22,10 +22,13 @@ Two simulation modes:
 The coupled step exists once, as ``_coupled_step``, and every grid engine
 on a graph starts from ``_start_state`` and takes that step. Here it is
 ``sample_residual_summaries``, the one grid engine of the coupled path on
-a star: one pass evaluates the test functions' residual sums, assembles
-the forward construction's edge noises W_T from the same driver
-increments, and records whole paths (rows of its batch) as ``WalshPath``;
-``isde.sample_isde_terminals`` is that engine with no test function. In
+a star: one pass gives the test functions' residual sums, assembles the
+forward construction's edge noises W_T from the same driver increments,
+and records whole paths (rows of its batch) as ``WalshPath``;
+``isde.sample_isde_terminals`` is that engine with no test function. It
+evaluates no test function along the path: each is a quadratic on each
+ray, so its residual sums follow from moment sums per path and cell (a
+ray, or the vertex) that the engine keeps per stint. In
 ``isde`` the step also moves the pivot of ``npoint_motion`` and the
 replicas of the filtered kernel, and in ``metric`` the walker, at the
 vertex each path is anchored to. They, and the exact kernel step, draw
@@ -58,11 +61,6 @@ __all__ = [
     "WalshPath", "exact_step_arrays", "sample_exact_steps", "semigroup_apply",
     "ResidualSummary", "ResidualSamples", "sample_residual_summaries",
 ]
-
-# grid rows (path-steps) per evaluation block of the grid engine: a batch
-# of n paths is evaluated every ROWS_PER_BLOCK // n steps
-ROWS_PER_BLOCK = 3 * 2 ** 13
-
 
 @dataclass
 class WalshPath:
@@ -162,14 +160,12 @@ def semigroup_apply(g: StarGraph, f: DomainFunction, t: float, x: GraphPoint) ->
     probs = g.probs_array
 
     def fbar(rho):
-        return sum(p * fun[0](rho) for p, fun in zip(probs, f.edge_funcs))
-
-    fi = f.edge_funcs[ray][0]
+        return sum(p * f.edge_eval(0, e, rho) for e, p in enumerate(probs))
 
     def integrand(rho):
         qp, qz = heat_kernels(t, r, rho)
         fb = fbar(rho)
-        return qp * fb + qz * (fi(rho) - fb)
+        return qp * fb + qz * (f.edge_eval(0, ray, rho) - fb)
 
     width = 12.0 * math.sqrt(t)
     lo, hi = max(0.0, r - width), r + width
@@ -220,22 +216,14 @@ class ResidualSamples:
     radials: np.ndarray
     noises: np.ndarray
     steps: int
-    blocks: int
-    coins: int
+    counts: dict[str, int]
 
     def diagnostics(self) -> dict:
-        """The engine's work counts: grid steps, path-steps, evaluation
-        blocks and redraw coins."""
+        """The engine's work counts: grid steps, path-steps, stint ends
+        before the last step (cell changes), path-steps at the vertex and
+        redraw coins. The stint counts are 0 without a test function."""
         return {"grid_steps": self.steps, "path_steps": self.steps * self.rays.size,
-                "eval_blocks": self.blocks, "redraw_coins": self.coins}
-
-
-def _fold(acc: np.ndarray, rows: np.ndarray) -> None:
-    """acc += rows[0] + rows[1] + ..., added in row order: numpy sums a
-    (b, n) array along axis 0 row by row when n > 1 (a (b, 1) sum is
-    pairwise). Overwrites rows[0]."""
-    rows[0] += acc
-    np.add.reduce(rows, axis=0, out=acc)
+                **self.counts}
 
 
 def _values(g: StarGraph, fs: dict[str, DomainFunction], rays, rad) -> dict[str, np.ndarray]:
@@ -244,18 +232,32 @@ def _values(g: StarGraph, fs: dict[str, DomainFunction], rays, rad) -> dict[str,
     return {nm: f.value_arrays(rays, rad, part=part) for nm, f in fs.items()}
 
 
-def _fold_block(g: StarGraph, fs: dict[str, DomainFunction], sums: dict[str, np.ndarray],
-                rays, rad, xi) -> None:
-    """Fold a (b, n) block of states and driver increments, step by row,
-    into each test function's per-path sums of f' dB, f'' and f'^2, with
-    one partition of the block shared by every function."""
-    part = g.partition(rays, rad)
-    for nm, f in fs.items():
-        s_dB, s_fpp, s_fp2 = sums[nm]
-        fp = f.derivative_arrays(rays, rad, part=part)
-        _fold(s_dB, fp * xi)
-        _fold(s_fpp, f.second_derivative_arrays(rays, rad, part=part))
-        _fold(s_fp2, np.multiply(fp, fp, out=fp))
+def _end_stints(tab, stint, rows, cols, steps) -> None:
+    """Add the stint sums and step counts of rows into the tables' cells
+    (cols, rows), one table at a time, and start new stints."""
+    cells = cols * stint.shape[1] + rows
+    for j in range(4):
+        tab[j].reshape(-1)[cells] += stint[j, rows]
+    tab[4].reshape(-1)[cells] += steps
+    stint[:, rows] = 0.0
+
+
+def _residual_sums(f: DomainFunction, tab: np.ndarray, tmp: np.ndarray):
+    """Per path, the sums of f' xi, f'' and f'^2 from the cell tables,
+    vertex (row N) first, then ray by ray: on a ray h' xi = 2a r xi + b xi,
+    h'' = 2a and h'^2 = 4a^2 r^2 + 4ab r + b^2."""
+    s_xi, s_rxi, s_r, s_r2, cnt = tab
+    v, d1 = len(f.coeffs), f.vertex_derivative(ORIGIN_VERTEX)
+    s_dB = d1 * s_xi[v]
+    s_fpp = f.vertex_second_derivative(ORIGIN_VERTEX) * cnt[v]
+    s_fp2 = (d1 * d1) * cnt[v]
+    for e, (a, b, _) in enumerate(f.coeffs):
+        a2 = 2.0 * a
+        for acc, coef, col in ((s_dB, a2, s_rxi), (s_dB, b, s_xi), (s_fpp, a2, cnt),
+                               (s_fp2, a2 * a2, s_r2), (s_fp2, 2.0 * a2 * b, s_r),
+                               (s_fp2, b * b, cnt)):
+            acc += np.multiply(col[e], coef, out=tmp)
+    return s_dB, s_fpp, s_fp2
 
 
 def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
@@ -270,19 +272,22 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
     a discrete martingale up to the coupled-mode discretization bias.
     Each step draws the n driver increments xi, credits xi to the ray each
     path is on, and takes the coupled step, which draws a redraw coin only
-    for the paths that fold; a path's steps on a ray are counted when it
-    folds and at the end. The states and increments of B = ROWS_PER_BLOCK
-    // n consecutive steps are evaluated as one block: one partition by
-    ray, shared by every test function, and one call per derivative,
-    folded into the sums in step order, so the sums are those of a
-    per-step loop bit for bit.
+    for the paths that fold.
+
+    A stint is the run of steps a path spends in one cell: its ray, or the
+    vertex while its radial is exactly 0. A fold, a move onto or off the
+    vertex, and the last step end it. A path sums xi, r xi, r and r^2 (r
+    the radial before the step) over its stint, and the stint's end adds
+    them and its step count into (cell, path) tables. A test function is a
+    quadratic on each ray, so its sums of f' xi, f'' and f'^2 are fixed
+    combinations of these (``_residual_sums``), with f'(0) and f''(0) in
+    the vertex cell. Without a test function none of this runs.
 
     The off-ray increments dV^i of W are never drawn one by one: given the
     path, the C_i steps a path spends on ray i carry xi and its other
     K - C_i steps carry iid N(0, dt) increments independent of the path,
     so their sum is drawn after the last step as sqrt(dt (K - C_i)) Z_i
-    from one (n, N) normal block. W_T has the forward construction's joint
-    law with the terminal state.
+    from one (n, N) normal block, with the law of the forward construction.
     """
     if x0 is None:
         x0 = g.origin()
@@ -291,62 +296,67 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
     K = grid_steps(T, dt)
     gen = rng.generator()
     sq = math.sqrt(dt)
+    N = g.n_rays
     rays, rad = _start_state(g, x0, n, gen)
     L = np.zeros(n)
     # flat (path, ray) cells: each path adds to one cell per step; its steps
-    # on a ray are counted per stint, when it folds and at the end
-    on_sum = np.zeros((n, g.n_rays))
-    on_steps = np.zeros((n, g.n_rays))
-    row_cell = np.arange(n) * g.n_rays
+    # on a ray are counted per stint
+    on_sum, on_steps = np.zeros((n, N)), np.zeros((n, N))
+    row_cell = np.arange(n) * N
     since = np.zeros(n, dtype=np.int64)   # the step that began each path's stint
-    # B steps per block (one step at n = 1, see _fold, and without test
-    # functions, when there is nothing to evaluate)
-    B = max(1, ROWS_PER_BLOCK // n) if fs and n > 1 else 1
-    blk_rays, blk_rad, blk_xi = (np.empty((B, n), dtype=np.int64), np.empty((B, n)),
-                                 np.empty((B, n)))
-    sums = {nm: np.zeros((3, n)) for nm in fs}  # sum f' dB, sum f'', sum f'^2 per path
+    if fs:   # stint sums, and (N + 1, n) cell tables with the vertex in row N
+        stint, tab, tmp = np.zeros((4, n)), np.zeros((5, N + 1, n)), np.empty(n)
+        at_v = np.flatnonzero(rad == 0.0)
     f0 = _values(g, fs, rays, rad)
     rec = [(rays[:record].copy(), rad[:record].copy(), np.zeros(record), np.zeros(record))]
-    blocks = coins = 0
+    counts = dict.fromkeys(("cell_changes", "vertex_steps", "redraw_coins"), 0)
     for k in range(K):
-        b = k % B
-        xi = gen.standard_normal(n, out=blk_xi[b])
+        xi = gen.standard_normal(n)
         xi *= sq
-        if fs:
-            blk_rays[b], blk_rad[b] = rays, rad
         cell = row_cell + rays
         np.add.at(on_sum.reshape(-1), cell, xi)
-        rad, folded = _coupled_step(g, ORIGIN_VERTEX, rays, rad + xi, gen)
-        L[folded] += 2.0 * rad[folded]
-        on_steps.reshape(-1)[cell[folded]] += k + 1 - since[folded]
-        since[folded] = k + 1
-        coins += folded.size
+        if fs:
+            stint[0] += xi
+            stint[1] += np.multiply(rad, xi, out=tmp)
+            stint[2] += rad
+            stint[3] += np.multiply(rad, rad, out=tmp)
+        new, ends = _coupled_step(g, ORIGIN_VERTEX, rays, rad + xi, gen)
+        L[ends] += 2.0 * new[ends]
+        counts["redraw_coins"] += ends.size
+        if fs:
+            counts["vertex_steps"] += at_v.size
+            if at_v.size or (n and new.min() == 0.0):   # a move onto or off the vertex
+                on_v = np.flatnonzero(new == 0.0)
+                ends, at_v = np.union1d(ends, np.setxor1d(at_v, on_v)), on_v
+            counts["cell_changes"] += ends.size
+            cols = np.where(rad[ends] == 0.0, N, cell[ends] - row_cell[ends])
+            _end_stints(tab, stint, ends, cols, k + 1 - since[ends])
+        on_steps.reshape(-1)[cell[ends]] += k + 1 - since[ends]
+        since[ends] = k + 1
+        rad = new
         if record:
             rec.append([a[:record].copy() for a in (rays, rad, L, xi)])
-        if fs and (b == B - 1 or k == K - 1):
-            _fold_block(g, fs, sums, blk_rays[:b + 1], blk_rad[:b + 1], blk_xi[:b + 1])
-            blocks += 1
     on_steps.reshape(-1)[row_cell + rays] += K - since
-    # W_T = on_sum + sqrt(dt (K - on_steps)) Z; this and M below are built
-    # in place, or the arrays of the last phase would set the peak memory
+    # W_T = on_sum + sqrt(dt (K - on_steps)) Z and M are built in place and the
+    # tables dropped once summed, or the last phase would set the peak memory
     noises = np.subtract(K, on_steps, out=on_steps)
     noises *= dt
     np.sqrt(noises, out=noises)
-    noises *= gen.standard_normal((n, g.n_rays))
+    noises *= gen.standard_normal((n, N))
     noises += on_sum
+    if fs:
+        _end_stints(tab, stint, np.arange(n), np.where(rad == 0.0, N, rays), K - since)
+        sums = {nm: _residual_sums(f, tab, tmp) for nm, f in fs.items()}
+        del tab, stint, on_sum
     out = {}
     for nm, mart in _values(g, fs, rays, rad).items():   # f(X_T), then M
-        s_dB, s_fpp, s_fp2 = sums[nm]
+        s_dB, s_fpp, s_fp2 = sums.pop(nm)
         mart -= f0.pop(nm)
         mart -= 0.5 * dt * s_fpp
-        mart -= fs[nm].vertex_derivative(0) * L
-        out[nm] = ResidualSummary(
-            name=nm,
-            residuals=mart - s_dB,
-            martingale_part=mart,
-            bracket=np.multiply(s_fp2, dt, out=s_fp2),
-        )
+        mart -= fs[nm].vertex_derivative(ORIGIN_VERTEX) * L
+        out[nm] = ResidualSummary(name=nm, residuals=np.subtract(mart, s_dB, out=s_dB),
+                                  martingale_part=mart, bracket=np.multiply(s_fp2, dt, out=s_fp2))
     rays_k, rad_k, l_k, xi_k = (np.stack(c) for c in zip(*rec))
     paths = [WalshPath(g, dt, rays_k[:, j], rad_k[:, j], l_k[:, j], xi_k[1:, j])
              for j in range(record)]
-    return ResidualSamples(out, paths, rays, rad, noises, K, blocks, coins)
+    return ResidualSamples(out, paths, rays, rad, noises, K, counts)

@@ -34,13 +34,15 @@ def philox_words(monkeypatch):
 @pytest.fixture
 def pointwise():
     """``pointwise(f, which, x)``: the value (which 0), derivative (1) or
-    second derivative (2) of the DomainFunction f at the point x, from its
-    edge function there or its vertex value on a vertex."""
+    second derivative (2) of the DomainFunction f at the point x, from the
+    coefficients of its edge there or its vertex value on a vertex."""
     def at(f, which, x):
         if x.is_vertex:
             return (f.vertex_value, f.vertex_derivative,
                     f.vertex_second_derivative)[which](x.vertex)
-        return f.edge_funcs[x.edge][which](x.coord)
+        a, b, c = f.coeffs[x.edge]
+        r = x.coord
+        return (a * r * r + b * r + c, 2.0 * a * r + b, 2.0 * a)[which]
 
     return at
 

@@ -307,8 +307,10 @@ def test_isde_reports_its_work(tmp_path):
     assert (coarse["grid_steps"], fine["grid_steps"]) == (20, 80)
     assert coarse["path_steps"] == 20 * 200 and fine["path_steps"] == 80 * 1000
     for level in (coarse, fine):
-        assert 1 <= level["eval_blocks"] <= level["grid_steps"]
-        assert 0 < level["redraw_coins"] < level["path_steps"]
+        assert 0 < level["redraw_coins"] <= level["cell_changes"] < level["path_steps"]
+    # every path starts at the vertex, and at these sizes none comes back
+    # to a radial of exactly 0
+    assert (coarse["vertex_steps"], fine["vertex_steps"]) == (200, 1000)
 
 
 def test_isde_correlation_stderr_does_not_scale_with_T(tmp_path):

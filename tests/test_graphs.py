@@ -220,10 +220,33 @@ class TestSkewDerivative:
 
     def test_discontinuous_rejected(self):
         g = make_star(2, [0.5, 0.5])
-        funcs = [(lambda r: r, lambda r: 1 + 0 * r, lambda r: 0 * r),
-                 (lambda r: r + 1.0, lambda r: 1 + 0 * r, lambda r: 0 * r)]
         with pytest.raises(ValueError):
-            DomainFunction(g, funcs)
+            DomainFunction(g, [(0.0, 1.0, 0.0), (0.0, 1.0, 1.0)])
+
+    def test_continuity_checked_at_the_to_end(self):
+        # edge 1 runs from vertex 0 to vertex 1 (length 1), where it takes
+        # 0.5 + 0.25 + 0 = 0.75; edge 2 leaves vertex 1 and must start there
+        g = _segment_graph()
+        rows = [(0.0, -1.0, 0.0), (0.5, 0.25, 0.0), (0.0, 2.0, 0.75)]
+        f = DomainFunction(g, rows)
+        assert f.vertex_value(1) == 0.75
+        rows[2] = (0.0, 2.0, 0.75 + 1e-6)
+        with pytest.raises(ValueError, match="discontinuous at vertex 1"):
+            DomainFunction(g, rows)
+        rows[2] = (0.0, 2.0, 0.75 + 1e-10)   # within CONTINUITY_TOL
+        DomainFunction(g, rows)
+
+    @pytest.mark.parametrize("rows", [
+        [(0.0, 1.0, 0.0), (math.nan, 1.0, 0.0)],
+        [(0.0, math.inf, 0.0), (0.0, 1.0, 0.0)],
+        [(0.0, 1.0, 0.0)],                           # one row short
+        [(0.0, 1.0, 0.0)] * 3,                       # one row too many
+        [(1.0, 0.0), (1.0, 0.0)],                    # rows of two
+        [(0.0, 1.0, 0.0), (0.0, 1.0)],               # ragged
+    ])
+    def test_bad_coefficients_rejected(self, rows):
+        with pytest.raises(ValueError):
+            DomainFunction(make_star(2, [0.5, 0.5]), rows)
 
 
 class TestCanonicalFunctions:

@@ -203,6 +203,28 @@ class TestNPointMotion:
         assert out.tau_events == taus and out.coalesced_pairs == coalesced
         assert taus
 
+    @pytest.mark.parametrize("seed", [65, 66, 67])
+    def test_points_on_one_ray_keep_their_distance(self, seed):
+        # both points ride ray 0's noise rigidly, so their gap stays 0.6 (up
+        # to rounding) and they stay on ray 0 until one of them reaches the
+        # vertex and becomes the pivot
+        starts = [G.point(0, 0.3), G.point(0, 0.9), G.point(2, 0.5)]
+        out = npoint_motion(G, starts, 2.0, 0.01, RngStream(seed))
+        first = int(np.argmax(np.isin(out.pivot_index, [0, 1])))
+        assert first > 0, "no point of ray 0 reached the vertex"
+        assert np.all(out.rays[:first, :2] == 0)
+        np.testing.assert_allclose(out.radials[:first, 1] - out.radials[:first, 0], 0.6,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [65, 66, 67])
+    def test_coalesced_points_never_separate(self, seed):
+        starts = [G.point(0, 0.1), G.point(1, 0.15), G.point(2, 0.3), G.origin()]
+        out = npoint_motion(G, starts, 2.0, 0.01, RngStream(seed))
+        assert out.coalesced_pairs
+        for (lo, hi), k in out.coalesced_pairs.items():
+            np.testing.assert_array_equal(out.rays[k:, lo], out.rays[k:, hi])
+            np.testing.assert_array_equal(out.radials[k:, lo], out.radials[k:, hi])
+
 
 # -- pair engines --------------------------------------------------------------
 # Frozen copies of the shared-noise pair loops (one chunk, stream child 0):

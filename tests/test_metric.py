@@ -377,7 +377,7 @@ class TestStarIsTheOneVertexGraph:
     def test_same_evaluations(self):
         star, hand = self.pair()
         f = per_ray_quadratic(star, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25], const=0.3)
-        h = DomainFunction(hand, f.edge_funcs)
+        h = DomainFunction(hand, f.coeffs)
         for name in ("value_arrays", "derivative_arrays", "second_derivative_arrays"):
             np.testing.assert_array_equal(getattr(f, name)(self.RAYS, self.RADS),
                                           getattr(h, name)(self.RAYS, self.RADS))
@@ -402,12 +402,6 @@ class TestStarIsTheOneVertexGraph:
             assert getattr(a, name) == getattr(b, name), name
 
 
-def _quadratic(a, b, c):
-    return (lambda r: a * r * r + b * r + c,
-            lambda r: 2.0 * a * r + b,
-            lambda r: 2.0 * a + 0.0 * r)
-
-
 class TestArrayEvaluationOnATree:
     """On the 0.25-edge tree, array evaluation equals pointwise evaluation
     at interior rows, at both ends of the finite edge and on the rays."""
@@ -419,10 +413,9 @@ class TestArrayEvaluationOnATree:
         # quadratic on every edge; edge 0 takes the value 1 at vertex 0 to
         # 1.5/16 - 0.5/4 + 1 = 0.96875 at vertex 1, both exact in binary
         at_1 = 0.96875
-        funcs = [_quadratic(1.5, -0.5, 1.0), _quadratic(0.5, 0.25, 1.0),
-                 _quadratic(-0.75, 1.0, 1.0), _quadratic(0.25, -1.0, at_1),
-                 _quadratic(1.0, 0.5, at_1)]
-        return DomainFunction(short_edge_tree(), funcs)
+        rows = [(1.5, -0.5, 1.0), (0.5, 0.25, 1.0), (-0.75, 1.0, 1.0),
+                (0.25, -1.0, at_1), (1.0, 0.5, at_1)]
+        return DomainFunction(short_edge_tree(), rows)
 
     def test_partition_finds_both_ends(self):
         part = short_edge_tree().partition(self.EDGES, self.COORDS)

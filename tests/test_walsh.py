@@ -5,21 +5,18 @@ import pytest
 from scipy.special import erf
 from scipy.stats import norm
 
-from starflow.graphs import canonical_test_functions, make_star, per_ray_quadratic
-from starflow.graphs import DomainFunction
+from starflow.graphs import DomainFunction, canonical_test_functions, make_star, per_ray_quadratic
 from starflow.halfline import RngStream
 from starflow.isde import sample_isde_terminals
 from starflow.stats import ks_against_cdf, ks_two_sample, mc_estimate
 from starflow.walsh import (
-    ROWS_PER_BLOCK, _coupled_step, _start_state,
+    _coupled_step, _start_state,
     sample_exact_steps, sample_residual_summaries, semigroup_apply, exact_step_arrays,
 )
 
 
 def constant_one(g):
-    funcs = [(lambda r: 1.0 + 0.0 * r, lambda r: 0.0 * r, lambda r: 0.0 * r)
-             for _ in range(g.n_rays)]
-    return DomainFunction(g, funcs)
+    return DomainFunction(g, [(0.0, 0.0, 1.0)] * g.n_rays)
 
 
 class TestExactStep:
@@ -129,6 +126,21 @@ class TestSemigroup:
         composed, _ = integrate.quad(integrand, max(0.0, 0.8 - width), 0.8 + width,
                                      epsabs=1e-8, epsrel=1e-8, limit=100)
         assert composed == pytest.approx(direct, abs=1e-6)
+
+    @pytest.mark.parametrize("quad, lin, const", [
+        ([0.5, 0.75, 1.0], [0.5, -0.5, 0.25], 0.3),
+        ([-1.0, 0.0, 2.0], [0.0, 1.0, -3.0], 0.0),
+    ])
+    def test_quadratic_from_origin_exact(self, quad, lin, const):
+        # from the origin X_t sits on ray i with probability p_i at a radial
+        # distributed as |N(0, t)|, with mean sqrt(2t/pi) and second moment
+        # t: P_t f(0) = c + sum_i p_i (a_i t + b_i sqrt(2t/pi))
+        g = make_star(3, [0.5, 0.3, 0.2])
+        f = per_ray_quadratic(g, quad, lin, const)
+        for t in (0.05, 0.7, 2.0):
+            exact = const + sum(p * (a * t + b * math.sqrt(2.0 * t / math.pi))
+                                for p, a, b in zip(g.probs, quad, lin))
+            assert semigroup_apply(g, f, t, g.origin()) == pytest.approx(exact, rel=0, abs=1e-9)
 
     def test_invalid_t(self):
         g = make_star(2, [0.5, 0.5])
@@ -309,7 +321,7 @@ def _eval_masks(f, which, rays, radials):
     for i in range(g.n_rays):
         m = (rays == i) & ~at0
         if m.any():
-            out[m] = f.edge_funcs[i][which](radials[m])
+            out[m] = f.edge_eval(which, i, radials[m])
     vertex = (f.vertex_value, f.vertex_derivative, f.vertex_second_derivative)[which]
     out[at0] = vertex(0)
     return out
@@ -321,37 +333,52 @@ def _start(g, x0, n, gen, cum):
     return np.full(n, x0.edge, dtype=np.int64), np.full(n, x0.coord)
 
 
+def _moment_reference(f, rays, radials, xi, dt):
+    """(residual, martingale part, sum f'^2) of one path from its K + 1
+    states and K driver increments, by the engine's arithmetic as a scalar
+    loop. Over each stint (the steps in one cell: a ray, or the vertex while
+    the radial is 0) it sums xi, r xi, r, r^2 and 1; a fold, a move onto
+    or off the vertex, or the last step ends the stint and adds the sums
+    into the path's row for the cell. The coefficients then give the sums
+    of f' xi, f'' and f'^2, vertex first and edge by edge."""
+    N = len(f.coeffs)
+    tab = np.zeros((N + 1, 5))
+    stint = np.zeros(5)
+    L = 0.0
+    K = len(xi)
+    for k in range(K):
+        r, y = radials[k], radials[k] + xi[k]
+        stint += (xi[k], r * xi[k], r, r * r, 1.0)
+        if y < 0.0:
+            L += 2.0 * -y
+        cell = N if r == 0.0 else rays[k]
+        if k == K - 1 or y < 0.0 or (r == 0.0) != (radials[k + 1] == 0.0):
+            tab[cell] += stint
+            stint[:] = 0.0
+    d1, d2 = f.vertex_derivative(0), f.vertex_second_derivative(0)
+    s_dB, s_fpp, s_fp2 = d1 * tab[N, 0], d2 * tab[N, 4], d1 * d1 * tab[N, 4]
+    for (a, b, _), (sx, srx, sr, sr2, steps) in zip(f.coeffs, tab):
+        s_dB = s_dB + srx * (2.0 * a)
+        s_dB = s_dB + sx * b
+        s_fpp = s_fpp + steps * (2.0 * a)
+        s_fp2 = s_fp2 + sr2 * ((2.0 * a) * (2.0 * a))
+        s_fp2 = s_fp2 + sr * (2.0 * (2.0 * a) * b)
+        s_fp2 = s_fp2 + steps * (b * b)
+    value = [f.vertex_value(0) if radials[k] == 0.0 else f.edge_eval(0, rays[k], radials[k])
+             for k in (0, K)]
+    mart = value[1] - value[0] - 0.5 * dt * s_fpp - d1 * L
+    return mart - s_dB, mart, s_fp2
+
+
 def _residuals_reference(g, fs, T, dt, n, rng, x0):
-    """Per-step loop with per-call masks and a coin drawn, after the step's
-    driver increments, for each path that folds, in path order."""
-    K = round(T / dt)
-    gen = rng.generator()
-    cum = np.cumsum(g.probs_array)
-    sq = math.sqrt(dt)
-    rays, rad = _start(g, x0, n, gen, cum)
-    L = np.zeros(n)
-    f0 = {nm: _eval_masks(f, 0, rays, rad) for nm, f in fs.items()}
-    s_dB = {nm: np.zeros(n) for nm in fs}
-    s_fpp = {nm: np.zeros(n) for nm in fs}
-    s_fp2 = {nm: np.zeros(n) for nm in fs}
-    for _ in range(K):
-        xi = sq * gen.standard_normal(n)
-        for nm, f in fs.items():
-            fp = _eval_masks(f, 1, rays, rad)
-            s_dB[nm] += fp * xi
-            s_fpp[nm] += _eval_masks(f, 2, rays, rad)
-            s_fp2[nm] += fp * fp
-        y = rad + xi
-        neg = y < 0.0
-        L = np.where(neg, L - 2.0 * y, L)
-        rays = rays.copy()
-        rays[neg] = np.searchsorted(cum, gen.random(np.count_nonzero(neg)))
-        rad = np.abs(y)
+    """The plain per-step loop's paths (``_coupled_reference``), each
+    summed by ``_moment_reference``."""
+    rays, radials, _, xi = _coupled_reference(g, x0, T, dt, n, rng)
     out = {}
     for nm, f in fs.items():
-        mart = (_eval_masks(f, 0, rays, rad) - f0[nm] - 0.5 * dt * s_fpp[nm]
-                - f.vertex_derivative(0) * L)
-        out[nm] = (mart - s_dB[nm], mart, float(np.mean(s_fp2[nm] * dt)))
+        res, mart, s_fp2 = (np.array(c) for c in zip(*(
+            _moment_reference(f, rays[:, j], radials[:, j], xi[:, j], dt) for j in range(n))))
+        out[nm] = (res, mart, float(np.mean(s_fp2 * dt)))
     return out
 
 
@@ -376,8 +403,9 @@ def _coupled_reference(g, x0, T, dt, n, rng):
 
 
 class TestBatchEnginesMatchReference:
-    """The batch engines share one partition per step and draw redraw
-    coins only where a path folds; outputs must equal the plain loop's."""
+    """The batch engines draw redraw coins only where a path folds, and the
+    residual engine sums per stint; outputs must equal those of the plain
+    loop summed by the same arithmetic."""
 
     G = make_star(3, [0.5, 0.3, 0.2])
 
@@ -422,8 +450,6 @@ class TestBatchEnginesMatchReference:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_narrow_batches_bit_identical(self, n):
-        # a block of a narrow batch holds many steps; at n = 1 it holds one,
-        # because numpy sums a (B, 1) array along axis 0 pairwise
         g = self.G
         fs = {"g1": canonical_test_functions(g, 0)[1],
               "quad": per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])}
@@ -438,14 +464,20 @@ class TestBatchEnginesMatchReference:
         n, K = 300, 100
         f1 = canonical_test_functions(g, 0)[0]
         out = sample_residual_summaries(g, {"f1": f1}, 1.0, 1.0 / K, n, RngStream(31), record=n)
-        folds = sum(int(np.count_nonzero(np.diff(p.radial_localtime))) for p in out.paths)
-        steps_per_block = ROWS_PER_BLOCK // n
+        folds = changes = vertex_steps = 0
+        for p in out.paths:
+            fold = np.diff(p.radial_localtime) != 0
+            at_v = p.radials == 0.0
+            folds += int(np.count_nonzero(fold))
+            changes += int(np.count_nonzero(fold | (at_v[:-1] != at_v[1:])))
+            vertex_steps += int(np.count_nonzero(at_v[:-1]))
         assert out.diagnostics() == {"grid_steps": K, "path_steps": K * n,
-                                     "eval_blocks": -(-K // steps_per_block),
+                                     "cell_changes": changes, "vertex_steps": vertex_steps,
                                      "redraw_coins": folds}
-        assert 1 < out.diagnostics()["eval_blocks"] < K and folds > 0
+        # every path starts at the vertex and leaves it at once
+        assert vertex_steps == n and changes > folds > 0
         bare = sample_residual_summaries(g, {}, 1.0, 1.0 / K, n, RngStream(31))
-        assert bare.diagnostics() == {**out.diagnostics(), "eval_blocks": 0}
+        assert bare.diagnostics() == {**out.diagnostics(), "cell_changes": 0, "vertex_steps": 0}
 
     def test_residual_summaries_draw_a_coin_only_per_fold(self, philox_words):
         g = self.G
@@ -455,20 +487,94 @@ class TestBatchEnginesMatchReference:
         assert philox_words() / (n * K) < 1.3
 
     def test_residual_along_path_uses_pointwise_values(self):
-        # the residual of a recorded row, summed point by point in the
-        # engine's order, is that row's terminal residual
+        # the residual of a recorded row, summed along its states by stints
+        # in the engine's arithmetic, is that row's terminal residual
         g = self.G
         quad = per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])
         out = sample_residual_summaries(g, {"q": quad}, 0.5, 0.01, 30, RngStream(25), record=3)
         for j, path in enumerate(out.paths):
-            f, fp, fpp = (_eval_masks(quad, which, path.rays, path.radials) for which in range(3))
-            s_dB = s_fpp = 0.0
-            for k, xi in enumerate(path.increments):
-                s_dB += fp[k] * xi
-                s_fpp += fpp[k]
-            mart = (f[-1] - f[0] - 0.5 * path.dt * s_fpp
-                    - quad.vertex_derivative(0) * path.radial_localtime[-1])
-            assert mart - s_dB == out.summaries["q"].residuals[j]
+            res, _, _ = _moment_reference(quad, path.rays, path.radials, path.increments, path.dt)
+            assert res == out.summaries["q"].residuals[j]
+
+    def test_moment_sums_match_pointwise_sums(self):
+        # summed point by point, f' xi, f'' and f'^2 give the engine's sums
+        # up to rounding: K-term recursive summation errs by at most about
+        # K eps sum|terms|, where the terms are every product either way
+        # of summing forms; the test allows 8 K eps sum|terms|
+        g = self.G
+        fs = {"quad": per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25]),
+              "g1": canonical_test_functions(g, 0)[1]}
+        dt, n = 0.01, 40
+        out = sample_residual_summaries(g, fs, 1.0, dt, n, RngStream(32), record=n)
+        eps = np.finfo(float).eps
+        for nm, f in fs.items():
+            summ, d1 = out.summaries[nm], f.vertex_derivative(0)
+            for j, path in enumerate(out.paths):
+                rays, r, xi = path.rays[:-1], path.radials[:-1], path.increments
+                K = xi.size
+                val = _eval_masks(f, 0, path.rays, path.radials)
+                fp, fpp = (_eval_masks(f, which, rays, r) for which in (1, 2))
+                a, b = f.coeffs[rays, 0], f.coeffs[rays, 1]
+                L = path.radial_localtime[-1]
+                mart = val[-1] - val[0] - 0.5 * dt * fpp.sum() - d1 * L
+                mart_terms = (abs(val[-1]) + abs(val[0]) + 0.5 * dt * np.abs(fpp).sum()
+                              + abs(d1 * L))
+                dB_terms = np.sum(np.abs(fp * xi) + np.abs(2 * a * r * xi) + np.abs(b * xi))
+                fp2_terms = np.sum(fp * fp + 4 * a * a * r * r + np.abs(4 * a * b * r) + b * b)
+                bound = 8 * K * eps
+                assert abs(summ.martingale_part[j] - mart) <= bound * mart_terms
+                assert abs(summ.residuals[j] - (mart - np.sum(fp * xi))) <= \
+                    bound * (mart_terms + dB_terms)
+                assert abs(summ.bracket[j] - dt * np.sum(fp * fp)) <= bound * dt * fp2_terms
+
+    def test_a_row_at_the_vertex_takes_the_vertex_derivatives(self):
+        # from ray 1 at 0.5 with dt 0.25, the scripted increments -0.5,
+        # 0.25, 0.5 and -1 send the radial to exactly 0, off the vertex
+        # along ray 1, out to 0.75, and across the vertex onto ray 0 (the
+        # coin 0.5 draws ray 0); the step taken at the vertex counts with
+        # f'(0) and f''(0), not with ray 1's h' and h''
+        g = self.G
+        quad = per_ray_quadratic(g, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])
+        out = sample_residual_summaries(g, {"q": quad}, 1.0, 0.25, 1,
+                                        _ScriptedDriver([-1.0, 0.5, 1.0, -2.0]),
+                                        x0=g.point(1, 0.5), record=1)
+        path = out.paths[0]
+        np.testing.assert_array_equal(path.radials, [0.5, 0.0, 0.25, 0.75, 0.25])
+        np.testing.assert_array_equal(path.rays, [1, 1, 1, 1, 0])
+        a, b, _ = quad.coeffs[1]
+        d1, d2 = quad.vertex_derivative(0), quad.vertex_second_derivative(0)
+        assert (d1, d2) == pytest.approx((0.15, 1.35)) and (b, 2 * a) == (-0.5, 1.5)
+        fp = [2 * a * 0.5 + b, d1, 2 * a * 0.25 + b, 2 * a * 0.75 + b]
+        xi = [-0.5, 0.25, 0.5, -1.0]
+        mart = (quad.edge_eval(0, 0, 0.25) - quad.edge_eval(0, 1, 0.5)
+                - 0.5 * 0.25 * (3 * 2 * a + d2) - d1 * 0.5)
+        summ = out.summaries["q"]
+        assert summ.martingale_part[0] == pytest.approx(mart, rel=0, abs=1e-14)
+        assert summ.residuals[0] == pytest.approx(
+            mart - sum(p * x for p, x in zip(fp, xi)), rel=0, abs=1e-14)
+        assert summ.bracket[0] == pytest.approx(0.25 * sum(p * p for p in fp), rel=0, abs=1e-14)
+        assert out.diagnostics() == {"grid_steps": 4, "path_steps": 4, "cell_changes": 3,
+                                     "vertex_steps": 1, "redraw_coins": 1}
+
+
+class _ScriptedDriver:
+    """RngStream stub for one path: its generator returns the scripted
+    driver normals one step at a time, every uniform as 0.5 and the
+    off-ray normals as 0."""
+
+    def __init__(self, normals):
+        self.normals = iter(normals)
+
+    def generator(self):
+        return self
+
+    def standard_normal(self, size=None):
+        if isinstance(size, tuple):
+            return np.zeros(size)
+        return np.array([next(self.normals)])
+
+    def random(self, size=None):
+        return np.full(size, 0.5)
 
 
 class TestRecordingIsPassive:
@@ -491,6 +597,13 @@ class TestRecordingIsPassive:
         rays, rads, _ = sample_isde_terminals(g, 1.0, 0.01, 200, RngStream(73), x0=x0)
         for j, path in enumerate(kept.paths):
             assert (path.rays[-1], path.radials[-1]) == (rays[j], rads[j])
+
+    def test_empty_batch(self):
+        fs = {"quad": per_ray_quadratic(self.G, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25])}
+        out = sample_residual_summaries(self.G, fs, 1.0, 0.1, 0, RngStream(75))
+        assert out.summaries["quad"].residuals.shape == (0,) and out.noises.shape == (0, 3)
+        assert out.diagnostics() == {"grid_steps": 10, "path_steps": 0, "cell_changes": 0,
+                                     "vertex_steps": 0, "redraw_coins": 0}
 
     @pytest.mark.parametrize("record", [-1, 51])
     def test_out_of_range_record_rejected(self, record):

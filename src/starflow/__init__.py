@@ -31,8 +31,7 @@ from .isde import (
     CoalescenceSamples, FilteredKernelEstimate, FirstLegSamples,
     N2NoisePath, NPointPath, default_coalescence_tol,
     filtered_kernel, isde_n2_from_noise, npoint_motion,
-    sample_coalescence_times, sample_first_legs, sample_isde_terminals,
-    sample_kernel_dispersions,
+    sample_coalescence_times, sample_first_legs, sample_kernel_dispersions,
 )
 from .metric import MetricIsdeSolution, metric_isde_forward
 

@@ -200,66 +200,6 @@ class MetricGraph:
             out.append((e.dst, e.length - x.coord))
         return out
 
-    def partition(self, edges, coords) -> EdgePartition:
-        """Group a batch of points, given as (edges, coords) arrays, into
-        vertex rows and per-edge interior rows (see EdgePartition).
-
-        Raises ValueError when the arrays differ in shape, an edge id is not
-        an integer in [0, n_edges), or a coord is non-finite or outside
-        [0, length] of its edge. The last case is caught by counting: every
-        row must land in exactly one group, so the group sizes must sum to
-        the batch size.
-        """
-        ids = np.asarray(edges)
-        coords = np.asarray(coords, dtype=float)
-        if ids.shape != coords.shape:
-            raise ValueError(f"edges shape {ids.shape} != coords shape {coords.shape}")
-        if ids.size and ids.dtype.kind not in "iu":
-            raise ValueError("edge ids must be integers")
-        ids, flat = ids.ravel().astype(np.int64, copy=False), coords.ravel()
-        if ids.size and (ids.min() < 0 or ids.max() >= len(self.edges)):
-            raise ValueError(f"edge ids must lie in [0, {len(self.edges)})")
-        at_src = np.flatnonzero(flat == 0.0)
-        vertex_rows, vertex_index = [at_src], [self.edge_src[ids[at_src]]]
-        inside = (flat > 0.0) & (flat < math.inf)   # nan and inf join no group
-        edge_rows = []
-        for e in self.edges:
-            on = inside & (ids == e.id)
-            if e.dst is None:
-                edge_rows.append(np.flatnonzero(on))
-                continue
-            edge_rows.append(np.flatnonzero(on & (flat < e.length)))
-            at_dst = np.flatnonzero(on & (flat == e.length))
-            vertex_rows.append(at_dst)
-            vertex_index.append(np.full(at_dst.size, self.edge_dst[e.id]))
-        vertex_rows = np.concatenate(vertex_rows)
-        if vertex_rows.size + sum(r.size for r in edge_rows) != flat.size:
-            raise ValueError("coords must lie in [0, length] of their edge")
-        return EdgePartition(shape=coords.shape, vertex_rows=vertex_rows,
-                             vertex_index=np.concatenate(vertex_index),
-                             edge_rows=tuple(edge_rows),
-                             edge_coords=tuple(flat[r] for r in edge_rows))
-
-
-@dataclass(frozen=True)
-class EdgePartition:
-    """Rows of one (edges, coords) batch on a metric graph, grouped once so
-    that every DomainFunction evaluated on the batch can share the grouping.
-
-    ``vertex_rows`` holds the flat indices of rows on a vertex (coord 0 is
-    the edge's from-end, coord == length its to-end) and ``vertex_index``
-    the position of that vertex in ``MetricGraph.vertices``;
-    ``edge_rows[e]`` the flat indices of the interior rows on edge e and
-    ``edge_coords[e]`` their coords. Every row of a batch of ``shape`` is in
-    exactly one group. Build it with ``MetricGraph.partition``.
-    """
-
-    shape: tuple[int, ...]
-    vertex_rows: np.ndarray
-    vertex_index: np.ndarray
-    edge_rows: tuple[np.ndarray, ...]
-    edge_coords: tuple[np.ndarray, ...]
-
 
 class StarGraph(MetricGraph):
     """N rays glued at one origin: the one-vertex metric graph whose edge i
@@ -321,7 +261,9 @@ class DomainFunction:
     ``coeffs`` is (a, b, c) and h_e(r) = a r^2 + b r + c, with r measured
     from the edge's from-end. Every test function of the checks has this
     form, so the grid engine sums moments of r per path and edge instead
-    of evaluating f' and f'' at every path-step.
+    of evaluating f' and f'' at every path-step. A batch of points is
+    evaluated by one gather: each row takes its edge's (a, b, c) row and
+    the same quadratic, and rows on a vertex then take the vertex rule.
 
     At a vertex the value is the common limit of the incident edges, c at
     a from-end and a L^2 + b L + c at a to-end, equal to CONTINUITY_TOL
@@ -345,10 +287,13 @@ class DomainFunction:
         self.vertex_overrides = dict(vertex_overrides or {})
         self._check_continuity()
 
-    def edge_eval(self, which: int, e: int, r):
-        """h_e (which 0), h_e' (1) or h_e'' (2) at the coords r of edge e."""
-        a, b, c = self.coeffs[e]
-        return (a * r * r + b * r + c, 2.0 * a * r + b, 2.0 * a + 0.0 * r)[which]
+    def edge_eval(self, which: int, e, r):
+        """h_e (which 0), h_e' (1) or h_e'' (2) at the coords r of edge e,
+        or of edges e, an array of edge ids of r's shape."""
+        a, b, c = self.coeffs.T   # one gather per coefficient read
+        if which == 0:
+            return a[e] * r * r + b[e] * r + c[e]
+        return 2.0 * a[e] * r + b[e] if which == 1 else 2.0 * a[e] + 0.0 * r
 
     def _incident_limits(self, v: int):
         """(weight, edge id, coord of v) per incident edge; the coord is 0
@@ -384,38 +329,39 @@ class DomainFunction:
     def vertex_second_derivative(self, v: int) -> float:
         return self._weighted_sum(2, v)
 
-    # vectorized evaluation over (edge, coord) arrays; vertex rows use the
-    # weighted conventions. ``part`` is a partition of this batch from
-    # MetricGraph.partition, built here when not given.
-    def _eval_arrays(self, which: int, edges, coords,
-                     part: EdgePartition | None = None) -> np.ndarray:
+    def _eval_arrays(self, which: int, edges, coords) -> np.ndarray:
+        """h, h' or h'' (which 0, 1, 2) at a batch of (edge id, coord)
+        points, as one gather of the rows' coefficients; rows at coord 0 or
+        at their edge's length then take the vertex rule at that end."""
         g = self.graph
-        if part is None:
-            part = g.partition(edges, coords)
-        elif part.shape != np.shape(coords):
-            raise ValueError(f"partition built for shape {part.shape}, "
-                             f"batch has shape {np.shape(coords)}")
-        out = np.empty(part.shape)
-        flat = out.reshape(-1)
-        for e, (rows, c) in enumerate(zip(part.edge_rows, part.edge_coords)):
-            if rows.size:
-                flat[rows] = self.edge_eval(which, e, c)
-        if part.vertex_rows.size:
-            at = (self.vertex_value, self.vertex_derivative,
-                  self.vertex_second_derivative)[which]
-            flat[part.vertex_rows] = np.array([at(v) for v in g.vertices])[part.vertex_index]
+        ids, coords = np.asarray(edges), np.asarray(coords, dtype=float)
+        if ids.shape != coords.shape:
+            raise ValueError(f"edges shape {ids.shape} != coords shape {coords.shape}")
+        if ids.size and ids.dtype.kind not in "iu":
+            raise ValueError("edge ids must be integers")
+        ids = ids.astype(np.int64, copy=False)
+        if ids.size and (ids.min() < 0 or ids.max() >= len(g.edges)):
+            raise ValueError(f"edge ids must lie in [0, {len(g.edges)})")
+        length = g.edge_length[ids]
+        if not np.all((coords >= 0.0) & (coords <= length) & (coords < math.inf)):
+            raise ValueError("coords must be finite and lie in [0, length] of their edge")
+        out = np.asarray(self.edge_eval(which, ids, coords))
+        at = (self.vertex_value, self.vertex_derivative, self.vertex_second_derivative)[which]
+        vals = np.array([at(v) for v in g.vertices])
+        for end, vertex in ((coords == 0.0, g.edge_src), (coords == length, g.edge_dst)):
+            out[end] = vals[vertex[ids[end]]]
         return out
 
     # the batch is (edge ids, coords); the parameters keep their star-graph
     # names, under which callers and perfbench/tracer.py may pass them
-    def value_arrays(self, rays, radials, part: EdgePartition | None = None):
-        return self._eval_arrays(0, rays, radials, part)
+    def value_arrays(self, rays, radials):
+        return self._eval_arrays(0, rays, radials)
 
-    def derivative_arrays(self, rays, radials, part: EdgePartition | None = None):
-        return self._eval_arrays(1, rays, radials, part)
+    def derivative_arrays(self, rays, radials):
+        return self._eval_arrays(1, rays, radials)
 
-    def second_derivative_arrays(self, rays, radials, part: EdgePartition | None = None):
-        return self._eval_arrays(2, rays, radials, part)
+    def second_derivative_arrays(self, rays, radials):
+        return self._eval_arrays(2, rays, radials)
 
 
 def canonical_test_functions(g: StarGraph, i: int) -> tuple[DomainFunction, DomainFunction]:

@@ -1,7 +1,7 @@
 """Interface-SDE solutions and flow machinery on star graphs.
 
 Forward construction, in the grid engine ``walsh.sample_residual_summaries``
-(``sample_isde_terminals`` returns its terminals and noises): a coupled
+(with no test function it returns the terminals and noises alone): a coupled
 Walsh path X provides the driver B, and the edge noises are
 dW^i = 1{X on ray i} dB + 1{X off ray i} dV^i (left-point indicators) with
 auxiliary noises V^i independent of X, so W is an N-dimensional Brownian
@@ -43,13 +43,12 @@ import numpy as np
 from .graphs import ORIGIN_VERTEX, GraphPoint, StarGraph
 from .halfline import RngStream, check_horizon, grid_steps, map_chunks, reflected_increment
 from .quadrant import SAFETY
-from .walsh import _coupled_step, _point_state, _start_state, sample_residual_summaries
+from .walsh import _coupled_step, _point_state, _start_state
 
 __all__ = [
     "N2NoisePath", "NPointPath",
     "FilteredKernelEstimate", "FirstLegSamples", "CoalescenceSamples",
-    "sample_isde_terminals", "isde_n2_from_noise",
-    "npoint_motion",
+    "isde_n2_from_noise", "npoint_motion",
     "sample_first_legs", "sample_coalescence_times",
     "filtered_kernel", "sample_kernel_dispersions", "default_coalescence_tol",
 ]
@@ -60,21 +59,6 @@ PIVOT_DIV = 48.0  # extra refinement of shared-noise steps near the pivot bounda
 def default_coalescence_tol(dt: float) -> float:
     """Detection tolerance for origin coincidence: one-step noise scale."""
     return 2.0 * math.sqrt(dt)
-
-
-# -- forward construction -----------------------------------------------------
-
-def sample_isde_terminals(g: StarGraph, T: float, dt: float, n: int,
-                          rng: RngStream, x0: GraphPoint | None = None,
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Terminal (rays, radials, W_T) over n forward solutions; W_T is (n, N).
-
-    The grid engine ``walsh.sample_residual_summaries`` with no test
-    function: it steps the coupled Walsh paths and assembles W_T from their
-    driver increments and one off-ray normal per path and ray.
-    """
-    out = sample_residual_summaries(g, {}, T, dt, n, rng, x0=x0)
-    return out.rays, out.radials, out.noises
 
 
 # -- N = 2 strong solver ------------------------------------------------------

@@ -22,22 +22,22 @@ Two simulation modes:
 The coupled step exists once, as ``_coupled_step``, and every grid engine
 on a graph starts from ``_start_state`` and takes that step. Here it is
 ``sample_residual_summaries``, the one grid engine of the coupled path on
-a star: one pass gives the test functions' residual sums, assembles the
-forward construction's edge noises W_T from the same driver increments,
-and records whole paths (rows of its batch) as ``WalshPath``;
-``isde.sample_isde_terminals`` is that engine with no test function. It
-evaluates no test function along the path: each is a quadratic on each
-ray, so its residual sums follow from moment sums per path and cell (a
-ray, or the vertex) that the engine keeps per stint. In
-``isde`` the step also moves the pivot of ``npoint_motion`` and the
-replicas of the filtered kernel, and in ``metric`` the walker, at the
-vertex each path is anchored to. They, and the exact kernel step, draw
-edges from the graph's weight table, ``MetricGraph.draw_edges``. An engine
-draws the driver increments; the step draws the redraw coins itself, one
-uniform per folding row after the fold test, in row order, and none for
-the rows that keep their edge. That is exact: whichever rows fold, their
-coins are iid U(0,1) and independent of the increments and of the past,
-as coins drawn for every row would be.
+a star; with no test function it gives the forward terminals alone. It
+keeps one set of books: per path, the sums of each stint (a run of steps
+on one ray, or at the vertex, under one ray label) go into cells per ray
+label, the vertex stints credited to the label they were taken under. The
+books give the forward construction's edge noises W_T, and, as each test
+function is a quadratic on each ray, its residual sums, with no test
+function evaluated along the path. It records whole paths (rows of its
+batch) as ``WalshPath``. In ``isde`` the step also moves the pivot of
+``npoint_motion`` and the replicas of the filtered kernel, and in
+``metric`` the walker, at the vertex each path is anchored to. They, and
+the exact kernel step, draw edges from the graph's weight table,
+``MetricGraph.draw_edges``. An engine draws the driver increments; the
+step draws the redraw coins itself, one uniform per folding row after the
+fold test, in row order, and none for the rows that keep their edge. That
+is exact: whichever rows fold, their coins are iid U(0,1) and independent
+of the increments and of the past, as coins drawn for every row would be.
 
 ``semigroup_apply``, the quadrature reference of ``walsh-kernel``, loads
 ``scipy.integrate`` on its first call rather than at import: that module
@@ -156,6 +156,7 @@ def semigroup_apply(g: StarGraph, f: DomainFunction, t: float, x: GraphPoint) ->
 
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be finite and > 0, got {t}")
+    _check_graph(g, f, "f")
     ray, r = _point_state(g, x)
     probs = g.probs_array
 
@@ -221,41 +222,61 @@ class ResidualSamples:
     def diagnostics(self) -> dict:
         """The engine's work counts: grid steps, path-steps, stint ends
         before the last step (cell changes), path-steps at the vertex and
-        redraw coins. The stint counts are 0 without a test function."""
+        redraw coins."""
         return {"grid_steps": self.steps, "path_steps": self.steps * self.rays.size,
                 **self.counts}
 
 
-def _values(g: StarGraph, fs: dict[str, DomainFunction], rays, rad) -> dict[str, np.ndarray]:
-    """Each test function's values on a batch, with one shared partition."""
-    part = g.partition(rays, rad)
-    return {nm: f.value_arrays(rays, rad, part=part) for nm, f in fs.items()}
+def _check_graph(g: StarGraph, f: DomainFunction, name: str) -> None:
+    """ValueError unless the test function f lives on g: on g itself, or on
+    a graph with g's edges and weight table."""
+    h = f.graph
+    if h is not g and not all(np.array_equal(getattr(h, a), getattr(g, a)) for a in (
+            "edge_src", "edge_dst", "edge_length", "vertex_cum", "vertex_edges")):
+        raise ValueError(f"test function {name!r} is defined on another graph")
 
 
-def _end_stints(tab, stint, rows, cols, steps) -> None:
-    """Add the stint sums and step counts of rows into the tables' cells
-    (cols, rows), one table at a time, and start new stints."""
-    cells = cols * stint.shape[1] + rows
-    for j in range(4):
-        tab[j].reshape(-1)[cells] += stint[j, rows]
-    tab[4].reshape(-1)[cells] += steps
+def _end_stints(books, stint, rows, labels, at_v, steps) -> None:
+    """End the stints of rows and start new ones. A stint's xi sum and step
+    count go into cell (at_v, label, path) of the (2, N, n) books, its
+    r xi, r and r^2 sums into cell (label, path) of the (3, N, n) book; a
+    vertex stint adds exact zeros there."""
+    xi_book, step_book, mom_book = books
+    cells = labels * stint.shape[1] + rows
+    for j in range(3):
+        mom_book[j].reshape(-1)[cells] += stint[j + 1, rows]
+    cells += at_v * mom_book[0].size
+    xi_book.reshape(-1)[cells] += stint[0, rows]
+    step_book.reshape(-1)[cells] += steps
     stint[:, rows] = 0.0
 
 
-def _residual_sums(f: DomainFunction, tab: np.ndarray, tmp: np.ndarray):
-    """Per path, the sums of f' xi, f'' and f'^2 from the cell tables,
-    vertex (row N) first, then ray by ray: on a ray h' xi = 2a r xi + b xi,
-    h'' = 2a and h'^2 = 4a^2 r^2 + 4ab r + b^2."""
-    s_xi, s_rxi, s_r, s_r2, cnt = tab
-    v, d1 = len(f.coeffs), f.vertex_derivative(ORIGIN_VERTEX)
-    s_dB = d1 * s_xi[v]
-    s_fpp = f.vertex_second_derivative(ORIGIN_VERTEX) * cnt[v]
-    s_fp2 = (d1 * d1) * cnt[v]
+def _edge_noises(books, K: int, dt: float, gen: np.random.Generator) -> np.ndarray:
+    """W_T, (n, N), from the books: per ray label, the xi summed over a
+    path's stints under it and sqrt(dt (K - steps)) Z for its other steps."""
+    xi_book, step_book, _ = books
+    w = np.sqrt((K - step_book.sum(axis=0)) * dt)
+    w *= gen.standard_normal(w.shape[::-1]).T
+    w += xi_book.sum(axis=0)
+    return w.T.copy()
+
+
+def _residual_sums(f: DomainFunction, books, tmp: np.ndarray):
+    """Per path, the sums of f' xi, f'' and f'^2 from the books: the vertex
+    stints' sums over all labels with f'(0) and f''(0) first, then ray by
+    ray the ray stints' sums, as on a ray h' xi = 2a r xi + b xi, h'' = 2a
+    and h'^2 = 4a^2 r^2 + 4ab r + b^2."""
+    (xi_on, xi_v), (steps_on, steps_v), (s_rxi, s_r, s_r2) = books
+    xi_v, steps_v = xi_v.sum(axis=0), steps_v.sum(axis=0)
+    d1 = f.vertex_derivative(ORIGIN_VERTEX)
+    s_dB = d1 * xi_v
+    s_fpp = f.vertex_second_derivative(ORIGIN_VERTEX) * steps_v
+    s_fp2 = (d1 * d1) * steps_v
     for e, (a, b, _) in enumerate(f.coeffs):
         a2 = 2.0 * a
-        for acc, coef, col in ((s_dB, a2, s_rxi), (s_dB, b, s_xi), (s_fpp, a2, cnt),
+        for acc, coef, col in ((s_dB, a2, s_rxi), (s_dB, b, xi_on), (s_fpp, a2, steps_on),
                                (s_fp2, a2 * a2, s_r2), (s_fp2, 2.0 * a2 * b, s_r),
-                               (s_fp2, b * b, cnt)):
+                               (s_fp2, b * b, steps_on)):
             acc += np.multiply(col[e], coef, out=tmp)
     return s_dB, s_fpp, s_fp2
 
@@ -270,90 +291,78 @@ def sample_residual_summaries(g: StarGraph, fs: dict[str, DomainFunction],
     The residual of f along a path is
     M_K = f(X_K) - f(X_0) - sum_k f'(X_k) dB_k - (dt/2) sum_k f''(X_k) - f'(0) L_K,
     a discrete martingale up to the coupled-mode discretization bias.
-    Each step draws the n driver increments xi, credits xi to the ray each
-    path is on, and takes the coupled step, which draws a redraw coin only
-    for the paths that fold.
+    Each step draws the n driver increments xi and takes the coupled step,
+    which draws a redraw coin only for the paths that fold.
 
-    A stint is the run of steps a path spends in one cell: its ray, or the
-    vertex while its radial is exactly 0. A fold, a move onto or off the
-    vertex, and the last step end it. A path sums xi, r xi, r and r^2 (r
-    the radial before the step) over its stint, and the stint's end adds
-    them and its step count into (cell, path) tables. A test function is a
-    quadratic on each ray, so its sums of f' xi, f'' and f'^2 are fixed
-    combinations of these (``_residual_sums``), with f'(0) and f''(0) in
-    the vertex cell. Without a test function none of this runs.
+    One set of books gives both W_T and the residual sums. A stint is the
+    run of steps a path spends in one cell: on its ray, or at the vertex
+    while its radial is exactly 0. A fold, a move onto or off the vertex
+    and the last step end it, so its ray label is fixed; a vertex stint
+    credits the label the path was last given. Over its stint a path sums
+    xi, r xi, r and r^2 (r the radial before the step), and the stint's end
+    adds them and its step count into the books (``_end_stints``).
 
     The off-ray increments dV^i of W are never drawn one by one: given the
-    path, the C_i steps a path spends on ray i carry xi and its other
-    K - C_i steps carry iid N(0, dt) increments independent of the path,
-    so their sum is drawn after the last step as sqrt(dt (K - C_i)) Z_i
-    from one (n, N) normal block, with the law of the forward construction.
+    path, the steps[i] steps a path spends labelled i carry xi, summed in
+    xi[i], and its other K - steps[i] steps carry iid N(0, dt) increments
+    independent of the path, so W^i_T = xi[i] + sqrt(dt (K - steps[i])) Z_i,
+    with Z one (n, N) normal block drawn after the last step, has the law
+    of the forward construction. A test function is a quadratic on each
+    ray, so its sums of f' xi, f'' and f'^2 are fixed combinations of the
+    ray stints' sums per label, with f'(0) and f''(0) on the vertex
+    stints' (``_residual_sums``).
     """
     if x0 is None:
         x0 = g.origin()
     if not 0 <= record <= n:
         raise ValueError(f"need 0 <= record <= n, got {record}")
+    for nm, f in fs.items():
+        _check_graph(g, f, nm)
     K = grid_steps(T, dt)
     gen = rng.generator()
     sq = math.sqrt(dt)
     N = g.n_rays
     rays, rad = _start_state(g, x0, n, gen)
     L = np.zeros(n)
-    # flat (path, ray) cells: each path adds to one cell per step; its steps
-    # on a ray are counted per stint
-    on_sum, on_steps = np.zeros((n, N)), np.zeros((n, N))
-    row_cell = np.arange(n) * N
+    stint, tmp = np.zeros((4, n)), np.empty(n)   # each path's current stint
+    books = (np.zeros((2, N, n)), np.zeros((2, N, n), dtype=np.int64), np.zeros((3, N, n)))
     since = np.zeros(n, dtype=np.int64)   # the step that began each path's stint
-    if fs:   # stint sums, and (N + 1, n) cell tables with the vertex in row N
-        stint, tab, tmp = np.zeros((4, n)), np.zeros((5, N + 1, n)), np.empty(n)
-        at_v = np.flatnonzero(rad == 0.0)
-    f0 = _values(g, fs, rays, rad)
+    at_v = np.flatnonzero(rad == 0.0)
+    f0 = {nm: f.value_arrays(rays, rad) for nm, f in fs.items()}
     rec = [(rays[:record].copy(), rad[:record].copy(), np.zeros(record), np.zeros(record))]
     counts = dict.fromkeys(("cell_changes", "vertex_steps", "redraw_coins"), 0)
     for k in range(K):
         xi = gen.standard_normal(n)
         xi *= sq
-        cell = row_cell + rays
-        np.add.at(on_sum.reshape(-1), cell, xi)
-        if fs:
-            stint[0] += xi
-            stint[1] += np.multiply(rad, xi, out=tmp)
-            stint[2] += rad
-            stint[3] += np.multiply(rad, rad, out=tmp)
+        stint[0] += xi
+        stint[1] += np.multiply(rad, xi, out=tmp)
+        stint[2] += rad
+        stint[3] += np.multiply(rad, rad, out=tmp)
+        labels = rays.copy()   # the step redraws the rays of the rows that fold
         new, ends = _coupled_step(g, ORIGIN_VERTEX, rays, rad + xi, gen)
         L[ends] += 2.0 * new[ends]
         counts["redraw_coins"] += ends.size
-        if fs:
-            counts["vertex_steps"] += at_v.size
-            if at_v.size or (n and new.min() == 0.0):   # a move onto or off the vertex
-                on_v = np.flatnonzero(new == 0.0)
-                ends, at_v = np.union1d(ends, np.setxor1d(at_v, on_v)), on_v
-            counts["cell_changes"] += ends.size
-            cols = np.where(rad[ends] == 0.0, N, cell[ends] - row_cell[ends])
-            _end_stints(tab, stint, ends, cols, k + 1 - since[ends])
-        on_steps.reshape(-1)[cell[ends]] += k + 1 - since[ends]
+        counts["vertex_steps"] += at_v.size
+        if at_v.size or (n and new.min() == 0.0):   # a move onto or off the vertex
+            on_v = np.flatnonzero(new == 0.0)
+            ends, at_v = np.union1d(ends, np.setxor1d(at_v, on_v)), on_v
+        counts["cell_changes"] += ends.size
+        _end_stints(books, stint, ends, labels[ends], rad[ends] == 0.0, k + 1 - since[ends])
         since[ends] = k + 1
         rad = new
         if record:
             rec.append([a[:record].copy() for a in (rays, rad, L, xi)])
-    on_steps.reshape(-1)[row_cell + rays] += K - since
-    # W_T = on_sum + sqrt(dt (K - on_steps)) Z and M are built in place and the
-    # tables dropped once summed, or the last phase would set the peak memory
-    noises = np.subtract(K, on_steps, out=on_steps)
-    noises *= dt
-    np.sqrt(noises, out=noises)
-    noises *= gen.standard_normal((n, N))
-    noises += on_sum
-    if fs:
-        _end_stints(tab, stint, np.arange(n), np.where(rad == 0.0, N, rays), K - since)
-        sums = {nm: _residual_sums(f, tab, tmp) for nm, f in fs.items()}
-        del tab, stint, on_sum
+    _end_stints(books, stint, np.arange(n), rays, rad == 0.0, K - since)
+    noises = _edge_noises(books, K, dt, gen)
+    sums = {nm: _residual_sums(f, books, tmp) for nm, f in fs.items()}
+    del books, stint   # once summed, or they would set the peak memory with the outputs
     out = {}
-    for nm, mart in _values(g, fs, rays, rad).items():   # f(X_T), then M
+    for nm, f in fs.items():
         s_dB, s_fpp, s_fp2 = sums.pop(nm)
+        mart = f.value_arrays(rays, rad)   # f(X_T), then M
         mart -= f0.pop(nm)
         mart -= 0.5 * dt * s_fpp
-        mart -= fs[nm].vertex_derivative(ORIGIN_VERTEX) * L
+        mart -= f.vertex_derivative(ORIGIN_VERTEX) * L
         out[nm] = ResidualSummary(name=nm, residuals=np.subtract(mart, s_dB, out=s_dB),
                                   martingale_part=mart, bracket=np.multiply(s_fp2, dt, out=s_fp2))
     rays_k, rad_k, l_k, xi_k = (np.stack(c) for c in zip(*rec))

@@ -280,8 +280,8 @@ class TestCanonicalFunctions:
 
 
 class TestArrayEvaluation:
-    """Array evaluation on (rays, radials) batches, through the shared
-    partition or without one, against pointwise evaluation."""
+    """Array evaluation on (rays, radials) batches against pointwise
+    evaluation."""
 
     G = make_star(3, [0.5, 0.3, 0.2])
     RAYS = np.array([0, 1, 2, 0, 2, 1, 0, 2, 1])
@@ -292,26 +292,28 @@ class TestArrayEvaluation:
         quad = per_ray_quadratic(self.G, [0.5, 0.75, 1.0], [0.5, -0.5, 0.25], const=0.3)
         return f1, g1, quad
 
-    def test_matches_pointwise_with_and_without_partition(self, pointwise):
-        part = self.G.partition(self.RAYS, self.RADS)
+    @staticmethod
+    def methods(f):
+        return f.value_arrays, f.derivative_arrays, f.second_derivative_arrays
+
+    def test_matches_pointwise(self, pointwise):
         pts = [self.G.point(int(i), float(r)) for i, r in zip(self.RAYS, self.RADS)]
         for f in self.functions():
-            for which, arrays in enumerate((f.value_arrays, f.derivative_arrays,
-                                            f.second_derivative_arrays)):
+            for which, arrays in enumerate(self.methods(f)):
                 expected = np.array([pointwise(f, which, x) for x in pts])
                 np.testing.assert_array_equal(arrays(self.RAYS, self.RADS), expected)
-                np.testing.assert_array_equal(
-                    arrays(self.RAYS, self.RADS, part=part), expected)
 
     def test_partition_groups(self):
-        part = self.G.partition(self.RAYS, self.RADS)
-        np.testing.assert_array_equal(part.vertex_rows, [3, 5, 7])
-        np.testing.assert_array_equal(part.vertex_index, [0, 0, 0])
-        np.testing.assert_array_equal(part.edge_rows[0], [0, 6])
-        np.testing.assert_array_equal(part.edge_rows[1], [1, 8])
-        np.testing.assert_array_equal(part.edge_rows[2], [2, 4])
-        for rows, rads in zip(part.edge_rows, part.edge_coords):
-            np.testing.assert_array_equal(rads, self.RADS[rows])
+        # the rows at radial 0 take the vertex rule, every other row its
+        # own ray's quadratic at its own radial
+        for f in self.functions():
+            vertex_rule = (f.vertex_value, f.vertex_derivative, f.vertex_second_derivative)
+            for which, arrays in enumerate(self.methods(f)):
+                out = arrays(self.RAYS, self.RADS)
+                np.testing.assert_array_equal(out[[3, 5, 7]], [vertex_rule[which](0)] * 3)
+                for e, rows in enumerate(([0, 6], [1, 8], [2, 4])):
+                    np.testing.assert_array_equal(out[rows],
+                                                  f.edge_eval(which, e, self.RADS[rows]))
 
     def test_batch_shape_kept(self):
         f1, _, quad = self.functions()
@@ -333,21 +335,9 @@ class TestArrayEvaluation:
     ])
     def test_bad_batch_rejected(self, rays, rads):
         f1, _, _ = self.functions()
-        with pytest.raises(ValueError):
-            self.G.partition(rays, rads)
-        with pytest.raises(ValueError):
-            f1.value_arrays(rays, rads)
-        with pytest.raises(ValueError):
-            f1.second_derivative_arrays(rays, rads)
-
-    def test_partition_of_other_batch_rejected(self):
-        f1, _, _ = self.functions()
-        part = self.G.partition(self.RAYS[:4], self.RADS[:4])
-        with pytest.raises(ValueError):
-            f1.derivative_arrays(self.RAYS, self.RADS, part=part)
-        with pytest.raises(ValueError):
-            f1.value_arrays(self.RAYS[:4].reshape(2, 2), self.RADS[:4].reshape(2, 2),
-                            part=part)
+        for arrays in self.methods(f1):
+            with pytest.raises(ValueError):
+                arrays(rays, rads)
 
 
 class TestGraphJson:

@@ -58,8 +58,10 @@ def _grid_engines():
     return {
         "sample_residual_summaries": lambda T, dt: walsh.sample_residual_summaries(
             g, {"f": f}, T, dt, 4, RngStream(1)),
-        "sample_isde_terminals": lambda T, dt: isde.sample_isde_terminals(
-            g, T, dt, 4, RngStream(1)),
+        # the engine with no test function, under the name of the forward
+        # terminals' sampler it stood for; the key keeps the test ids
+        "sample_isde_terminals": lambda T, dt: walsh.sample_residual_summaries(
+            g, {}, T, dt, 4, RngStream(1)),
         "npoint_motion": lambda T, dt: isde.npoint_motion(
             g, [g.origin(), g.point(1, 0.5)], T, dt, RngStream(1)),
     }

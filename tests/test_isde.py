@@ -8,8 +8,7 @@ from starflow.graphs import make_star, per_ray_quadratic
 from starflow.halfline import RngStream
 from starflow.isde import (
     _dispersions, filtered_kernel, isde_n2_from_noise, npoint_motion,
-    sample_coalescence_times, sample_first_legs, sample_isde_terminals,
-    sample_kernel_dispersions,
+    sample_coalescence_times, sample_first_legs, sample_kernel_dispersions,
 )
 from starflow.stats import ks_against_cdf, ks_two_sample
 from starflow.walsh import sample_residual_summaries
@@ -19,40 +18,60 @@ G = make_star(3, [0.5, 0.3, 0.2])
 
 def _terminals_reference(g, T, dt, n, rng, x0):
     """Per-step loop: the driver increments, then a redraw coin for each
-    path that folds; per path and ray, the driver sum over the steps on
-    that ray, and after the last step one normal per path and ray for the
-    sum of the off-ray increments."""
+    path that folds. Per path, xi is summed over each stint (the steps
+    under one ray label, on the ray or at the vertex; a fold, a move onto
+    or off the vertex, or the last step ends it), and the stint's sum and
+    step count go into its (at vertex, label) cell. After the last step one
+    normal per path and ray gives the sum of the off-ray increments.
+    Returns the terminal rays and radials, W_T from the stint cells by the
+    engine's arithmetic, and W_T from the plain per-step driver sums."""
     K = round(T / dt)
     gen = rng.generator()
     cum = np.cumsum(g.probs_array)
     sq = math.sqrt(dt)
+    N = g.n_rays
     rad = np.full(n, 0.0 if x0.is_vertex else x0.coord)
     rays = (np.searchsorted(cum, gen.random(n)) if x0.is_vertex
             else np.full(n, x0.edge, dtype=np.int64))
-    on_sum = np.zeros((n, g.n_rays))
-    on_steps = np.zeros((n, g.n_rays))
-    for _ in range(K):
+    stint, since = np.zeros(n), np.zeros(n, dtype=np.int64)
+    cell_xi, cell_steps = np.zeros((n, 2, N)), np.zeros((n, 2, N), dtype=np.int64)
+    plain = np.zeros((n, N))
+    for k in range(K):
         xi = sq * gen.standard_normal(n)
-        for j in range(n):
-            on_sum[j, rays[j]] += xi[j]
-            on_steps[j, rays[j]] += 1
         y = rad + xi
-        rays = rays.copy()
-        rays[y < 0.0] = np.searchsorted(cum, gen.random(np.count_nonzero(y < 0.0)))
-        rad = np.abs(y)
-    Z = gen.standard_normal((n, g.n_rays))
-    WT = np.empty((n, g.n_rays))
+        new_rays = rays.copy()
+        new_rays[y < 0.0] = np.searchsorted(cum, gen.random(np.count_nonzero(y < 0.0)))
+        new = np.abs(y)
+        for j in range(n):
+            plain[j, rays[j]] += xi[j]
+            stint[j] += xi[j]
+            if k == K - 1 or y[j] < 0.0 or (rad[j] == 0.0) != (new[j] == 0.0):
+                cell = (j, int(rad[j] == 0.0), rays[j])
+                cell_xi[cell] += stint[j]
+                cell_steps[cell] += k + 1 - since[j]
+                stint[j], since[j] = 0.0, k + 1
+        rays, rad = new_rays, new
+    Z = gen.standard_normal((n, N))
+    WT, WT_plain = np.empty((n, N)), np.empty((n, N))
     for j in range(n):
-        for i in range(g.n_rays):
-            WT[j, i] = on_sum[j, i] + math.sqrt(dt * (K - on_steps[j, i])) * Z[j, i]
-    return rays, rad, WT
+        for i in range(N):
+            off = math.sqrt((K - (cell_steps[j, 0, i] + cell_steps[j, 1, i])) * dt) * Z[j, i]
+            WT[j, i] = off + (cell_xi[j, 0, i] + cell_xi[j, 1, i])
+            WT_plain[j, i] = off + plain[j, i]
+    return rays, rad, WT, WT_plain
+
+
+def _terminals(T, dt, n, seed, x0=None):
+    """(rays, radials, W_T) of the grid engine with no test function."""
+    out = sample_residual_summaries(G, {}, T, dt, n, RngStream(seed), x0=x0)
+    return out.rays, out.radials, out.noises
 
 
 class TestSampleTerminals:
     def test_same_seed_same_output(self):
-        a = sample_isde_terminals(G, 1.0, 0.01, 200, RngStream(42))
-        b = sample_isde_terminals(G, 1.0, 0.01, 200, RngStream(42))
-        c = sample_isde_terminals(G, 1.0, 0.01, 200, RngStream(43))
+        a = _terminals(1.0, 0.01, 200, 42)
+        b = _terminals(1.0, 0.01, 200, 42)
+        c = _terminals(1.0, 0.01, 200, 43)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
         assert not np.array_equal(a[2], c[2])
@@ -60,17 +79,28 @@ class TestSampleTerminals:
     @pytest.mark.parametrize("seed, x0", [(44, None), (45, (2, 0.25))])
     def test_bit_identical_to_reference_loop(self, seed, x0):
         x0 = G.origin() if x0 is None else G.point(*x0)
-        out = sample_isde_terminals(G, 1.0, 0.01, 150, RngStream(seed), x0=x0)
+        out = _terminals(1.0, 0.01, 150, seed, x0=x0)
         ref = _terminals_reference(G, 1.0, 0.01, 150, RngStream(seed), x0)
         for x, y in zip(out, ref):
             np.testing.assert_array_equal(x, y)
+
+    def test_stint_sums_match_plain_driver_sums(self):
+        # summing xi per stint and then per cell only reorders the plain
+        # per-step sum of W_T's on-ray increments: K = 1000 terms of size
+        # sqrt(dt) = 0.03 err by far less than 1e-12
+        x0 = G.point(1, 0.1)
+        noises = _terminals(1.0, 1e-3, 60, 50, x0=x0)[2]
+        _, _, WT, WT_plain = _terminals_reference(G, 1.0, 1e-3, 60, RngStream(50), x0)
+        np.testing.assert_array_equal(noises, WT)
+        np.testing.assert_allclose(noises, WT_plain, rtol=0, atol=1e-12)
+        assert not np.array_equal(WT, WT_plain)
 
     def test_draws_about_one_word_per_path_step(self, philox_words):
         # the driver increment, a coin per fold, and N normals per path at
         # the end for the off-ray sums; drawing every dV^i and a coin per
         # step took five words
         n, K = 2000, 100
-        sample_isde_terminals(G, 1.0, 1.0 / K, n, RngStream(47))
+        _terminals(1.0, 1.0 / K, n, 47)
         assert philox_words() / (n * K) < 1.3
 
     def test_edge_noises_are_brownian(self):
@@ -79,7 +109,7 @@ class TestSampleTerminals:
         # engine with probability about 3e-3. Calibrated over seeds 100-299
         # at this config (CHANGES.md); at seed 46 the smallest p is 0.017.
         T = 2.0
-        _, _, WT = sample_isde_terminals(G, T, 0.02, 4000, RngStream(46))
+        WT = _terminals(T, 0.02, 4000, 46)[2]
         for i in range(G.n_rays):
             assert ks_against_cdf(WT[:, i] / math.sqrt(T), ndtr).p_value > 1e-3, i
 
@@ -91,7 +121,7 @@ class TestSampleTerminals:
         # 100-299 at this config the p-values average 0.51 and 0.50, with
         # minima 0.008 and 0.011; at seed 48 they are 0.61 and 0.71.
         T = 2.0
-        _, _, WT = sample_isde_terminals(G, T, 0.02, 4000, RngStream(48))
+        WT = _terminals(T, 0.02, 4000, 48)[2]
         norm2 = np.sum(WT * WT, axis=1) / T
         assert ks_against_cdf(norm2, lambda x: chdtr(G.n_rays, x)).p_value > 1e-3
         u = np.array([1.0, 2.0, 2.0]) / 3.0

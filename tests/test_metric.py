@@ -356,7 +356,7 @@ class TestWeightTable:
 
 class TestStarIsTheOneVertexGraph:
     """make_star and the star written by hand as a metric graph are the same
-    graph: same partitions, evaluations, distances and walker output."""
+    graph: same vertex rows, evaluations, distances and walker output."""
 
     RAYS = np.array([0, 1, 2, 0, 2, 1, 0, 2])
     RADS = np.array([1.0, 2.0, 0.5, 0.0, 3.25, 0.0, 1e-9, 7.5])
@@ -365,14 +365,20 @@ class TestStarIsTheOneVertexGraph:
         return make_star(3, STAR_WEIGHTS), star_as_metric_graph()
 
     def test_same_partition(self):
-        a, b = (g.partition(self.RAYS, self.RADS) for g in self.pair())
-        assert a.shape == b.shape
-        for name in ("vertex_rows", "vertex_index"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        for name in ("edge_rows", "edge_coords"):
-            assert len(getattr(a, name)) == len(getattr(b, name)) == 3
-            for x, y in zip(getattr(a, name), getattr(b, name)):
-                np.testing.assert_array_equal(x, y)
+        # a vertex rule that no ray takes marks the rows at the vertex; on
+        # either graph they are rows 3 and 5, and every other row takes its
+        # own ray's quadratic at its own radial
+        coeffs = [(0.5, 0.5, 0.3), (0.75, -0.5, 0.3), (1.0, 0.25, 0.3)]
+        for g in self.pair():
+            f = DomainFunction(g, coeffs, vertex_overrides={0: (-9.0, -7.0)})
+            off = np.flatnonzero(self.RADS > 0.0)
+            for which, mark, arrays in ((1, -9.0, f.derivative_arrays),
+                                        (2, -7.0, f.second_derivative_arrays)):
+                out = arrays(self.RAYS, self.RADS)
+                np.testing.assert_array_equal(np.flatnonzero(out == mark), [3, 5])
+                np.testing.assert_array_equal(
+                    out[off], [f.edge_eval(which, e, r) for e, r in zip(self.RAYS[off],
+                                                                         self.RADS[off])])
 
     def test_same_evaluations(self):
         star, hand = self.pair()
@@ -418,24 +424,24 @@ class TestArrayEvaluationOnATree:
         return DomainFunction(short_edge_tree(), rows)
 
     def test_partition_finds_both_ends(self):
-        part = short_edge_tree().partition(self.EDGES, self.COORDS)
-        np.testing.assert_array_equal(np.sort(part.vertex_rows), [0, 2, 4, 6, 9])
-        at = dict(zip(part.vertex_rows.tolist(), part.vertex_index.tolist()))
-        assert at == {0: 0, 2: 1, 4: 0, 6: 1, 9: 0}
-        np.testing.assert_array_equal(part.edge_rows[0], [1, 7])
-        np.testing.assert_array_equal(part.edge_coords[0], [0.1, 0.2499])
+        # vertex rules that no edge takes mark the rows at each vertex: both
+        # ends of the finite edge 0, and coord 0 of the rays at either vertex
+        f = DomainFunction(short_edge_tree(), self.function().coeffs,
+                           vertex_overrides={0: (-9.0, None), 1: (-7.0, None)})
+        d = f.derivative_arrays(self.EDGES, self.COORDS)
+        np.testing.assert_array_equal(np.flatnonzero(d == -9.0), [0, 4, 9])
+        np.testing.assert_array_equal(np.flatnonzero(d == -7.0), [2, 6])
+        np.testing.assert_array_equal(d[[1, 7]], f.edge_eval(1, 0, np.array([0.1, 0.2499])))
 
     def test_matches_pointwise(self, pointwise):
         f = self.function()
         g = f.graph
         pts = [g.point(int(e), float(c)) for e, c in zip(self.EDGES, self.COORDS)]
         assert pts[2] == pts[6] == vertex(1)
-        part = g.partition(self.EDGES, self.COORDS)
         for which, arrays in enumerate((f.value_arrays, f.derivative_arrays,
                                         f.second_derivative_arrays)):
             expected = np.array([pointwise(f, which, x) for x in pts])
             np.testing.assert_array_equal(arrays(self.EDGES, self.COORDS), expected)
-            np.testing.assert_array_equal(arrays(self.EDGES, self.COORDS, part=part), expected)
         out = f.value_arrays(self.EDGES[:10].reshape(2, 5), self.COORDS[:10].reshape(2, 5))
         assert out.shape == (2, 5)
 

@@ -9,17 +9,14 @@ from .graphs import (
     load_graph, make_star, metric_graph_from_dict, metric_graph_to_dict,
     per_ray_quadratic, save_graph,
 )
-from .halfline import (
-    RngStream, bridge_crossing_prob, bridge_min, heat_kernels, map_chunks,
-    reflected_increment,
-)
+from .halfline import RngStream, bridge_crossings, map_chunks, reflected_step
 from .stats import (
     KSResult, MCEstimate, ks_against_cdf, ks_two_sample, mc_estimate,
     reg_incomplete_beta,
 )
 from .walsh import (
     ResidualSamples, ResidualSummary, WalshPath, sample_exact_steps,
-    sample_residual_summaries, semigroup_apply,
+    sample_residual_summaries, semigroup_apply, walsh_step,
 )
 from .quadrant import (
     AngleSource, FixedAngles, LegOverflowError, LegSamples, OrbmLeg,

@@ -50,7 +50,7 @@ class ExperimentConfig:
 
     Each field but ``experiment`` is the option ``--<name>`` (dashes for
     underscores) or the ``flag`` in its metadata, typed by its annotation
-    and defaulting to its default; a bool field's flag turns it off.
+    and defaulting to its default.
     """
 
     experiment: str
@@ -83,8 +83,6 @@ class ExperimentConfig:
         "help": "first time budget; it doubles until 99%% have coalesced"})
     legs: int = 4
     graph_file: str | None = field(default=None, metadata={"required": True})
-    refine: bool = field(default=True, metadata={
-        "flag": "--no-refine", "help": "end legs only at grid crossings"})
 
     def __post_init__(self):
         if self.n_rays < 1:
@@ -113,8 +111,7 @@ def _exp_orbm_leg(cfg: ExperimentConfig, rng: RngStream):
     theta, x = cfg.theta, cfg.x
     if theta is None:
         raise ValueError("orbm-leg needs --theta")
-    legs = quadrant.sample_legs(theta, x, cfg.dt, cfg.paths, rng, refine=cfg.refine,
-                                record=int(bool(cfg.csv)))
+    legs = quadrant.sample_legs(theta, x, cfg.dt, cfg.paths, rng, record=int(bool(cfg.csv)))
     # the means of Y_S and L are estimated at unit scale, where their
     # squares stay finite for any start x
     estimates = {
@@ -212,9 +209,13 @@ def _exp_walsh_kernel(cfg: ExperimentConfig, rng: RngStream):
         estimates[f"f{i}_mc"] = _est(vals)
         estimates[f"f{i}_semigroup"] = {"mean": ref, "stderr": 0.0, "n": 0}
         checks[f"f{i}_matches_semigroup"] = abs(est.mean - ref) <= 3 * est.stderr
-    # kernel consistency: two half steps vs one full step
-    r1, rad1 = walsh.sample_exact_steps(g, x0, t / 2, cfg.paths, rng.child(100))
-    r2, rad2 = walsh.exact_step_arrays(g, r1, rad1, t / 2, rng.child(101).generator())
+    # kernel consistency: two half steps vs one full step; the second half
+    # step moves the rays r2 of the first in place
+    r2, rad1 = walsh.sample_exact_steps(g, x0, t / 2, cfg.paths, rng.child(100))
+    gen = rng.child(101).generator()
+    rad2, _ = walsh.walsh_step(g, graphs.ORIGIN_VERTEX, r2, rad1,
+                               rad1 + math.sqrt(t / 2) * gen.standard_normal(cfg.paths),
+                               np.full(cfg.paths, t / 2), gen)
     rf, radf = walsh.sample_exact_steps(g, x0, t, cfg.paths, rng.child(102))
     ks = stats.ks_two_sample(rad2, radf)
     ks_results["chapman_kolmogorov_radial"] = _ks(ks)
@@ -407,7 +408,7 @@ RUN_OPTIONS = ("seed", "threads", "out")
 # each experiment with the config fields it reads, which are its options
 # besides RUN_OPTIONS
 EXPERIMENTS = {
-    "orbm-leg": (_exp_orbm_leg, "theta x dt paths refine csv"),
+    "orbm-leg": (_exp_orbm_leg, "theta x dt paths csv"),
     "quadrant": (_exp_quadrant,
                  "theta1 theta2 angle_lo angle_hi x dt eps_stop max_legs paths csv"),
     "walsh-kernel": (_exp_walsh_kernel, "n_rays probs x0_ray x0_r T dt paths csv"),
@@ -477,17 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         for opt in (*reads.split(), *RUN_OPTIONS):
             f, hint = decl[opt], hints[opt]
-            if hint is bool:
-                kind = {"action": "store_false"}
-            else:  # X of "X | None"; the --probs comma list stays a string
-                arg_type = (typing.get_args(hint) or (hint,))[0]
-                kind = {"type": str if arg_type is tuple else arg_type}
+            # X of "X | None"; the --probs comma list stays a string
+            arg_type = (typing.get_args(hint) or (hint,))[0]
             helptext = f.metadata.get("help", "")
-            if f.default not in (MISSING, None, ()) and hint is not bool:
+            if f.default not in (MISSING, None, ()):
                 helptext += f" (default {f.default})"
             p.add_argument(f.metadata.get("flag", "--" + f.name.replace("_", "-")),
                            dest=f.name, required=f.metadata.get("required", False),
-                           help=helptext.strip(), **kind)
+                           help=helptext.strip(), type=str if arg_type is tuple else arg_type)
     return ap
 
 

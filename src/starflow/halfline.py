@@ -1,9 +1,9 @@
 """One-dimensional building blocks and the batch driver.
 
-Random streams, the reflected and killed half-line heat kernels, the
-Brownian-bridge zero-crossing probability and exact minimum, and the exact
-reflected step with its local time that every quadrant and pair engine
-takes.
+Random streams, the batch driver, and the two exact Brownian-bridge
+primitives that every quadrant, pair and Walsh engine takes: the reflected
+step with its local time (``reflected_step``) and the zero-crossing test
+(``bridge_crossings``).
 
 Random numbers come from counter-based Philox streams: a stream is a
 (master seed, index path) pair, distinct paths are statistically
@@ -13,13 +13,13 @@ chunks, chunk ci draws from the child stream ci, and the chunk results are
 merged in chunk order, so a result depends only on the seed, n and the
 chunk size.
 
-Engines draw only the words a step reads. ``Generator.random`` returns
-multiples of 2**-53, and a Brownian bridge from a to b over h dips below 0
-with probability exp(-2 a b / h). Where a b >= BRIDGE_CUT h (19 h) that is
-below exp(-38) < 2**-53, so the dip would need the uniform 0: a bridge
-minimum, or a crossing test of the same form, needs its uniform only below
-the cut-off. Skipping it above the cut-off changes the step only on the
-event u = 0, of probability 2**-53 per path-step.
+The cut-off. ``Generator.random`` returns multiples of 2**-53, and a
+Brownian bridge from a to b over h dips below 0 with probability
+exp(-2 a b / h). Where a b >= BRIDGE_CUT h (19 h) that is below
+exp(-38) < 2**-53, so the dip would need the uniform 0. So both
+primitives draw a uniform only for the rows below the cut-off, one per
+such row in row order, and take the others not to dip. That changes a
+step only on the event u = 0, of probability 2**-53 per path-step.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RngStream", "map_chunks", "heat_kernels", "bridge_crossing_prob",
-    "bridge_min", "reflected_increment", "check_horizon", "grid_steps", "BRIDGE_CUT",
+    "RngStream", "map_chunks", "reflected_step", "bridge_crossings",
+    "check_horizon", "grid_steps", "BRIDGE_CUT",
 ]
 
 GRID_TOL = 1e-9  # relative slack allowed between T/dt and a whole step count
@@ -102,65 +102,30 @@ def grid_steps(T: float, dt: float) -> int:
     return K
 
 
-def heat_kernels(t: float, r, rho):
-    """Half-line heat kernels at time t from r, evaluated at rho.
-
-    Returns (q_plus, q_zero): the reflecting kernel phi_t(rho-r)+phi_t(rho+r)
-    and the absorbing kernel phi_t(rho-r)-phi_t(rho+r), phi_t the centered
-    Gaussian density of variance t. Satisfies 0 <= q_zero <= q_plus.
+def reflected_step(y, w, h, gen: np.random.Generator):
+    """One exact step of reflected Brownian motion with its local time, for
+    rows from y >= 0 over times h with free endpoints w (y plus the driver
+    increment). A row below the cut-off draws a uniform u, and its bridge
+    minimum m = (y + w - sqrt((y - w)^2 - 2 h log u)) / 2 gives the local
+    time dL = max(-m, 0); the step ends at w + dL, written into w. Returns
+    (w, dL, the rows that drew). Exact in law jointly.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"t must be finite and > 0, got {t}")
-    r = np.asarray(r, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if np.any(r < 0) or np.any(rho < 0):
-        raise ValueError("r and rho must be >= 0")
-    c = 1.0 / math.sqrt(2.0 * math.pi * t)
-    a = c * np.exp(-((rho - r) ** 2) / (2.0 * t))
-    b = c * np.exp(-((rho + r) ** 2) / (2.0 * t))
-    q_plus = a + b
-    q_zero = a - b
-    if q_plus.ndim == 0:
-        return float(q_plus), float(q_zero)
-    return q_plus, q_zero
+    dL = np.zeros(w.size)
+    near = np.flatnonzero(y * w < BRIDGE_CUT * h)
+    a, b, hn = y[near], w[near], h[near]
+    lu = np.log(np.maximum(gen.random(near.size), 1e-320))
+    d = np.maximum(-0.5 * (a + b - np.sqrt((a - b) ** 2 - 2.0 * hn * lu)), 0.0)
+    dL[near] = d
+    w[near] += d
+    return w, dL, near
 
 
-def bridge_crossing_prob(a, b, dt):
-    """Probability a Brownian bridge from a to b over dt hits 0 (a, b > 0,
-    dt finite and > 0)."""
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    dt_arr = np.asarray(dt, dtype=float)
-    if not (np.all(a_arr > 0) and np.all(b_arr > 0)
-            and np.all(np.isfinite(dt_arr) & (dt_arr > 0))):
-        raise ValueError("bridge_crossing_prob needs a, b > 0 and dt finite and > 0")
-    out = np.exp(-2.0 * a_arr * b_arr / dt)
-    return float(out) if out.ndim == 0 else out
-
-
-def bridge_min(a, b, dt, u):
-    """Exact minimum of a Brownian bridge from a to b over dt.
-
-    u is a uniform(0,1) variate; the inverse-CDF form is
-    ((a+b) - sqrt((a-b)^2 - 2 dt log u)) / 2.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lu = np.log(np.maximum(u, 1e-320))
-    out = 0.5 * (a + b - np.sqrt((a - b) ** 2 - 2.0 * dt * lu))
-    return float(out) if out.ndim == 0 else out
-
-
-def reflected_increment(y, h, z, u):
-    """One exact step of reflected Brownian motion with its local time.
-
-    From y >= 0, over time h, with driver increment sqrt(h) z: the free
-    endpoint is w = y + sqrt(h) z, the bridge minimum m is sampled exactly
-    from u, and the step returns (y_new, dL) = (w - min(m, 0), max(-m, 0)).
-    Exact in continuous law jointly; the grid identity y_new = y + sqrt(h) z
-    + dL holds by construction.
-    """
-    w = y + np.sqrt(h) * z
-    m = bridge_min(y, w, h, u)
-    dL = np.maximum(-m, 0.0) if np.ndim(m) else max(-m, 0.0)
-    return w + dL, dL
+def bridge_crossings(a, b, h, tested, gen: np.random.Generator):
+    """Which rows' Brownian bridges, from a > 0 to b over times h, reach 0:
+    those with b <= 0, and each tested row (tested a mask, or True for
+    all) below the cut-off with probability exp(-2 a b / h), by a uniform
+    of its own. Returns (crossed, the rows that drew)."""
+    hit = b <= 0.0
+    near = np.flatnonzero(~hit & tested & (a * b < BRIDGE_CUT * h))
+    hit[near] = gen.random(near.size) < np.exp(-2.0 * a[near] * b[near] / h[near])
+    return hit, near

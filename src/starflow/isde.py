@@ -26,10 +26,11 @@ moving point sits on ray i is arctan(p_i / (1 - p_i)).
 
 The batch two-point engines (first legs, coalescence times) take one and
 the same shared-noise step, ``_pair_step``: the pivot takes the exact
-reflected step of ``halfline.reflected_increment`` and is relabelled when it
-touches the origin, the moving point follows the pivot's noise on a common
-ray and its own otherwise, and a bridge test detects the moving point
-reaching the origin within the step (a transfer).
+Walsh step ``walsh.walsh_step`` and is relabelled when it touches the
+origin, the moving point follows the pivot's noise on a common ray and its
+own otherwise, and ``halfline.bridge_crossings`` detects the moving point
+reaching the origin within the step (a transfer). Both draw uniforms only
+within the cut-off stated in ``halfline``.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import ORIGIN_VERTEX, GraphPoint, StarGraph
-from .halfline import RngStream, check_horizon, grid_steps, map_chunks, reflected_increment
+from .halfline import RngStream, bridge_crossings, check_horizon, grid_steps, map_chunks
 from .quadrant import SAFETY
-from .walsh import _coupled_step, _point_state, _start_state
+from .walsh import _coupled_step, _point_state, _start_state, walsh_step
 
 __all__ = [
     "N2NoisePath", "NPointPath",
@@ -252,28 +253,28 @@ def _pair_step(g, gen, dt, o_rad, o_ray, p_rad, p_ray):
     """One shared-noise step of a batch of pairs (moving point o, pivot p)
     on the star g.
 
-    Draws zp, zo, um, ub, uc, ud in that order. Returns (h, o_new, p_new,
-    p_ray_new, crossed, transfer, nxt): the step sizes, the new radials and
-    pivot rays, the rows whose moving point ended at or below 0, the rows
-    whose moving point reached 0 within the step (crossed, or a bridge
-    crossing), and for the transferring rows the next moving ray (the
+    Draws the normals zp and zo, one per row, then the uniforms of the
+    pivot's ``walsh_step`` and of the moving point's ``bridge_crossings``,
+    then one uniform per transferring row whose next moving ray must be
+    redrawn. Returns (h, o_new, p_new, p_ray_new, transfer, nxt): the step
+    sizes, the new radials and pivot rays, the rows whose moving point
+    reached 0 within the step, and for those rows the next moving ray (the
     pivot's label, never the current moving ray).
     """
     m = o_rad.size
     h = _h_shared(dt, o_rad, p_rad)
+    sq = np.sqrt(h)
     zp = gen.standard_normal(m)
     zo = gen.standard_normal(m)
-    um, ub, uc, ud = (gen.random(m) for _ in range(4))
-    p_new, dL = reflected_increment(p_rad, h, zp, um)
-    p_ray_new = np.where(dL > 0.0, g.draw_edges(ORIGIN_VERTEX, uc), p_ray)
-    o_new = o_rad + np.sqrt(h) * np.where(o_ray == p_ray, zp, zo)
-    crossed = o_new <= 0.0
-    transfer = crossed | (ub < np.exp(-2.0 * o_rad * np.maximum(o_new, 0.0) / h))
-    nxt = p_ray_new[transfer]
-    bad = nxt == o_ray[transfer]
-    if bad.any():
-        nxt[bad] = _cond_redraw(g.probs_array, o_ray[transfer][bad], ud[transfer][bad])
-    return h, o_new, p_new, p_ray_new, crossed, transfer, nxt
+    o_new = o_rad + sq * np.where(o_ray == p_ray, zp, zo)
+    p_ray = p_ray.copy()
+    p_new, _ = walsh_step(g, ORIGIN_VERTEX, p_ray, p_rad, p_rad + sq * zp, h, gen)
+    transfer, _ = bridge_crossings(o_rad, o_new, h, True, gen)
+    nxt = p_ray[transfer]
+    bad = np.flatnonzero(nxt == o_ray[transfer])
+    if bad.size:
+        nxt[bad] = _cond_redraw(g.probs_array, o_ray[transfer][bad], gen.random(bad.size))
+    return h, o_new, p_new, p_ray, transfer, nxt
 
 
 @dataclass
@@ -297,6 +298,8 @@ def sample_first_legs(g: StarGraph, start_ray: int, dt: float, n: int,
     check_horizon(1.0, dt)
     if n_legs < 1:
         raise ValueError(f"need n_legs >= 1, got {n_legs}")
+    if start_ray not in range(g.n_rays):
+        raise ValueError(f"start ray {start_ray} is not one of the star's {g.n_rays} rays")
     probs = g.probs_array
     theta0 = math.atan2(probs[start_ray], 1.0 - probs[start_ray])
 
@@ -311,7 +314,7 @@ def sample_first_legs(g: StarGraph, start_ray: int, dt: float, n: int,
             p_rad, p_ray = np.zeros(m), g.draw_edges(ORIGIN_VERTEX, gen.random(m))
             idx = np.arange(m)
             while idx.size:
-                _, o_rad, p_rad, p_ray, _, done, nxt = _pair_step(
+                _, o_rad, p_rad, p_ray, done, nxt = _pair_step(
                     g, gen, dt, o_rad, o_ray, p_rad, p_ray)
                 if done.any():
                     ratios[idx[done], leg] = p_rad[done]
@@ -391,15 +394,16 @@ def sample_coalescence_times(g: StarGraph, x: GraphPoint, y: GraphPoint,
                 budget *= 2.0
                 continue
             while sub.size:
-                h, o_new, p_new, p_ray_new, crossed, transfer, nxt = _pair_step(
+                h, o_new, p_new, p_ray_new, transfer, nxt = _pair_step(
                     g, gen, dt, o_rad[sub], o_ray[sub], p_rad[sub], p_ray[sub])
-                ue = gen.random(sub.size)
                 if transfer.any():
-                    # swap roles: the pivot moves on, the arriving point pivots
+                    # swap roles: the pivot moves on, the arriving point
+                    # pivots, on a ray drawn with a uniform of its own
                     o_ray[sub[transfer]] = nxt
                     o_new, p_new = (np.where(transfer, p_new, o_new),
-                                    np.where(transfer, np.where(crossed, -o_new, 0.0), p_new))
-                    p_ray_new = np.where(transfer, g.draw_edges(ORIGIN_VERTEX, ue), p_ray_new)
+                                    np.where(transfer, np.maximum(-o_new, 0.0), p_new))
+                    p_ray_new[transfer] = g.draw_edges(ORIGIN_VERTEX,
+                                                       gen.random(np.count_nonzero(transfer)))
                 tn = t[sub] + h
                 o_rad[sub], p_rad[sub], p_ray[sub], t[sub] = o_new, p_new, p_ray_new, tn
                 mx = np.maximum(o_new, p_new)

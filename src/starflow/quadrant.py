@@ -24,15 +24,11 @@ exact replicas of coarser ones). dt remains the crossing resolution on
 the X boundary. Leg durations have infinite mean for every theta, which is
 why the far-field coarsening is not optional for batch work.
 
-Per step each active leg draws two normals, z1 for X and z2 for Y. With
-w = Y + sqrt(h) z2, the legs with Y w < BRIDGE_CUT h then draw the uniform
-of their bridge minimum, and (with refine) the legs that neither crossed
-nor touched (dL = 0) and have X X_new < BRIDGE_CUT h draw the uniform of
-the within-step crossing test, each in leg order. Above the cut-off either
-event has probability below 2**-53, the resolution of the uniforms (see
-``halfline``), so the scheme is the one that draws both uniforms for every
-leg except on the event u = 0, of probability 2**-53 per path-step. At
-theta = pi/6 and dt = 1e-3 it draws about 2.3 words per path-step, not 4.
+Per step each active leg draws two normals, z1 for X and z2 for Y. Y takes
+``halfline.reflected_step`` and the end test is ``halfline.bridge_crossings``
+on X; each draws a uniform only for the legs within the cut-off stated in
+``halfline``. At theta = pi/6 and dt = 1e-3 a leg draws about 2.3 words per
+path-step, not 4.
 
 No leg or quadrant path is simulated on its own: ``record`` keeps whole
 paths of the first rows of a batch (``OrbmLeg``, ``QuadrantPath``), and
@@ -47,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfline import BRIDGE_CUT, RngStream, check_horizon, map_chunks, reflected_increment
+from .halfline import RngStream, bridge_crossings, check_horizon, map_chunks, reflected_step
 from .stats import reg_incomplete_beta
 
 __all__ = [
@@ -130,7 +126,7 @@ class LegSamples:
                 "crossing_uniforms": self.crossing_uniforms}
 
 
-def _leg_batch(theta, dt, n, gen, refine=True, max_steps=10 ** 8, record=0):
+def _leg_batch(theta, dt, n, gen, max_steps=10 ** 8, record=0):
     """Vectorized simulation of n unit legs (start (1, 0)); theta may be a
     scalar or an (n,) array. Callers rescale a leg to its start x.
 
@@ -163,20 +159,14 @@ def _leg_batch(theta, dt, n, gen, refine=True, max_steps=10 ** 8, record=0):
         sq = np.sqrt(h)
         z1 = gen.standard_normal(m)
         z2 = gen.standard_normal(m)
-        Ynew = Y + sq * z2
-        dL = np.zeros(m)
-        near = np.flatnonzero(Y * Ynew < BRIDGE_CUT * h)
-        Ynew[near], dL[near] = reflected_increment(Y[near], h[near], z2[near],
-                                                   gen.random(near.size))
+        Ynew, dL, near = reflected_step(Y, Y + sq * z2, h, gen)
         Xnew = X + sq * z1 - tan_t * dL
-        cross = Xnew <= 0.0
-        done = cross.copy()
-        if refine:
-            cand = np.flatnonzero(~cross & (dL == 0.0) & (X * Xnew < BRIDGE_CUT * h))
-            done[cand] = gen.random(cand.size) < np.exp(-2.0 * X[cand] * Xnew[cand] / h[cand])
-            n_cross += cand.size
+        # a leg whose Y touched 0 moved X by -tan(theta) dL within the step,
+        # so its X path is no Brownian bridge: it ends only if Xnew <= 0
+        done, cand = bridge_crossings(X, Xnew, h, dL == 0.0, gen)
         path_steps += m
         n_bridge += near.size
+        n_cross += cand.size
         az = np.sqrt(np.maximum(Xnew, 0.0) ** 2 + Ynew * Ynew)
         sup = np.maximum(sup, az)
         inf = np.minimum(inf, np.where(done, Ynew, az))
@@ -227,7 +217,7 @@ def _recorded_legs(rec, theta, out, scale):
 
 
 def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
-                refine: bool = True, max_steps: int = 10 ** 8, chunk: int = 65536,
+                max_steps: int = 10 ** 8, chunk: int = 65536,
                 record: int = 0) -> LegSamples:
     """Terminal summaries of n independent legs from (x, 0), and the paths
     of legs 0..record-1 (taken from chunk 0).
@@ -250,7 +240,7 @@ def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
     def run(lo, hi, stream):
         k = record if lo == 0 else 0
         *out, durs, rec, counts = _leg_batch(theta_arr[lo:hi], dt, hi - lo, stream.generator(),
-                                             refine=refine, max_steps=max_steps, record=k)
+                                             max_steps=max_steps, record=k)
         if k:
             paths.extend(_recorded_legs(rec, theta_arr, out, np.full(k, float(x))))
         for a in out:

@@ -2,10 +2,12 @@
 
 Two simulation modes:
 
-* exact kernel stepping: one draw from the transition kernel, radial first
-  (reflected Gaussian), then the ray, kept with probability
-  q_zero/q_plus = tanh(r rho / t) and otherwise redrawn from the ray
-  weights. Exact in distribution for any step size.
+* exact step (``walsh_step``): the radial takes the reflected step of
+  ``halfline.reflected_step``, which by Skorokhod is reflected Brownian
+  motion at the step's end, and a row whose bridge reached the vertex takes
+  a new ray from the weights with one coin. Given a touch, the ray of the
+  last excursion is independent of the radial path and drawn from the
+  weights, so the step is exact in law for any step size.
 * coupled path: the radial part is the driver reflected by the discrete
   Tanaka rule (a step crossing zero is folded back, radial = |radial + dB|,
   and contributes -2 (radial + dB) to the running local time), and the ray
@@ -31,19 +33,15 @@ function is a quadratic on each ray, its residual sums, with no test
 function evaluated along the path. It records whole paths (rows of its
 batch) as ``WalshPath``. In ``isde`` the step also moves the pivot of
 ``npoint_motion`` and the replicas of the filtered kernel, and in
-``metric`` the walker, at the vertex each path is anchored to. They, and
-the exact kernel step, draw edges from the graph's weight table,
-``MetricGraph.draw_edges``. An engine draws the driver increments; the
-step draws the redraw coins itself, one uniform per folding row after the
-fold test, in row order, and none for the rows that keep their edge. That
-is exact: whichever rows fold, their coins are iid U(0,1) and independent
-of the increments and of the past, as coins drawn for every row would be.
-
-``semigroup_apply``, the quadrature reference of ``walsh-kernel``, loads
-``scipy.integrate`` on its first call rather than at import: that module
-pulls in ``scipy.optimize`` and ``scipy.linalg``, about a third of the
-CLI's start-up time and 25 MB of its memory, which every experiment but
-``walsh-kernel`` would pay for nothing.
+``metric`` the walker, at the vertex each path is anchored to. They draw
+edges from the graph's weight table, ``MetricGraph.draw_edges``. An engine
+draws the driver increments; the step draws the redraw coins itself, one
+uniform per folding row after the fold test, in row order, and none for
+the rows that keep their edge. That is exact: whichever rows fold, their
+coins are iid U(0,1) and independent of the increments and of the past,
+as coins drawn for every row would be. ``walsh_step`` draws its coins by
+the same rule; ``sample_exact_steps`` and the pivots of the pair engines
+in ``isde`` take it.
 """
 
 from __future__ import annotations
@@ -53,12 +51,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .graphs import ORIGIN_VERTEX, DomainFunction, GraphPoint, MetricGraph, StarGraph
-from .halfline import RngStream, grid_steps, heat_kernels
+from .halfline import RngStream, grid_steps, reflected_step
 
 __all__ = [
-    "WalshPath", "exact_step_arrays", "sample_exact_steps", "semigroup_apply",
+    "WalshPath", "walsh_step", "sample_exact_steps", "semigroup_apply",
     "ResidualSummary", "ResidualSamples", "sample_residual_summaries",
 ]
 
@@ -91,29 +90,49 @@ class WalshPath:
                             repr(float(self.radial_localtime[k])), repr(float(driver[k]))])
 
 
+def _check_point(g: MetricGraph, x: GraphPoint) -> None:
+    """ValueError unless x is a vertex of g or lies short of the end of one
+    of its edges."""
+    if not (x.vertex in g.vertices if x.is_vertex else
+            x.edge in range(len(g.edges)) and x.coord < g.edge_length[x.edge]):
+        raise ValueError(f"{x} is not a point of the graph")
+
+
 def _point_state(g: StarGraph, x: GraphPoint) -> tuple[int, float]:
+    _check_point(g, x)
     if x.is_vertex:
         return 0, 0.0
     return x.edge, x.coord
 
 
-def exact_step_arrays(g: StarGraph, rays: np.ndarray, radials: np.ndarray,
-                      t: float, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized exact kernel step from (rays, radials) over time t."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"t must be finite and > 0, got {t}")
-    n = radials.size
-    rho = np.abs(radials + math.sqrt(t) * gen.standard_normal(n))
-    keep = gen.random(n) < np.tanh(radials * rho / t)
-    fresh = g.draw_edges(ORIGIN_VERTEX, gen.random(n))
-    return np.where(keep, rays, fresh), rho
+def walsh_step(g: MetricGraph, v, edges: np.ndarray, r: np.ndarray, y: np.ndarray,
+               h: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The exact Walsh step of a batch at the vertices of positions v (a
+    scalar, or one per row): r is each row's distance to its vertex and y
+    is r plus its driver increment over time h. The distance takes
+    ``halfline.reflected_step`` (y becomes the new distance), and the rows
+    whose bridge reached the vertex (dL > 0) take an edge drawn from their
+    vertex's weights with one uniform each, in row order after the bridge
+    uniforms. Updates edges in place and returns (y, dL)."""
+    y, dL, near = reflected_step(r, y, h, gen)
+    touched = near[dL[near] > 0.0]
+    edges[touched] = g.draw_edges(v[touched] if isinstance(v, np.ndarray) else v,
+                                  gen.random(touched.size))
+    return y, dL
 
 
 def sample_exact_steps(g: StarGraph, x: GraphPoint, t: float, n: int,
                        rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """n independent exact kernel draws from x; returns (rays, radials)."""
+    """n independent exact draws of the Walsh kernel from x over time t,
+    each one ``walsh_step``; returns (rays, radials)."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and > 0, got {t}")
     ray, r = _point_state(g, x)
-    return exact_step_arrays(g, np.full(n, ray), np.full(n, r), t, rng.generator())
+    gen = rng.generator()
+    rays, rad = np.full(n, ray), np.full(n, r)
+    rad, _ = walsh_step(g, ORIGIN_VERTEX, rays, rad, rad + math.sqrt(t) * gen.standard_normal(n),
+                        np.full(n, t), gen)
+    return rays, rad
 
 
 def _start_state(g: MetricGraph, x0: GraphPoint, n: int,
@@ -121,6 +140,7 @@ def _start_state(g: MetricGraph, x0: GraphPoint, n: int,
     """(edges, coords) of n paths at x0. From a vertex each path draws its
     starting edge from the vertex's weights with one uniform and sits at
     that edge's end at the vertex (coord 0 on a star's rays)."""
+    _check_point(g, x0)
     if x0.is_vertex:
         v0 = g.vertices.index(x0.vertex)
         edges = g.draw_edges(v0, gen.random(n))
@@ -145,38 +165,28 @@ def _coupled_step(g: MetricGraph, v, edges: np.ndarray, y: np.ndarray,
 
 
 def semigroup_apply(g: StarGraph, f: DomainFunction, t: float, x: GraphPoint) -> float:
-    """Quadrature evaluation of the Walsh semigroup applied to f at (t, x).
+    """The Walsh semigroup applied to f at (t, x), in closed form.
 
-    The integrand is q_plus(t, r, .) fbar + q_zero(t, r, .) (f_i - fbar),
-    fbar the weight-average of the ray restrictions and f_i the restriction
-    on x's ray. ``scipy.integrate`` is imported here, on first use, so that
-    importing this module (and the CLI) does not load it.
+    From x = (i, r), P_t f(x) is the integral over rho > 0 of
+    phi(rho - r) f_i(rho) + phi(rho + r) (2 fbar(rho) - f_i(rho)), phi the
+    N(0, t) density, f_i the restriction of f to ray i and fbar the weighted
+    mean of the restrictions. These are quadratics, so the integrals are
+    moments of N(mu, t) over (0, inf), mu = r and -r: with s = sqrt(t),
+    P = Phi(mu / s) and d the standard normal density at r / s, the moments
+    of order 0, 1 and 2 are P, mu P + s d and (mu^2 + t) P + mu s d.
     """
-    from scipy import integrate
-
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be finite and > 0, got {t}")
     _check_graph(g, f, "f")
     ray, r = _point_state(g, x)
-    probs = g.probs_array
-
-    def fbar(rho):
-        return sum(p * f.edge_eval(0, e, rho) for e, p in enumerate(probs))
-
-    def integrand(rho):
-        qp, qz = heat_kernels(t, r, rho)
-        fb = fbar(rho)
-        return qp * fb + qz * (f.edge_eval(0, ray, rho) - fb)
-
-    width = 12.0 * math.sqrt(t)
-    lo, hi = max(0.0, r - width), r + width
-    pieces = sorted({lo, hi, max(lo, min(hi, r))})
+    s = math.sqrt(t)
+    d = math.exp(-r * r / (2.0 * t)) / math.sqrt(2.0 * math.pi)
+    f_i = f.coeffs[ray]
     total = 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        if b > a:
-            val, _ = integrate.quad(integrand, a, b, epsabs=1e-10, epsrel=1e-10, limit=200)
-            total += val
-    return total
+    for mu, coef in ((r, f_i), (-r, 2.0 * g.probs_array @ f.coeffs - f_i)):
+        P = ndtr(mu / s)
+        total += coef @ np.array([(mu * mu + t) * P + mu * s * d, mu * P + s * d, P])
+    return float(total)
 
 
 @dataclass

@@ -190,6 +190,9 @@ def test_unread_or_missing_option_is_usage_error(tmp_path, argv):
 
 @pytest.mark.parametrize("argv", [
     ["two-point", "--legs", "0"],
+    # start rays off the 3-ray star
+    ["two-point", "--x0-ray", "-1"],
+    ["two-point", "--x0-ray", "3"],
     ["filtered-kernel", "--runs", "0"],
     ["quadrant", "--theta1", "1.0", "--theta2", "1.0", "--max-legs", "0"],
     ["coalesce", "--paths", "0"],
@@ -337,14 +340,16 @@ def test_quadrant_at_a_huge_start_radius(tmp_path):
     assert est_at["terminated_fraction"] == est_one["terminated_fraction"]
 
 
-# loaded by walsh.semigroup_apply alone, on its first call
+# heavy scipy modules that no experiment needs
 DEFERRED_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.stats")
 
 
 def test_cli_import_leaves_the_quadrature_modules_unloaded(graph_file):
     """Importing the CLI and building the config of every experiment loads
-    none of the modules that only the Walsh semigroup quadrature needs. A
-    fresh interpreter, because this one has loaded them for other tests."""
+    none of these modules: scipy.integrate pulls in scipy.optimize and
+    scipy.linalg, about a third of the CLI's start-up time and 25 MB of its
+    memory, and the Walsh semigroup is in closed form. A fresh
+    interpreter, because this one has loaded them for other tests."""
     argvs = [tiny_argv(name, graph_file) for name in cli.EXPERIMENTS]
     code = ("import json, sys\n"
             "from starflow import cli\n"

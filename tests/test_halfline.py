@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy import integrate
-from scipy.special import erf
 
 from starflow import isde, walsh
 from starflow.graphs import canonical_test_functions, make_star
 from starflow.halfline import (
-    BRIDGE_CUT, RngStream, bridge_crossing_prob, bridge_min, grid_steps, heat_kernels,
-    map_chunks, reflected_increment,
+    BRIDGE_CUT, RngStream, bridge_crossings, grid_steps, map_chunks, reflected_step,
 )
 
 
@@ -89,59 +86,69 @@ class TestGridSteps:
         _grid_engines()[engine](0.1, 0.1)
 
 
-class TestHeatKernels:
-    def test_zero_start_kills_nothing(self):
-        _, qz = heat_kernels(1.0, 0.0, 0.7)
-        assert qz == 0.0
+class _Uniforms:
+    """Generator stub: its uniforms are the given values, handed out in
+    order; ``drawn`` counts them."""
 
-    def test_mass_conservation(self):
-        val, _ = integrate.quad(lambda rho: heat_kernels(0.7, 1.3, rho)[0], 0, np.inf)
-        assert abs(val - 1.0) < 1e-8
+    def __init__(self, u):
+        self.u = np.atleast_1d(np.asarray(u, dtype=float))
+        self.drawn = 0
 
-    def test_killed_mass_is_survival_probability(self):
-        # integral of q_zero equals P(no zero hit up to t from r) = erf(r/sqrt(2t))
-        for t, r in [(1.0, 0.5), (0.25, 1.0), (2.0, 0.1)]:
-            val, _ = integrate.quad(lambda rho: heat_kernels(t, r, rho)[1], 0, np.inf)
-            assert val == pytest.approx(erf(r / math.sqrt(2 * t)), abs=1e-8)
+    def random(self, size):
+        out = self.u[self.drawn:self.drawn + size]
+        self.drawn += size
+        return out
 
-    def test_ordering_and_bounds(self):
-        r = np.linspace(0, 3, 7)
-        rho = np.linspace(0, 3, 7)
-        qp, qz = heat_kernels(0.5, r, rho)
-        assert np.all(qz >= 0) and np.all(qz <= qp)
 
-    def test_chapman_kolmogorov(self):
-        s, t, r, rho = 0.3, 0.5, 0.8, 1.1
-        val, _ = integrate.quad(
-            lambda u: heat_kernels(s, r, u)[0] * heat_kernels(t, u, rho)[0],
-            0, np.inf, limit=200)
-        assert val == pytest.approx(heat_kernels(s + t, r, rho)[0], abs=1e-6)
+def _crossing_prob(a, b, h):
+    """P(a Brownian bridge from a > 0 to b > 0 over h reaches 0)."""
+    return math.exp(-2.0 * a * b / h)
 
-    def test_invalid_t(self):
-        for t in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                heat_kernels(t, 1.0, 1.0)
+
+def bridge_min(a, b, h, u):
+    """Minimum of a Brownian bridge from a to b over h, by inverting its
+    CDF at the uniform u."""
+    return 0.5 * (a + b - np.sqrt((a - b) ** 2 - 2.0 * h * np.log(u)))
 
 
 class TestBridgeCrossing:
+    @staticmethod
+    def _cross(a, b, h, u):
+        """bridge_crossings on len(u) copies of one row, with uniforms u."""
+        n = len(u)
+        hit, near = bridge_crossings(np.full(n, a), np.full(n, b), np.full(n, h), True,
+                                     _Uniforms(u))
+        np.testing.assert_array_equal(near, np.arange(n))
+        return hit
+
     def test_plug_in(self):
         dt = 0.2
         a = math.sqrt(dt / 2)
-        assert bridge_crossing_prob(a, a, dt) == pytest.approx(math.exp(-1))
+        p = math.exp(-1)
+        np.testing.assert_array_equal(self._cross(a, a, dt, [p * (1 - 1e-9), p * (1 + 1e-9)]),
+                                      [True, False])
 
     def test_small_a_limit(self):
-        assert bridge_crossing_prob(1e-9, 1.0, 0.1) == pytest.approx(1.0, abs=1e-6)
+        assert self._cross(1e-9, 1.0, 0.1, [1.0 - 1e-6]).all()
 
     def test_formula_value(self):
-        assert bridge_crossing_prob(1.0, 1.0, 0.1) == pytest.approx(math.exp(-20.0))
+        p = math.exp(-20.0)
+        np.testing.assert_array_equal(self._cross(1.0, 1.0, 0.1, [p * (1 - 1e-9), p * (1 + 1e-9)]),
+                                      [True, False])
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bridge_crossing_prob(-1.0, 1.0, 0.1)
-        for a, b, dt in ((1.0, 1.0, 0.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
-                         (math.nan, 1.0, 0.1), (1.0, 1.0, [0.1, math.inf])):
-            with pytest.raises(ValueError):
-                bridge_crossing_prob(a, b, dt)
+    def test_rows_past_the_cut_draw_nothing(self):
+        # rows at or below 0 cross and rows with a b >= BRIDGE_CUT h do not,
+        # both without a uniform; the tested rows in between take one each,
+        # in row order, and the untested ones (the last two) do not cross
+        h = np.full(7, 0.1)
+        a = np.array([1.0, 1.0, 0.5, 2.0, 0.3, 0.5, 1.0])
+        b = np.array([2.0, -0.2, 0.5, 0.0, 0.1, 0.5, -0.1])
+        gen = _Uniforms([0.5, 0.0])
+        hit, near = bridge_crossings(a, b, h, np.arange(7) < 5, gen)
+        np.testing.assert_array_equal(near, [2, 4])
+        assert gen.drawn == 2
+        # row 2: 0.5 < exp(-5) is false; row 4: 0 < exp(-0.6)
+        np.testing.assert_array_equal(hit, [False, True, False, True, True, False, True])
 
     def test_against_simulated_bridges(self):
         # fine random walks pinned at both ends, a = b = 0.2, dt = 0.1
@@ -158,32 +165,39 @@ class TestBridgeCrossing:
             bridge = a + w - (t / dt)[None, :] * (w[:, -1:] - (b - a))
             crossed[lo:lo + m] = bridge.min(axis=1) <= 0
         p_emp = crossed.mean()
-        p_true = bridge_crossing_prob(a, b, dt)
+        p_true = _crossing_prob(a, b, dt)
         sig = math.sqrt(p_true * (1 - p_true) / n)
         # the discrete minimum undercounts crossings by about
         # 0.5826 sqrt(h) times the barrier sensitivity of the formula
         bias = p_true * (2 * (a + b) / dt) * 0.5826 * math.sqrt(dt / fine)
         assert p_emp <= p_true + 3 * sig
         assert p_emp >= p_true - 3 * sig - 1.5 * bias
+        # the crossing test crosses with the formula's probability
+        hit, near = bridge_crossings(np.full(n, a), np.full(n, b), np.full(n, dt), True, gen)
+        assert near.size == n
+        assert abs(hit.mean() - p_true) <= 3 * sig
 
     def test_bridge_min_law(self):
-        # P(bridge min < 0) from the sampled minimum must match the formula
-        a, b, h = 0.3, 0.5, 0.2
+        # P(bridge min < 0), read off the local time of the reflected step,
+        # must match the crossing formula; the minimum lies below both ends
+        a, b, h, n = 0.3, 0.5, 0.2, 200000
         gen = RngStream(13).generator()
-        m = bridge_min(a, b, h, gen.random(200000))
-        p_emp = float(np.mean(m < 0))
-        p_true = bridge_crossing_prob(a, b, h)
-        assert abs(p_emp - p_true) < 3 * math.sqrt(p_true * (1 - p_true) / 200000)
+        _, dl, near = reflected_step(np.full(n, a), np.full(n, b), np.full(n, h), gen)
+        assert near.size == n
+        p_emp = float(np.mean(dl > 0))
+        p_true = _crossing_prob(a, b, h)
+        assert abs(p_emp - p_true) < 3 * math.sqrt(p_true * (1 - p_true) / n)
+        m = bridge_min(a, b, h, RngStream(13).generator().random(n))
+        np.testing.assert_array_equal(dl, np.maximum(-m, 0.0))
         assert np.all(m <= min(a, b) + 1e-12)
 
 
 class TestReflectedIncrement:
     def test_identity_and_positivity(self):
         gen = RngStream(3).generator()
-        y = 0.4
+        y = np.full(1000, 0.4)
         z = gen.standard_normal(1000)
-        u = gen.random(1000)
-        y2, dl = reflected_increment(y, 0.01, z, u)
+        y2, dl, _ = reflected_step(y, y + 0.1 * z, np.full(1000, 0.01), gen)
         assert np.all(y2 >= 0) and np.all(dl >= 0)
         assert np.allclose(y2, y + 0.1 * z + dl)
 
@@ -191,7 +205,8 @@ class TestReflectedIncrement:
         # endpoint of an exact step has the reflected-BM transition law
         gen = RngStream(4).generator()
         y0, h, n = 0.25, 0.3, 200000
-        y2, _ = reflected_increment(y0, h, gen.standard_normal(n), gen.random(n))
+        y = np.full(n, y0)
+        y2, _, _ = reflected_step(y, y + math.sqrt(h) * gen.standard_normal(n), np.full(n, h), gen)
         ys = np.sort(y2)
         # reflected CDF: Phi((y-y0)/s) - Phi((-y-y0)/s) with s = sqrt(h)
         from scipy.stats import norm
@@ -207,35 +222,57 @@ class TestReflectedIncrement:
         assert np.all(u * 2.0 ** 53 == np.floor(u * 2.0 ** 53))
         assert math.exp(-2.0 * BRIDGE_CUT) < 2.0 ** -53
 
+    def test_rows_past_the_cut_draw_nothing(self):
+        # only the rows with y w < BRIDGE_CUT h draw, one uniform each in row
+        # order, and take the local time of their bridge minimum
+        y = np.array([0.0, 2.0, 0.1, 3.0, 0.05])
+        w = np.array([0.3, 2.5, -0.2, 2.9, 0.02])
+        h = np.array([0.1, 0.1, 0.1, 0.1, 0.01])
+        u = np.array([0.4, 0.7, 0.9])
+        gen = _Uniforms(u)
+        y2, dl, near = reflected_step(y, w.copy(), h, gen)
+        np.testing.assert_array_equal(near, [0, 2, 4])
+        assert gen.drawn == 3
+        m = bridge_min(y[near], w[near], h[near], u)
+        np.testing.assert_array_equal(dl[near], np.maximum(-m, 0.0))
+        np.testing.assert_array_equal(dl[[1, 3]], 0.0)
+        np.testing.assert_array_equal(y2, w + dl)
+
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1e-12, 1e2), st.floats(0.0, 1e9), st.floats(-40.0, 40.0),
            st.floats(2.0 ** -53, 1.0))
     def test_no_local_time_past_the_cut_off(self, h, s, z, u):
         # y = s sqrt(h); numpy's normal draws stay within |z| < 40, so the
         # endpoint w = y + sqrt(h) z is never many orders of magnitude from
-        # y when y w >= BRIDGE_CUT h: there the step is the free one for
-        # the smallest positive uniform and every larger one
+        # y when y w >= BRIDGE_CUT h: there the bridge minimum is >= 0 for
+        # the smallest positive uniform and every larger one, so the step
+        # that draws no uniform is the step any uniform would give
         y = s * math.sqrt(h)
         w = y + math.sqrt(h) * z
         assume(y * w >= BRIDGE_CUT * h)
         for v in (2.0 ** -53, u):
-            y_new, dl = reflected_increment(y, h, z, v)
-            assert dl == 0.0 and y_new == w
+            assert bridge_min(y, w, h, v) >= 0.0
+        gen = _Uniforms([])
+        y_new, dl, near = reflected_step(np.array([y]), np.array([w]), np.array([h]), gen)
+        assert gen.drawn == 0 and near.size == 0
+        assert dl[0] == 0.0 and y_new[0] == w
 
 
 def _reflect_chain(incr, u, h):
     """Chain exact reflected steps from 0: the reflected path R and its
-    local time L at the grid times, for driver increments incr."""
+    local time L at the grid times, for driver increments incr; step k
+    takes u[k] if it draws a uniform."""
     R, L = [0.0], [0.0]
     for dx, ui in zip(incr, u):
-        y, dl = reflected_increment(R[-1], h, dx / math.sqrt(h), ui)
-        R.append(y)
-        L.append(L[-1] + dl)
+        y, dl, _ = reflected_step(np.array([R[-1]]), np.array([R[-1] + dx]), np.array([h]),
+                                  _Uniforms([ui]))
+        R.append(y[0])
+        L.append(L[-1] + dl[0])
     return np.array(R), np.array(L)
 
 
 class TestLevyReflect:
-    """Chained reflected_increment steps are the Levy-Skorokhod reflection of
+    """Chained reflected_step steps are the Levy-Skorokhod reflection of
     the driver: R = B + L with L = max(0, -min B), the minimum taken over
     the sampled bridges; at u = 1 the bridges never dip below their ends."""
 
@@ -244,10 +281,9 @@ class TestLevyReflect:
         assert np.allclose(R, [0, 0, 2])
         assert np.allclose(L, [0, 1, 1])
         # from 1 back to 1 over h = 1: the bridge minimum is 1 - sqrt(-log(u)/2)
-        y, dl = reflected_increment(1.0, 1.0, 0.0, math.exp(-2.0))
-        assert dl == 0.0 and y == pytest.approx(1.0)
-        y, dl = reflected_increment(1.0, 1.0, 0.0, math.exp(-8.0))
-        assert dl == pytest.approx(1.0) and y == pytest.approx(2.0)
+        for u, dl_want in ((math.exp(-2.0), 0.0), (math.exp(-8.0), 1.0)):
+            y, dl, _ = reflected_step(np.ones(1), np.ones(1), np.ones(1), _Uniforms([u]))
+            assert dl[0] == pytest.approx(dl_want) and y[0] == pytest.approx(1.0 + dl_want)
 
     def test_nondecreasing_driver(self):
         vals = np.array([0.0, 0.5, 1.5, 1.6])
@@ -263,7 +299,8 @@ class TestLevyReflect:
         y = np.zeros(n)
         ls = np.zeros(n)
         for _ in range(k):
-            y, dl = reflected_increment(y, h, gen.standard_normal(n), gen.random(n))
+            y, dl, _ = reflected_step(y, y + math.sqrt(h) * gen.standard_normal(n), np.full(n, h),
+                                      gen)
             ls += dl
         target = math.sqrt(2 / math.pi)
         se = ls.std(ddof=1) / math.sqrt(n)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import chdtr, ndtr
 
-from starflow.graphs import make_star, per_ray_quadratic
+from starflow import isde
+from starflow.graphs import GraphPoint, make_star, per_ray_quadratic
 from starflow.halfline import RngStream
 from starflow.isde import (
     _dispersions, filtered_kernel, isde_n2_from_noise, npoint_motion,
@@ -258,8 +259,11 @@ class TestNPointMotion:
 
 # -- pair engines --------------------------------------------------------------
 # Frozen copies of the shared-noise pair loops (one chunk, stream child 0):
-# step size, exact bridge-minimum step of the pivot, transfer test and the
-# conditioned redraw of the next moving ray, in the engines' draw order.
+# step size, exact bridge-minimum step of the pivot with a coin when it
+# touches the origin, transfer test and the conditioned redraw of the next
+# moving ray, in the engines' draw order. A uniform is drawn only for a row
+# that reads it: a bridge within the cut-off a b < 19 h, a touched pivot, a
+# transfer onto the moving ray.
 
 def _h_reference(dt, o_rad, p_rad):
     z2 = o_rad * o_rad + p_rad * p_rad
@@ -279,20 +283,27 @@ def _pair_step_reference(gen, dt, probs, cum, orad, oray, prad, pray):
     h = _h_reference(dt, orad, prad)
     sq = np.sqrt(h)
     zp, zo = gen.standard_normal(ma), gen.standard_normal(ma)
-    um, ub, uc, ud = gen.random(ma), gen.random(ma), gen.random(ma), gen.random(ma)
-    w = prad + sq * zp
-    mn = 0.5 * (prad + w - np.sqrt((prad - w) ** 2
-                                   - 2.0 * h * np.log(np.maximum(um, 1e-320))))
-    dL = np.where(mn < 0.0, -mn, 0.0)
-    p_new = w + dL
-    p_ray_new = np.where(dL > 0.0, np.searchsorted(cum, uc), pray)
     o_new = orad + sq * np.where(oray == pray, zp, zo)
-    crossed = o_new <= 0.0
-    transfer = crossed | (ub < np.exp(-2.0 * orad * np.maximum(o_new, 0.0) / h))
+    w = prad + sq * zp
+    dL = np.zeros(ma)
+    for k in range(ma):
+        if prad[k] * w[k] < 19.0 * h[k]:
+            u = gen.random()
+            mn = 0.5 * (prad[k] + w[k] - np.sqrt((prad[k] - w[k]) ** 2 - 2.0 * h[k] * np.log(u)))
+            dL[k] = max(-mn, 0.0)
+    p_new = w + dL
+    p_ray_new = pray.copy()
+    for k in range(ma):
+        if dL[k] > 0.0:
+            p_ray_new[k] = np.searchsorted(cum, gen.random())
+    transfer = o_new <= 0.0
+    for k in range(ma):
+        if not transfer[k] and orad[k] * o_new[k] < 19.0 * h[k]:
+            transfer[k] = gen.random() < np.exp(-2.0 * orad[k] * o_new[k] / h[k])
     nxt = p_ray_new[transfer]
-    bad = nxt == oray[transfer]
-    nxt[bad] = _cond_redraw_reference(probs, oray[transfer][bad], ud[transfer][bad])
-    return h, o_new, p_new, p_ray_new, crossed, transfer, nxt
+    bad = np.flatnonzero(nxt == oray[transfer])
+    nxt[bad] = _cond_redraw_reference(probs, oray[transfer][bad], gen.random(bad.size))
+    return h, o_new, p_new, p_ray_new, transfer, nxt
 
 
 def _first_legs_reference(g, start_ray, dt, n, rng, n_legs):
@@ -307,7 +318,7 @@ def _first_legs_reference(g, start_ray, dt, n, rng, n_legs):
         p_rad, p_ray = np.zeros(n), np.searchsorted(cum, gen.random(n))
         idx = np.arange(n)
         while idx.size:
-            _, o_new, p_new, p_ray_new, _, done, nxt = _pair_step_reference(
+            _, o_new, p_new, p_ray_new, done, nxt = _pair_step_reference(
                 gen, dt, probs, cum, o_rad, o_ray, p_rad, p_ray)
             ratios[idx[done], leg] = p_new[done]
             chains[idx[done], leg + 1] = nxt
@@ -335,15 +346,14 @@ def _coalescence_reference(g, start_ray, start_rad, dt, n, rng, t_max, t_cap):
             budget *= 2.0
             continue
         while sub.size:
-            h, o_new, p_new, p_ray_new, crossed, transfer, nxt = _pair_step_reference(
+            h, o_new, p_new, p_ray_new, transfer, nxt = _pair_step_reference(
                 gen, dt, probs, cum, o_rad[sub], o_ray[sub], p_rad[sub], p_ray[sub])
-            ue = gen.random(sub.size)
             o_ray_new = o_ray[sub].copy()
             o_ray_new[transfer] = nxt
-            pivot_rad = np.where(crossed, -o_new, 0.0)
+            pivot_rad = np.where(o_new <= 0.0, -o_new, 0.0)
             o_new, p_new = (np.where(transfer, p_new, o_new),
                             np.where(transfer, pivot_rad, p_new))
-            p_ray_new = np.where(transfer, np.searchsorted(cum, ue), p_ray_new)
+            p_ray_new[transfer] = np.searchsorted(cum, gen.random(np.count_nonzero(transfer)))
             tn = t[sub] + h
             o_rad[sub], o_ray[sub], p_rad[sub], p_ray[sub] = o_new, o_ray_new, p_new, p_ray_new
             t[sub] = tn
@@ -373,6 +383,38 @@ class TestPairEngines:
         np.testing.assert_array_equal(out.tols, tols)
         np.testing.assert_array_equal(out.times, times)
         assert np.isfinite(times[:, -1]).any()
+
+    def test_draw_fewer_than_three_words_per_path_step(self, philox_words, monkeypatch):
+        # two normals per path-step, and a uniform only for a row that reads
+        # one; drawing four uniforms for every row (five in the coalescence
+        # engine) took 6 and 7 words per path-step
+        rows = []
+
+        def counted(g, gen, dt, o_rad, *args):
+            rows.append(o_rad.size)
+            return step(g, gen, dt, o_rad, *args)
+
+        step = isde._pair_step
+        monkeypatch.setattr(isde, "_pair_step", counted)
+        sample_first_legs(G, 0, 1e-3, 300, RngStream(69), n_legs=2)
+        words = philox_words()
+        assert words / sum(rows) < 3
+        rows.clear()
+        sample_coalescence_times(G, G.point(1, 1.0), G.origin(), 1e-2, 20, RngStream(70), 4.0,
+                                 t_cap=64.0)
+        assert (philox_words() - words) / sum(rows) < 3
+
+    def test_coalescence_from_off_the_star_raises(self, philox_words):
+        with pytest.raises(ValueError):
+            sample_coalescence_times(G, GraphPoint(edge=7, coord=1.0), G.origin(), 0.01, 10,
+                                     RngStream(71), 4.0)
+        assert philox_words() == 0
+
+    @pytest.mark.parametrize("start_ray", [-1, 3])
+    def test_first_legs_from_off_the_star_raise(self, start_ray, philox_words):
+        with pytest.raises(ValueError):
+            sample_first_legs(G, start_ray, 0.01, 10, RngStream(72))
+        assert philox_words() == 0
 
     def test_first_leg_chunks_are_kernel_runs_in_order(self, check_chunks):
         rng = RngStream(55)

@@ -484,6 +484,15 @@ class TestHorizon:
         with pytest.raises(ValueError):
             metric_isde_forward(short_edge_tree(), vertex(0), 1.0, 1e-2, RngStream(1), 0)
 
+    @pytest.mark.parametrize("x0", [GraphPoint(edge=0, coord=5.0),    # past the 0.25 edge
+                                    GraphPoint(edge=0, coord=0.25),   # its end is vertex 1
+                                    GraphPoint(edge=5, coord=1.0),    # the tree has 5 edges
+                                    vertex(2)])
+    def test_start_off_the_graph_raises_before_any_draw(self, x0, philox_words):
+        with pytest.raises(ValueError):
+            metric_isde_forward(short_edge_tree(), x0, 1.0, 1e-2, RngStream(1), 4)
+        assert philox_words() == 0
+
     def test_off_grid_horizon_runs_to_T(self):
         # no whole number of steps is needed: the last step is shortened
         sol = metric_isde_forward(star_as_metric_graph(), vertex(0), 0.1, 0.03,

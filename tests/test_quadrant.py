@@ -132,12 +132,12 @@ class TestLegSamples:
         assert abs(odd.mean - ys_moment(math.pi / 6, 1.0)) <= max(3 * odd.stderr, 0.15)
 
 
-def _leg_reference(theta, x, dt, n, gen, refine):
+def _leg_reference(theta, x, dt, n, gen):
     """Plain loop over the whole batch with an active mask. Per step the
     active legs draw two normals each; then each active leg whose free
     endpoint w has Y w < 19 h draws the uniform of its bridge minimum, and
-    (with refine) each active leg that neither crossed nor touched and has
-    X X_new < 19 h draws its crossing uniform, all in leg order."""
+    each active leg that neither crossed nor touched and has X X_new < 19 h
+    draws its crossing uniform, all in leg order."""
     tan_t = np.tan(theta)
     X, Y, L = np.full(n, float(x)), np.zeros(n), np.zeros(n)
     sup, inf, t = X.copy(), X.copy(), np.zeros(n)
@@ -161,11 +161,10 @@ def _leg_reference(theta, x, dt, n, gen, refine):
         Yn = w + dL
         Xn = Xa + np.sqrt(h) * z1 - tan_t * dL
         done = Xn <= 0.0
-        if refine:
-            for k in range(a.size):
-                if not done[k] and dL[k] == 0.0 and Xa[k] * Xn[k] < 19.0 * h[k]:
-                    done[k] = gen.random() < np.exp(-2.0 * Xa[k] * Xn[k] / h[k])
-                    crossing += 1
+        for k in range(a.size):
+            if not done[k] and dL[k] == 0.0 and Xa[k] * Xn[k] < 19.0 * h[k]:
+                done[k] = gen.random() < np.exp(-2.0 * Xa[k] * Xn[k] / h[k])
+                crossing += 1
         az = np.sqrt(np.maximum(Xn, 0.0) ** 2 + Yn * Yn)
         sup[a] = np.maximum(sup[a], az)
         inf[a] = np.minimum(inf[a], np.where(done, Yn, az))
@@ -179,18 +178,17 @@ def _leg_reference(theta, x, dt, n, gen, refine):
 
 
 class TestLegBatchMatchesReference:
-    @pytest.mark.parametrize("seed, theta, refine", [
-        (31, math.pi / 4, True), (32, math.pi / 6, True), (33, math.pi / 3, False)])
-    def test_bit_identical(self, seed, theta, refine):
-        out = sample_legs(theta, 1.0, 1e-2, 200, RngStream(seed), refine=refine)
+    @pytest.mark.parametrize("seed, theta", [(31, math.pi / 4), (32, math.pi / 6)])
+    def test_bit_identical(self, seed, theta):
+        out = sample_legs(theta, 1.0, 1e-2, 200, RngStream(seed))
         *ref, path_steps, bridge, crossing = _leg_reference(
-            theta, 1.0, 1e-2, 200, RngStream(seed).child(0).generator(), refine)
+            theta, 1.0, 1e-2, 200, RngStream(seed).child(0).generator())
         for got, want in zip((out.ys, out.local_times, out.sup_abs, out.inf_abs,
                               out.durations), ref):
             np.testing.assert_array_equal(got, want)
         assert (out.path_steps, out.bridge_uniforms, out.crossing_uniforms) == \
             (path_steps, bridge, crossing)
-        assert bridge > 0 and (crossing > 0) == refine
+        assert bridge > 0 and crossing > 0
 
     def test_draws_few_words_per_path_step(self, philox_words):
         # two normals per path-step, plus a uniform only near a boundary

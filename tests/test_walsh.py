@@ -5,12 +5,14 @@ import pytest
 from scipy.special import erf
 from scipy.stats import norm
 
-from starflow.graphs import DomainFunction, canonical_test_functions, make_star, per_ray_quadratic
+from starflow.graphs import (
+    DomainFunction, GraphPoint, canonical_test_functions, make_star, per_ray_quadratic,
+)
 from starflow.halfline import RngStream
 from starflow.stats import ks_against_cdf, ks_two_sample, mc_estimate
 from starflow.walsh import (
     _coupled_step, _start_state,
-    sample_exact_steps, sample_residual_summaries, semigroup_apply, exact_step_arrays,
+    sample_exact_steps, sample_residual_summaries, semigroup_apply, walsh_step,
 )
 
 
@@ -48,8 +50,10 @@ class TestExactStep:
         g = make_star(3, [0.5, 0.3, 0.2])
         x0 = g.point(0, 0.25)
         n, t = 50000, 0.8
-        r1, rad1 = sample_exact_steps(g, x0, t / 2, n, RngStream(5))
-        r2, rad2 = exact_step_arrays(g, r1, rad1, t / 2, RngStream(6).generator())
+        r2, rad1 = sample_exact_steps(g, x0, t / 2, n, RngStream(5))
+        gen = RngStream(6).generator()
+        rad2, _ = walsh_step(g, 0, r2, rad1, rad1 + math.sqrt(t / 2) * gen.standard_normal(n),
+                             np.full(n, t / 2), gen)
         rf, radf = sample_exact_steps(g, x0, t, n, RngStream(7))
         ks = ks_two_sample(rad2, radf)
         assert ks.statistic < 0.01
@@ -104,9 +108,15 @@ class TestSemigroup:
                 vals[k] = semigroup_apply(g, sq, t, g.point(0, r) if r > 0 else g.origin())
             return vals if np.shape(rho) else float(vals[0])
 
-        # compose by integrating the applied function against the kernel of x's ray
+        # compose by integrating the applied function against the kernel of
+        # x's ray: the reflecting and absorbing half-line kernels
+        # phi(rho - r) +- phi(rho + r), phi the N(0, s) density
         from scipy import integrate
-        from starflow.halfline import heat_kernels
+
+        def kernels(r, rho):
+            near, far = (math.exp(-d * d / (2.0 * s)) / math.sqrt(2.0 * math.pi * s)
+                         for d in (rho - r, rho + r))
+            return near + far, near - far
 
         def fbar_applied(rho):
             tot = 0.0
@@ -116,7 +126,7 @@ class TestSemigroup:
             return tot
 
         def integrand(rho):
-            qp, qz = heat_kernels(s, 0.8, rho)
+            qp, qz = kernels(0.8, rho)
             fb = fbar_applied(rho)
             fi = semigroup_apply(g, sq, t, g.point(0, rho) if rho > 0 else g.origin())
             return qp * fb + qz * (fi - fb)
@@ -149,9 +159,6 @@ class TestSemigroup:
                 semigroup_apply(g, f1, t, g.origin())
             with pytest.raises(ValueError):
                 sample_exact_steps(g, g.origin(), t, 10, RngStream(1))
-            with pytest.raises(ValueError):
-                exact_step_arrays(g, np.zeros(3, dtype=np.int64), np.ones(3), t,
-                                  RngStream(1).generator())
 
 
 class _TopUniforms:
@@ -188,8 +195,10 @@ class TestPastTheLastRay:
 
     def test_exact_step(self):
         g = self.graph()
-        rays, rad = exact_step_arrays(g, np.zeros(3, dtype=np.int64), np.zeros(3), 0.5,
-                                      _TopUniforms())
+        # from the vertex every bridge touches it, so every row takes a coin
+        rays, gen = np.zeros(3, dtype=np.int64), _TopUniforms()
+        rad, _ = walsh_step(g, 0, rays, np.zeros(3), gen.standard_normal(3) * math.sqrt(0.5),
+                            np.full(3, 0.5), gen)
         np.testing.assert_array_equal(rays, [1, 1, 1])
         constant_one(g).value_arrays(rays, rad)
 
@@ -636,6 +645,18 @@ class TestTestFunctionGraph:
         a, b = (sample_residual_summaries(self.G, {"q": f}, 1.0, 0.1, 10, RngStream(77))
                 for f in (same, twin))
         np.testing.assert_array_equal(a.summaries["q"].residuals, b.summaries["q"].residuals)
+
+
+class TestStartOffTheGraph:
+    G = make_star(3, [0.5, 0.3, 0.2])
+
+    @pytest.mark.parametrize("x0", [GraphPoint(edge=7, coord=0.5), GraphPoint(edge=-1, coord=0.5),
+                                    GraphPoint(edge=1, coord=math.inf),
+                                    GraphPoint(edge=None, coord=0.0, vertex=1)])
+    def test_grid_engine_raises_before_any_draw(self, x0, philox_words):
+        with pytest.raises(ValueError):
+            sample_residual_summaries(self.G, {}, 1.0, 0.1, 10, RngStream(78), x0=x0)
+        assert philox_words() == 0
 
 
 def _mean_localtime_proxy(g, n):

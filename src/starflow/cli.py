@@ -195,7 +195,14 @@ def _exp_quadrant(cfg: ExperimentConfig, rng: RngStream):
 def _exp_walsh_kernel(cfg: ExperimentConfig, rng: RngStream):
     """``chapman_kolmogorov`` needs a two-sample KS p-value > 1e-3 between
     the radials after two exact half steps and after one exact full step.
-    Both samples are exact in law, so its false-failure rate is 1e-3."""
+    Both samples are exact in law, so its false-failure rate is 1e-3.
+
+    ``ray_frequencies`` needs a chi^2 p-value > 1e-3 (N - 1 degrees of
+    freedom, asymptotic) for the rays of each of the two samples against
+    the exact ray law from x0 = (i, r) at time t, P(j) = 1{j = i}
+    erf(r / sqrt(2t)) + p_j erfc(r / sqrt(2t)); its false-failure rate is
+    2e-3. From the vertex (r = 0) every ray is a plain draw from the
+    weights whatever the step does, so there the check has no power."""
     g = cfg.star()
     x0 = g.point(cfg.x0_ray, cfg.x0_r)
     t = cfg.T
@@ -220,10 +227,12 @@ def _exp_walsh_kernel(cfg: ExperimentConfig, rng: RngStream):
     ks = stats.ks_two_sample(rad2, radf)
     ks_results["chapman_kolmogorov_radial"] = _ks(ks)
     checks["chapman_kolmogorov"] = ks.p_value > 1e-3
-    freq2 = np.bincount(r2, minlength=g.n_rays) / cfg.paths
-    freqf = np.bincount(rf, minlength=g.n_rays) / cfg.paths
-    sig = np.sqrt(np.maximum(freqf * (1 - freqf), 1e-12) / cfg.paths)
-    checks["ray_frequencies"] = bool(np.all(np.abs(freq2 - freqf) <= 3 * np.sqrt(2) * sig))
+    from scipy.special import chdtrc
+    stay = math.erf(cfg.x0_r / math.sqrt(2.0 * t))
+    want = cfg.paths * (1.0 - stay) * g.probs_array
+    want[cfg.x0_ray] += cfg.paths * stay
+    chi2 = [np.sum((np.bincount(r, minlength=g.n_rays) - want) ** 2 / want) for r in (r2, rf)]
+    checks["ray_frequencies"] = bool(np.all(chdtrc(g.n_rays - 1, chi2) > 1e-3))
     if cfg.csv:
         coupled = walsh.sample_residual_summaries(g, {}, cfg.T, cfg.dt, 1, rng.child(987),
                                                   x0=x0, record=1)

@@ -11,14 +11,13 @@ path and ray, after the last step. The same engine call gives the
 Freidlin-Sheu residuals of X, so both halves of the solution (X, W) are
 checked on one set of paths.
 
-n-point motions share one W: between transfer times exactly one point (the
-pivot) sits at the origin and evolves as a fresh coupled Walsh path that
-generates W for the stretch; every other point rides its own ray's noise
-rigidly. A point hitting the origin becomes the next pivot. Each step
-draws the driver increment and the N ray noises, then a coin if the pivot
-folds and one more if a point becomes the new pivot. Points
-coalesce when both sit at the origin within tolerance; coalescence is
-absorbing.
+The n-point motions of both flows come from one batch engine,
+``_flow_batch``, that draws W directly (exact in law: see
+``filtered_kernel``): every point rides its own ray's noise and takes the
+coupled Walsh step, with a coin of its own when it crosses the origin.
+The coalescing flow phi and the kernel flow K differ only in the merge
+rule: phi's points merge when they sit at the origin together, within a
+tolerance, and stay merged; K's replicas never merge.
 
 Two-point motions map to obliquely reflected quadrant legs by excising the
 time the pair spends on a common ray; the reflection angle of a leg whose
@@ -44,7 +43,7 @@ import numpy as np
 from .graphs import ORIGIN_VERTEX, GraphPoint, StarGraph
 from .halfline import RngStream, bridge_crossings, check_horizon, grid_steps, map_chunks
 from .quadrant import SAFETY
-from .walsh import _coupled_step, _point_state, _start_state, walsh_step
+from .walsh import _coupled_step, _point_state, walsh_step
 
 __all__ = [
     "N2NoisePath", "NPointPath",
@@ -115,17 +114,18 @@ def isde_n2_from_noise(g2: StarGraph, x0: GraphPoint,
     return N2NoisePath(graph=g2, dt=dt, signed=out)
 
 
-# -- n-point motion -----------------------------------------------------------
+# -- n-point motions of both flows ----------------------------------------------
 
 @dataclass
 class NPointPath:
-    """Joint trajectory of n solutions sharing W, with pivot bookkeeping."""
+    """Joint trajectory of n points of the coalescing flow sharing W, with
+    the pivot (the last point to cross the origin) and merge books."""
 
     graph: StarGraph
     dt: float
     rays: np.ndarray          # (K+1, n)
     radials: np.ndarray       # (K+1, n)
-    pivot_index: np.ndarray   # (K+1,) current pivot, -1 while no point is at 0
+    pivot_index: np.ndarray   # (K+1,) current pivot, -1 before any crossing
     tau_events: list[int]
     coalesced_pairs: dict[tuple[int, int], int]
     tol_c: float
@@ -138,92 +138,89 @@ class NPointPath:
         taus = set(self.tau_events)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
-            header = ["t"]
-            for j in range(self.n_points):
-                header += [f"point_{j+1}_edge", f"point_{j+1}_coord"]
-            header += ["pivot_index", "tau_flag"]
-            w.writerow(header)
-            for k in range(self.rays.shape[0]):
-                row = [repr(k * self.dt)]
-                for j in range(self.n_points):
-                    row += [int(self.rays[k, j]), repr(float(self.radials[k, j]))]
-                row += [int(self.pivot_index[k]), int(k in taus)]
-                w.writerow(row)
+            w.writerow(["t", *(f"point_{j+1}_{c}" for j in range(self.n_points)
+                               for c in ("edge", "coord")), "pivot_index", "tau_flag"])
+            for k, (rays, rads) in enumerate(zip(self.rays, self.radials)):
+                w.writerow([repr(k * self.dt),
+                            *(v for e, r in zip(rays, rads) for v in (int(e), repr(float(r)))),
+                            int(self.pivot_index[k]), int(k in taus)])
+
+
+def _flow_batch(g: StarGraph, starts: list[GraphPoint], T: float, dt: float, runs: int,
+                gen: np.random.Generator, tol_c: float | None = None, record: bool = False):
+    """The n-point motions of runs x m points, m = len(starts), on a fixed
+    grid: point j of each run starts at starts[j], and a run's points share
+    its W, drawn directly.
+
+    The points that start at the vertex draw their rays, one uniform each
+    in row order (run by run). Each step draws the (runs, N) noise block,
+    and every live point takes ``walsh._coupled_step`` on its own ray's
+    noise, which draws one coin per point that crosses the origin. With
+    tol_c None every point stays live: the replicas of the kernel flow K.
+    With tol_c, the merge rule of the coalescing flow phi: at the start and
+    after every step, the live points of a run within tol_c of the origin
+    merge into the lowest of them, which a merged point follows from then
+    on (merging is absorbing).
+
+    Returns (rays, radials, reps, crossed), each (times, runs, m), at every
+    grid time with record, else at the last: reps is the live point each
+    point follows (itself while live), crossed flags the points that
+    crossed the origin in the step to that time.
+    """
+    edges, coords = zip(*(_point_state(g, s) for s in starts))
+    m, K, sq = len(starts), grid_steps(T, dt), math.sqrt(dt)
+    rays = np.tile(np.array(edges, dtype=np.int64), runs)
+    rad = np.tile(np.array(coords, dtype=float), runs)
+    at_v = np.tile([s.is_vertex for s in starts], runs)
+    rays[at_v] = g.draw_edges(ORIGIN_VERTEX, gen.random(np.count_nonzero(at_v)))
+    ids = np.arange(runs * m)   # the live rows' point ids, in row order
+    run_of, follow = ids // m, ids.copy()   # follow: the live row each point follows
+    crossed = np.zeros(runs * m, dtype=bool)
+    hist = []
+    for k in range(K + 1):
+        if tol_c is not None and (near := np.flatnonzero(rad < tol_c)).size > 1:
+            # the near rows of a run merge into its first (lead) one
+            lead = np.r_[True, run_of[near[1:]] != run_of[near[:-1]]]
+            keep = np.bincount(near[~lead], minlength=rad.size) == 0
+            to = np.cumsum(keep) - 1
+            to[near] = to[near[lead]][np.cumsum(lead) - 1]
+            follow = to[follow]
+            ids, run_of, rays, rad = ids[keep], run_of[keep], rays[keep], rad[keep]
+        if record or k == K:
+            hist.append((rays[follow], rad[follow], ids[follow] % m, crossed))
+        if k < K:
+            dW = sq * gen.standard_normal((runs, g.n_rays))
+            rad, folded = _coupled_step(g, ORIGIN_VERTEX, rays, rad + dW[run_of, rays], gen)
+            crossed = np.bincount(ids[folded], minlength=runs * m) > 0
+    return tuple(np.stack(c).reshape(-1, runs, m) for c in zip(*hist))
 
 
 def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
                   rng: RngStream, tol_c: float | None = None) -> NPointPath:
-    """n-point motion on a fixed grid up to time T (grid semantics above)."""
+    """n-point motion of the coalescing flow on a fixed grid up to time T:
+    the one run of ``_flow_batch`` with its merge rule at tol_c (default
+    ``default_coalescence_tol``), every step recorded. The pivot is the
+    last point to cross the origin, the lowest-index one of a step's
+    crossers (-1 before any crossing); a tau event is a step where a point
+    other than the pivot crosses."""
     if not starts:
         raise ValueError("need at least one start")
-    n = len(starts)
-    K = grid_steps(T, dt)
     if tol_c is None:
         tol_c = default_coalescence_tol(dt)
-    gen = rng.generator()
-    sq = math.sqrt(dt)
-
-    # row n is a phantom pivot from the origin: it generates W until a
-    # point first reaches the origin
-    rays = np.zeros(n + 1, dtype=np.int64)
-    rad = np.zeros(n + 1)
-    for j, s in enumerate(starts):
-        rays[j], rad[j] = _point_state(g, s)
-    rep = np.arange(n + 1)  # coalescence representative (union by smaller index)
-    at_zero = [j for j in range(n) if rad[j] == 0.0]
-    pivot = at_zero[0] if at_zero else -1
-    for j in at_zero[1:]:
-        rep[j] = at_zero[0]
-    rays[n] = _start_state(g, g.origin(), 1, gen)[0][0]
-    if pivot >= 0:
-        rays[pivot] = rays[n]
-
-    out_rays = np.empty((K + 1, n), dtype=np.int64)
-    out_rad = np.empty((K + 1, n))
-    out_piv = np.empty(K + 1, dtype=np.int64)
-    out_rays[0], out_rad[0], out_piv[0] = rays[:n], rad[:n], pivot
-    tau_events: list[int] = []
-    coalesced: dict[tuple[int, int], int] = {
-        (int(a), int(b)): 0 for ai, a in enumerate(at_zero)
-        for b in at_zero[ai + 1:]}
-
-    for k in range(K):
-        xi = sq * gen.standard_normal()
-        dW = sq * gen.standard_normal(g.n_rays)
-        piv = slice(pivot, pivot + 1) if pivot >= 0 else slice(n, n + 1)
-        dW[rays[piv]] = xi
-        movers = [j for j in range(n) if rep[j] == j and j != pivot]
-        rad[piv], _ = _coupled_step(g, ORIGIN_VERTEX, rays[piv], rad[piv] + xi, gen)
-        hits = []
-        for j in movers:
-            nr = rad[j] + dW[rays[j]]
-            rad[j] = nr
-            if nr <= 0.0:
-                hits.append(j)
-        if hits:
-            new_pivot = min(hits, key=lambda j: rad[j])
-            tau_events.append(k + 1)
-            rad[hits] = -rad[hits]
-            rays[new_pivot] = g.draw_edges(ORIGIN_VERTEX, gen.random())
-            pivot = new_pivot
-        # coalescence at the origin, absorbing
-        alive = [j for j in range(n) if rep[j] == j]
-        near = [j for j in alive if rad[j] < tol_c]
-        for ai, a in enumerate(near):
-            for b in near[ai + 1:]:
-                lo, hi = min(a, b), max(a, b)
-                if rep[hi] == hi:
-                    coalesced.setdefault((lo, hi), k + 1)
-                    rep[rep == hi] = lo
-                    if pivot == hi:
-                        pivot = lo
-        rays = rays[rep]
-        rad = rad[rep]
-        out_rays[k + 1], out_rad[k + 1] = rays[:n], rad[:n]
-        out_piv[k + 1] = pivot
-    return NPointPath(graph=g, dt=dt, rays=out_rays, radials=out_rad,
-                      pivot_index=out_piv, tau_events=tau_events,
-                      coalesced_pairs=coalesced, tol_c=tol_c)
+    rays, rad, reps, crossed = (a[:, 0] for a in _flow_batch(
+        g, starts, T, dt, 1, rng.generator(), tol_c, record=True))
+    steps = np.arange(len(rad))
+    last = np.maximum.accumulate(np.where(crossed.any(axis=1), steps, -1))
+    pivot = np.where(last >= 0, reps[steps, crossed.argmax(axis=1)[last]], -1)
+    prev = pivot[:-1]
+    tau = crossed[1:].sum(axis=1) > (crossed[steps[1:], prev] & (prev >= 0))
+    merged = reps != np.arange(len(starts))
+    at = merged.argmax(axis=0)
+    return NPointPath(graph=g, dt=dt, rays=rays, radials=rad, pivot_index=pivot,
+                      tau_events=(np.flatnonzero(tau) + 1).tolist(),
+                      coalesced_pairs={(int(reps[k, j]), j): int(k) for j, k in enumerate(at)
+                                       if merged[k, j]},
+                      tol_c=tol_c)
 
 
 # -- batch two-point engines ---------------------------------------------------
@@ -438,11 +435,9 @@ def _replica_batch(g: StarGraph, x0: GraphPoint, T: float, dt: float, n_runs: in
     """Endpoints (rays, radials), each (n_runs, m), of m re-solves per run
     that share the run's directly drawn edge noises W.
 
-    The runs go through ``map_chunks`` in chunks of 65536 // m. A chunk's
-    replicas draw their starting rays; then each step draws the (runs, N)
-    noises and takes the coupled Walsh step, which draws a redraw uniform
-    for each replica that folds. For N = 2 each run draws its (2, K) noises
-    at once and every replica is their two-ray Euler map.
+    The runs go through ``map_chunks`` in chunks of 65536 // m, each one
+    ``_flow_batch`` with no merge rule. For N = 2 each run draws its (2, K)
+    noises at once and every replica is their two-ray Euler map.
     """
     if m < 2:
         raise ValueError("need m >= 2 replicas")
@@ -458,12 +453,8 @@ def _replica_batch(g: StarGraph, x0: GraphPoint, T: float, dt: float, n_runs: in
                 end = isde_n2_from_noise(g, x0, sq * gen.standard_normal((2, K)), dt)
                 rays[r], rads[r] = end.rays[-1], end.radials[-1]
             return rays, rads
-        rays, rad = _start_state(g, x0, c * m, gen)
-        run_of = np.repeat(np.arange(c), m)
-        for _ in range(K):
-            dW = sq * gen.standard_normal((c, g.n_rays))
-            rad, _ = _coupled_step(g, ORIGIN_VERTEX, rays, rad + dW[run_of, rays], gen)
-        return rays.reshape(c, m), rad.reshape(c, m)
+        rays, rads = _flow_batch(g, [x0] * m, T, dt, c, gen)[:2]
+        return rays[0], rads[0]
 
     return map_chunks(run, n_runs, rng, max(1, 65536 // m))
 
@@ -501,10 +492,8 @@ def sample_kernel_dispersions(g: StarGraph, T: float, dts, n_runs: int, m: int,
                               ) -> dict[float, np.ndarray]:
     """Replica-cloud dispersions per grid resolution (criterion engine).
 
-    Level di steps all n_runs x m replicas as one batch on rng.child(di).
-    Each run's W is drawn directly, with no forward path: its increments
-    are fresh N(0, dt) whatever ray a forward solution is on, so this is
-    exact in law (see ``filtered_kernel``).
+    Level di steps all n_runs x m replicas as one batch on rng.child(di),
+    each run's W drawn directly (exact in law: see ``filtered_kernel``).
     """
     if n_runs < 1:
         raise ValueError(f"need n_runs >= 1, got {n_runs}")

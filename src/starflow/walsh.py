@@ -31,9 +31,9 @@ label, the vertex stints credited to the label they were taken under. The
 books give the forward construction's edge noises W_T, and, as each test
 function is a quadratic on each ray, its residual sums, with no test
 function evaluated along the path. It records whole paths (rows of its
-batch) as ``WalshPath``. In ``isde`` the step also moves the pivot of
-``npoint_motion`` and the replicas of the filtered kernel, and in
-``metric`` the walker, at the vertex each path is anchored to. They draw
+batch) as ``WalshPath``. In ``isde`` the step also moves the points of
+the n-point engine of both flows, and in ``metric`` the walker, at the
+vertex each path is anchored to. They draw
 edges from the graph's weight table, ``MetricGraph.draw_edges``. An engine
 draws the driver increments; the step draws the redraw coins itself, one
 uniform per folding row after the fold test, in row order, and none for

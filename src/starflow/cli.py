@@ -189,7 +189,7 @@ def _exp_quadrant(cfg: ExperimentConfig, rng: RngStream):
         estimates["local_time_expected"] = {"mean": expected, "stderr": 0.0, "n": 0}
     if cfg.csv:
         batch.paths[0].to_csv(cfg.csv + "_quadrant.csv")
-    return estimates, {}, {}, checks, {}
+    return estimates, {}, {}, checks, batch.diagnostics()
 
 
 def _exp_walsh_kernel(cfg: ExperimentConfig, rng: RngStream):

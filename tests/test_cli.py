@@ -288,10 +288,25 @@ def test_dump_leaves_the_report_unchanged(tmp_path, graph_file, name):
 def test_orbm_leg_reports_its_work(tmp_path, graph_file):
     _, report = run_main(tiny_argv("orbm-leg", graph_file), tmp_path / "r.json")
     d = report["diagnostics"]
-    assert set(d) == {"batch_steps", "path_steps", "bridge_uniforms", "crossing_uniforms"}
+    assert set(d) == {"batch_steps", "path_steps", "jumps", "bridge_uniforms",
+                      "crossing_uniforms"}
     assert 1 <= d["batch_steps"] <= d["path_steps"]
+    assert 0 < d["jumps"] < d["path_steps"]
     assert 0 < d["bridge_uniforms"] < d["path_steps"]
     assert 0 < d["crossing_uniforms"] < d["path_steps"]
+
+
+def test_quadrant_reports_its_work(tmp_path):
+    # 3 legs at most: some processes stop at the cap, unterminated
+    argv = ["quadrant", "--theta1", "1.0", "--theta2", "1.0", "--paths", "50", "--dt", "0.01",
+            "--eps", "0.01", "--max-legs", "3"]
+    _, report = run_main(argv, tmp_path / "r.json")
+    d = report["diagnostics"]
+    assert set(d) == {"leg_rounds", "batch_steps", "path_steps", "jumps", "unterminated"}
+    assert d["leg_rounds"] == 3 and d["leg_rounds"] <= d["batch_steps"] <= d["path_steps"]
+    assert 0 < d["jumps"] < d["path_steps"]
+    unterminated = round(50 * (1.0 - report["estimates"]["terminated_fraction"]["mean"]))
+    assert d["unterminated"] == unterminated > 0
 
 
 @pytest.mark.parametrize("x", ["1e-300", "1e200"])

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import j1, jn_zeros
 
+from starflow import quadrant
 from starflow.halfline import RngStream
 from starflow.quadrant import (
+    _disk_exits, _unit_exit_times,
     FixedAngles, LegOverflowError, UniformAngles, expected_boundary_local_time,
     sample_legs, sample_quadrant_processes,
     tail_bound, ys_cdf, ys_log_mean, ys_log_square_moment, ys_moment,
@@ -134,35 +137,54 @@ class TestLegSamples:
 
 def _leg_reference(theta, x, dt, n, gen):
     """Plain loop over the whole batch with an active mask. Per step the
-    active legs draw two normals each; then each active leg whose free
-    endpoint w has Y w < 19 h draws the uniform of its bridge minimum, and
-    each active leg that neither crossed nor touched and has X X_new < 19 h
-    draws its crossing uniform, all in leg order."""
+    active legs draw two normals each. A leg whose free disk (radius rho,
+    the least of X, Y and the distances of |Z| to its running inf and sup)
+    has rho >= 6 sqrt(h) jumps to rho' z / |z| after the time
+    rho'^2 tau_1(|z|^2 / 2), with rho' = rho (1 - 1e-9), and draws nothing
+    more. Then each other active leg whose free endpoint w has Y w < 19 h
+    draws the uniform of its bridge minimum, and each other active leg that
+    neither crossed nor touched and has X X_new < 19 h draws its crossing
+    uniform, all in leg order."""
     tan_t = np.tan(theta)
     X, Y, L = np.full(n, float(x)), np.zeros(n), np.zeros(n)
     sup, inf, t = X.copy(), X.copy(), np.zeros(n)
     active = np.ones(n, dtype=bool)
     ys, ls, sups, infs, durs = (np.zeros(n) for _ in range(5))
-    path_steps = bridge = crossing = 0
+    path_steps = jumps = bridge = crossing = 0
     while active.any():
         a = np.flatnonzero(active)
         Xa, Ya = X[a], Y[a]
         h = np.maximum(np.minimum(dt, (Xa * Xa + Ya * Ya) / 144.0), Xa * Xa / 144.0)
         z1 = gen.standard_normal(a.size)
         z2 = gen.standard_normal(a.size)
-        w = Ya + np.sqrt(h) * z2
+        dx, dy = np.sqrt(h) * z1, np.sqrt(h) * z2
+        jumped = np.zeros(a.size, dtype=bool)
+        for k in range(a.size):
+            r = math.sqrt(Xa[k] * Xa[k] + Ya[k] * Ya[k])
+            rho = min(Xa[k], Ya[k], r - inf[a[k]], sup[a[k]] - r)
+            if rho >= 6.0 * math.sqrt(h[k]):
+                zeta = 0.5 * (z1[k] * z1[k] + z2[k] * z2[k])
+                rho *= 1.0 - 1e-9
+                dx[k] = rho / math.sqrt(2.0 * zeta) * z1[k]
+                dy[k] = rho / math.sqrt(2.0 * zeta) * z2[k]
+                h[k] = rho * rho * _unit_exit_times(zeta)
+                jumped[k] = True
+                jumps += 1
+        w = Ya + dy
         dL = np.zeros(a.size)
         for k in range(a.size):
-            if Ya[k] * w[k] < 19.0 * h[k]:
+            if not jumped[k] and Ya[k] * w[k] < 19.0 * h[k]:
                 u = gen.random()
-                m = 0.5 * (Ya[k] + w[k] - math.sqrt((Ya[k] - w[k]) ** 2 - 2.0 * h[k] * np.log(u)))
+                # d * d, as numpy squares arrays: a scalar ** 2 is C pow, off by an ulp at times
+                d = Ya[k] - w[k]
+                m = 0.5 * (Ya[k] + w[k] - math.sqrt(d * d - 2.0 * h[k] * np.log(u)))
                 dL[k] = max(-m, 0.0)
                 bridge += 1
         Yn = w + dL
-        Xn = Xa + np.sqrt(h) * z1 - tan_t * dL
+        Xn = Xa + dx - tan_t * dL
         done = Xn <= 0.0
         for k in range(a.size):
-            if not done[k] and dL[k] == 0.0 and Xa[k] * Xn[k] < 19.0 * h[k]:
+            if not (done[k] or jumped[k]) and dL[k] == 0.0 and Xa[k] * Xn[k] < 19.0 * h[k]:
                 done[k] = gen.random() < np.exp(-2.0 * Xa[k] * Xn[k] / h[k])
                 crossing += 1
         az = np.sqrt(np.maximum(Xn, 0.0) ** 2 + Yn * Yn)
@@ -174,27 +196,99 @@ def _leg_reference(theta, x, dt, n, gen):
         ys[fin], ls[fin], sups[fin], infs[fin], durs[fin] = Y[fin], L[fin], sup[fin], inf[fin], t[fin]
         active[fin] = False
         path_steps += a.size
-    return ys, ls, sups, infs, durs, path_steps, bridge, crossing
+    return ys, ls, sups, infs, durs, path_steps, jumps, bridge, crossing
 
 
 class TestLegBatchMatchesReference:
     @pytest.mark.parametrize("seed, theta", [(31, math.pi / 4), (32, math.pi / 6)])
     def test_bit_identical(self, seed, theta):
         out = sample_legs(theta, 1.0, 1e-2, 200, RngStream(seed))
-        *ref, path_steps, bridge, crossing = _leg_reference(
+        *ref, path_steps, jumps, bridge, crossing = _leg_reference(
             theta, 1.0, 1e-2, 200, RngStream(seed).child(0).generator())
         for got, want in zip((out.ys, out.local_times, out.sup_abs, out.inf_abs,
                               out.durations), ref):
             np.testing.assert_array_equal(got, want)
-        assert (out.path_steps, out.bridge_uniforms, out.crossing_uniforms) == \
-            (path_steps, bridge, crossing)
-        assert bridge > 0 and crossing > 0
+        assert (out.path_steps, out.jumps, out.bridge_uniforms, out.crossing_uniforms) == \
+            (path_steps, jumps, bridge, crossing)
+        assert jumps > 0 and bridge > 0 and crossing > 0
 
     def test_draws_few_words_per_path_step(self, philox_words):
         # two normals per path-step, plus a uniform only near a boundary
         out = sample_legs(math.pi / 6, 1.0, 1e-3, 2000, RngStream(34))
         assert philox_words() / out.path_steps < 3.2
         assert out.batch_steps > 0 and out.path_steps >= out.batch_steps
+
+
+def _unit_exit_survival(t):
+    """P(tau_1 > t) for the exit time tau_1 of planar Brownian motion from
+    the unit disk, by its series over the first 400 zeros j_k of J_0."""
+    j = jn_zeros(0, 400)
+    return sum(c * np.exp(-0.5 * jk * jk * t) for jk, c in zip(j, 2.0 / (j * j1(j))))
+
+
+class TestDiskExits:
+    """The exact jump: exit point and exit time of a disk from two normals."""
+
+    def test_table_cdf_error_below_stated_bound(self):
+        # the quantile at the level zeta of each reference time t has the
+        # CDF of t, up to the stated 3e-7
+        t = np.geomspace(0.012, 8.0, 20001)
+        surv = _unit_exit_survival(t)
+        err = np.abs(_unit_exit_survival(_unit_exit_times(-np.log(surv))) - surv)
+        assert err.max() < 3e-7
+
+    def test_table_moments_match_laplace_transform(self):
+        # E exp(-lam tau_1) = 1 / I_0(sqrt(2 lam)) = 1 - lam/2 + 3 lam^2/16 - ...,
+        # so E tau_1 = 1/2 and E tau_1^2 = 3/8; zeta is Exp(1). A CDF error
+        # of 3e-7 over t < 10 moves E tau_1 by 3e-6 and E tau_1^2 by 3e-5 at most
+        zeta = np.linspace(0.0, 60.0, 600001)
+        q = _unit_exit_times(zeta)
+        w = np.exp(-zeta)
+        assert integrate.trapezoid(q * w, zeta) == pytest.approx(0.5, abs=3e-6)
+        assert integrate.trapezoid(q * q * w, zeta) == pytest.approx(0.375, abs=3e-5)
+
+    def test_exit_law_from_two_normals(self):
+        gen = RngStream(40).generator()
+        z1, z2 = gen.standard_normal(20000), gen.standard_normal(20000)
+        r = 1.0 - 1e-9
+        scale, tau = _disk_exits(np.ones(20000), z1, z2)
+        dx, dy = scale * z1, scale * z2
+        np.testing.assert_allclose(np.hypot(dx, dy), r, rtol=1e-15)
+        ks = ks_against_cdf(tau / (r * r), lambda t: 1.0 - _unit_exit_survival(t))
+        assert ks.p_value > 1e-3
+        angle = (np.arctan2(dy, dx) + np.pi) / (2.0 * np.pi)
+        assert ks_against_cdf(angle, lambda u: u).p_value > 1e-3
+
+    def test_jumps_end_strictly_inside_both_boundaries(self):
+        # a disk of radius X (or Y) aimed straight at its boundary, or with
+        # random directions: rounding never puts the end on the boundary
+        gen = RngStream(41).generator()
+        xy = np.concatenate([np.geomspace(1e-150, 1e150, 601), gen.uniform(0.0, 3.0, 5000)])
+        tiny = np.full(xy.size, 1e-300)
+        for z1, z2 in ((-np.ones_like(xy), tiny), (-np.ones_like(xy), -tiny),
+                       (gen.standard_normal(xy.size), gen.standard_normal(xy.size))):
+            # s is symmetric in (z1, z2): aimed along z1 covers both boundaries
+            scale, _ = _disk_exits(xy, z1, z2)
+            assert np.all(xy + scale * z1 > 0) and np.all(xy + scale * z2 > 0)
+
+
+def _jump_gate(monkeypatch, seed):
+    """Two-sample KS p-values of the jump engine against the stepping engine
+    (JUMP = inf), on 20 000 independent legs each at theta = pi/6, dt 1e-2."""
+    jumps = sample_legs(math.pi / 6, 1.0, 1e-2, 20000, RngStream(seed))
+    monkeypatch.setattr(quadrant, "JUMP", math.inf)
+    steps = sample_legs(math.pi / 6, 1.0, 1e-2, 20000, RngStream(seed).child(1))
+    assert steps.jumps == 0 < jumps.jumps
+    return {f: ks_two_sample(getattr(jumps, f), getattr(steps, f)).p_value
+            for f in ("ys", "local_times", "durations", "sup_abs", "inf_abs")}
+
+
+class TestJumpsMatchStepping:
+    def test_same_law_as_the_stepping_engine(self, monkeypatch):
+        # Y_S, L_S, the duration and the sup and inf of |Z|, each at
+        # p > 2e-4: Bonferroni over five tests, a false-failure rate of 1e-3
+        p = _jump_gate(monkeypatch, 42)
+        assert min(p.values()) > 1e-3 / 5, p
 
 
 class TestClosedForms:
@@ -321,16 +415,20 @@ class TestQuadrantProcess:
 
     def test_angles_alternate(self):
         src = FixedAngles(math.pi / 3, math.pi / 4)
-        proc = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 200, 5, RngStream(13),
-                                         record=1).paths[0]
-        assert len(proc.legs) > 1
-        for n, leg in enumerate(proc.legs):
-            assert leg.theta == (math.pi / 3 if n % 2 == 0 else math.pi / 4)
+        procs = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 200, 5, RngStream(13),
+                                          record=5).paths
+        assert max(len(proc.legs) for proc in procs) > 1
+        for proc in procs:
+            for n, leg in enumerate(proc.legs):
+                assert leg.theta == (math.pi / 3 if n % 2 == 0 else math.pi / 4)
 
     def test_leg_cap_flagged(self):
         src = FixedAngles(math.pi / 6, math.pi / 6)
         batch = sample_quadrant_processes(src, 1.0, 1e-3, 1e-6, 2, 5, RngStream(14), record=1)
         assert not batch.terminated[0] and len(batch.paths[0].legs) == batch.n_legs[0] == 2
+        d = batch.diagnostics()
+        assert d["unterminated"] == np.count_nonzero(~batch.terminated) > 0
+        assert d["leg_rounds"] == 2 and 0 < d["jumps"] < d["path_steps"]
 
     def test_eps_validation(self):
         src = FixedAngles(1.0, 1.0)
@@ -421,6 +519,7 @@ class TestRecordingIsPassive:
         for f in ("l_totals", "n_legs", "terminated", "sigma0_times"):
             np.testing.assert_array_equal(getattr(plain, f), getattr(kept, f))
         assert plain.paths == [] and len(kept.paths) == 20
+        assert plain.diagnostics() == kept.diagnostics()
         for j, proc in enumerate(kept.paths):
             assert sum(leg.L_at_S for leg in proc.legs) == kept.l_totals[j]
             assert len(proc.legs) == kept.n_legs[j]

@@ -112,9 +112,21 @@ def reflected_step(y, w, h, gen: np.random.Generator):
     """
     dL = np.zeros(w.size)
     near = np.flatnonzero(y * w < BRIDGE_CUT * h)
-    a, b, hn = y[near], w[near], h[near]
-    lu = np.log(np.maximum(gen.random(near.size), 1e-320))
-    d = np.maximum(-0.5 * (a + b - np.sqrt((a - b) ** 2 - 2.0 * hn * lu)), 0.0)
+    # m in place, three buffers of the near rows, each operation as in the
+    # formula (x * x is numpy's square), so no row moves by an ulp
+    lu = np.maximum(gen.random(near.size), 1e-320)
+    np.log(lu, out=lu)
+    lu *= 2.0 * h[near]
+    d = w[near]
+    m = y[near] - d
+    d += y[near]
+    m *= m
+    m -= lu
+    del lu
+    np.sqrt(m, out=m)
+    d -= m
+    d *= -0.5
+    np.maximum(d, 0.0, out=d)
     dL[near] = d
     w[near] += d
     return w, dL, near

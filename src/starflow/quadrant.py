@@ -29,16 +29,18 @@ Far from both boundaries a leg jumps instead (walk on spheres, Muller
 inf and sup the running extremes of |Z|: the disk misses both boundaries
 and stays inside the annulus between them. Inside it the leg is a planar
 Brownian motion, with no local time and no crossing, and it cannot move
-the running extremes. So where rho >= JUMP sqrt(h) one exact jump replaces
-about rho^2 / (2 h) steps: from the centre, the exit point is uniform on
-the circle and independent of the exit time rho^2 tau_1, where tau_1 is the
+the running extremes. From the centre, the exit point is uniform on the
+circle and independent of the exit time rho^2 tau_1, where tau_1 is the
 exit time of the unit disk (the hitting time of 1 by a 2-dimensional
-Bessel process; Borodin & Salminen). A jump is the Brownian increment
-over tau, so recorded rows carry (dB1, dB2, h) = (jump, tau) and the grid
-identities above still hold. The law of tau_1 comes from a table whose
-CDF error is below 3e-7 (``_exit_time_table``); it moves only the
-durations, never the exit point. At theta = pi/6 and dt = 1e-3 jumps cut
-the path-steps of a leg from about 600 to about 330, 2 % of them jumps.
+Bessel process; Borodin & Salminen). A jump is exact for any rho > 0 and
+covers E tau = rho^2 / 2 of time (E tau_1 = 1/2), a step h, so a leg
+jumps wherever rho^2 >= 2 h (rho >= JUMP sqrt(h), JUMP = sqrt 2), where a
+jump outruns a step. A jump is the Brownian increment over tau, so
+recorded rows carry (dB1, dB2, h) = (jump, tau) and the grid identities
+above still hold. The law of tau_1 comes from a table whose CDF error is
+below 3e-7 (``_exit_time_table``); it moves only the durations, never the
+exit point. At theta = pi/6 and dt = 1e-3 jumps cut the path-steps of a
+leg from about 600 to about 200, 29 % of them jumps.
 
 Per path-step each active leg draws two normals, z1 and z2. A stepping leg
 takes them as the increments of X and Y; a jumping leg takes z / |z| as
@@ -47,12 +49,12 @@ as the level of its exit time, and draws nothing more. Y takes
 ``halfline.reflected_step`` and the end test is ``halfline.bridge_crossings``
 on X; a jumping leg passes h = 0 to both, so they give it dL = 0, and
 each draws a uniform only for the stepping legs within the cut-off stated
-in ``halfline``. At theta = pi/6 and dt = 1e-3 a leg draws about 2.5 words
+in ``halfline``. At theta = pi/6 and dt = 1e-3 a leg draws about 2.45 words
 per path-step, not 4.
 
 No leg or quadrant path is simulated on its own: ``record`` keeps whole
-paths of the first rows of a batch (``OrbmLeg``, ``QuadrantPath``), and
-keeping them changes no number the batch returns.
+paths of the legs with the lowest ids of a batch (``OrbmLeg``,
+``QuadrantPath``), and keeping them changes no number the batch returns.
 """
 
 from __future__ import annotations
@@ -75,7 +77,10 @@ __all__ = [
 ]
 
 SAFETY = 12.0  # step stays this many standard deviations away from boundaries
-JUMP = 6.0     # a leg jumps where a free disk of radius JUMP sqrt(h) fits
+# a leg jumps where its free disk has radius rho >= JUMP sqrt(h): a jump
+# covers E tau = rho^2 / 2 of time (E tau_1 = 1/2 for the unit disk) and a
+# step h, so from rho^2 >= 2 h one jump outruns one step
+JUMP = math.sqrt(2.0)
 
 
 class LegOverflowError(RuntimeError):
@@ -136,6 +141,7 @@ class LegSamples:
     jumps: int               # of those, jumps across a free disk
     bridge_uniforms: int     # bridge-minimum uniforms drawn
     crossing_uniforms: int   # within-step crossing uniforms drawn
+    tail_steps: int          # batch steps with fewer than 1 % of the batch's legs active
     paths: list[OrbmLeg]     # the recorded legs
 
     @property
@@ -146,7 +152,7 @@ class LegSamples:
         """The engine's work counts."""
         return {"batch_steps": self.batch_steps, "path_steps": self.path_steps,
                 "jumps": self.jumps, "bridge_uniforms": self.bridge_uniforms,
-                "crossing_uniforms": self.crossing_uniforms}
+                "crossing_uniforms": self.crossing_uniforms, "tail_steps": self.tail_steps}
 
 
 @functools.lru_cache(maxsize=None)
@@ -196,10 +202,15 @@ def _leg_batch(theta, dt, n, gen, max_steps=10 ** 8, record=0):
     """Vectorized simulation of n unit legs (start (1, 0)); theta may be a
     scalar or an (n,) array. Callers rescale a leg to its start x.
 
+    The active legs are rows 0..m-1. When legs end, the live rows of the
+    tail [m - ended, m) move into the ended rows below it, in order, and
+    the state shrinks to that head, so a step's retirement costs the legs
+    that ended, not the width.
+
     With record = k it keeps, per step, (ids, X, Y, L, dB1, dB2, h) of the
-    rows among 0..k-1 still active, with (dB1, dB2, h) = (jump, tau) on a
-    jump. Compaction keeps the row order, so they are the prefix of idx
-    below k.
+    active rows with ids below k, with (dB1, dB2, h) = (jump, tau) on a
+    jump. Counts: steps, path-steps, jumps, bridge and crossing uniforms,
+    and the tail steps, those with fewer than 1 % of the n legs active.
     """
     tan_t = np.broadcast_to(np.tan(np.asarray(theta, dtype=float)), (n,)).copy()
     X = np.ones(n)
@@ -216,12 +227,13 @@ def _leg_batch(theta, dt, n, gen, max_steps=10 ** 8, record=0):
     durs = np.zeros(n)
     rec = [[a[:record].copy() for a in (idx, X, Y, L)] + [np.zeros(record)] * 3]
     s2 = SAFETY * SAFETY
-    steps = path_steps = n_jump = n_bridge = n_cross = 0
-    while idx.size:
+    steps = path_steps = n_jump = n_bridge = n_cross = n_tail = 0
+    m = n
+    while m:
         steps += 1
         if steps > max_steps:
             raise LegOverflowError(f"leg exceeded {max_steps} steps")
-        m = idx.size
+        n_tail += 100 * m < n
         r2 = X * X + Y * Y
         h = np.maximum(np.minimum(dt, r2 / s2), X * X / s2)
         sq = np.sqrt(h)
@@ -244,46 +256,44 @@ def _leg_batch(theta, dt, n, gen, max_steps=10 ** 8, record=0):
         dB1 *= sq
         dB2 *= sq
         del r2, sq, rho
-        Ynew, dL, near = reflected_step(Y, Y + dB2, h, gen)
+        Y, dL, near = reflected_step(Y, Y + dB2, h, gen)
         Xnew = X + dB1 - tan_t * dL
         # a leg whose Y touched 0 moved X by -tan(theta) dL within the step,
         # so its X path is no Brownian bridge: it ends only if Xnew <= 0
         done, cand = bridge_crossings(X, Xnew, h, dL == 0.0, gen)
+        X = Xnew
         if jump.size:
             h[jump] = tau
         path_steps += m
         n_jump += jump.size
         n_bridge += near.size
         n_cross += cand.size
-        az = np.sqrt(np.maximum(Xnew, 0.0) ** 2 + Ynew * Ynew)
-        sup = np.maximum(sup, az)
-        inf = np.minimum(inf, np.where(done, Ynew, az))
-        elapsed = elapsed + h
+        L += dL
+        elapsed += h
+        dd = np.flatnonzero(done)
+        d_ids = idx[dd]
+        # an ended leg's inf runs up to its crossing of X = 0, where |Z| = Y
+        infs[d_ids] = np.minimum(inf[dd], Y[dd])
+        az = np.sqrt(np.maximum(X, 0.0) ** 2 + Y * Y)
+        np.maximum(sup, az, out=sup)
+        np.minimum(inf, az, out=inf)
         if record:
-            r = np.searchsorted(idx, record)
-            rec.append([a.copy() for a in (idx[:r], Xnew[:r], Ynew[:r], L[:r] + dL[:r],
-                                           dB1[:r], dB2[:r], h[:r])])
-        if done.any():
-            d_ids = idx[done]
-            ys[d_ids] = Ynew[done]
-            ls[d_ids] = (L + dL)[done]
-            sups[d_ids] = sup[done]
-            infs[d_ids] = inf[done]
-            durs[d_ids] = elapsed[done]
-            keep = ~done
-            idx = idx[keep]
-            X = Xnew[keep]
-            Y = Ynew[keep]
-            L = (L + dL)[keep]
-            sup = sup[keep]
-            inf = inf[keep]
-            elapsed = elapsed[keep]
-            tan_t = tan_t[keep]
-        else:
-            X = Xnew
-            Y = Ynew
-            L = L + dL
-    return ys, ls, sups, infs, durs, rec, np.array([steps, path_steps, n_jump, n_bridge, n_cross])
+            r = np.flatnonzero(idx < record)
+            rec.append([a[r] for a in (idx, X, Y, L, dB1, dB2, h)])
+        if dd.size:
+            ys[d_ids] = Y[dd]
+            ls[d_ids] = L[dd]
+            sups[d_ids] = sup[dd]
+            durs[d_ids] = elapsed[dd]
+            m -= dd.size
+            holes = dd[:np.searchsorted(dd, m)]
+            live = m + np.flatnonzero(~done[m:])
+            for a in (idx, X, Y, L, sup, inf, elapsed, tan_t):
+                a[holes] = a[live]
+            idx, X, Y, L, sup, inf, elapsed, tan_t = (
+                a[:m] for a in (idx, X, Y, L, sup, inf, elapsed, tan_t))
+    counts = [steps, path_steps, n_jump, n_bridge, n_cross, n_tail]
+    return ys, ls, sups, infs, durs, rec, np.array(counts)
 
 
 def _recorded_legs(rec, theta, out, scale):
@@ -337,11 +347,12 @@ def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
         return (*out, durs, counts[None, :])
 
     ys, ls, sups, infs, durs, counts = map_chunks(run, n, rng, chunk)
-    steps, path_steps, n_jump, n_bridge, n_cross = (int(c) for c in counts.sum(axis=0))
+    steps, path_steps, n_jump, n_bridge, n_cross, n_tail = (int(c) for c in counts.sum(axis=0))
     return LegSamples(theta=float(np.min(theta_arr)), x=x, dt=dt, ys=ys,
                       local_times=ls, sup_abs=sups, inf_abs=infs, durations=durs,
                       batch_steps=steps, path_steps=path_steps, jumps=n_jump,
-                      bridge_uniforms=n_bridge, crossing_uniforms=n_cross, paths=paths)
+                      bridge_uniforms=n_bridge, crossing_uniforms=n_cross, tail_steps=n_tail,
+                      paths=paths)
 
 
 def _check_theta(theta: float) -> None:
@@ -520,6 +531,7 @@ class QuadrantBatch:
     batch_steps: int            # steps of those batches
     path_steps: int             # active legs summed over those steps: steps plus jumps
     jumps: int                  # of those, jumps across a free disk
+    tail_steps: int             # steps with fewer than 1 % of their batch's legs active
     paths: list[QuadrantPath]   # the recorded processes
 
     @property
@@ -531,6 +543,7 @@ class QuadrantBatch:
         stopped before they reached eps_stop."""
         return {"leg_rounds": self.leg_rounds, "batch_steps": self.batch_steps,
                 "path_steps": self.path_steps, "jumps": self.jumps,
+                "tail_steps": self.tail_steps,
                 "unterminated": int(self.n - np.count_nonzero(self.terminated))}
 
 
@@ -565,7 +578,7 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
         t_tot = np.zeros(m)
         n_legs = np.zeros(m, dtype=np.int64)
         active = np.arange(m)
-        counts = np.zeros(4, dtype=np.int64)   # leg rounds, steps, path-steps, jumps
+        counts = np.zeros(5, dtype=np.int64)   # leg rounds, steps, path-steps, jumps, tail steps
         for leg_i in range(max_legs):
             ma = active.size
             if ma == 0:
@@ -574,7 +587,7 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
             r = np.searchsorted(active, k)  # the recorded processes still active
             *out, durs, rec, leg_counts = _leg_batch(th, dt, ma, stream.child(leg_i).generator(),
                                                      record=r)
-            counts += [1, *leg_counts[:3]]
+            counts += [1, *leg_counts[:3], leg_counts[5]]
             ys, lleg = out[:2]
             if r:
                 for j, leg in zip(active[:r], _recorded_legs(rec, th, out, x * u[active[:r]])):
@@ -589,6 +602,6 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
         return l_tot, n_legs, u < eps_unit, t_tot, counts[None, :]
 
     *out, counts = map_chunks(run, n, rng, chunk)
-    rounds, steps, path_steps, n_jump = (int(c) for c in counts.sum(axis=0))
+    rounds, steps, path_steps, n_jump, n_tail = (int(c) for c in counts.sum(axis=0))
     return QuadrantBatch(*out, leg_rounds=rounds, batch_steps=steps, path_steps=path_steps,
-                         jumps=n_jump, paths=paths)
+                         jumps=n_jump, tail_steps=n_tail, paths=paths)

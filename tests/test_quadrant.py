@@ -23,6 +23,16 @@ def _hill(x, k):
     return 1.0 / np.mean(np.log(top[:k] / top[k]))
 
 
+def _peng_mean(x, k, kappa):
+    """Peng's (2001) tail-corrected mean of a sample whose tail is Pareto
+    with index kappa > 1: the n - k smallest values as they are, and in
+    place of the k largest, k times the Pareto mean kappa / (kappa - 1)
+    times the threshold X_(n-k)."""
+    s = np.sort(x)
+    n = s.size
+    return (s[:n - k].sum() + k * s[n - k - 1] * kappa / (kappa - 1.0)) / n
+
+
 class TestOrbmLeg:
     """Recorded legs: rows 0..k-1 of a sample_legs batch."""
 
@@ -126,6 +136,11 @@ class TestLegSamples:
         s = sample_legs(math.pi / 4, 1.0, 1e-2, 10, rng, chunk=4)
         check_chunks((s.ys, s.local_times, s.sup_abs, s.inf_abs, s.durations), 10, 4, rng)
 
+    def test_tail_steps_counted_from_the_record(self):
+        # a recorded leg has one step size per batch step it was active in
+        out = sample_legs(math.pi / 4, 1.0, 1e-2, 300, RngStream(11), record=300)
+        assert out.diagnostics()["tail_steps"] == _tail_steps([out.paths]) > 0
+
     def test_per_leg_angles(self):
         thetas = np.where(np.arange(4000) % 2 == 0, math.pi / 3, math.pi / 6)
         s = sample_legs(thetas, 1.0, 1e-3, 4000, RngStream(10))
@@ -135,24 +150,37 @@ class TestLegSamples:
         assert abs(odd.mean - ys_moment(math.pi / 6, 1.0)) <= max(3 * odd.stderr, 0.15)
 
 
+def _tail_steps(batches):
+    """Steps with fewer than 1 % of their batch's legs active, summed over
+    batches of recorded legs (each with one step size per step)."""
+    total = 0
+    for legs in batches:
+        active = np.bincount([len(leg.step_sizes) for leg in legs])[::-1].cumsum()[:-1]
+        total += np.count_nonzero(100 * active < len(legs))
+    return total
+
+
 def _leg_reference(theta, x, dt, n, gen):
-    """Plain loop over the whole batch with an active mask. Per step the
-    active legs draw two normals each. A leg whose free disk (radius rho,
-    the least of X, Y and the distances of |Z| to its running inf and sup)
-    has rho >= 6 sqrt(h) jumps to rho' z / |z| after the time
-    rho'^2 tau_1(|z|^2 / 2), with rho' = rho (1 - 1e-9), and draws nothing
-    more. Then each other active leg whose free endpoint w has Y w < 19 h
-    draws the uniform of its bridge minimum, and each other active leg that
-    neither crossed nor touched and has X X_new < 19 h draws its crossing
-    uniform, all in leg order."""
-    tan_t = np.tan(theta)
+    """Plain loop over the active legs, held as a list of leg ids in row
+    order. Per step the active legs draw two normals each. A leg whose free
+    disk (radius rho, the least of X, Y and the distances of |Z| to its
+    running inf and sup) has rho >= sqrt(2) sqrt(h) jumps to rho' z / |z|
+    after the time rho'^2 tau_1(|z|^2 / 2), with rho' = rho (1 - 1e-9), and
+    draws nothing more. Then each other active leg whose free endpoint w
+    has Y w < 19 h draws the uniform of its bridge minimum, and each other
+    active leg that neither crossed nor touched and has X X_new < 19 h
+    draws its crossing uniform, all in row order. When j legs end, the live
+    legs among the last j rows fill, in order, the rows of the ended legs
+    before them, and the list shrinks by j. theta is a scalar or one angle
+    per leg."""
+    tan_t = np.broadcast_to(np.tan(np.asarray(theta, dtype=float)), (n,))
     X, Y, L = np.full(n, float(x)), np.zeros(n), np.zeros(n)
     sup, inf, t = X.copy(), X.copy(), np.zeros(n)
-    active = np.ones(n, dtype=bool)
+    rows = list(range(n))
     ys, ls, sups, infs, durs = (np.zeros(n) for _ in range(5))
     path_steps = jumps = bridge = crossing = 0
-    while active.any():
-        a = np.flatnonzero(active)
+    while rows:
+        a = np.array(rows)
         Xa, Ya = X[a], Y[a]
         h = np.maximum(np.minimum(dt, (Xa * Xa + Ya * Ya) / 144.0), Xa * Xa / 144.0)
         z1 = gen.standard_normal(a.size)
@@ -162,7 +190,7 @@ def _leg_reference(theta, x, dt, n, gen):
         for k in range(a.size):
             r = math.sqrt(Xa[k] * Xa[k] + Ya[k] * Ya[k])
             rho = min(Xa[k], Ya[k], r - inf[a[k]], sup[a[k]] - r)
-            if rho >= 6.0 * math.sqrt(h[k]):
+            if rho >= math.sqrt(2.0) * math.sqrt(h[k]):
                 zeta = 0.5 * (z1[k] * z1[k] + z2[k] * z2[k])
                 rho *= 1.0 - 1e-9
                 dx[k] = rho / math.sqrt(2.0 * zeta) * z1[k]
@@ -181,7 +209,7 @@ def _leg_reference(theta, x, dt, n, gen):
                 dL[k] = max(-m, 0.0)
                 bridge += 1
         Yn = w + dL
-        Xn = Xa + dx - tan_t * dL
+        Xn = Xa + dx - tan_t[a] * dL
         done = Xn <= 0.0
         for k in range(a.size):
             if not (done[k] or jumped[k]) and dL[k] == 0.0 and Xa[k] * Xn[k] < 19.0 * h[k]:
@@ -194,13 +222,21 @@ def _leg_reference(theta, x, dt, n, gen):
         X[a], Y[a], L[a] = Xn, Yn, L[a] + dL
         fin = a[done]
         ys[fin], ls[fin], sups[fin], infs[fin], durs[fin] = Y[fin], L[fin], sup[fin], inf[fin], t[fin]
-        active[fin] = False
         path_steps += a.size
+        k = a.size - fin.size
+        holes = [j for j in range(k) if done[j]]
+        for hole, j in zip(holes, [j for j in range(k, a.size) if not done[j]]):
+            rows[hole] = rows[j]
+        del rows[k:]
     return ys, ls, sups, infs, durs, path_steps, jumps, bridge, crossing
 
 
 class TestLegBatchMatchesReference:
-    @pytest.mark.parametrize("seed, theta", [(31, math.pi / 4), (32, math.pi / 6)])
+    # the per-leg angles alternate by row: a retirement that moves a live
+    # row without its angle gives it the wrong reflection
+    @pytest.mark.parametrize("seed, theta", [
+        (31, math.pi / 4), (32, math.pi / 6),
+        (33, np.where(np.arange(200) % 2 == 0, math.pi / 6, math.pi / 3))])
     def test_bit_identical(self, seed, theta):
         out = sample_legs(theta, 1.0, 1e-2, 200, RngStream(seed))
         *ref, path_steps, jumps, bridge, crossing = _leg_reference(
@@ -430,6 +466,14 @@ class TestQuadrantProcess:
         assert d["unterminated"] == np.count_nonzero(~batch.terminated) > 0
         assert d["leg_rounds"] == 2 and 0 < d["jumps"] < d["path_steps"]
 
+    def test_tail_steps_counted_from_the_record(self):
+        src = FixedAngles(math.pi / 4, math.pi / 3)
+        batch = sample_quadrant_processes(src, 1.0, 1e-2, 1e-2, 20, 300, RngStream(20),
+                                          record=300)
+        rounds = [[proc.legs[i] for proc in batch.paths if len(proc.legs) > i]
+                  for i in range(batch.leg_rounds)]
+        assert batch.diagnostics()["tail_steps"] == _tail_steps(rounds) > 0
+
     def test_eps_validation(self):
         src = FixedAngles(1.0, 1.0)
         for x, dt, eps, max_legs in [(1.0, 1e-3, 2.0, 10), (1.0, 1e-3, 0.0, 10),
@@ -450,12 +494,18 @@ class TestQuadrantProcess:
         assert abs(e.mean - ys_log_mean(math.pi / 3)) <= 3 * e.stderr + 0.02
 
     def test_batch_matches_formula(self):
+        # L_total has tail index kappa = 2 (th1 + th2)/pi = 4/3 < 2, so its
+        # variance is infinite and a stderr band on its sample mean has no
+        # stated rate. Peng's tail-corrected mean at this kappa with
+        # k = 1000 of 30 000 read 1.374 (sd 0.018) over seeds 100-119,
+        # against 1.366: the 5 % band lies 3.3 sd above that and 4.2 sd
+        # below, a false-failure rate of about 5e-4 (normal approximation)
         src = FixedAngles(math.pi / 3, math.pi / 3)
         batch = sample_quadrant_processes(src, 1.0, 2.5e-4, 1e-3, 200, 30000,
                                           RngStream(17))
-        e = mc_estimate(batch.l_totals)
         target = expected_boundary_local_time(math.pi / 3, math.pi / 3, 1.0)
-        assert abs(e.mean - target) <= max(3 * e.stderr, 0.05 * target)
+        mean = _peng_mean(batch.l_totals, 1000, 4.0 / 3.0)
+        assert abs(mean - target) <= 0.05 * target
         assert np.mean(batch.terminated) > 0.999
 
     def test_chunks_are_kernel_runs_in_order(self, check_chunks):

@@ -20,15 +20,15 @@ from .walsh import (
 )
 from .quadrant import (
     AngleSource, FixedAngles, LegOverflowError, LegSamples, OrbmLeg,
-    QuadrantBatch, QuadrantPath, UniformAngles, expected_boundary_local_time,
+    QuadrantBatch, QuadrantPath, expected_boundary_local_time,
     sample_legs, sample_quadrant_processes,
     tail_bound, ys_cdf, ys_log_mean, ys_log_square_moment, ys_moment,
 )
 from .isde import (
-    CoalescenceSamples, FilteredKernelEstimate, FirstLegSamples,
-    N2NoisePath, NPointPath, default_coalescence_tol,
-    filtered_kernel, isde_n2_from_noise, npoint_motion,
-    sample_coalescence_times, sample_first_legs, sample_kernel_dispersions,
+    FilteredKernelEstimate, N2NoisePath, NPointPath, PairSamples,
+    default_coalescence_tol, filtered_kernel, isde_n2_from_noise, npoint_motion,
+    sample_coalescence_times, sample_exact_leg_counts, sample_first_legs,
+    sample_kernel_dispersions,
 )
 from .metric import MetricIsdeSolution, metric_isde_forward
 

@@ -79,8 +79,8 @@ def map_chunks(fn, n: int, rng: RngStream, chunk: int) -> tuple:
 def check_horizon(T: float, dt: float) -> None:
     """Raise ValueError unless the horizon T and the step dt are finite and > 0.
 
-    The adaptive engines pass their start radius or time budget as T: a NaN
-    or infinite one would keep them stepping forever.
+    The adaptive engines pass their start radius as T: a NaN or infinite
+    one would keep them stepping forever.
     """
     for name, val in (("the horizon T (or start radius)", T), ("the step dt", dt)):
         if not (math.isfinite(val) and val > 0):

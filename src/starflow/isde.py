@@ -23,13 +23,13 @@ Two-point motions map to obliquely reflected quadrant legs by excising the
 time the pair spends on a common ray; the reflection angle of a leg whose
 moving point sits on ray i is arctan(p_i / (1 - p_i)).
 
-The batch two-point engines (first legs, coalescence times) take one and
-the same shared-noise step, ``_pair_step``: the pivot takes the exact
-Walsh step ``walsh.walsh_step`` and is relabelled when it touches the
-origin, the moving point follows the pivot's noise on a common ray and its
-own otherwise, and ``halfline.bridge_crossings`` detects the moving point
-reaching the origin within the step (a transfer). Both draw uniforms only
-within the cut-off stated in ``halfline``.
+Both two-point experiments read one pair run, ``_pair_run``, whose legs
+restart in place at unit scale (between legs the pair only rescales). It
+takes one shared-noise step, ``_pair_step``: the pivot takes the exact
+Walsh step ``walsh.walsh_step``, the moving point follows the pivot's
+noise on a common ray and its own otherwise, and
+``halfline.bridge_crossings`` detects the moving point reaching the origin
+within the step (a transfer), which ends the leg.
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ from .quadrant import SAFETY
 from .walsh import _coupled_step, _point_state, walsh_step
 
 __all__ = [
-    "N2NoisePath", "NPointPath",
-    "FilteredKernelEstimate", "FirstLegSamples", "CoalescenceSamples",
+    "N2NoisePath", "NPointPath", "FilteredKernelEstimate", "PairSamples",
     "isde_n2_from_noise", "npoint_motion",
-    "sample_first_legs", "sample_coalescence_times",
+    "sample_first_legs", "sample_coalescence_times", "sample_exact_leg_counts",
     "filtered_kernel", "sample_kernel_dispersions", "default_coalescence_tol",
 ]
 
@@ -223,27 +222,25 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
                       tol_c=tol_c)
 
 
-# -- batch two-point engines ---------------------------------------------------
+# -- the pair run --------------------------------------------------------------
 
 def _h_shared(dt: float, o_rad: np.ndarray, p_rad: np.ndarray) -> np.ndarray:
     """Adaptive step for the shared-noise pair: coarse when the moving point
     is far, corner-refined when both are small, extra-refined (PIVOT_DIV)
     while the pivot is near its boundary."""
-    s2 = SAFETY * SAFETY
     z2 = o_rad * o_rad + p_rad * p_rad
-    far = np.minimum(o_rad / SAFETY,
-                     np.maximum(p_rad / SAFETY, o_rad / PIVOT_DIV)) ** 2
-    return np.maximum(np.minimum(dt, z2 / s2), far)
+    far = np.minimum(o_rad / SAFETY, np.maximum(p_rad / SAFETY, o_rad / PIVOT_DIV)) ** 2
+    return np.maximum(np.minimum(dt, z2 / SAFETY ** 2), far)
 
 
-def _cond_redraw(probs: np.ndarray, banned: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized draw from probs conditioned to differ from banned."""
-    n = banned.size
-    w = np.broadcast_to(probs, (n, probs.size)).copy()
-    w[np.arange(n), banned] = 0.0
-    cw = np.cumsum(w, axis=1)
-    target = u * cw[:, -1]
-    return (target[:, None] >= cw).sum(axis=1).astype(np.int64)
+def _other_rays(g: StarGraph, banned: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rays drawn from the weights conditioned to differ from banned, one
+    uniform each: u is stretched over the other weights and lifted past
+    banned's weight, then drawn through ``draw_edges``."""
+    p = g.probs_array
+    start = np.r_[0.0, g.vertex_cum[ORIGIN_VERTEX, :-1]][banned]   # banned's cut below
+    v = u * (1.0 - p[banned])
+    return g.draw_edges(ORIGIN_VERTEX, np.where(v > start, v + p[banned], v))
 
 
 def _pair_step(g, gen, dt, o_rad, o_ray, p_rad, p_ray):
@@ -253,167 +250,169 @@ def _pair_step(g, gen, dt, o_rad, o_ray, p_rad, p_ray):
     Draws the normals zp and zo, one per row, then the uniforms of the
     pivot's ``walsh_step`` and of the moving point's ``bridge_crossings``,
     then one uniform per transferring row whose next moving ray must be
-    redrawn. Returns (h, o_new, p_new, p_ray_new, transfer, nxt): the step
-    sizes, the new radials and pivot rays, the rows whose moving point
-    reached 0 within the step, and for those rows the next moving ray (the
-    pivot's label, never the current moving ray).
+    redrawn. Relabels p_ray in place and returns (h, o_new, p_new,
+    transfer, nxt): the step sizes, the new radials, the rows whose moving
+    point reached 0 within the step, and for those rows the next moving ray
+    (the pivot's label, never the current moving ray).
     """
     m = o_rad.size
     h = _h_shared(dt, o_rad, p_rad)
     sq = np.sqrt(h)
-    zp = gen.standard_normal(m)
-    zo = gen.standard_normal(m)
+    zp, zo = gen.standard_normal(m), gen.standard_normal(m)
     o_new = o_rad + sq * np.where(o_ray == p_ray, zp, zo)
-    p_ray = p_ray.copy()
     p_new, _ = walsh_step(g, ORIGIN_VERTEX, p_ray, p_rad, p_rad + sq * zp, h, gen)
     transfer, _ = bridge_crossings(o_rad, o_new, h, True, gen)
     nxt = p_ray[transfer]
     bad = np.flatnonzero(nxt == o_ray[transfer])
     if bad.size:
-        nxt[bad] = _cond_redraw(g.probs_array, o_ray[transfer][bad], gen.random(bad.size))
-    return h, o_new, p_new, p_ray, transfer, nxt
+        nxt[bad] = _other_rays(g, o_ray[transfer][bad], gen.random(bad.size))
+    return h, o_new, p_new, transfer, nxt
 
 
 @dataclass
-class FirstLegSamples:
-    """Per-path leg endpoints and ray chains from repeated unit legs."""
+class PairSamples:
+    """Per-path leg books of a pair run from a moving point at radius x on
+    ray ``chains[:, 0]`` and a pivot at the origin; the pair's scale is x
+    times the product of its leg ratios."""
 
-    theta0: float
-    ratios: np.ndarray      # (n, legs) V^r at leg end over leg entry radius
-    chains: np.ndarray      # (n, legs+1) moving-point ray per leg
+    theta0: float             # reflection angle of the first leg
+    eps_stop: float           # the scale that ends a path (0: none)
+    legs: np.ndarray          # (n,) legs run
+    scales: np.ndarray        # (n,) scale at the end of the last leg
+    times: np.ndarray         # (n,) real time at the end of the last leg
+    ratios: np.ndarray        # (n, cols) leg k's end scale over its start scale
+    chains: np.ndarray        # (n, cols+1) moving ray at the start of leg k
+    transitions: np.ndarray   # (N, N) legs by (moving ray, next moving ray)
+    counts: np.ndarray        # batch steps, path-steps, tail steps
 
-    @property
-    def first_leg_vs(self) -> np.ndarray:
-        return self.ratios[:, 0]
+    def fraction_coalesced(self) -> float:
+        """The share of paths whose scale fell below eps_stop."""
+        return float(np.mean(self.scales < self.eps_stop))
+
+    def diagnostics(self) -> dict:
+        """Work counts; tail steps have < 1 % of their chunk's paths active."""
+        steps, path_steps, tail = (int(c) for c in self.counts)
+        return {"batch_steps": steps, "path_steps": path_steps, "tail_steps": tail,
+                "legs": int(self.legs.sum())}
+
+
+def _pair_run(g: StarGraph, start_ray: int, dt: float, n: int, rng: RngStream, chunk: int,
+              columns: int, n_legs: int | None = None, eps_unit: float = 0.0) -> PairSamples:
+    """n pairs from (ray start_ray, 1) and the origin, whose legs each
+    restart in place at unit scale.
+
+    Each chunk of ``map_chunks`` starts its rows with the moving point at 1
+    and the pivot at 0 on a ray drawn with one uniform per row, and steps
+    every row with ``_pair_step``. A transfer ends a leg at the ratio of
+    the pivot's radial; the scale U_k is the product of the first k ratios
+    and the real time is sum U_{k-1}^2 d_k over the leg durations d_k. A
+    path retires after n_legs legs or once U_k < eps_unit. Every other
+    transferring row restarts in place: the moving point at 1 on the next
+    ray, the pivot at 0 on a fresh ray, one uniform per row in row order
+    after the step's draws. That is exact in law, by the pair's Brownian
+    scaling and the strong Markov property at the transfer. Ratios and rays
+    are kept for the first ``columns`` legs, transition counts for all.
+    """
+    check_horizon(1.0, dt)
+    if start_ray not in range(g.n_rays):
+        raise ValueError(f"start ray {start_ray} is not one of the star's {g.n_rays} rays")
+    N = g.n_rays
+
+    def run(lo, hi, stream):
+        m = hi - lo
+        gen = stream.generator()
+        idx = np.arange(m)   # the active rows' paths
+        o_rad, o_ray = np.ones(m), np.full(m, start_ray, dtype=np.int64)
+        p_rad, p_ray = np.zeros(m), g.draw_edges(ORIGIN_VERTEX, gen.random(m))
+        d = np.zeros(m)      # the current leg's duration
+        legs, scales, times = np.zeros(m, dtype=np.int64), np.ones(m), np.zeros(m)
+        ratios, chains = np.empty((m, columns)), np.full((m, columns + 1), start_ray)
+        trans = np.zeros(N * N, dtype=np.int64)
+        steps = path_steps = tail = 0
+        while idx.size:
+            steps, path_steps, tail = steps + 1, path_steps + idx.size, tail + (100 * idx.size < m)
+            h, o_rad, p_rad, done, nxt = _pair_step(g, gen, dt, o_rad, o_ray, p_rad, p_ray)
+            d += h
+            if not done.any():
+                continue
+            rows = np.flatnonzero(done)
+            i, r = idx[rows], p_rad[rows]
+            k = legs[i]
+            kept = k < columns
+            ratios[i[kept], k[kept]], chains[i[kept], k[kept] + 1] = r[kept], nxt[kept]
+            trans += np.bincount(o_ray[rows] * N + nxt, minlength=N * N)
+            times[i] += scales[i] ** 2 * d[rows]
+            scales[i] *= r
+            legs[i] = k + 1
+            end = (scales[i] < eps_unit) | (k + 1 == n_legs)
+            on = rows[~end]
+            o_rad[on], o_ray[on], p_rad[on], d[on] = 1.0, nxt[~end], 0.0, 0.0
+            p_ray[on] = g.draw_edges(ORIGIN_VERTEX, gen.random(on.size))
+            if end.any():
+                live = np.bincount(rows[end], minlength=idx.size) == 0
+                idx, o_rad, o_ray, p_rad, p_ray, d = (
+                    a[live] for a in (idx, o_rad, o_ray, p_rad, p_ray, d))
+        return (legs, scales, times, ratios, chains, trans.reshape(1, N, N),
+                np.array([[steps, path_steps, tail]]))
+
+    *out, trans, counts = map_chunks(run, n, rng, chunk)
+    p = g.probs[start_ray]
+    return PairSamples(math.atan2(p, 1.0 - p), eps_unit, *out, trans.sum(axis=0),
+                       counts.sum(axis=0))
 
 
 def sample_first_legs(g: StarGraph, start_ray: int, dt: float, n: int,
-                      rng: RngStream, n_legs: int = 1, chunk: int = 65536) -> FirstLegSamples:
-    """Simulate two-point legs from (e_i(1), 0), restarting at unit scale
-    after each transfer (the x-scaling of the leg law makes the ratios and
-    the ray chain scale-free)."""
-    check_horizon(1.0, dt)
+                      rng: RngStream, n_legs: int = 1, chunk: int = 65536) -> PairSamples:
+    """The first n_legs legs of n pairs from (ray start_ray, 1) and the
+    origin, with every leg's ratio and ray: ``_pair_run`` for n_legs legs."""
     if n_legs < 1:
         raise ValueError(f"need n_legs >= 1, got {n_legs}")
-    if start_ray not in range(g.n_rays):
-        raise ValueError(f"start ray {start_ray} is not one of the star's {g.n_rays} rays")
-    probs = g.probs_array
-    theta0 = math.atan2(probs[start_ray], 1.0 - probs[start_ray])
-
-    def run(lo, hi, stream):
-        m = hi - lo
-        gen = stream.generator()
-        ratios = np.empty((m, n_legs))
-        chains = np.empty((m, n_legs + 1), dtype=np.int64)
-        chains[:, 0] = start_ray
-        for leg in range(n_legs):
-            o_rad, o_ray = np.ones(m), chains[:, leg].copy()
-            p_rad, p_ray = np.zeros(m), g.draw_edges(ORIGIN_VERTEX, gen.random(m))
-            idx = np.arange(m)
-            while idx.size:
-                _, o_rad, p_rad, p_ray, done, nxt = _pair_step(
-                    g, gen, dt, o_rad, o_ray, p_rad, p_ray)
-                if done.any():
-                    ratios[idx[done], leg] = p_rad[done]
-                    chains[idx[done], leg + 1] = nxt
-                    keep = ~done
-                    idx, o_rad, o_ray = idx[keep], o_rad[keep], o_ray[keep]
-                    p_rad, p_ray = p_rad[keep], p_ray[keep]
-        return ratios, chains
-
-    ratios, chains = map_chunks(run, n, rng, chunk)
-    return FirstLegSamples(theta0=theta0, ratios=ratios, chains=chains)
+    return _pair_run(g, start_ray, dt, n, rng, chunk, n_legs, n_legs=n_legs)
 
 
-@dataclass
-class CoalescenceSamples:
-    """First origin-coincidence times at several detection tolerances."""
-
-    tols: np.ndarray
-    times: np.ndarray        # (n, n_tols); NaN where not reached by t_max
-    t_max: float
-
-    def fraction_coalesced(self, level: int = -1) -> float:
-        return float(np.mean(~np.isnan(self.times[:, level])))
-
-    def median_time(self, level: int = -1) -> float:
-        t = self.times[:, level]
-        return float(np.nanmedian(t))
+def sample_coalescence_times(g: StarGraph, x: GraphPoint, dt: float, eps_stop: float,
+                             n: int, rng: RngStream, chunk: int = 65536) -> PairSamples:
+    """Legs and real times of n pairs from x and the origin until their
+    scale drops below eps_stop (their quadrant process reaches the corner):
+    ``_pair_run`` from 1 down to eps_stop / r, r the radial of x, with the
+    first leg kept and scales and times multiplied by r and r^2."""
+    start_ray, r = _point_state(g, x)
+    if not 0.0 < eps_stop < r:
+        raise ValueError(f"need 0 < eps_stop < {r} (the start radial), got {eps_stop}")
+    out = _pair_run(g, start_ray, dt, n, rng, chunk, 1, eps_unit=eps_stop / r)
+    out.eps_stop, out.scales, out.times = eps_stop, r * out.scales, r * r * out.times
+    return out
 
 
-def sample_coalescence_times(g: StarGraph, x: GraphPoint, y: GraphPoint,
-                             dt: float, n: int, rng: RngStream,
-                             t_max: float, tol_factors=(1.0, 2.0, 4.0),
-                             target_fraction: float = 0.99,
-                             t_cap: float | None = None,
-                             chunk: int = 65536) -> CoalescenceSamples:
-    """Two-point coalescence times with multi-tolerance detection.
+def sample_exact_leg_counts(g: StarGraph, x: GraphPoint, eps_stop: float, n: int,
+                            rng: RngStream, chunk: int = 65536) -> np.ndarray:
+    """Leg counts to scale eps_stop of n exact scale chains of the pair
+    from x and the origin, with no dt.
 
-    Detection level j fires at the first step where both radials are below
-    tol_factors[j] * sqrt(dt); the finest level is absorbing. The time
-    budget doubles from t_max until the finest level reaches
-    target_fraction or t_cap is hit. The coalescence-time tail is heavy
-    (the pair's scale is a log random walk, so P(tau > T) decays like a
-    small power of T) and the far-field step coarsening makes the cost of
-    each budget doubling logarithmic, which keeps huge caps affordable.
+    A leg with its moving point on ray i ends at the ratio sqrt(G_a / G_b),
+    G_a ~ Gamma(1/2 - theta_i/pi) and G_b ~ Gamma(1/2 + theta_i/pi): the
+    Beta-prime law of (Y_S/x)^2 in ``quadrant`` at theta_i = arctan(p_i /
+    (1 - p_i)). Then a uniform per live row draws the next moving ray by
+    P_ij = p_j / (1 - p_i) (``_other_rays``).
     """
-    check_horizon(t_max, dt)
-    tols = np.asarray(sorted(tol_factors, reverse=True), dtype=float) * math.sqrt(dt)
-    n_tol = len(tols)
-    if t_cap is None:
-        t_cap = 2.0 ** 24 * t_max
-    rx, ry = _point_state(g, x), _point_state(g, y)
-    if rx[1] == 0.0 and ry[1] == 0.0:
-        return CoalescenceSamples(tols=tols, times=np.zeros((n, n_tol)), t_max=t_max)
-    if ry[1] == 0.0:
-        start_ray, start_rad = rx
-    elif rx[1] == 0.0:
-        start_ray, start_rad = ry
-    else:
-        raise ValueError("one of the two starts must be the origin")
+    start_ray, r = _point_state(g, x)
+    if not 0.0 < eps_stop < r:
+        raise ValueError(f"need 0 < eps_stop < {r} (the start radial), got {eps_stop}")
+    tilt = np.arctan2(g.probs_array, 1.0 - g.probs_array) / math.pi
 
     def run(lo, hi, stream):
-        m = hi - lo
         gen = stream.generator()
-        o_rad = np.full(m, float(start_rad))
-        o_ray = np.full(m, start_ray, dtype=np.int64)
-        p_rad = np.zeros(m)
-        p_ray = g.draw_edges(ORIGIN_VERTEX, gen.random(m))
-        t = np.zeros(m)
-        times = np.full((m, n_tol), np.nan)
-        budget = t_max
-        while True:
-            sub = np.flatnonzero(np.isnan(times[:, -1]) & (t < budget))
-            if sub.size == 0:
-                frac = float(np.mean(~np.isnan(times[:, -1])))
-                if frac >= target_fraction or budget >= t_cap:
-                    break
-                budget *= 2.0
-                continue
-            while sub.size:
-                h, o_new, p_new, p_ray_new, transfer, nxt = _pair_step(
-                    g, gen, dt, o_rad[sub], o_ray[sub], p_rad[sub], p_ray[sub])
-                if transfer.any():
-                    # swap roles: the pivot moves on, the arriving point
-                    # pivots, on a ray drawn with a uniform of its own
-                    o_ray[sub[transfer]] = nxt
-                    o_new, p_new = (np.where(transfer, p_new, o_new),
-                                    np.where(transfer, np.maximum(-o_new, 0.0), p_new))
-                    p_ray_new[transfer] = g.draw_edges(ORIGIN_VERTEX,
-                                                       gen.random(np.count_nonzero(transfer)))
-                tn = t[sub] + h
-                o_rad[sub], p_rad[sub], p_ray[sub], t[sub] = o_new, p_new, p_ray_new, tn
-                mx = np.maximum(o_new, p_new)
-                for j in range(n_tol):
-                    hitj = (mx < tols[j]) & np.isnan(times[sub, j])
-                    if hitj.any():
-                        times[sub[hitj], j] = tn[hitj]
-                done = (~np.isnan(times[sub, -1])) | (tn >= budget)
-                sub = sub[~done]
-        return (times,)
+        legs, scales = np.zeros(hi - lo, dtype=np.int64), np.ones(hi - lo)
+        ray, live = np.full(hi - lo, start_ray), np.arange(hi - lo)
+        while live.size:
+            ga, gb = (gen.standard_gamma(0.5 + s * tilt[ray[live]]) for s in (-1.0, 1.0))
+            scales[live] *= np.sqrt(ga / gb)
+            legs[live] += 1
+            ray[live] = _other_rays(g, ray[live], gen.random(live.size))
+            live = live[scales[live] >= eps_stop / r]
+        return (legs,)
 
-    times, = map_chunks(run, n, rng, chunk)
-    return CoalescenceSamples(tols=tols, times=times, t_max=t_max)
+    return map_chunks(run, n, rng, chunk)[0]
 
 
 # -- filtered kernel -----------------------------------------------------------

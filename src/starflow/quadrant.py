@@ -71,7 +71,7 @@ from .stats import reg_incomplete_beta
 
 __all__ = [
     "LegOverflowError", "OrbmLeg", "LegSamples", "AngleSource", "FixedAngles",
-    "UniformAngles", "QuadrantPath", "sample_legs", "ys_cdf", "ys_moment", "ys_log_mean",
+    "QuadrantPath", "sample_legs", "ys_cdf", "ys_moment", "ys_log_mean",
     "ys_log_square_moment", "tail_bound", "expected_boundary_local_time",
     "sample_quadrant_processes", "QuadrantBatch",
 ]
@@ -471,23 +471,6 @@ class FixedAngles(AngleSource):
 
     def angles_batch(self, n, m, gen):
         return np.full(m, self.theta1 if n % 2 == 0 else self.theta2)
-
-
-@dataclass
-class UniformAngles(AngleSource):
-    """Independent uniform draws from [lo, hi] for every leg."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        _check_theta(self.lo)
-        _check_theta(self.hi)
-        if self.lo > self.hi:
-            raise ValueError("lo > hi")
-
-    def angles_batch(self, n, m, gen):
-        return gen.uniform(self.lo, self.hi, size=m)
 
 
 @dataclass

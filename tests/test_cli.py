@@ -98,8 +98,6 @@ TINY = {
 }
 # further tiny argument sets that reach the fields the first one leaves unread
 VARIANTS = {
-    "quadrant": [["--angle-lo", "0.5", "--angle-hi", "1.0", "--paths", "20", "--dt", "0.01",
-                  "--eps", "0.01"]],
     "metric-isde": [["--paths", "4", "--dt", "0.01", "--x0-ray", "1", "--x0-r", "0.1"]],
 }
 
@@ -175,7 +173,7 @@ class TestEveryExperiment:
 
 @pytest.mark.parametrize("argv", [
     ["isde", "--x0-r", "0.5"],
-    ["orbm-leg", "--theta", "0.5", "--tmax", "1"],
+    ["orbm-leg", "--theta", "0.5", "--legs", "1"],
     ["orbm-leg"],
     ["filtered-kernel", "--x0-r", "0.5"],
     # a prefix of --x0-ray, rejected because abbreviations are off
@@ -213,7 +211,7 @@ def test_unread_or_missing_option_is_usage_error(tmp_path, argv):
     ["two-point", "--dt", "nan"],
     ["two-point", "--dt", "-0.01", "--legs", "1"],
     ["coalesce", "--dt", "nan"],
-    ["coalesce", "--tmax", "nan", "--dt", "0.01"],
+    ["coalesce", "--eps", "nan", "--dt", "0.01"],
     ["walsh-kernel", "--T", "nan", "--paths", "10"],
     ["walsh-kernel", "--T", "inf", "--paths", "10"],
     # files that cannot be read or written: exit 3, not the failed-check 1
@@ -222,6 +220,9 @@ def test_unread_or_missing_option_is_usage_error(tmp_path, argv):
     ["walsh-kernel", "--paths", "10", "--out", "{a_directory}"],
     # a dump in a missing directory once failed only after the whole run
     ["orbm-leg", "--theta", "0.5", "--csv", "{no_dir}/x"],
+    # the pair stops at scale eps, so eps must lie below the start radius
+    ["coalesce", "--eps", "1.0", "--dt", "0.01"],
+    ["coalesce", "--x", "0.5", "--eps", "0.7", "--dt", "0.01"],
 ])
 def test_bad_value_exits_3(tmp_path, graph_file, argv, monkeypatch):
     # metric-isde runs on the tree, on a copy of it without its edges, on a
@@ -310,6 +311,20 @@ def test_quadrant_reports_its_work(tmp_path):
     assert 0 < d["jumps"] < d["path_steps"]
     unterminated = round(50 * (1.0 - report["estimates"]["terminated_fraction"]["mean"]))
     assert d["unterminated"] == unterminated > 0
+
+
+@pytest.mark.parametrize("name", ["two-point", "coalesce"])
+def test_pair_runs_report_their_work(tmp_path, graph_file, name):
+    _, report = run_main(tiny_argv(name, graph_file), tmp_path / "r.json")
+    d = report["diagnostics"]
+    assert set(d) == {"batch_steps", "path_steps", "tail_steps", "legs"}
+    assert 1 <= d["batch_steps"] <= d["path_steps"] and 0 <= d["tail_steps"] < d["batch_steps"]
+    paths = int(TINY[name][TINY[name].index("--paths") + 1])
+    if name == "two-point":   # every path runs --legs legs
+        assert d["legs"] == 2 * paths
+    else:   # the mean legs to scale eps, beside the exact chain's
+        assert d["legs"] == paths * report["estimates"]["legs_to_eps"]["mean"]
+        assert report["estimates"]["legs_to_eps_exact"]["n"] == 10 * paths
 
 
 @pytest.mark.parametrize("x", ["1e-300", "1e200"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import chdtr, ndtr
 
-from starflow import isde
+from starflow import isde, quadrant
 from starflow.graphs import GraphPoint, make_star, per_ray_quadratic
 from starflow.halfline import RngStream
 from starflow.isde import (
@@ -299,13 +299,15 @@ class TestNPointMotion:
         assert ks_two_sample(ends[0][1][:, 0], ends[1][1][:, 0]).p_value > 5e-4
 
 
-# -- pair engines --------------------------------------------------------------
-# Frozen copies of the shared-noise pair loops (one chunk, stream child 0):
-# step size, exact bridge-minimum step of the pivot with a coin when it
-# touches the origin, transfer test and the conditioned redraw of the next
-# moving ray, in the engines' draw order. A uniform is drawn only for a row
-# that reads it: a bridge within the cut-off a b < 19 h, a touched pivot, a
-# transfer onto the moving ray.
+# -- the pair run --------------------------------------------------------------
+# A frozen copy of the pair run (one chunk, stream child 0): step size,
+# exact bridge-minimum step of the pivot with a coin when it touches the
+# origin, transfer test and the conditioned redraw of the next moving ray,
+# in the run's draw order, then per transfer the leg books, and for each
+# path that goes on a restart at unit scale with a uniform for the pivot's
+# ray. A uniform is drawn only for a row that reads it: a bridge within
+# the cut-off a b < 19 h, a touched pivot, a transfer onto the moving ray,
+# a restart.
 
 def _h_reference(dt, o_rad, p_rad):
     z2 = o_rad * o_rad + p_rad * p_rad
@@ -313,11 +315,11 @@ def _h_reference(dt, o_rad, p_rad):
     return np.maximum(np.minimum(dt, z2 / 144.0), far)
 
 
-def _cond_redraw_reference(probs, banned, u):
-    w = np.broadcast_to(probs, (banned.size, probs.size)).copy()
-    w[np.arange(banned.size), banned] = 0.0
-    cw = np.cumsum(w, axis=1)
-    return (u[:, None] * cw[:, -1:] >= cw).sum(axis=1).astype(np.int64)
+def _other_ray_reference(probs, cum, banned, u):
+    # the banned weight cut out of u, then the plain draw
+    v = u * (1.0 - probs[banned])
+    start = cum[banned - 1] if banned else 0.0
+    return int(np.searchsorted(cum, v + probs[banned] if v > start else v))
 
 
 def _pair_step_reference(gen, dt, probs, cum, orad, oray, prad, pray):
@@ -343,88 +345,99 @@ def _pair_step_reference(gen, dt, probs, cum, orad, oray, prad, pray):
         if not transfer[k] and orad[k] * o_new[k] < 19.0 * h[k]:
             transfer[k] = gen.random() < np.exp(-2.0 * orad[k] * o_new[k] / h[k])
     nxt = p_ray_new[transfer]
-    bad = np.flatnonzero(nxt == oray[transfer])
-    nxt[bad] = _cond_redraw_reference(probs, oray[transfer][bad], gen.random(bad.size))
+    for k in np.flatnonzero(nxt == oray[transfer]):
+        nxt[k] = _other_ray_reference(probs, cum, oray[transfer][k], gen.random())
     return h, o_new, p_new, p_ray_new, transfer, nxt
 
 
-def _first_legs_reference(g, start_ray, dt, n, rng, n_legs):
+def _pair_run_reference(g, start_ray, dt, n, rng, n_legs=None, eps_unit=0.0):
+    """Per path: its legs, scale, real time, ratios and rays of every leg;
+    and the (N, N) transition counts."""
     probs = g.probs_array
     cum = np.cumsum(probs)
     gen = rng.child(0).generator()
-    ratios = np.empty((n, n_legs))
-    chains = np.empty((n, n_legs + 1), dtype=np.int64)
-    chains[:, 0] = start_ray
-    for leg in range(n_legs):
-        o_rad, o_ray = np.ones(n), chains[:, leg].copy()
-        p_rad, p_ray = np.zeros(n), np.searchsorted(cum, gen.random(n))
-        idx = np.arange(n)
-        while idx.size:
-            _, o_new, p_new, p_ray_new, done, nxt = _pair_step_reference(
-                gen, dt, probs, cum, o_rad, o_ray, p_rad, p_ray)
-            ratios[idx[done], leg] = p_new[done]
-            chains[idx[done], leg + 1] = nxt
-            keep = ~done
-            idx, o_rad, o_ray = idx[keep], o_new[keep], o_ray[keep]
-            p_rad, p_ray = p_new[keep], p_ray_new[keep]
-    return ratios, chains
-
-
-def _coalescence_reference(g, start_ray, start_rad, dt, n, rng, t_max, t_cap):
-    probs = g.probs_array
-    cum = np.cumsum(probs)
-    tols = np.array([4.0, 2.0, 1.0]) * math.sqrt(dt)
-    gen = rng.child(0).generator()
-    o_rad, o_ray = np.full(n, start_rad), np.full(n, start_ray, dtype=np.int64)
+    o_rad, o_ray = np.ones(n), np.full(n, start_ray)
     p_rad, p_ray = np.zeros(n), np.searchsorted(cum, gen.random(n))
-    t = np.zeros(n)
-    times = np.full((n, 3), np.nan)
-    budget = t_max
-    while True:
-        sub = np.flatnonzero(np.isnan(times[:, -1]) & (t < budget))
-        if sub.size == 0:
-            if np.mean(~np.isnan(times[:, -1])) >= 0.99 or budget >= t_cap:
-                return tols, times
-            budget *= 2.0
-            continue
-        while sub.size:
-            h, o_new, p_new, p_ray_new, transfer, nxt = _pair_step_reference(
-                gen, dt, probs, cum, o_rad[sub], o_ray[sub], p_rad[sub], p_ray[sub])
-            o_ray_new = o_ray[sub].copy()
-            o_ray_new[transfer] = nxt
-            pivot_rad = np.where(o_new <= 0.0, -o_new, 0.0)
-            o_new, p_new = (np.where(transfer, p_new, o_new),
-                            np.where(transfer, pivot_rad, p_new))
-            p_ray_new[transfer] = np.searchsorted(cum, gen.random(np.count_nonzero(transfer)))
-            tn = t[sub] + h
-            o_rad[sub], o_ray[sub], p_rad[sub], p_ray[sub] = o_new, o_ray_new, p_new, p_ray_new
-            t[sub] = tn
-            mx = np.maximum(o_new, p_new)
-            for j in range(3):
-                hit = (mx < tols[j]) & np.isnan(times[sub, j])
-                times[sub[hit], j] = tn[hit]
-            sub = sub[np.isnan(times[sub, -1]) & (tn < budget)]
+    d, idx = np.zeros(n), np.arange(n)
+    legs, scales, times = np.zeros(n, dtype=np.int64), np.ones(n), np.zeros(n)
+    ratios, chains = [[] for _ in range(n)], [[start_ray] for _ in range(n)]
+    trans = np.zeros((g.n_rays, g.n_rays), dtype=np.int64)
+    while idx.size:
+        h, o_rad, p_rad, p_ray, transfer, nxt = _pair_step_reference(
+            gen, dt, probs, cum, o_rad, o_ray, p_rad, p_ray)
+        d = d + h
+        live = np.ones(idx.size, dtype=bool)
+        restarts = []
+        for row, ray in zip(np.flatnonzero(transfer), nxt):
+            i = idx[row]
+            ratios[i].append(p_rad[row])
+            chains[i].append(ray)
+            trans[o_ray[row], ray] += 1
+            times[i] += scales[i] ** 2 * d[row]
+            scales[i] *= p_rad[row]
+            legs[i] += 1
+            if scales[i] < eps_unit or legs[i] == n_legs:
+                live[row] = False
+            else:
+                restarts.append(row)
+                o_rad[row], o_ray[row], p_rad[row], d[row] = 1.0, ray, 0.0, 0.0
+        for row in restarts:
+            p_ray[row] = np.searchsorted(cum, gen.random())
+        idx, o_rad, o_ray, p_rad, p_ray, d = (
+            a[live] for a in (idx, o_rad, o_ray, p_rad, p_ray, d))
+    return legs, scales, times, ratios, chains, trans
+
+
+def _assert_matches_reference(out, ref, cols, r=1.0):
+    legs, scales, times, ratios, chains, trans = ref
+    np.testing.assert_array_equal(out.legs, legs)
+    np.testing.assert_array_equal(out.scales, r * scales)
+    np.testing.assert_array_equal(out.times, r * r * times)
+    np.testing.assert_array_equal(out.ratios, [row[:cols] for row in ratios])
+    np.testing.assert_array_equal(out.chains, [row[:cols + 1] for row in chains])
+    np.testing.assert_array_equal(out.transitions, trans)
 
 
 class TestPairEngines:
     @pytest.mark.parametrize("seed, start_ray", [(51, 0), (52, 2)])
     def test_first_legs_bit_identical_to_reference_loop(self, seed, start_ray):
         out = sample_first_legs(G, start_ray, 0.01, 100, RngStream(seed), n_legs=2)
-        ratios, chains = _first_legs_reference(G, start_ray, 0.01, 100,
-                                               RngStream(seed), 2)
-        np.testing.assert_array_equal(out.ratios, ratios)
-        np.testing.assert_array_equal(out.chains, chains)
+        ref = _pair_run_reference(G, start_ray, 0.01, 100, RngStream(seed), n_legs=2)
+        _assert_matches_reference(out, ref, 2)
         assert np.all(out.chains[:, 1:] != out.chains[:, :-1])
 
     @pytest.mark.parametrize("seed, start", [(53, (0, 1.0)), (54, (2, 0.5))])
     def test_coalescence_bit_identical_to_reference_loop(self, seed, start):
-        out = sample_coalescence_times(G, G.point(*start), G.origin(), 0.01, 40,
-                                       RngStream(seed), 4.0, t_cap=64.0)
-        tols, times = _coalescence_reference(G, *start, 0.01, 40, RngStream(seed),
-                                             4.0, 64.0)
-        np.testing.assert_array_equal(out.tols, tols)
-        np.testing.assert_array_equal(out.times, times)
-        assert np.isfinite(times[:, -1]).any()
+        eps = 0.01 * start[1]
+        out = sample_coalescence_times(G, G.point(*start), 0.01, eps, 40, RngStream(seed))
+        ref = _pair_run_reference(G, start[0], 0.01, 40, RngStream(seed),
+                                  eps_unit=eps / start[1])
+        _assert_matches_reference(out, ref, 1, r=start[1])
+        assert out.legs.max() > 1 and out.fraction_coalesced() == 1.0
+
+    @pytest.mark.parametrize("x", [0.37, 1e3])
+    def test_times_at_x_are_x_squared_times_the_unit_times(self, x):
+        eps = 0.05 * x
+        at = sample_coalescence_times(G, G.point(1, x), 0.01, eps, 20, RngStream(57))
+        one = sample_coalescence_times(G, G.point(1, 1.0), 0.01, eps / x, 20, RngStream(57))
+        np.testing.assert_array_equal(at.times, x * x * one.times)
+        np.testing.assert_array_equal(at.scales, x * one.scales)
+        np.testing.assert_array_equal(at.legs, one.legs)
+        np.testing.assert_array_equal(at.ratios, one.ratios)
+        np.testing.assert_array_equal(at.transitions, one.transitions)
+
+    def test_each_path_stops_where_its_rule_says(self):
+        # n_legs: every path runs exactly that many legs
+        first = sample_first_legs(G, 1, 0.01, 50, RngStream(58), n_legs=3)
+        assert np.all(first.legs == 3) and first.transitions.sum() == 150
+        np.testing.assert_array_equal(first.scales, np.cumprod(first.ratios, axis=1)[:, -1])
+        # eps: each path stops at the first leg whose scale falls below eps,
+        # read from a run that keeps the ratios of (many more than) all legs
+        run = isde._pair_run(G, 1, 0.01, 50, RngStream(59), 65536, 60, eps_unit=0.05)
+        assert run.legs.max() < 60 and run.transitions.sum() == run.legs.sum()
+        for k, row, s in zip(run.legs, run.ratios, run.scales):
+            u = np.cumprod(row[:k])
+            assert u[-1] == s < 0.05 and np.all(u[:-1] >= 0.05)
 
     def test_draw_fewer_than_three_words_per_path_step(self, philox_words, monkeypatch):
         # two normals per path-step, and a uniform only for a row that reads
@@ -442,14 +455,21 @@ class TestPairEngines:
         words = philox_words()
         assert words / sum(rows) < 3
         rows.clear()
-        sample_coalescence_times(G, G.point(1, 1.0), G.origin(), 1e-2, 20, RngStream(70), 4.0,
-                                 t_cap=64.0)
+        sample_coalescence_times(G, G.point(1, 1.0), 1e-2, 1e-2, 20, RngStream(70))
         assert (philox_words() - words) / sum(rows) < 3
 
     def test_coalescence_from_off_the_star_raises(self, philox_words):
         with pytest.raises(ValueError):
-            sample_coalescence_times(G, GraphPoint(edge=7, coord=1.0), G.origin(), 0.01, 10,
-                                     RngStream(71), 4.0)
+            sample_coalescence_times(G, GraphPoint(edge=7, coord=1.0), 0.01, 0.01, 10,
+                                     RngStream(71))
+        assert philox_words() == 0
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, math.nan])
+    def test_coalescence_needs_eps_below_the_start(self, eps, philox_words):
+        with pytest.raises(ValueError):
+            sample_coalescence_times(G, G.point(0, 1.0), 0.01, eps, 10, RngStream(73))
+        with pytest.raises(ValueError):
+            isde.sample_exact_leg_counts(G, G.point(0, 1.0), eps, 10, RngStream(73))
         assert philox_words() == 0
 
     @pytest.mark.parametrize("start_ray", [-1, 3])
@@ -461,13 +481,33 @@ class TestPairEngines:
     def test_first_leg_chunks_are_kernel_runs_in_order(self, check_chunks):
         rng = RngStream(55)
         a = sample_first_legs(G, 1, 0.01, 30, rng, n_legs=1, chunk=7)
-        check_chunks((a.ratios, a.chains), 30, 7, rng)
+        check_chunks((a.legs, a.scales, a.times, a.ratios, a.chains), 30, 7, rng)
 
     def test_coalescence_chunks_are_kernel_runs_in_order(self, check_chunks):
         rng = RngStream(56)
-        c = sample_coalescence_times(G, G.point(1, 1.0), G.origin(), 0.01, 20, rng, 4.0,
-                                     t_cap=16.0, chunk=7)
-        check_chunks((c.times,), 20, 7, rng)
+        c = sample_coalescence_times(G, G.point(1, 1.0), 0.01, 0.1, 20, rng, chunk=7)
+        check_chunks((c.legs, c.scales, c.times, c.ratios, c.chains), 20, 7, rng)
+
+    def test_other_rays_follow_the_conditioned_weights(self):
+        # P(j | not i) = p_j / (1 - p_i), by a chi^2 test at 1e-3 per banned ray
+        gen = np.random.default_rng(74)
+        for i in range(G.n_rays):
+            got = isde._other_rays(G, np.full(30000, i), gen.random(30000))
+            counts = np.bincount(got, minlength=G.n_rays)
+            assert counts[i] == 0
+            want = 30000 * np.delete(G.probs_array, i) / (1.0 - G.probs_array[i])
+            chi2 = np.sum((np.delete(counts, i) - want) ** 2 / want)
+            assert chdtr(G.n_rays - 2, chi2) < 1 - 1e-3
+
+    def test_exact_leg_counts_end_after_one_leg_by_the_beta_prime_law(self):
+        # scale 0.5 within one leg with the probability of the Beta-prime
+        # CDF at the first ray's angle
+        n = 20000
+        legs = isde.sample_exact_leg_counts(G, G.point(1, 2.0), 1.0, n, RngStream(75))
+        p1 = quadrant.ys_cdf(math.atan2(0.3, 0.7), 1.0, 0.5)
+        frac = np.mean(legs == 1)
+        assert abs(frac - p1) <= 4 * math.sqrt(p1 * (1 - p1) / n)
+        assert legs.min() == 1 and legs.max() > 3
 
 
 def _forward_noises(g, T, dt, rng):

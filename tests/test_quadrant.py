@@ -10,7 +10,7 @@ from starflow import quadrant
 from starflow.halfline import RngStream
 from starflow.quadrant import (
     _disk_exits, _unit_exit_times,
-    FixedAngles, LegOverflowError, UniformAngles, expected_boundary_local_time,
+    FixedAngles, LegOverflowError, expected_boundary_local_time,
     sample_legs, sample_quadrant_processes,
     tail_bound, ys_cdf, ys_log_mean, ys_log_square_moment, ys_moment,
 )
@@ -510,7 +510,7 @@ class TestQuadrantProcess:
 
     def test_chunks_are_kernel_runs_in_order(self, check_chunks):
         rng = RngStream(18)
-        b = sample_quadrant_processes(UniformAngles(math.pi / 6, math.pi / 3), 1.0, 1e-2,
+        b = sample_quadrant_processes(FixedAngles(math.pi / 6, math.pi / 3), 1.0, 1e-2,
                                       1e-1, 50, 10, rng, chunk=4)
         check_chunks((b.l_totals, b.n_legs, b.terminated, b.sigma0_times), 10, 4, rng)
 
@@ -562,7 +562,7 @@ class TestRecordingIsPassive:
             assert leg.times[-1] == kept.durations[j]
 
     def test_quadrant(self):
-        src = UniformAngles(math.pi / 6, math.pi / 3)
+        src = FixedAngles(math.pi / 6, math.pi / 3)
         plain = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 100, 60, RngStream(71), chunk=20)
         kept = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 100, 60, RngStream(71), chunk=20,
                                          record=20)

@@ -39,8 +39,13 @@ jump outruns a step. A jump is the Brownian increment over tau, so
 recorded rows carry (dB1, dB2, h) = (jump, tau) and the grid identities
 above still hold. The law of tau_1 comes from a table whose CDF error is
 below 3e-7 (``_exit_time_table``); it moves only the durations, never the
-exit point. At theta = pi/6 and dt = 1e-3 jumps cut the path-steps of a
-leg from about 600 to about 200, 29 % of them jumps.
+exit point. A level finds its interval of the table in O(1), through a
+guide of 512 cells per octave of the level (a guided table lookup, Chen &
+Asau 1974) and a fixed number of corrections (one for this table), not a
+binary search of the 2000 nodes, and the exit time is np.interp's value
+on that table bit for bit (``_unit_exit_times``). At theta = pi/6 and
+dt = 1e-3 jumps cut the path-steps of a leg from about 600 to about 200,
+29 % of them jumps.
 
 Per path-step each active leg draws two normals, z1 and z2. A stepping leg
 takes them as the increments of X and Y; a jumping leg takes z / |z| as
@@ -142,6 +147,7 @@ class LegSamples:
     bridge_uniforms: int     # bridge-minimum uniforms drawn
     crossing_uniforms: int   # within-step crossing uniforms drawn
     tail_steps: int          # batch steps with fewer than 1 % of the batch's legs active
+    longest_leg_steps: int   # steps of the longest batch, its longest leg's (cap: max_steps)
     paths: list[OrbmLeg]     # the recorded legs
 
     @property
@@ -149,10 +155,12 @@ class LegSamples:
         return len(self.ys)
 
     def diagnostics(self) -> dict:
-        """The engine's work counts."""
+        """The engine's work counts, and the longest leg's steps against the
+        max_steps cap."""
         return {"batch_steps": self.batch_steps, "path_steps": self.path_steps,
                 "jumps": self.jumps, "bridge_uniforms": self.bridge_uniforms,
-                "crossing_uniforms": self.crossing_uniforms, "tail_steps": self.tail_steps}
+                "crossing_uniforms": self.crossing_uniforms, "tail_steps": self.tail_steps,
+                "longest_leg_steps": self.longest_leg_steps}
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,7 +175,9 @@ def _exit_time_table():
     the first term alone is exact to e^-37 relative, so the inverse is
     linear there. Linear interpolation between the nodes gives quantiles
     whose CDF error is below 3e-7 (sup over u); below the first node the
-    quantile is 0.015, where the CDF is 6e-15.
+    quantile is 0.015, where the CDF is 6e-15. H is strictly increasing,
+    which ``_exit_time_guide`` needs to index it for ``_unit_exit_times``;
+    that lookup gives np.interp's values on these nodes bit for bit.
     """
     from scipy.special import j1, jn_zeros
 
@@ -179,11 +189,56 @@ def _exit_time_table():
     return -np.log(surv), t, 2.0 / zeros[0] ** 2
 
 
+# a level's guide cell is its float64 bit pattern shifted right by
+# 52 - GUIDE_BITS: its exponent and top GUIDE_BITS mantissa bits, a
+# piecewise-linear log2 of it, so 2^GUIDE_BITS cells per octave
+GUIDE_BITS = 9
+
+
+@functools.lru_cache(maxsize=None)
+def _exit_time_guide():
+    """A guided table lookup (Chen & Asau 1974) on ``_exit_time_table``:
+    (base, start, k, nxt, H, t, slopes), with a sentinel node (0, t_0) of
+    slope 0 in front of the table's nodes.
+
+    For levels >= 0 the bits of a float64, read as an int64, increase with
+    the level, and so does its cell, bits >> (52 - GUIDE_BITS). The cells
+    run from that of H_0 (``base``) to that of H_-1, and start[c] is the
+    interval j (H[j] <= zeta < H[j + 1]) of the least level of cell c, a
+    lower bound on the interval of every level in it. The cell is exact
+    integer arithmetic, so no rounding margin is needed. k, the largest
+    step from one cell's start to the next, is derived from the table: k
+    steps of j += nxt[j] <= zeta reach the level's interval and never pass
+    it. nxt[j] is H[j + 1], and nan after the last node, which no level
+    passes; slopes are np.diff(t) / np.diff(H), then the tail slope."""
+    H, t, tail = _exit_time_table()
+    shift = 52 - GUIDE_BITS
+    base, top = (int(np.float64(h).view(np.int64)) >> shift for h in (H[0], H[-1]))
+    slopes = np.concatenate([[0.0], np.diff(t) / np.diff(H), [tail]])
+    H, t = np.concatenate([[0.0], H]), np.concatenate([t[:1], t])
+    lows = (np.arange(base, top + 1) << shift).view(np.float64)
+    start = np.searchsorted(H, lows, side="right") - 1
+    # a level of cell c lies below the least level of cell c + 1, and one
+    # past the last cell below nan, so its interval is at most the next start
+    k = int(np.max(np.diff(start, append=H.size - 1)))
+    return base, start, k, np.append(H[1:], np.nan), H, t, slopes
+
+
 def _unit_exit_times(zeta):
     """Exit times of the unit disk at the levels zeta >= 0: the quantile
-    F^-1(1 - e^-zeta) of tau_1, so an Exp(1) zeta gives tau_1 in law."""
-    H, t, slope = _exit_time_table()
-    return np.interp(zeta, H, t) + slope * np.maximum(zeta - H[-1], 0.0)
+    F^-1(1 - e^-zeta) of tau_1, so an Exp(1) zeta gives tau_1 in law.
+
+    This is np.interp(zeta, H, t) + tail max(zeta - H[-1], 0) on the table,
+    bit for bit: a level finds its interval j through the guide and takes
+    np.interp's own line, slopes[j] (zeta - H[j]) + t[j]. A level below the
+    guide's first cell takes the sentinel's t_0, as np.interp does below
+    H_0, and one past its last cell the tail. zeta may be a scalar."""
+    base, start, k, nxt, H, t, slopes = _exit_time_guide()
+    z = np.asarray(zeta, dtype=float)
+    j = start.take((z.view(np.int64) >> (52 - GUIDE_BITS)) - base, mode="clip")
+    for _ in range(k):
+        j += nxt[j] <= z
+    return slopes[j] * (z - H[j]) + t[j]
 
 
 def _disk_exits(rho, z1, z2):
@@ -352,12 +407,18 @@ def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
                       local_times=ls, sup_abs=sups, inf_abs=infs, durations=durs,
                       batch_steps=steps, path_steps=path_steps, jumps=n_jump,
                       bridge_uniforms=n_bridge, crossing_uniforms=n_cross, tail_steps=n_tail,
-                      paths=paths)
+                      longest_leg_steps=int(counts[:, 0].max()), paths=paths)
 
 
 def _check_theta(theta: float) -> None:
     if not (0.0 < theta < math.pi / 2):
         raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
+
+
+def _check_x(x: float) -> None:
+    # written so that nan fails too
+    if not x > 0:
+        raise ValueError(f"x must be > 0, got {x}")
 
 
 # -- closed-form laws ---------------------------------------------------------
@@ -366,13 +427,12 @@ def ys_cdf(theta: float, x: float, y) -> float | np.ndarray:
     """P(Y_S <= y) for a leg of law P^theta_x: the regularized incomplete
     beta I_w(1/2 - theta/pi, 1/2 + theta/pi) at w = (y/x)^2/(1+(y/x)^2)."""
     _check_theta(theta)
-    if x <= 0:
-        raise ValueError("x must be > 0")
+    _check_x(x)
     a = 0.5 - theta / math.pi
     b = 0.5 + theta / math.pi
     y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 0):
-        raise ValueError("y must be >= 0")
+    if not np.all(y_arr >= 0):
+        raise ValueError("y must be >= 0 and not nan")
     z = (y_arr / x) ** 2
     with np.errstate(invalid="ignore"):
         w = np.where(np.isinf(z), 1.0, z / (1.0 + z))
@@ -383,6 +443,7 @@ def ys_moment(theta: float, b: float, x: float = 1.0) -> float:
     """E[Y_S^b] = x^b cos(theta)/cos(theta - b pi/2), for
     b in (-1 + 2 theta/pi, 1 + 2 theta/pi)."""
     _check_theta(theta)
+    _check_x(x)
     if not (-1.0 + 2.0 * theta / math.pi < b < 1.0 + 2.0 * theta / math.pi):
         raise ValueError(f"moment order {b} outside validity interval")
     return x ** b * math.cos(theta) / math.cos(theta - b * math.pi / 2.0)
@@ -391,6 +452,7 @@ def ys_moment(theta: float, b: float, x: float = 1.0) -> float:
 def ys_log_mean(theta: float, x: float = 1.0) -> float:
     """E[log Y_S] = log x - (pi/2) tan(theta)."""
     _check_theta(theta)
+    _check_x(x)
     return math.log(x) - math.pi / 2.0 * math.tan(theta)
 
 
@@ -409,8 +471,7 @@ def tail_bound(theta: float, x: float, a: float, b: float, side: str) -> float:
     0 < b < 1-2theta/pi, with c_b = cos(theta)/cos(b pi/2 + theta).
     """
     _check_theta(theta)
-    if x <= 0:
-        raise ValueError("x must be > 0")
+    _check_x(x)
     if side == "up":
         if not a > x:
             raise ValueError("up-side needs a > x")
@@ -440,8 +501,7 @@ def expected_boundary_local_time(theta1: float, theta2: float, x: float = 1.0) -
     and sample means of L do not converge."""
     _check_theta(theta1)
     _check_theta(theta2)
-    if x <= 0:
-        raise ValueError("x must be > 0")
+    _check_x(x)
     t1, t2 = math.tan(theta1), math.tan(theta2)
     if t1 * t2 <= 1.0:
         return math.inf
@@ -515,6 +575,7 @@ class QuadrantBatch:
     path_steps: int             # active legs summed over those steps: steps plus jumps
     jumps: int                  # of those, jumps across a free disk
     tail_steps: int             # steps with fewer than 1 % of their batch's legs active
+    longest_leg_steps: int      # steps of the longest batch, its longest leg's
     paths: list[QuadrantPath]   # the recorded processes
 
     @property
@@ -522,11 +583,12 @@ class QuadrantBatch:
         return len(self.l_totals)
 
     def diagnostics(self) -> dict:
-        """The engine's work counts, and the processes that max_legs
-        stopped before they reached eps_stop."""
+        """The engine's work counts, the longest leg's steps (against the
+        legs' default max_steps), and the processes that max_legs stopped
+        before they reached eps_stop."""
         return {"leg_rounds": self.leg_rounds, "batch_steps": self.batch_steps,
                 "path_steps": self.path_steps, "jumps": self.jumps,
-                "tail_steps": self.tail_steps,
+                "tail_steps": self.tail_steps, "longest_leg_steps": self.longest_leg_steps,
                 "unterminated": int(self.n - np.count_nonzero(self.terminated))}
 
 
@@ -561,7 +623,8 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
         t_tot = np.zeros(m)
         n_legs = np.zeros(m, dtype=np.int64)
         active = np.arange(m)
-        counts = np.zeros(5, dtype=np.int64)   # leg rounds, steps, path-steps, jumps, tail steps
+        # leg rounds, steps, path-steps, jumps, tail steps, longest leg's steps
+        counts = np.zeros(6, dtype=np.int64)
         for leg_i in range(max_legs):
             ma = active.size
             if ma == 0:
@@ -570,7 +633,8 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
             r = np.searchsorted(active, k)  # the recorded processes still active
             *out, durs, rec, leg_counts = _leg_batch(th, dt, ma, stream.child(leg_i).generator(),
                                                      record=r)
-            counts += [1, *leg_counts[:3], leg_counts[5]]
+            counts[:5] += [1, *leg_counts[:3], leg_counts[5]]
+            counts[5] = max(counts[5], leg_counts[0])
             ys, lleg = out[:2]
             if r:
                 for j, leg in zip(active[:r], _recorded_legs(rec, th, out, x * u[active[:r]])):
@@ -585,6 +649,7 @@ def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
         return l_tot, n_legs, u < eps_unit, t_tot, counts[None, :]
 
     *out, counts = map_chunks(run, n, rng, chunk)
-    rounds, steps, path_steps, n_jump, n_tail = (int(c) for c in counts.sum(axis=0))
+    rounds, steps, path_steps, n_jump, n_tail = (int(c) for c in counts[:, :5].sum(axis=0))
     return QuadrantBatch(*out, leg_rounds=rounds, batch_steps=steps, path_steps=path_steps,
-                         jumps=n_jump, tail_steps=n_tail, paths=paths)
+                         jumps=n_jump, tail_steps=n_tail,
+                         longest_leg_steps=int(counts[:, 5].max()), paths=paths)

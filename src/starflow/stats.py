@@ -78,11 +78,12 @@ def ks_two_sample(a, b) -> KSResult:
 
 def reg_incomplete_beta(a: float, b: float, x):
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and scalar or
-    array x in [0, 1]; out-of-domain arguments raise instead of giving nan."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be > 0")
+    array x in [0, 1]; out-of-domain or nan arguments raise instead of giving nan."""
+    # written so that nan fails each check
+    if not (a > 0 and b > 0):
+        raise ValueError(f"a and b must be > 0, got {a}, {b}")
     x_arr = np.asarray(x, dtype=float)
-    if np.any((x_arr < 0) | (x_arr > 1)):
+    if not np.all((x_arr >= 0) & (x_arr <= 1)):
         raise ValueError("x must lie in [0, 1]")
     out = betainc(a, b, x_arr)
     return float(out) if out.ndim == 0 else out

@@ -290,8 +290,9 @@ def test_orbm_leg_reports_its_work(tmp_path, graph_file):
     _, report = run_main(tiny_argv("orbm-leg", graph_file), tmp_path / "r.json")
     d = report["diagnostics"]
     assert set(d) == {"batch_steps", "path_steps", "jumps", "bridge_uniforms",
-                      "crossing_uniforms", "tail_steps"}
+                      "crossing_uniforms", "tail_steps", "longest_leg_steps"}
     assert 1 <= d["batch_steps"] <= d["path_steps"]
+    assert 1 <= d["longest_leg_steps"] <= d["batch_steps"]
     assert 0 < d["tail_steps"] < d["batch_steps"]
     assert 0 < d["jumps"] < d["path_steps"]
     assert 0 < d["bridge_uniforms"] < d["path_steps"]
@@ -305,8 +306,9 @@ def test_quadrant_reports_its_work(tmp_path):
     _, report = run_main(argv, tmp_path / "r.json")
     d = report["diagnostics"]
     assert set(d) == {"leg_rounds", "batch_steps", "path_steps", "jumps", "tail_steps",
-                      "unterminated"}
+                      "longest_leg_steps", "unterminated"}
     assert d["leg_rounds"] == 3 and d["leg_rounds"] <= d["batch_steps"] <= d["path_steps"]
+    assert 1 <= d["longest_leg_steps"] <= d["batch_steps"]
     assert 0 <= d["tail_steps"] < d["batch_steps"]
     assert 0 < d["jumps"] < d["path_steps"]
     unterminated = round(50 * (1.0 - report["estimates"]["terminated_fraction"]["mean"]))

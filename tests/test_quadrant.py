@@ -9,7 +9,7 @@ from scipy.special import j1, jn_zeros
 from starflow import quadrant
 from starflow.halfline import RngStream
 from starflow.quadrant import (
-    _disk_exits, _unit_exit_times,
+    _disk_exits, _exit_time_table, _unit_exit_times,
     FixedAngles, LegOverflowError, expected_boundary_local_time,
     sample_legs, sample_quadrant_processes,
     tail_bound, ys_cdf, ys_log_mean, ys_log_square_moment, ys_moment,
@@ -140,6 +140,17 @@ class TestLegSamples:
         # a recorded leg has one step size per batch step it was active in
         out = sample_legs(math.pi / 4, 1.0, 1e-2, 300, RngStream(11), record=300)
         assert out.diagnostics()["tail_steps"] == _tail_steps([out.paths]) > 0
+
+    def test_longest_leg_steps_is_the_longest_batch(self):
+        # one chunk: its longest leg ran every batch step; three chunks: the
+        # longest of the three batches, below their summed steps
+        one = sample_legs(math.pi / 4, 1.0, 1e-2, 300, RngStream(11), record=300)
+        longest = one.diagnostics()["longest_leg_steps"]
+        assert longest == max(len(leg.step_sizes) for leg in one.paths) == one.batch_steps
+        three = sample_legs(math.pi / 4, 1.0, 1e-2, 300, RngStream(11), chunk=100, record=100)
+        longest = three.diagnostics()["longest_leg_steps"]
+        assert max(len(leg.step_sizes) for leg in three.paths) <= longest < three.batch_steps
+        assert longest >= 1
 
     def test_per_leg_angles(self):
         thetas = np.where(np.arange(4000) % 2 == 0, math.pi / 3, math.pi / 6)
@@ -283,6 +294,27 @@ class TestDiskExits:
         assert integrate.trapezoid(q * w, zeta) == pytest.approx(0.5, abs=3e-6)
         assert integrate.trapezoid(q * q * w, zeta) == pytest.approx(0.375, abs=3e-5)
 
+    def test_guided_lookup_is_np_interp_bit_for_bit(self):
+        # the guide needs strictly increasing levels; then the lookup must be
+        # the table's np.interp with its linear tail, to the last bit
+        H, t, slope = _exit_time_table()
+        assert np.all(np.diff(H) > 0)
+        gen = RngStream(43).generator()
+        zeta = np.concatenate([
+            gen.standard_exponential(1_000_000),
+            H, np.nextafter(H, -np.inf), np.nextafter(H, np.inf),
+            [0.0, 5e-324, 1e-300, H[0] / 2, np.nextafter(H[-1], np.inf)],
+            np.linspace(H[-1], 700.0, 10001)])
+        want = np.interp(zeta, H, t) + slope * np.maximum(zeta - H[-1], 0.0)
+        np.testing.assert_array_equal(_unit_exit_times(zeta), want)
+        # 2-D levels keep their shape, and a 0-d level gives a scalar
+        np.testing.assert_array_equal(_unit_exit_times(zeta[:6].reshape(2, 3)),
+                                      want[:6].reshape(2, 3))
+        for z in (0.0, 0.004, 0.7, float(H[-1]), 40.0, np.float64(2.5), np.array(9.0)):
+            got = _unit_exit_times(z)
+            assert np.ndim(got) == 0
+            assert got == np.interp(z, H, t) + slope * max(z - H[-1], 0.0)
+
     def test_exit_law_from_two_normals(self):
         gen = RngStream(40).generator()
         z1, z2 = gen.standard_normal(20000), gen.standard_normal(20000)
@@ -367,6 +399,21 @@ class TestClosedForms:
             ys_cdf(math.pi / 2, 1.0, 1.0)
         with pytest.raises(ValueError):
             ys_cdf(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: ys_moment(0.5, 0.5, -1.0),      # was a complex number
+        lambda: ys_moment(0.5, 0.5, math.nan),
+        lambda: ys_cdf(0.5, math.nan, 1.0),     # was nan
+        lambda: ys_cdf(0.5, 1.0, math.nan),
+        lambda: ys_cdf(0.5, 1.0, [0.5, math.nan]),
+        lambda: ys_log_mean(0.5, math.nan),
+        lambda: tail_bound(0.5, math.nan, 2.0, 0.5, "up"),
+        lambda: expected_boundary_local_time(1.2, 1.2, math.nan),
+        lambda: expected_boundary_local_time(1.2, 1.2, -1.0),
+    ])
+    def test_bad_start_or_level_raises(self, call):
+        with pytest.raises(ValueError):
+            call()
 
     def test_moment_examples(self):
         assert ys_moment(math.pi / 4, 1.0, 1.0) == pytest.approx(1.0)
@@ -473,6 +520,10 @@ class TestQuadrantProcess:
         rounds = [[proc.legs[i] for proc in batch.paths if len(proc.legs) > i]
                   for i in range(batch.leg_rounds)]
         assert batch.diagnostics()["tail_steps"] == _tail_steps(rounds) > 0
+        # each round's longest leg ran all of its batch's steps
+        longest = batch.diagnostics()["longest_leg_steps"]
+        assert longest == max(len(leg.step_sizes) for legs in rounds for leg in legs)
+        assert 1 <= longest <= batch.batch_steps
 
     def test_eps_validation(self):
         src = FixedAngles(1.0, 1.0)

@@ -135,3 +135,11 @@ class TestIncompleteBeta:
             reg_incomplete_beta(1, 1, 1.5)
         with pytest.raises(ValueError):
             reg_incomplete_beta(0.5, 0.5, np.array([0.2, -0.1]))
+
+    @pytest.mark.parametrize("a, b, x", [
+        (math.nan, 0.7, 0.5), (0.3, math.nan, 0.5), (0.3, 0.7, math.nan),
+        (0.3, 0.7, np.array([0.2, math.nan]))])
+    def test_nan_rejected(self, a, b, x):
+        # each of these gave nan
+        with pytest.raises(ValueError):
+            reg_incomplete_beta(a, b, x)

@@ -19,7 +19,7 @@ from .walsh import (
     sample_residual_summaries, semigroup_apply, walsh_step,
 )
 from .quadrant import (
-    AngleSource, FixedAngles, LegOverflowError, LegSamples, OrbmLeg,
+    FixedAngles, LegOverflowError, LegSamples, OrbmLeg,
     QuadrantBatch, QuadrantPath, expected_boundary_local_time,
     sample_legs, sample_quadrant_processes,
     tail_bound, ys_cdf, ys_log_mean, ys_log_square_moment, ys_moment,

@@ -17,7 +17,7 @@ some check failed (the report is still written); 2 for usage errors,
 among them an option the experiment does not read; 3 for invalid
 configuration values and for a file (graph, report or dump) that cannot
 be read or written; no report is written then. The directories of the
-report and of a dump are checked before any engine runs.
+report and of a dump, and a dump's grid, are checked before any engine runs.
 
 Reproducibility: the same config and seed produce byte-identical numeric
 output (fixed chunking, one stream per chunk, ordered merge).
@@ -37,7 +37,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from . import graphs, isde, metric, quadrant, stats, walsh
-from .halfline import RngStream
+from .halfline import RngStream, grid_steps
 
 SCHEMA = 2
 EXIT_CHECKS_FAILED = 1
@@ -230,8 +230,8 @@ def _exp_walsh_kernel(cfg: ExperimentConfig, rng: RngStream):
     chi2 = [np.sum((np.bincount(r, minlength=g.n_rays) - want) ** 2 / want) for r in (r2, rf)]
     checks["ray_frequencies"] = bool(np.all(chdtrc(g.n_rays - 1, chi2) > 1e-3))
     if cfg.csv:
-        coupled = walsh.sample_residual_summaries(g, {}, cfg.T, cfg.dt, 1, rng.child(987),
-                                                  x0=x0, record=1)
+        coupled = walsh.sample_residual_summaries(g, {}, DUMP_HORIZONS["walsh-kernel"](cfg),
+                                                  cfg.dt, 1, rng.child(987), x0=x0, record=1)
         coupled.paths[0].to_csv(cfg.csv + "_walsh.csv")
     return estimates, ks_results, {}, checks, {}
 
@@ -334,7 +334,7 @@ def _exp_two_point(cfg: ExperimentConfig, rng: RngStream):
     estimates, chain_ok = _ray_chain(first.transitions, g.probs_array)
     if cfg.csv:
         path = isde.npoint_motion(g, [g.point(cfg.x0_ray, cfg.x), g.origin()],
-                                  min(cfg.T, 4.0), cfg.dt, rng.child(987))
+                                  DUMP_HORIZONS["two-point"](cfg), cfg.dt, rng.child(987))
         path.to_csv(cfg.csv + "_two_point.csv")
     return (estimates, {"first_leg_vs_beta_prime": _ks(ks)}, {},
             {"first_leg_law": ks.statistic < 0.02, "ray_chain": chain_ok}, first.diagnostics())
@@ -445,6 +445,9 @@ EXPERIMENTS = {
     "metric-isde": (_exp_metric_isde, "graph_file x0_ray x0_r T dt paths"),
 }
 
+# the horizon of a --csv dump's fresh path on the grid dt, checked by main
+DUMP_HORIZONS = {"walsh-kernel": lambda cfg: cfg.T, "two-point": lambda cfg: min(cfg.T, 4.0)}
+
 
 def _sanitize(obj):
     """Plain-Python copy of a report tree (numpy scalars/arrays included)."""
@@ -535,6 +538,8 @@ def main(argv=None) -> int:
             raise OSError(f"the report {out!r} is not a file in an existing directory")
         if cfg.csv and not os.path.isdir(os.path.dirname(cfg.csv) or "."):
             raise OSError(f"the dump prefix {cfg.csv!r} is not in an existing directory")
+        if cfg.csv and cfg.experiment in DUMP_HORIZONS:
+            grid_steps(DUMP_HORIZONS[cfg.experiment](cfg), cfg.dt)
         report = run(cfg)
         write_report(report, out)
     except (ValueError, OSError) as exc:

@@ -57,8 +57,17 @@ each draws a uniform only for the stepping legs within the cut-off stated
 in ``halfline``. At theta = pi/6 and dt = 1e-3 a leg draws about 2.45 words
 per path-step, not 4.
 
+A quadrant process is a row of the same batch (``_leg_batch``); a leg is
+a process of one leg. Its legs take theta1 and theta2 in turn, and leg
+n + 1 starts where leg n ended, at U_n, the product of the Y_S before it:
+by the x-scaling it is U_n times a unit leg, independent of the legs
+before it given U_n by the strong Markov property at S. So a row whose leg
+ends restarts in place at (1, 0) with the next angle, and retires after
+max_legs legs or once U_n < eps_stop / x. Every batch step serves every
+active process, whatever leg it is on.
+
 No leg or quadrant path is simulated on its own: ``record`` keeps whole
-paths of the legs with the lowest ids of a batch (``OrbmLeg``,
+paths of the processes with the lowest ids of a batch (``OrbmLeg``,
 ``QuadrantPath``), and keeping them changes no number the batch returns.
 """
 
@@ -75,7 +84,7 @@ from .halfline import RngStream, bridge_crossings, check_horizon, map_chunks, re
 from .stats import reg_incomplete_beta
 
 __all__ = [
-    "LegOverflowError", "OrbmLeg", "LegSamples", "AngleSource", "FixedAngles",
+    "LegOverflowError", "OrbmLeg", "LegSamples", "FixedAngles",
     "QuadrantPath", "sample_legs", "ys_cdf", "ys_moment", "ys_log_mean",
     "ys_log_square_moment", "tail_bound", "expected_boundary_local_time",
     "sample_quadrant_processes", "QuadrantBatch",
@@ -253,33 +262,34 @@ def _disk_exits(rho, z1, z2):
     return r / np.sqrt(2.0 * zeta), r * r * _unit_exit_times(zeta)
 
 
-def _leg_batch(theta, dt, n, gen, max_steps=10 ** 8, record=0):
-    """Vectorized simulation of n unit legs (start (1, 0)); theta may be a
-    scalar or an (n,) array. Callers rescale a leg to its start x.
+def _leg_batch(theta, dt, n, gen, max_steps=10 ** 8, record=0, max_legs=1, eps_unit=0.0):
+    """Vectorized simulation of n quadrant processes of unit legs, each
+    from (1, 0), as the module docstring describes; theta is (2, n), and
+    row j's legs take theta[0, j] and theta[1, j] in turn.
 
-    The active legs are rows 0..m-1. When legs end, the live rows of the
-    tail [m - ended, m) move into the ended rows below it, in order, and
-    the state shrinks to that head, so a step's retirement costs the legs
-    that ended, not the width.
+    When a row's leg ends, its sums of U L_S and U^2 S (from 0) take the
+    leg at the scale U it entered with (from 1), and U becomes U Y_S, so
+    one leg (max_legs = 1) gives its own Y_S, L_S and S bit for bit. The
+    row retires after max_legs legs or once U < eps_unit, else restarts in
+    place. The active rows are 0..m-1: the live rows of the tail
+    [m - retired, m) move into the retired rows below it, in order, and
+    the state shrinks to that head, so retirement costs the rows that
+    retired, not the width.
 
     With record = k it keeps, per step, (ids, X, Y, L, dB1, dB2, h) of the
-    active rows with ids below k, with (dB1, dB2, h) = (jump, tau) on a
-    jump. Counts: steps, path-steps, jumps, bridge and crossing uniforms,
-    and the tail steps, those with fewer than 1 % of the n legs active.
+    active rows with ids below k, (dB1, dB2, h) = (jump, tau) on a jump,
+    and the restart point of such a row with (0, 0, 0), so h = 0 marks the
+    first row of each leg. Returns per process U, sum U L_S, the sup and
+    inf of |Z| over its last leg, sum U^2 S and its legs; the record; and
+    the counts: steps, path-steps, jumps, bridge and crossing uniforms, and
+    the tail steps, those with fewer than 1 % of the n processes active.
     """
-    tan_t = np.broadcast_to(np.tan(np.asarray(theta, dtype=float)), (n,)).copy()
-    X = np.ones(n)
-    Y = np.zeros(n)
-    L = np.zeros(n)
-    sup = X.copy()
-    inf = X.copy()
-    elapsed = np.zeros(n)
+    tan_t = np.tan(theta[0])
+    X, sup, inf, scale = (np.ones(n) for _ in range(4))
+    Y, L, elapsed, l_tot, sups, infs, t_tot = (np.zeros(n) for _ in range(7))
     idx = np.arange(n)
-    ys = np.zeros(n)
-    ls = np.zeros(n)
-    sups = np.zeros(n)
-    infs = np.zeros(n)
-    durs = np.zeros(n)
+    # a leg takes at least one step, so no row runs more than max_steps legs
+    legs = np.zeros(n, dtype=np.min_scalar_type(min(max_legs, max_steps)))
     rec = [[a[:record].copy() for a in (idx, X, Y, L)] + [np.zeros(record)] * 3]
     s2 = SAFETY * SAFETY
     steps = path_steps = n_jump = n_bridge = n_cross = n_tail = 0
@@ -336,10 +346,24 @@ def _leg_batch(theta, dt, n, gen, max_steps=10 ** 8, record=0):
             r = np.flatnonzero(idx < record)
             rec.append([a[r] for a in (idx, X, Y, L, dB1, dB2, h)])
         if dd.size:
-            ys[d_ids] = Y[dd]
-            ls[d_ids] = L[dd]
+            u = scale[d_ids]
+            l_tot[d_ids] += u * L[dd]
+            t_tot[d_ids] += u * u * elapsed[dd]
+            scale[d_ids] = u = u * Y[dd]
             sups[d_ids] = sup[dd]
-            durs[d_ids] = elapsed[dd]
+            legs[d_ids] += 1
+            again = (legs[d_ids] < max_legs) & (u >= eps_unit)
+            if again.any():
+                on, i = dd[again], d_ids[again]
+                X[on] = sup[on] = inf[on] = 1.0
+                Y[on] = L[on] = elapsed[on] = 0.0
+                tan_t[on] = np.tan(theta[legs[i] % 2, i])
+                done[on] = False
+                dd = dd[~again]
+                if record:
+                    r = on[i < record]
+                    rec.append([idx[r], X[r], Y[r], L[r]] + [np.zeros(r.size)] * 3)
+        if dd.size:
             m -= dd.size
             holes = dd[:np.searchsorted(dd, m)]
             live = m + np.flatnonzero(~done[m:])
@@ -348,66 +372,82 @@ def _leg_batch(theta, dt, n, gen, max_steps=10 ** 8, record=0):
             idx, X, Y, L, sup, inf, elapsed, tan_t = (
                 a[:m] for a in (idx, X, Y, L, sup, inf, elapsed, tan_t))
     counts = [steps, path_steps, n_jump, n_bridge, n_cross, n_tail]
-    return ys, ls, sups, infs, durs, rec, np.array(counts)
+    return scale, l_tot, sups, infs, t_tot, legs, rec, np.array(counts)
 
 
-def _recorded_legs(rec, theta, out, scale):
-    """The OrbmLeg of each recorded row j of a unit leg batch, from its
-    record ``rec`` and its terminal (ys, local times, sups, infs) ``out``,
-    with lengths multiplied by scale[j] and times by scale[j]^2 (inf past
-    the float range, as in ``LegSamples``)."""
+def _recorded_legs(rec, theta, x):
+    """The legs of each recorded process j of a ``_leg_batch`` run on the
+    angles theta, its record ``rec`` split where h = 0. Leg k enters at
+    U_k, the product of the Y_S before it, and takes theta[k % 2, j],
+    lengths times x U_k and times times (x U_k)^2 (inf past the float
+    range, as in ``LegSamples``). Its sup and inf of |Z| come from its own
+    rows as ``_leg_batch`` takes them: the sup over every row, the inf over
+    every row but the last, and the last Y."""
     ids, *cols = (np.concatenate(c) for c in zip(*rec))
     order = np.argsort(ids, kind="stable")
-    ends = np.cumsum(np.bincount(ids, minlength=len(scale)))[:-1]
-    legs = []
-    for j, (X, Y, L, dB1, dB2, h) in enumerate(zip(*(np.split(c[order], ends) for c in cols))):
-        u = float(scale[j])
-        legs.append(OrbmLeg(theta=float(theta[j]), x=u, X=u * X, Y=u * Y, L=u * L,
-                            B1=u * np.cumsum(dB1), B2=u * np.cumsum(dB2),
-                            step_sizes=u * u * h[1:], Y_S=u * out[0][j], L_at_S=u * out[1][j],
-                            sup_abs=u * out[2][j], inf_abs=u * out[3][j]))
-    return legs
+    ends = np.cumsum(np.bincount(ids))[:-1]
+    for j, rows in enumerate(zip(*(np.split(c[order], ends) for c in cols))):
+        firsts = np.flatnonzero(rows[-1] == 0.0)[1:]
+        unit, legs = 1.0, []
+        for k, (X, Y, L, dB1, dB2, h) in enumerate(zip(*(np.split(c, firsts) for c in rows))):
+            u = float(x) * unit
+            az = np.sqrt(np.maximum(X, 0.0) ** 2 + Y * Y)
+            legs.append(OrbmLeg(theta=float(theta[k % 2, j]), x=u, X=u * X, Y=u * Y, L=u * L,
+                                B1=u * np.cumsum(dB1), B2=u * np.cumsum(dB2),
+                                step_sizes=u * u * h[1:], Y_S=u * Y[-1], L_at_S=u * L[-1],
+                                sup_abs=u * az.max(), inf_abs=u * min(az[:-1].min(), Y[-1])))
+            unit *= float(Y[-1])
+        yield legs
+
+
+def _unit_runs(theta, x, dt, n, rng, chunk, record, max_steps=10 ** 8, max_legs=1,
+               eps_unit=0.0):
+    """``_leg_batch`` on chunk ci of ``chunk`` processes through
+    ``map_chunks``, on the stream rng.child(ci), with theta broadcast to
+    (2, n). Returns its outputs, concatenated, U at unit scale and the sums
+    and extremes x times (sums of S x^2 times, inf for x above about 1e154);
+    its counts, one row per chunk; and the legs of processes 0..record-1
+    (from chunk 0) at x."""
+    check_horizon(x, dt)
+    if not 0 <= record <= min(n, chunk):
+        raise ValueError(f"need 0 <= record <= min(n, chunk), got {record}")
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), (2, n))
+    recorded = []
+
+    def run(lo, hi, stream):
+        k = record if lo == 0 else 0
+        *out, rec, counts = _leg_batch(theta[:, lo:hi], dt, hi - lo, stream.generator(),
+                                       max_steps, k, max_legs, eps_unit)
+        if k:
+            recorded.extend(_recorded_legs(rec, theta, x))
+        return (*out, counts[None, :])
+
+    *out, counts = map_chunks(run, n, rng, chunk)
+    for a in out[1:4]:
+        a *= x
+    out[4] *= x * x
+    return out, counts, recorded
 
 
 def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
                 max_steps: int = 10 ** 8, chunk: int = 65536,
                 record: int = 0) -> LegSamples:
     """Terminal summaries of n independent legs from (x, 0), and the paths
-    of legs 0..record-1 (taken from chunk 0).
+    of legs 0..record-1: ``_unit_runs`` with one leg per process.
 
     The legs run at unit scale (see the module docstring), so dt is the
     step relative to x, and the outputs at x are x times those at 1 from
-    the same stream (durations x^2 times).
-
-    Chunk ci of ``chunk`` legs runs through ``map_chunks`` on the stream
-    rng.child(ci). ``theta`` may be a scalar or an (n,) array of per-leg angles.
+    the same stream (durations x^2 times). ``theta`` may be a scalar or an
+    (n,) array of per-leg angles.
     """
     _check_theta(np.min(theta))
     _check_theta(np.max(theta))
-    check_horizon(x, dt)
-    if not 0 <= record <= min(n, chunk):
-        raise ValueError(f"need 0 <= record <= min(n, chunk), got {record}")
-    theta_arr = np.broadcast_to(np.asarray(theta, dtype=float), (n,))
-    paths = []
-
-    def run(lo, hi, stream):
-        k = record if lo == 0 else 0
-        *out, durs, rec, counts = _leg_batch(theta_arr[lo:hi], dt, hi - lo, stream.generator(),
-                                             max_steps=max_steps, record=k)
-        if k:
-            paths.extend(_recorded_legs(rec, theta_arr, out, np.full(k, float(x))))
-        for a in out:
-            a *= x
-        durs *= x * x   # inf for x above about 1e154, and so are those durations
-        return (*out, durs, counts[None, :])
-
-    ys, ls, sups, infs, durs, counts = map_chunks(run, n, rng, chunk)
-    steps, path_steps, n_jump, n_bridge, n_cross, n_tail = (int(c) for c in counts.sum(axis=0))
-    return LegSamples(theta=float(np.min(theta_arr)), x=x, dt=dt, ys=ys,
-                      local_times=ls, sup_abs=sups, inf_abs=infs, durations=durs,
-                      batch_steps=steps, path_steps=path_steps, jumps=n_jump,
-                      bridge_uniforms=n_bridge, crossing_uniforms=n_cross, tail_steps=n_tail,
-                      longest_leg_steps=int(counts[:, 0].max()), paths=paths)
+    (ys, *out, _), counts, recorded = _unit_runs(theta, x, dt, n, rng, chunk, record, max_steps)
+    ys *= x
+    # the counts are LegSamples' from batch_steps to tail_steps, in order
+    return LegSamples(float(np.min(theta)), x, dt, ys, *out,
+                      *(int(c) for c in counts.sum(axis=0)), int(counts[:, 0].max()),
+                      [legs[0] for legs in recorded])
 
 
 def _check_theta(theta: float) -> None:
@@ -510,16 +550,8 @@ def expected_boundary_local_time(theta1: float, theta2: float, x: float = 1.0) -
 
 # -- quadrant process with per-leg angles ------------------------------------
 
-class AngleSource:
-    """Supplies the reflection angle for each leg."""
-
-    def angles_batch(self, n: int, m: int, gen: np.random.Generator) -> np.ndarray:
-        """Vector of leg-n angles for m paths (for batch experiments)."""
-        raise NotImplementedError
-
-
 @dataclass
-class FixedAngles(AngleSource):
+class FixedAngles:
     """theta1 on even legs, theta2 on odd legs."""
 
     theta1: float
@@ -528,9 +560,6 @@ class FixedAngles(AngleSource):
     def __post_init__(self):
         _check_theta(self.theta1)
         _check_theta(self.theta2)
-
-    def angles_batch(self, n, m, gen):
-        return np.full(m, self.theta1 if n % 2 == 0 else self.theta2)
 
 
 @dataclass
@@ -561,21 +590,21 @@ class QuadrantPath:
 
 @dataclass
 class QuadrantBatch:
-    """Summaries of a batch of quadrant processes. The local times are x
-    times those of the processes run at unit scale, and the corner times
-    x^2 times, inf where that passes the float range (x above about
-    1e154)."""
+    """Summaries of a batch of quadrant processes, each one row of
+    ``_leg_batch`` whose legs restart in place at unit scale, exact in law
+    by the x-scaling and the strong Markov property at S. The local times
+    are x times those at unit scale, and the corner times x^2 times, inf
+    where that passes the float range (x above about 1e154)."""
 
     l_totals: np.ndarray
     n_legs: np.ndarray
     terminated: np.ndarray
     sigma0_times: np.ndarray
-    leg_rounds: int             # leg batches run, summed over chunks
-    batch_steps: int            # steps of those batches
-    path_steps: int             # active legs summed over those steps: steps plus jumps
+    batch_steps: int            # steps of the process batches, summed over chunks
+    path_steps: int             # active processes summed over those steps: steps plus jumps
     jumps: int                  # of those, jumps across a free disk
-    tail_steps: int             # steps with fewer than 1 % of their batch's legs active
-    longest_leg_steps: int      # steps of the longest batch, its longest leg's
+    tail_steps: int             # steps with fewer than 1 % of their batch's processes active
+    longest_leg_steps: int      # steps of the longest batch, its longest process's
     paths: list[QuadrantPath]   # the recorded processes
 
     @property
@@ -583,73 +612,38 @@ class QuadrantBatch:
         return len(self.l_totals)
 
     def diagnostics(self) -> dict:
-        """The engine's work counts, the longest leg's steps (against the
-        legs' default max_steps), and the processes that max_legs stopped
+        """The engine's work counts, the longest process's steps (against
+        the default max_steps), and the processes that max_legs stopped
         before they reached eps_stop."""
-        return {"leg_rounds": self.leg_rounds, "batch_steps": self.batch_steps,
-                "path_steps": self.path_steps, "jumps": self.jumps,
+        return {"batch_steps": self.batch_steps, "path_steps": self.path_steps, "jumps": self.jumps,
                 "tail_steps": self.tail_steps, "longest_leg_steps": self.longest_leg_steps,
                 "unterminated": int(self.n - np.count_nonzero(self.terminated))}
 
 
-def sample_quadrant_processes(source: AngleSource, x: float, dt: float,
+def sample_quadrant_processes(source: FixedAngles, x: float, dt: float,
                               eps_stop: float, max_legs: int, n: int,
                               rng: RngStream, chunk: int = 65536,
                               record: int = 0) -> QuadrantBatch:
-    """Batch quadrant processes (unit legs per round, vectorized over paths),
-    and the legs of processes 0..record-1 (taken from chunk 0).
+    """Batch quadrant processes, and the legs of processes 0..record-1:
+    ``_unit_runs`` with max_legs legs per process.
 
     Each process runs until its leg endpoint drops below eps_stop (corner
-    proxy) or max_legs is exhausted. The processes run at unit scale, from
-    1 down to eps_stop / x, as the legs do (see the module docstring), so
-    no start radius overflows the squared scales of the corner time.
+    proxy) or max_legs is exhausted, at unit scale from 1 down to
+    eps_stop / x, so no start radius overflows the squared scales of the
+    corner time. Its legs restart in place: leg n + 1 starts at (1, 0)
+    with the other angle and is rescaled by U_n, the product of the Y_S
+    before it, which is exact in law by the x-scaling of P^theta and the
+    strong Markov property at S (see the module docstring).
     """
-    check_horizon(x, dt)
     if not (0.0 < eps_stop < x):
         raise ValueError("need 0 < eps_stop < x")
     if max_legs < 1:
         raise ValueError("need max_legs >= 1")
-    if not 0 <= record <= min(n, chunk):
-        raise ValueError(f"need 0 <= record <= min(n, chunk), got {record}")
-    paths = [QuadrantPath([]) for _ in range(record)]
     eps_unit = eps_stop / x
-
-    def run(lo, hi, stream):
-        m = hi - lo
-        k = record if lo == 0 else 0
-        gen = stream.generator()
-        u = np.ones(m)   # entry radius of the next leg, relative to x
-        l_tot = np.zeros(m)
-        t_tot = np.zeros(m)
-        n_legs = np.zeros(m, dtype=np.int64)
-        active = np.arange(m)
-        # leg rounds, steps, path-steps, jumps, tail steps, longest leg's steps
-        counts = np.zeros(6, dtype=np.int64)
-        for leg_i in range(max_legs):
-            ma = active.size
-            if ma == 0:
-                break
-            th = source.angles_batch(leg_i, ma, gen)
-            r = np.searchsorted(active, k)  # the recorded processes still active
-            *out, durs, rec, leg_counts = _leg_batch(th, dt, ma, stream.child(leg_i).generator(),
-                                                     record=r)
-            counts[:5] += [1, *leg_counts[:3], leg_counts[5]]
-            counts[5] = max(counts[5], leg_counts[0])
-            ys, lleg = out[:2]
-            if r:
-                for j, leg in zip(active[:r], _recorded_legs(rec, th, out, x * u[active[:r]])):
-                    paths[j].legs.append(leg)
-            l_tot[active] += u[active] * lleg
-            t_tot[active] += u[active] ** 2 * durs
-            u[active] = u[active] * ys
-            n_legs[active] += 1
-            active = active[u[active] >= eps_unit]
-        l_tot *= x
-        t_tot *= x * x   # inf for x above about 1e154, as in sample_legs
-        return l_tot, n_legs, u < eps_unit, t_tot, counts[None, :]
-
-    *out, counts = map_chunks(run, n, rng, chunk)
-    rounds, steps, path_steps, n_jump, n_tail = (int(c) for c in counts[:, :5].sum(axis=0))
-    return QuadrantBatch(*out, leg_rounds=rounds, batch_steps=steps, path_steps=path_steps,
-                         jumps=n_jump, tail_steps=n_tail,
-                         longest_leg_steps=int(counts[:, 5].max()), paths=paths)
+    (u, l_tot, _, _, t_tot, n_legs), counts, recorded = _unit_runs(
+        [[source.theta1], [source.theta2]], x, dt, n, rng, chunk, record,
+        max_legs=max_legs, eps_unit=eps_unit)
+    # steps, path-steps, jumps and tail steps, in QuadrantBatch's order
+    return QuadrantBatch(l_tot, n_legs.astype(np.int64), u < eps_unit, t_tot,
+                         *(int(c) for c in counts.sum(axis=0)[[0, 1, 2, 5]]),
+                         int(counts[:, 0].max()), [QuadrantPath(legs) for legs in recorded])

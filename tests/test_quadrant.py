@@ -139,7 +139,8 @@ class TestLegSamples:
     def test_tail_steps_counted_from_the_record(self):
         # a recorded leg has one step size per batch step it was active in
         out = sample_legs(math.pi / 4, 1.0, 1e-2, 300, RngStream(11), record=300)
-        assert out.diagnostics()["tail_steps"] == _tail_steps([out.paths]) > 0
+        steps = [len(leg.step_sizes) for leg in out.paths]
+        assert out.diagnostics()["tail_steps"] == _tail_steps([steps]) > 0
 
     def test_longest_leg_steps_is_the_longest_batch(self):
         # one chunk: its longest leg ran every batch step; three chunks: the
@@ -162,33 +163,41 @@ class TestLegSamples:
 
 
 def _tail_steps(batches):
-    """Steps with fewer than 1 % of their batch's legs active, summed over
-    batches of recorded legs (each with one step size per step)."""
+    """Steps with fewer than 1 % of their batch's rows active, summed over
+    batches given as the step count of each of their rows."""
     total = 0
-    for legs in batches:
-        active = np.bincount([len(leg.step_sizes) for leg in legs])[::-1].cumsum()[:-1]
-        total += np.count_nonzero(100 * active < len(legs))
+    for steps in batches:
+        active = np.bincount(steps)[::-1].cumsum()[:-1]
+        total += np.count_nonzero(100 * active < len(steps))
     return total
 
 
-def _leg_reference(theta, x, dt, n, gen):
-    """Plain loop over the active legs, held as a list of leg ids in row
-    order. Per step the active legs draw two normals each. A leg whose free
-    disk (radius rho, the least of X, Y and the distances of |Z| to its
-    running inf and sup) has rho >= sqrt(2) sqrt(h) jumps to rho' z / |z|
-    after the time rho'^2 tau_1(|z|^2 / 2), with rho' = rho (1 - 1e-9), and
-    draws nothing more. Then each other active leg whose free endpoint w
-    has Y w < 19 h draws the uniform of its bridge minimum, and each other
-    active leg that neither crossed nor touched and has X X_new < 19 h
-    draws its crossing uniform, all in row order. When j legs end, the live
-    legs among the last j rows fill, in order, the rows of the ended legs
-    before them, and the list shrinks by j. theta is a scalar or one angle
-    per leg."""
-    tan_t = np.broadcast_to(np.tan(np.asarray(theta, dtype=float)), (n,))
+def _leg_reference(theta, x, dt, n, gen, max_legs=1, eps=0.0):
+    """Plain loop over the active processes, held as a list of ids in row
+    order; theta broadcasts to (2, n), and the legs of process j take
+    theta[0, j] and theta[1, j] in turn. Per step the active legs draw two
+    normals each. A leg whose free disk (radius rho, the least of X, Y and
+    the distances of |Z| to its running inf and sup) has
+    rho >= sqrt(2) sqrt(h) jumps to rho' z / |z| after the time
+    rho'^2 tau_1(|z|^2 / 2), with rho' = rho (1 - 1e-9), and draws nothing
+    more. Then each other active leg whose free endpoint w has Y w < 19 h
+    draws the uniform of its bridge minimum, and each other active leg that
+    neither crossed nor touched and has X X_new < 19 h draws its crossing
+    uniform, all in row order. When a leg ends, its process's scale U (from
+    1) and its totals sum U L_S and sum U^2 S (from 0) take it, and U
+    becomes U Y_S; the process restarts at (x, 0), with L and t at 0, sup
+    and inf at x and its next angle, unless it has run max_legs legs or
+    U < eps. When j processes end, the live ones among the last j rows
+    fill, in order, the rows of the ended ones before them, and the list
+    shrinks by j. Returns per process U, sum U L_S, the sup and inf of its
+    last leg, sum U^2 S and its legs, and the counts."""
+    th = np.broadcast_to(np.asarray(theta, dtype=float), (2, n))
+    tan_t = np.tan(th[0])
     X, Y, L = np.full(n, float(x)), np.zeros(n), np.zeros(n)
     sup, inf, t = X.copy(), X.copy(), np.zeros(n)
     rows = list(range(n))
-    ys, ls, sups, infs, durs = (np.zeros(n) for _ in range(5))
+    U, l_tot, sups, infs, t_tot = np.ones(n), *(np.zeros(n) for _ in range(4))
+    legs = np.zeros(n, dtype=np.int64)
     path_steps = jumps = bridge = crossing = 0
     while rows:
         a = np.array(rows)
@@ -231,15 +240,24 @@ def _leg_reference(theta, x, dt, n, gen):
         inf[a] = np.minimum(inf[a], np.where(done, Yn, az))
         t[a] += h
         X[a], Y[a], L[a] = Xn, Yn, L[a] + dL
-        fin = a[done]
-        ys[fin], ls[fin], sups[fin], infs[fin], durs[fin] = Y[fin], L[fin], sup[fin], inf[fin], t[fin]
         path_steps += a.size
-        k = a.size - fin.size
+        for k in np.flatnonzero(done):
+            p = a[k]
+            l_tot[p] += U[p] * L[p]
+            t_tot[p] += U[p] * U[p] * t[p]
+            U[p] *= Y[p]
+            sups[p], infs[p] = sup[p], inf[p]
+            legs[p] += 1
+            if legs[p] < max_legs and U[p] >= eps:
+                X[p], Y[p], L[p], t[p], sup[p], inf[p] = x, 0.0, 0.0, 0.0, x, x
+                tan_t[p] = np.tan(th[legs[p] % 2, p])
+                done[k] = False
+        k = a.size - np.count_nonzero(done)
         holes = [j for j in range(k) if done[j]]
         for hole, j in zip(holes, [j for j in range(k, a.size) if not done[j]]):
             rows[hole] = rows[j]
         del rows[k:]
-    return ys, ls, sups, infs, durs, path_steps, jumps, bridge, crossing
+    return U, l_tot, sups, infs, t_tot, legs, path_steps, jumps, bridge, crossing
 
 
 class TestLegBatchMatchesReference:
@@ -247,8 +265,23 @@ class TestLegBatchMatchesReference:
     # row without its angle gives it the wrong reflection
     @pytest.mark.parametrize("seed, theta", [
         (31, math.pi / 4), (32, math.pi / 6),
-        (33, np.where(np.arange(200) % 2 == 0, math.pi / 6, math.pi / 3))])
+        (33, np.where(np.arange(200) % 2 == 0, math.pi / 6, math.pi / 3)),
+        # processes of up to 5 legs that restart in place and alternate
+        # their angles: a row that restarts without its next angle, or
+        # that keeps its L or its time, leaves the reference
+        (34, FixedAngles(math.pi / 6, math.pi / 3))])
     def test_bit_identical(self, seed, theta):
+        if isinstance(theta, FixedAngles):
+            out = sample_quadrant_processes(theta, 1.0, 1e-2, 1e-2, 5, 200, RngStream(seed))
+            u, l_tot, _, _, t_tot, legs, path_steps, jumps, *_ = _leg_reference(
+                [[theta.theta1], [theta.theta2]], 1.0, 1e-2, 200,
+                RngStream(seed).child(0).generator(), max_legs=5, eps=1e-2)
+            for got, want in zip((out.l_totals, out.sigma0_times, out.n_legs, out.terminated),
+                                 (l_tot, t_tot, legs, u < 1e-2)):
+                np.testing.assert_array_equal(got, want)
+            assert (out.path_steps, out.jumps) == (path_steps, jumps)
+            assert out.terminated.any() and not out.terminated.all() and legs.max() == 5
+            return
         out = sample_legs(theta, 1.0, 1e-2, 200, RngStream(seed))
         *ref, path_steps, jumps, bridge, crossing = _leg_reference(
             theta, 1.0, 1e-2, 200, RngStream(seed).child(0).generator())
@@ -511,19 +544,19 @@ class TestQuadrantProcess:
         assert not batch.terminated[0] and len(batch.paths[0].legs) == batch.n_legs[0] == 2
         d = batch.diagnostics()
         assert d["unterminated"] == np.count_nonzero(~batch.terminated) > 0
-        assert d["leg_rounds"] == 2 and 0 < d["jumps"] < d["path_steps"]
+        assert 0 < d["jumps"] < d["path_steps"]
 
     def test_tail_steps_counted_from_the_record(self):
         src = FixedAngles(math.pi / 4, math.pi / 3)
         batch = sample_quadrant_processes(src, 1.0, 1e-2, 1e-2, 20, 300, RngStream(20),
                                           record=300)
-        rounds = [[proc.legs[i] for proc in batch.paths if len(proc.legs) > i]
-                  for i in range(batch.leg_rounds)]
-        assert batch.diagnostics()["tail_steps"] == _tail_steps(rounds) > 0
-        # each round's longest leg ran all of its batch's steps
+        # a recorded process has one step size per batch step it was
+        # active in, across its legs
+        steps = [sum(len(leg.step_sizes) for leg in proc.legs) for proc in batch.paths]
+        assert batch.diagnostics()["tail_steps"] == _tail_steps([steps]) > 0
+        # one chunk: its longest process ran all of its batch's steps
         longest = batch.diagnostics()["longest_leg_steps"]
-        assert longest == max(len(leg.step_sizes) for legs in rounds for leg in legs)
-        assert 1 <= longest <= batch.batch_steps
+        assert longest == max(steps) == batch.batch_steps
 
     def test_eps_validation(self):
         src = FixedAngles(1.0, 1.0)
@@ -548,9 +581,9 @@ class TestQuadrantProcess:
         # L_total has tail index kappa = 2 (th1 + th2)/pi = 4/3 < 2, so its
         # variance is infinite and a stderr band on its sample mean has no
         # stated rate. Peng's tail-corrected mean at this kappa with
-        # k = 1000 of 30 000 read 1.374 (sd 0.018) over seeds 100-119,
-        # against 1.366: the 5 % band lies 3.3 sd above that and 4.2 sd
-        # below, a false-failure rate of about 5e-4 (normal approximation)
+        # k = 1000 of 30 000 read 1.369 (sd 0.019) over seeds 100-119,
+        # against 1.366: the 5 % band lies 3.4 sd above that and 3.8 sd
+        # below, a false-failure rate of about 4e-4 (normal approximation)
         src = FixedAngles(math.pi / 3, math.pi / 3)
         batch = sample_quadrant_processes(src, 1.0, 2.5e-4, 1e-3, 200, 30000,
                                           RngStream(17))
@@ -563,7 +596,9 @@ class TestQuadrantProcess:
         rng = RngStream(18)
         b = sample_quadrant_processes(FixedAngles(math.pi / 6, math.pi / 3), 1.0, 1e-2,
                                       1e-1, 50, 10, rng, chunk=4)
-        check_chunks((b.l_totals, b.n_legs, b.terminated, b.sigma0_times), 10, 4, rng)
+        # the kernel's columns at x = 1: U, sum U L_S, the last leg's sup
+        # and inf, sum U^2 S and the legs; terminated is U < eps
+        check_chunks((None, b.l_totals, None, None, b.sigma0_times, b.n_legs), 10, 4, rng)
 
     def test_divergent_angles_grow(self):
         # When tan th1 tan th2 <= 1 the mean of L_total is infinite at every
@@ -594,6 +629,55 @@ class TestQuadrantProcess:
         # leave the band around 2/3, so the check above can fail
         kappa = 2.0 / 3.0
         assert abs(hill_of(math.pi / 3, math.pi / 3, 2) - kappa) > 4 * kappa / math.sqrt(k)
+
+
+def _round_processes(theta1, theta2, dt, eps, max_legs, n, rng):
+    """Quadrant processes built as leg rounds: round k runs leg k of the
+    processes still active as one ``sample_legs`` batch from 1, with one
+    angle per process, on rng.child(k), and rescales it by each process's
+    U. Returns the l_totals, sigma0_times and n_legs."""
+    u, l_tot, t_tot = np.ones(n), np.zeros(n), np.zeros(n)
+    legs = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)
+    for k in range(max_legs):
+        if not active.size:
+            break
+        theta = np.full(active.size, theta1 if k % 2 == 0 else theta2)
+        s = sample_legs(theta, 1.0, dt, active.size, rng.child(k))
+        l_tot[active] += u[active] * s.local_times
+        t_tot[active] += u[active] ** 2 * s.durations
+        u[active] *= s.ys
+        legs[active] += 1
+        active = active[u[active] >= eps]
+    return l_tot, t_tot, legs
+
+
+def _restart_gate(seed):
+    """p-values of the restart engine against the leg rounds on 2000
+    processes each at (pi/6, pi/3), dt 1e-2, eps 1e-2: two-sample KS on
+    l_totals and sigma0_times, and chi^2 homogeneity on n_legs with the
+    values above the pooled 99 % quantile in one bin."""
+    from scipy.stats import chi2_contingency
+    n, eps = 2000, 1e-2
+    batch = sample_quadrant_processes(FixedAngles(math.pi / 6, math.pi / 3), 1.0, 1e-2, eps,
+                                      400, n, RngStream(seed))
+    assert batch.terminated.all()
+    l_tot, t_tot, legs = _round_processes(math.pi / 6, math.pi / 3, 1e-2, eps, 400, n,
+                                          RngStream(seed).child(1))
+    cap = int(np.quantile(np.concatenate([batch.n_legs, legs]), 0.99))
+    table = [np.bincount(np.minimum(a, cap), minlength=cap + 1)[1:] for a in (batch.n_legs, legs)]
+    return {"l_totals": ks_two_sample(batch.l_totals, l_tot).p_value,
+            "sigma0_times": ks_two_sample(batch.sigma0_times, t_tot).p_value,
+            "n_legs": chi2_contingency(table).pvalue}
+
+
+class TestRestartsMatchRounds:
+    def test_same_law_as_the_leg_rounds(self):
+        """Legs that restart in place against the round construction: each
+        of the three p-values above 1e-3 / 3 (Bonferroni), a family-wise
+        false-failure rate of 1e-3."""
+        p = _restart_gate(50)
+        assert min(p.values()) > 1e-3 / 3, p
 
 
 class TestRecordingIsPassive:

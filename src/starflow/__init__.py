@@ -9,7 +9,7 @@ from .graphs import (
     load_graph, make_star, metric_graph_from_dict, metric_graph_to_dict,
     per_ray_quadratic, save_graph,
 )
-from .halfline import RngStream, bridge_crossings, map_chunks, reflected_step
+from .halfline import RngStream, bridge_crossings, reflected_step
 from .stats import (
     KSResult, MCEstimate, ks_against_cdf, ks_two_sample, mc_estimate,
     reg_incomplete_beta,

@@ -1,17 +1,15 @@
-"""One-dimensional building blocks and the batch driver.
+"""One-dimensional building blocks.
 
-Random streams, the batch driver, and the two exact Brownian-bridge
-primitives that every quadrant, pair and Walsh engine takes: the reflected
-step with its local time (``reflected_step``) and the zero-crossing test
+Random streams and the two exact Brownian-bridge primitives that every
+quadrant, pair and Walsh engine takes: the reflected step with its local
+time (``reflected_step``) and the zero-crossing test
 (``bridge_crossings``).
 
 Random numbers come from counter-based Philox streams: a stream is a
 (master seed, index path) pair, distinct paths are statistically
 independent, and the same pair always reproduces the same bytes. Every
-batch engine runs through ``map_chunks``: the paths split into fixed
-chunks, chunk ci draws from the child stream ci, and the chunk results are
-merged in chunk order, so a result depends only on the seed, n and the
-chunk size.
+batch engine runs its n paths as one batch on one generator of its stream,
+so a result depends only on the seed and n.
 
 The cut-off. ``Generator.random`` returns multiples of 2**-53, and a
 Brownian bridge from a to b over h dips below 0 with probability
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RngStream", "map_chunks", "reflected_step", "bridge_crossings",
+    "RngStream", "reflected_step", "bridge_crossings",
     "check_horizon", "grid_steps", "BRIDGE_CUT",
 ]
 
@@ -60,20 +58,6 @@ class RngStream:
 
     def child(self, k: int) -> "RngStream":
         return RngStream(self.seed, self.index + (int(k),))
-
-
-def map_chunks(fn, n: int, rng: RngStream, chunk: int) -> tuple:
-    """Run ``fn(lo, hi, stream)`` on the chunks [lo, hi) of range(n), in order.
-
-    Chunk ci gets the stream rng.child(ci). fn returns a tuple of arrays
-    whose first axis runs over the chunk's paths, and each tuple entry is
-    concatenated in chunk order.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    results = [fn(lo, min(lo + chunk, n), rng.child(ci))
-               for ci, lo in enumerate(range(0, n, chunk))]
-    return tuple(np.concatenate(parts) for parts in zip(*results))
 
 
 def check_horizon(T: float, dt: float) -> None:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import ORIGIN_VERTEX, GraphPoint, StarGraph
-from .halfline import RngStream, bridge_crossings, check_horizon, grid_steps, map_chunks
+from .halfline import RngStream, bridge_crossings, check_horizon, grid_steps
 from .quadrant import SAFETY
 from .walsh import _coupled_step, _point_state, walsh_step
 
@@ -271,9 +271,9 @@ def _pair_step(g, gen, dt, o_rad, o_ray, p_rad, p_ray):
 
 @dataclass
 class PairSamples:
-    """Per-path leg books of a pair run from a moving point at radius x on
-    ray ``chains[:, 0]`` and a pivot at the origin; the pair's scale is x
-    times the product of its leg ratios."""
+    """Per-path leg books of a pair run from a moving point at radius x and
+    a pivot at the origin; the pair's scale is x times the product of its
+    leg ratios."""
 
     theta0: float             # reflection angle of the first leg
     eps_stop: float           # the scale that ends a path (0: none)
@@ -281,7 +281,6 @@ class PairSamples:
     scales: np.ndarray        # (n,) scale at the end of the last leg
     times: np.ndarray         # (n,) real time at the end of the last leg
     ratios: np.ndarray        # (n, cols) leg k's end scale over its start scale
-    chains: np.ndarray        # (n, cols+1) moving ray at the start of leg k
     transitions: np.ndarray   # (N, N) legs by (moving ray, next moving ray)
     counts: np.ndarray        # batch steps, path-steps, tail steps
 
@@ -290,88 +289,84 @@ class PairSamples:
         return float(np.mean(self.scales < self.eps_stop))
 
     def diagnostics(self) -> dict:
-        """Work counts; tail steps have < 1 % of their chunk's paths active."""
+        """Work counts; tail steps have < 1 % of the n paths active."""
         steps, path_steps, tail = (int(c) for c in self.counts)
         return {"batch_steps": steps, "path_steps": path_steps, "tail_steps": tail,
                 "legs": int(self.legs.sum())}
 
 
-def _pair_run(g: StarGraph, start_ray: int, dt: float, n: int, rng: RngStream, chunk: int,
+def _pair_run(g: StarGraph, start_ray: int, dt: float, n: int, rng: RngStream,
               columns: int, n_legs: int | None = None, eps_unit: float = 0.0) -> PairSamples:
     """n pairs from (ray start_ray, 1) and the origin, whose legs each
     restart in place at unit scale.
 
-    Each chunk of ``map_chunks`` starts its rows with the moving point at 1
-    and the pivot at 0 on a ray drawn with one uniform per row, and steps
-    every row with ``_pair_step``. A transfer ends a leg at the ratio of
-    the pivot's radial; the scale U_k is the product of the first k ratios
-    and the real time is sum U_{k-1}^2 d_k over the leg durations d_k. A
-    path retires after n_legs legs or once U_k < eps_unit. Every other
-    transferring row restarts in place: the moving point at 1 on the next
-    ray, the pivot at 0 on a fresh ray, one uniform per row in row order
-    after the step's draws. That is exact in law, by the pair's Brownian
-    scaling and the strong Markov property at the transfer. Ratios and rays
-    are kept for the first ``columns`` legs, transition counts for all.
+    The n rows run as one batch on rng.generator(). They start with the
+    moving point at 1 and the pivot at 0 on a ray drawn with one uniform
+    per row, and every row steps with ``_pair_step``. A transfer ends a
+    leg at the ratio of the pivot's radial; the scale U_k is the product of
+    the first k ratios and the real time is sum U_{k-1}^2 d_k over the leg
+    durations d_k. A path retires after n_legs legs or once U_k < eps_unit.
+    Every other transferring row restarts in place: the moving point at 1
+    on the next ray, the pivot at 0 on a fresh ray, one uniform per row in
+    row order after the step's draws. That is exact in law, by the pair's
+    Brownian scaling and the strong Markov property at the transfer.
+    Ratios are kept for the first ``columns`` legs, transition counts for
+    all.
     """
     check_horizon(1.0, dt)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if start_ray not in range(g.n_rays):
         raise ValueError(f"start ray {start_ray} is not one of the star's {g.n_rays} rays")
     N = g.n_rays
-
-    def run(lo, hi, stream):
-        m = hi - lo
-        gen = stream.generator()
-        idx = np.arange(m)   # the active rows' paths
-        o_rad, o_ray = np.ones(m), np.full(m, start_ray, dtype=np.int64)
-        p_rad, p_ray = np.zeros(m), g.draw_edges(ORIGIN_VERTEX, gen.random(m))
-        d = np.zeros(m)      # the current leg's duration
-        legs, scales, times = np.zeros(m, dtype=np.int64), np.ones(m), np.zeros(m)
-        ratios, chains = np.empty((m, columns)), np.full((m, columns + 1), start_ray)
-        trans = np.zeros(N * N, dtype=np.int64)
-        steps = path_steps = tail = 0
-        while idx.size:
-            steps, path_steps, tail = steps + 1, path_steps + idx.size, tail + (100 * idx.size < m)
-            h, o_rad, p_rad, done, nxt = _pair_step(g, gen, dt, o_rad, o_ray, p_rad, p_ray)
-            d += h
-            if not done.any():
-                continue
-            rows = np.flatnonzero(done)
-            i, r = idx[rows], p_rad[rows]
-            k = legs[i]
-            kept = k < columns
-            ratios[i[kept], k[kept]], chains[i[kept], k[kept] + 1] = r[kept], nxt[kept]
-            trans += np.bincount(o_ray[rows] * N + nxt, minlength=N * N)
-            times[i] += scales[i] ** 2 * d[rows]
-            scales[i] *= r
-            legs[i] = k + 1
-            end = (scales[i] < eps_unit) | (k + 1 == n_legs)
-            on = rows[~end]
-            o_rad[on], o_ray[on], p_rad[on], d[on] = 1.0, nxt[~end], 0.0, 0.0
-            p_ray[on] = g.draw_edges(ORIGIN_VERTEX, gen.random(on.size))
-            if end.any():
-                live = np.bincount(rows[end], minlength=idx.size) == 0
-                idx, o_rad, o_ray, p_rad, p_ray, d = (
-                    a[live] for a in (idx, o_rad, o_ray, p_rad, p_ray, d))
-        return (legs, scales, times, ratios, chains, trans.reshape(1, N, N),
-                np.array([[steps, path_steps, tail]]))
-
-    *out, trans, counts = map_chunks(run, n, rng, chunk)
+    gen = rng.generator()
+    idx = np.arange(n)   # the active rows' paths
+    o_rad, o_ray = np.ones(n), np.full(n, start_ray, dtype=np.int64)
+    p_rad, p_ray = np.zeros(n), g.draw_edges(ORIGIN_VERTEX, gen.random(n))
+    d = np.zeros(n)      # the current leg's duration
+    legs, scales, times = np.zeros(n, dtype=np.int64), np.ones(n), np.zeros(n)
+    ratios = np.empty((n, columns))
+    trans = np.zeros(N * N, dtype=np.int64)
+    steps = path_steps = tail = 0
+    while idx.size:
+        steps, path_steps, tail = steps + 1, path_steps + idx.size, tail + (100 * idx.size < n)
+        h, o_rad, p_rad, done, nxt = _pair_step(g, gen, dt, o_rad, o_ray, p_rad, p_ray)
+        d += h
+        if not done.any():
+            continue
+        rows = np.flatnonzero(done)
+        i, r = idx[rows], p_rad[rows]
+        k = legs[i]
+        kept = k < columns
+        ratios[i[kept], k[kept]] = r[kept]
+        trans += np.bincount(o_ray[rows] * N + nxt, minlength=N * N)
+        times[i] += scales[i] ** 2 * d[rows]
+        scales[i] *= r
+        legs[i] = k + 1
+        end = (scales[i] < eps_unit) | (k + 1 == n_legs)
+        on = rows[~end]
+        o_rad[on], o_ray[on], p_rad[on], d[on] = 1.0, nxt[~end], 0.0, 0.0
+        p_ray[on] = g.draw_edges(ORIGIN_VERTEX, gen.random(on.size))
+        if end.any():
+            live = np.bincount(rows[end], minlength=idx.size) == 0
+            idx, o_rad, o_ray, p_rad, p_ray, d = (
+                a[live] for a in (idx, o_rad, o_ray, p_rad, p_ray, d))
     p = g.probs[start_ray]
-    return PairSamples(math.atan2(p, 1.0 - p), eps_unit, *out, trans.sum(axis=0),
-                       counts.sum(axis=0))
+    return PairSamples(math.atan2(p, 1.0 - p), eps_unit, legs, scales, times, ratios,
+                       trans.reshape(N, N), np.array([steps, path_steps, tail]))
 
 
 def sample_first_legs(g: StarGraph, start_ray: int, dt: float, n: int,
-                      rng: RngStream, n_legs: int = 1, chunk: int = 65536) -> PairSamples:
+                      rng: RngStream, n_legs: int = 1) -> PairSamples:
     """The first n_legs legs of n pairs from (ray start_ray, 1) and the
-    origin, with every leg's ratio and ray: ``_pair_run`` for n_legs legs."""
+    origin, with every leg's ratio: ``_pair_run`` for n_legs legs."""
     if n_legs < 1:
         raise ValueError(f"need n_legs >= 1, got {n_legs}")
-    return _pair_run(g, start_ray, dt, n, rng, chunk, n_legs, n_legs=n_legs)
+    return _pair_run(g, start_ray, dt, n, rng, n_legs, n_legs=n_legs)
 
 
 def sample_coalescence_times(g: StarGraph, x: GraphPoint, dt: float, eps_stop: float,
-                             n: int, rng: RngStream, chunk: int = 65536) -> PairSamples:
+                             n: int, rng: RngStream) -> PairSamples:
     """Legs and real times of n pairs from x and the origin until their
     scale drops below eps_stop (their quadrant process reaches the corner):
     ``_pair_run`` from 1 down to eps_stop / r, r the radial of x, with the
@@ -379,13 +374,13 @@ def sample_coalescence_times(g: StarGraph, x: GraphPoint, dt: float, eps_stop: f
     start_ray, r = _point_state(g, x)
     if not 0.0 < eps_stop < r:
         raise ValueError(f"need 0 < eps_stop < {r} (the start radial), got {eps_stop}")
-    out = _pair_run(g, start_ray, dt, n, rng, chunk, 1, eps_unit=eps_stop / r)
+    out = _pair_run(g, start_ray, dt, n, rng, 1, eps_unit=eps_stop / r)
     out.eps_stop, out.scales, out.times = eps_stop, r * out.scales, r * r * out.times
     return out
 
 
 def sample_exact_leg_counts(g: StarGraph, x: GraphPoint, eps_stop: float, n: int,
-                            rng: RngStream, chunk: int = 65536) -> np.ndarray:
+                            rng: RngStream) -> np.ndarray:
     """Leg counts to scale eps_stop of n exact scale chains of the pair
     from x and the origin, with no dt.
 
@@ -398,21 +393,19 @@ def sample_exact_leg_counts(g: StarGraph, x: GraphPoint, eps_stop: float, n: int
     start_ray, r = _point_state(g, x)
     if not 0.0 < eps_stop < r:
         raise ValueError(f"need 0 < eps_stop < {r} (the start radial), got {eps_stop}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     tilt = np.arctan2(g.probs_array, 1.0 - g.probs_array) / math.pi
-
-    def run(lo, hi, stream):
-        gen = stream.generator()
-        legs, scales = np.zeros(hi - lo, dtype=np.int64), np.ones(hi - lo)
-        ray, live = np.full(hi - lo, start_ray), np.arange(hi - lo)
-        while live.size:
-            ga, gb = (gen.standard_gamma(0.5 + s * tilt[ray[live]]) for s in (-1.0, 1.0))
-            scales[live] *= np.sqrt(ga / gb)
-            legs[live] += 1
-            ray[live] = _other_rays(g, ray[live], gen.random(live.size))
-            live = live[scales[live] >= eps_stop / r]
-        return (legs,)
-
-    return map_chunks(run, n, rng, chunk)[0]
+    gen = rng.generator()
+    legs, scales = np.zeros(n, dtype=np.int64), np.ones(n)
+    ray, live = np.full(n, start_ray), np.arange(n)
+    while live.size:
+        ga, gb = (gen.standard_gamma(0.5 + s * tilt[ray[live]]) for s in (-1.0, 1.0))
+        scales[live] *= np.sqrt(ga / gb)
+        legs[live] += 1
+        ray[live] = _other_rays(g, ray[live], gen.random(live.size))
+        live = live[scales[live] >= eps_stop / r]
+    return legs
 
 
 # -- filtered kernel -----------------------------------------------------------
@@ -434,28 +427,22 @@ def _replica_batch(g: StarGraph, x0: GraphPoint, T: float, dt: float, n_runs: in
     """Endpoints (rays, radials), each (n_runs, m), of m re-solves per run
     that share the run's directly drawn edge noises W.
 
-    The runs go through ``map_chunks`` in chunks of 65536 // m, each one
-    ``_flow_batch`` with no merge rule. For N = 2 each run draws its (2, K)
-    noises at once and every replica is their two-ray Euler map.
+    The runs are one ``_flow_batch`` on rng.generator() with no merge
+    rule. For N = 2 each run draws its (2, K) noises at once and every
+    replica is their two-ray Euler map.
     """
     if m < 2:
         raise ValueError("need m >= 2 replicas")
     K = grid_steps(T, dt)
-    sq = math.sqrt(dt)
-
-    def run(lo, hi, stream):
-        gen = stream.generator()
-        c = hi - lo
-        if g.n_rays == 2:
-            rays, rads = np.empty((c, m), dtype=np.int64), np.empty((c, m))
-            for r in range(c):
-                end = isde_n2_from_noise(g, x0, sq * gen.standard_normal((2, K)), dt)
-                rays[r], rads[r] = end.rays[-1], end.radials[-1]
-            return rays, rads
-        rays, rads = _flow_batch(g, [x0] * m, T, dt, c, gen)[:2]
-        return rays[0], rads[0]
-
-    return map_chunks(run, n_runs, rng, max(1, 65536 // m))
+    gen = rng.generator()
+    if g.n_rays == 2:
+        rays, rads = np.empty((n_runs, m), dtype=np.int64), np.empty((n_runs, m))
+        for r in range(n_runs):
+            end = isde_n2_from_noise(g, x0, math.sqrt(dt) * gen.standard_normal((2, K)), dt)
+            rays[r], rads[r] = end.rays[-1], end.radials[-1]
+        return rays, rads
+    rays, rads = _flow_batch(g, [x0] * m, T, dt, n_runs, gen)[:2]
+    return rays[0], rads[0]
 
 
 def _dispersions(rays: np.ndarray, rads: np.ndarray, n_rays: int) -> np.ndarray:

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfline import RngStream, bridge_crossings, check_horizon, map_chunks, reflected_step
+from .halfline import RngStream, bridge_crossings, check_horizon, reflected_step
 from .stats import reg_incomplete_beta
 
 __all__ = [
@@ -150,13 +150,12 @@ class LegSamples:
     sup_abs: np.ndarray
     inf_abs: np.ndarray
     durations: np.ndarray
-    batch_steps: int         # steps of the leg batches, summed over chunks
+    batch_steps: int         # steps of the leg batch, its longest leg's (cap: max_steps)
     path_steps: int          # active legs summed over those steps: steps plus jumps
     jumps: int               # of those, jumps across a free disk
     bridge_uniforms: int     # bridge-minimum uniforms drawn
     crossing_uniforms: int   # within-step crossing uniforms drawn
     tail_steps: int          # batch steps with fewer than 1 % of the batch's legs active
-    longest_leg_steps: int   # steps of the longest batch, its longest leg's (cap: max_steps)
     paths: list[OrbmLeg]     # the recorded legs
 
     @property
@@ -164,12 +163,10 @@ class LegSamples:
         return len(self.ys)
 
     def diagnostics(self) -> dict:
-        """The engine's work counts, and the longest leg's steps against the
-        max_steps cap."""
+        """The engine's work counts."""
         return {"batch_steps": self.batch_steps, "path_steps": self.path_steps,
                 "jumps": self.jumps, "bridge_uniforms": self.bridge_uniforms,
-                "crossing_uniforms": self.crossing_uniforms, "tail_steps": self.tail_steps,
-                "longest_leg_steps": self.longest_leg_steps}
+                "crossing_uniforms": self.crossing_uniforms, "tail_steps": self.tail_steps}
 
 
 @functools.lru_cache(maxsize=None)
@@ -400,38 +397,27 @@ def _recorded_legs(rec, theta, x):
         yield legs
 
 
-def _unit_runs(theta, x, dt, n, rng, chunk, record, max_steps=10 ** 8, max_legs=1,
-               eps_unit=0.0):
-    """``_leg_batch`` on chunk ci of ``chunk`` processes through
-    ``map_chunks``, on the stream rng.child(ci), with theta broadcast to
-    (2, n). Returns its outputs, concatenated, U at unit scale and the sums
-    and extremes x times (sums of S x^2 times, inf for x above about 1e154);
-    its counts, one row per chunk; and the legs of processes 0..record-1
-    (from chunk 0) at x."""
+def _unit_runs(theta, x, dt, n, rng, record, max_steps=10 ** 8, max_legs=1, eps_unit=0.0):
+    """``_leg_batch`` on all n processes at once, on rng.generator(), with
+    theta broadcast to (2, n). Returns its outputs, U at unit scale and the
+    sums and extremes x times (sums of S x^2 times, inf for x above about
+    1e154); its counts; and the legs of processes 0..record-1 at x."""
     check_horizon(x, dt)
-    if not 0 <= record <= min(n, chunk):
-        raise ValueError(f"need 0 <= record <= min(n, chunk), got {record}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not 0 <= record <= n:
+        raise ValueError(f"need 0 <= record <= n, got {record}")
     theta = np.broadcast_to(np.asarray(theta, dtype=float), (2, n))
-    recorded = []
-
-    def run(lo, hi, stream):
-        k = record if lo == 0 else 0
-        *out, rec, counts = _leg_batch(theta[:, lo:hi], dt, hi - lo, stream.generator(),
-                                       max_steps, k, max_legs, eps_unit)
-        if k:
-            recorded.extend(_recorded_legs(rec, theta, x))
-        return (*out, counts[None, :])
-
-    *out, counts = map_chunks(run, n, rng, chunk)
+    *out, rec, counts = _leg_batch(theta, dt, n, rng.generator(), max_steps, record,
+                                   max_legs, eps_unit)
     for a in out[1:4]:
         a *= x
     out[4] *= x * x
-    return out, counts, recorded
+    return out, counts, list(_recorded_legs(rec, theta, x)) if record else []
 
 
 def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
-                max_steps: int = 10 ** 8, chunk: int = 65536,
-                record: int = 0) -> LegSamples:
+                max_steps: int = 10 ** 8, record: int = 0) -> LegSamples:
     """Terminal summaries of n independent legs from (x, 0), and the paths
     of legs 0..record-1: ``_unit_runs`` with one leg per process.
 
@@ -442,11 +428,10 @@ def sample_legs(theta, x: float, dt: float, n: int, rng: RngStream,
     """
     _check_theta(np.min(theta))
     _check_theta(np.max(theta))
-    (ys, *out, _), counts, recorded = _unit_runs(theta, x, dt, n, rng, chunk, record, max_steps)
+    (ys, *out, _), counts, recorded = _unit_runs(theta, x, dt, n, rng, record, max_steps)
     ys *= x
     # the counts are LegSamples' from batch_steps to tail_steps, in order
-    return LegSamples(float(np.min(theta)), x, dt, ys, *out,
-                      *(int(c) for c in counts.sum(axis=0)), int(counts[:, 0].max()),
+    return LegSamples(float(np.min(theta)), x, dt, ys, *out, *(int(c) for c in counts),
                       [legs[0] for legs in recorded])
 
 
@@ -600,11 +585,10 @@ class QuadrantBatch:
     n_legs: np.ndarray
     terminated: np.ndarray
     sigma0_times: np.ndarray
-    batch_steps: int            # steps of the process batches, summed over chunks
+    batch_steps: int            # steps of the process batch, its longest process's
     path_steps: int             # active processes summed over those steps: steps plus jumps
     jumps: int                  # of those, jumps across a free disk
-    tail_steps: int             # steps with fewer than 1 % of their batch's processes active
-    longest_leg_steps: int      # steps of the longest batch, its longest process's
+    tail_steps: int             # steps with fewer than 1 % of the batch's processes active
     paths: list[QuadrantPath]   # the recorded processes
 
     @property
@@ -612,18 +596,16 @@ class QuadrantBatch:
         return len(self.l_totals)
 
     def diagnostics(self) -> dict:
-        """The engine's work counts, the longest process's steps (against
-        the default max_steps), and the processes that max_legs stopped
+        """The engine's work counts, and the processes that max_legs stopped
         before they reached eps_stop."""
         return {"batch_steps": self.batch_steps, "path_steps": self.path_steps, "jumps": self.jumps,
-                "tail_steps": self.tail_steps, "longest_leg_steps": self.longest_leg_steps,
+                "tail_steps": self.tail_steps,
                 "unterminated": int(self.n - np.count_nonzero(self.terminated))}
 
 
 def sample_quadrant_processes(source: FixedAngles, x: float, dt: float,
                               eps_stop: float, max_legs: int, n: int,
-                              rng: RngStream, chunk: int = 65536,
-                              record: int = 0) -> QuadrantBatch:
+                              rng: RngStream, record: int = 0) -> QuadrantBatch:
     """Batch quadrant processes, and the legs of processes 0..record-1:
     ``_unit_runs`` with max_legs legs per process.
 
@@ -641,9 +623,8 @@ def sample_quadrant_processes(source: FixedAngles, x: float, dt: float,
         raise ValueError("need max_legs >= 1")
     eps_unit = eps_stop / x
     (u, l_tot, _, _, t_tot, n_legs), counts, recorded = _unit_runs(
-        [[source.theta1], [source.theta2]], x, dt, n, rng, chunk, record,
+        [[source.theta1], [source.theta2]], x, dt, n, rng, record,
         max_legs=max_legs, eps_unit=eps_unit)
-    # steps, path-steps, jumps and tail steps, in QuadrantBatch's order
+    steps, path_steps, jumps, _, _, tail = (int(c) for c in counts)
     return QuadrantBatch(l_tot, n_legs.astype(np.int64), u < eps_unit, t_tot,
-                         *(int(c) for c in counts.sum(axis=0)[[0, 1, 2, 5]]),
-                         int(counts[:, 0].max()), [QuadrantPath(legs) for legs in recorded])
+                         steps, path_steps, jumps, tail, [QuadrantPath(legs) for legs in recorded])

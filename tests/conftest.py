@@ -1,8 +1,6 @@
-import numpy as np
 import pytest
 
-from starflow import isde, quadrant
-from starflow.halfline import RngStream, map_chunks
+from starflow.halfline import RngStream
 
 
 @pytest.fixture
@@ -48,30 +46,15 @@ def pointwise():
 
 
 @pytest.fixture
-def check_chunks(monkeypatch):
-    """Record the kernel that a batch engine of quadrant or isde hands to
-    map_chunks. ``check_chunks(outputs, n, chunk, rng)``, after one engine
-    run on n paths in chunks of ``chunk`` from rng, checks that rows
-    [lo, hi) of each output array are the kernel's run on chunk ci with
-    the stream rng.child(ci), for every chunk in order; an output given as
-    None is not compared."""
-    kernels = []
+def streams(monkeypatch):
+    """The list of the streams whose generator RngStream.generator builds
+    during the test, in order."""
+    built = []
+    build = RngStream.generator
 
-    def record(fn, *args):
-        kernels.append(fn)
-        return map_chunks(fn, *args)
+    def generator(stream):
+        built.append(stream)
+        return build(stream)
 
-    for mod in (quadrant, isde):
-        monkeypatch.setattr(mod, "map_chunks", record)
-
-    def check(outputs, n, chunk, rng):
-        kernel, = kernels
-        starts = range(0, n, chunk)
-        assert len(starts) > 1
-        for ci, lo in enumerate(starts):
-            hi = min(lo + chunk, n)
-            for got, want in zip(outputs, kernel(lo, hi, rng.child(ci))):
-                if got is not None:
-                    np.testing.assert_array_equal(got[lo:hi], want)
-
-    return check
+    monkeypatch.setattr(RngStream, "generator", generator)
+    return built

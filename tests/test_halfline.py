@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from starflow import isde, walsh
+from starflow import isde, quadrant, walsh
 from starflow.graphs import canonical_test_functions, make_star
 from starflow.halfline import (
-    BRIDGE_CUT, RngStream, bridge_crossings, grid_steps, map_chunks, reflected_step,
+    BRIDGE_CUT, RngStream, bridge_crossings, grid_steps, reflected_step,
 )
 
 
@@ -31,18 +31,25 @@ class TestRngStream:
         assert np.array_equal(a, b)
 
 
-class TestMapChunks:
-    @staticmethod
-    def _draws(lo, hi, stream):
-        return np.arange(lo, hi), stream.generator().random(hi - lo)
+_STAR = make_star(3, [0.2, 0.5, 0.3])
+# the batch engines that take a number of paths n, each as a call on n
+NO_PATH_ENGINES = {
+    "sample_legs": lambda n: quadrant.sample_legs(0.5, 1.0, 1e-2, n, RngStream(21)),
+    "sample_quadrant_processes": lambda n: quadrant.sample_quadrant_processes(
+        quadrant.FixedAngles(0.5, 0.5), 1.0, 1e-2, 1e-2, 10, n, RngStream(21)),
+    "sample_first_legs": lambda n: isde.sample_first_legs(_STAR, 0, 1e-2, n, RngStream(21)),
+    "sample_coalescence_times": lambda n: isde.sample_coalescence_times(
+        _STAR, _STAR.point(0, 1.0), 1e-2, 1e-2, n, RngStream(21)),
+    "sample_exact_leg_counts": lambda n: isde.sample_exact_leg_counts(
+        _STAR, _STAR.point(0, 1.0), 1e-2, n, RngStream(21)),
+}
 
-    def test_chunk_streams_and_order(self):
-        rng = RngStream(21)
-        ids, u = map_chunks(self._draws, 10, rng, 4)
-        np.testing.assert_array_equal(ids, np.arange(10))
-        # chunk ci draws from rng.child(ci): chunks [0, 4), [4, 8), [8, 10)
-        ref = [rng.child(ci).generator().random(m) for ci, m in enumerate((4, 4, 2))]
-        np.testing.assert_array_equal(u, np.concatenate(ref))
+
+@pytest.mark.parametrize("engine", NO_PATH_ENGINES)
+def test_batch_engines_reject_no_paths(engine, philox_words):
+    with pytest.raises(ValueError, match="n >= 1"):
+        NO_PATH_ENGINES[engine](0)
+    assert philox_words() == 0
 
 
 BAD_HORIZONS = [(1.0, 0.0), (1.0, -1e-3), (0.0, 1e-3), (-1.0, 1e-3),

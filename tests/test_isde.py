@@ -300,7 +300,7 @@ class TestNPointMotion:
 
 
 # -- the pair run --------------------------------------------------------------
-# A frozen copy of the pair run (one chunk, stream child 0): step size,
+# A frozen copy of the pair run (on rng.generator()): step size,
 # exact bridge-minimum step of the pivot with a coin when it touches the
 # origin, transfer test and the conditioned redraw of the next moving ray,
 # in the run's draw order, then per transfer the leg books, and for each
@@ -351,16 +351,16 @@ def _pair_step_reference(gen, dt, probs, cum, orad, oray, prad, pray):
 
 
 def _pair_run_reference(g, start_ray, dt, n, rng, n_legs=None, eps_unit=0.0):
-    """Per path: its legs, scale, real time, ratios and rays of every leg;
+    """Per path: its legs, scale, real time and the ratios of every leg;
     and the (N, N) transition counts."""
     probs = g.probs_array
     cum = np.cumsum(probs)
-    gen = rng.child(0).generator()
+    gen = rng.generator()
     o_rad, o_ray = np.ones(n), np.full(n, start_ray)
     p_rad, p_ray = np.zeros(n), np.searchsorted(cum, gen.random(n))
     d, idx = np.zeros(n), np.arange(n)
     legs, scales, times = np.zeros(n, dtype=np.int64), np.ones(n), np.zeros(n)
-    ratios, chains = [[] for _ in range(n)], [[start_ray] for _ in range(n)]
+    ratios = [[] for _ in range(n)]
     trans = np.zeros((g.n_rays, g.n_rays), dtype=np.int64)
     while idx.size:
         h, o_rad, p_rad, p_ray, transfer, nxt = _pair_step_reference(
@@ -371,7 +371,6 @@ def _pair_run_reference(g, start_ray, dt, n, rng, n_legs=None, eps_unit=0.0):
         for row, ray in zip(np.flatnonzero(transfer), nxt):
             i = idx[row]
             ratios[i].append(p_rad[row])
-            chains[i].append(ray)
             trans[o_ray[row], ray] += 1
             times[i] += scales[i] ** 2 * d[row]
             scales[i] *= p_rad[row]
@@ -385,16 +384,15 @@ def _pair_run_reference(g, start_ray, dt, n, rng, n_legs=None, eps_unit=0.0):
             p_ray[row] = np.searchsorted(cum, gen.random())
         idx, o_rad, o_ray, p_rad, p_ray, d = (
             a[live] for a in (idx, o_rad, o_ray, p_rad, p_ray, d))
-    return legs, scales, times, ratios, chains, trans
+    return legs, scales, times, ratios, trans
 
 
 def _assert_matches_reference(out, ref, cols, r=1.0):
-    legs, scales, times, ratios, chains, trans = ref
+    legs, scales, times, ratios, trans = ref
     np.testing.assert_array_equal(out.legs, legs)
     np.testing.assert_array_equal(out.scales, r * scales)
     np.testing.assert_array_equal(out.times, r * r * times)
     np.testing.assert_array_equal(out.ratios, [row[:cols] for row in ratios])
-    np.testing.assert_array_equal(out.chains, [row[:cols + 1] for row in chains])
     np.testing.assert_array_equal(out.transitions, trans)
 
 
@@ -404,7 +402,8 @@ class TestPairEngines:
         out = sample_first_legs(G, start_ray, 0.01, 100, RngStream(seed), n_legs=2)
         ref = _pair_run_reference(G, start_ray, 0.01, 100, RngStream(seed), n_legs=2)
         _assert_matches_reference(out, ref, 2)
-        assert np.all(out.chains[:, 1:] != out.chains[:, :-1])
+        # the moving point changes ray at every transfer
+        assert np.trace(out.transitions) == 0 and out.transitions.sum() == 200
 
     @pytest.mark.parametrize("seed, start", [(53, (0, 1.0)), (54, (2, 0.5))])
     def test_coalescence_bit_identical_to_reference_loop(self, seed, start):
@@ -433,7 +432,7 @@ class TestPairEngines:
         np.testing.assert_array_equal(first.scales, np.cumprod(first.ratios, axis=1)[:, -1])
         # eps: each path stops at the first leg whose scale falls below eps,
         # read from a run that keeps the ratios of (many more than) all legs
-        run = isde._pair_run(G, 1, 0.01, 50, RngStream(59), 65536, 60, eps_unit=0.05)
+        run = isde._pair_run(G, 1, 0.01, 50, RngStream(59), 60, eps_unit=0.05)
         assert run.legs.max() < 60 and run.transitions.sum() == run.legs.sum()
         for k, row, s in zip(run.legs, run.ratios, run.scales):
             u = np.cumprod(row[:k])
@@ -478,15 +477,29 @@ class TestPairEngines:
             sample_first_legs(G, start_ray, 0.01, 10, RngStream(72))
         assert philox_words() == 0
 
-    def test_first_leg_chunks_are_kernel_runs_in_order(self, check_chunks):
+    def test_first_legs_are_one_kernel_run(self, streams):
+        # the n pairs are one run of the reference loop on rng.generator()
         rng = RngStream(55)
-        a = sample_first_legs(G, 1, 0.01, 30, rng, n_legs=1, chunk=7)
-        check_chunks((a.legs, a.scales, a.times, a.ratios, a.chains), 30, 7, rng)
+        a = sample_first_legs(G, 1, 0.01, 30, rng, n_legs=1)
+        assert streams == [rng]
+        _assert_matches_reference(a, _pair_run_reference(G, 1, 0.01, 30, rng, n_legs=1), 1)
 
-    def test_coalescence_chunks_are_kernel_runs_in_order(self, check_chunks):
+    def test_coalescence_is_one_kernel_run(self, streams):
         rng = RngStream(56)
-        c = sample_coalescence_times(G, G.point(1, 1.0), 0.01, 0.1, 20, rng, chunk=7)
-        check_chunks((c.legs, c.scales, c.times, c.ratios, c.chains), 20, 7, rng)
+        c = sample_coalescence_times(G, G.point(1, 1.0), 0.01, 0.1, 20, rng)
+        assert streams == [rng]
+        _assert_matches_reference(c, _pair_run_reference(G, 1, 0.01, 20, rng, eps_unit=0.1), 1)
+
+    def test_exact_leg_counts_are_one_kernel_run(self, streams):
+        # from radial 1 to 0.999 every chain ends after its first leg unless
+        # that leg's ratio, sqrt(G_a / G_b) from rng.generator(), is >= 0.999
+        rng = RngStream(57)
+        legs = isde.sample_exact_leg_counts(G, G.point(1, 1.0), 0.999, 200, rng)
+        assert streams == [rng]
+        gen = rng.generator()
+        tilt = np.full(200, np.arctan2(G.probs_array, 1.0 - G.probs_array)[1] / math.pi)
+        ga, gb = gen.standard_gamma(0.5 - tilt), gen.standard_gamma(0.5 + tilt)
+        np.testing.assert_array_equal(legs == 1, np.sqrt(ga / gb) < 0.999)
 
     def test_other_rays_follow_the_conditioned_weights(self):
         # P(j | not i) = p_j / (1 - p_i), by a chi^2 test at 1e-3 per banned ray
@@ -560,11 +573,17 @@ class TestReplicaEndpoints:
         # with dW^i < 0 folds and redraws, so its end rays follow the weights.
         # Reusing the redraw coin as the starting ray would never move a
         # folded replica: every group would end on one ray.
+        # A run folds no group when all three dW^i >= 0, with probability
+        # 1/8, so runs go on, on child streams, until one folds a group;
+        # 20 runs all miss with probability 8^-20.
         g = make_star(3, [0.2, 0.5, 0.3])
         m, dt = 20000, 0.01
-        est = filtered_kernel(g, g.origin(), dt, dt, m, RngStream(57))
-        radii, group = np.unique(est.radials, return_inverse=True)
-        assert radii.size == 3
+        for k in range(20):
+            est = filtered_kernel(g, g.origin(), dt, dt, m, RngStream(57).child(k))
+            radii, group = np.unique(est.radials, return_inverse=True)
+            assert radii.size == 3
+            if any(np.any(est.rays[group == gi] != est.rays[group == gi][0]) for gi in range(3)):
+                break
         mixed = 0
         for gi in range(3):
             rays = est.rays[group == gi]
@@ -585,7 +604,7 @@ class TestReplicaEndpoints:
         T, dt = 2.0, 0.01
         for x0 in (g.origin(), g.point(1, 0.2)):
             est = filtered_kernel(g, x0, T, dt, 5, RngStream(59))
-            dW = math.sqrt(dt) * RngStream(59).child(0).generator().standard_normal((2, 200))
+            dW = math.sqrt(dt) * RngStream(59).generator().standard_normal((2, 200))
             end = isde_n2_from_noise(g, x0, dW, dt)
             np.testing.assert_array_equal(est.rays, end.rays[-1])
             np.testing.assert_array_equal(est.radials, end.radials[-1])
@@ -606,9 +625,18 @@ class TestReplicaEndpoints:
         assert batch.shape == (runs,) and np.all(batch >= 0.0)
         assert ks_two_sample(batch, ref).p_value > 1e-3
 
+    def test_replicas_are_one_flow_batch_run(self, streams):
+        # the replicas are one _flow_batch run on rng.generator()
+        g, rng = make_star(3, [0.2, 0.5, 0.3]), RngStream(64)
+        est = filtered_kernel(g, g.origin(), 0.5, 0.01, 6, rng)
+        assert streams == [rng]
+        rays, rads = isde._flow_batch(g, [g.origin()] * 6, 0.5, 0.01, 1, rng.generator())[:2]
+        np.testing.assert_array_equal(est.rays, rays[0, 0])
+        np.testing.assert_array_equal(est.radials, rads[0, 0])
+
     def test_one_run_batch_is_filtered_kernel(self):
-        # level 0 of the batch runs on rng.child(0), and its first chunk
-        # on child 0 again, as filtered_kernel's one run does
+        # level 0 of the batch runs on rng.child(0), as filtered_kernel's
+        # one run on rng.child(0) does
         g = make_star(3, [0.2, 0.5, 0.3])
         one = filtered_kernel(g, g.origin(), 0.5, 0.01, 6, RngStream(67).child(0))
         disp = sample_kernel_dispersions(g, 0.5, [0.01], 1, 6, RngStream(67))[0.01]

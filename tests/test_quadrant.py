@@ -131,35 +131,34 @@ class TestLegSamples:
             assert a.x == x and a.Y_S == x * b.Y_S
             np.testing.assert_array_equal(a.Y, x * b.Y)
 
-    def test_chunks_are_kernel_runs_in_order(self, check_chunks):
+    def test_is_one_kernel_run(self, streams):
+        # the n legs are one _leg_batch run on rng.generator()
         rng = RngStream(9)
-        s = sample_legs(math.pi / 4, 1.0, 1e-2, 10, rng, chunk=4)
-        check_chunks((s.ys, s.local_times, s.sup_abs, s.inf_abs, s.durations), 10, 4, rng)
+        s = sample_legs(math.pi / 4, 1.0, 1e-2, 10, rng)
+        assert streams == [rng]
+        *want, _, _, counts = quadrant._leg_batch(np.full((2, 10), math.pi / 4), 1e-2, 10,
+                                                  rng.generator())
+        for got, w in zip((s.ys, s.local_times, s.sup_abs, s.inf_abs, s.durations), want):
+            np.testing.assert_array_equal(got, w)
+        assert list(s.diagnostics().values()) == counts.tolist()
 
     def test_tail_steps_counted_from_the_record(self):
-        # a recorded leg has one step size per batch step it was active in
+        # a recorded leg has one step size per batch step it was active in,
+        # and the longest leg ran every batch step
         out = sample_legs(math.pi / 4, 1.0, 1e-2, 300, RngStream(11), record=300)
         steps = [len(leg.step_sizes) for leg in out.paths]
         assert out.diagnostics()["tail_steps"] == _tail_steps([steps]) > 0
-
-    def test_longest_leg_steps_is_the_longest_batch(self):
-        # one chunk: its longest leg ran every batch step; three chunks: the
-        # longest of the three batches, below their summed steps
-        one = sample_legs(math.pi / 4, 1.0, 1e-2, 300, RngStream(11), record=300)
-        longest = one.diagnostics()["longest_leg_steps"]
-        assert longest == max(len(leg.step_sizes) for leg in one.paths) == one.batch_steps
-        three = sample_legs(math.pi / 4, 1.0, 1e-2, 300, RngStream(11), chunk=100, record=100)
-        longest = three.diagnostics()["longest_leg_steps"]
-        assert max(len(leg.step_sizes) for leg in three.paths) <= longest < three.batch_steps
-        assert longest >= 1
+        assert max(steps) == out.batch_steps
 
     def test_per_leg_angles(self):
         thetas = np.where(np.arange(4000) % 2 == 0, math.pi / 3, math.pi / 6)
         s = sample_legs(thetas, 1.0, 1e-3, 4000, RngStream(10))
-        even = mc_estimate(s.ys[::2])
-        odd = mc_estimate(s.ys[1::2])
-        assert abs(even.mean - ys_moment(math.pi / 3, 1.0)) <= max(3 * even.stderr, 0.05)
-        assert abs(odd.mean - ys_moment(math.pi / 6, 1.0)) <= max(3 * odd.stderr, 0.15)
+        # Var(Y_S) is infinite, so each angle's law is checked through
+        # E[Y_S^(1/2)], whose variance E[Y_S] is finite: a 4-stderr band
+        even = mc_estimate(np.sqrt(s.ys[::2]))
+        odd = mc_estimate(np.sqrt(s.ys[1::2]))
+        assert abs(even.mean - ys_moment(math.pi / 3, 0.5)) <= 4 * even.stderr
+        assert abs(odd.mean - ys_moment(math.pi / 6, 0.5)) <= 4 * odd.stderr
 
 
 def _tail_steps(batches):
@@ -275,7 +274,7 @@ class TestLegBatchMatchesReference:
             out = sample_quadrant_processes(theta, 1.0, 1e-2, 1e-2, 5, 200, RngStream(seed))
             u, l_tot, _, _, t_tot, legs, path_steps, jumps, *_ = _leg_reference(
                 [[theta.theta1], [theta.theta2]], 1.0, 1e-2, 200,
-                RngStream(seed).child(0).generator(), max_legs=5, eps=1e-2)
+                RngStream(seed).generator(), max_legs=5, eps=1e-2)
             for got, want in zip((out.l_totals, out.sigma0_times, out.n_legs, out.terminated),
                                  (l_tot, t_tot, legs, u < 1e-2)):
                 np.testing.assert_array_equal(got, want)
@@ -284,7 +283,7 @@ class TestLegBatchMatchesReference:
             return
         out = sample_legs(theta, 1.0, 1e-2, 200, RngStream(seed))
         *ref, path_steps, jumps, bridge, crossing = _leg_reference(
-            theta, 1.0, 1e-2, 200, RngStream(seed).child(0).generator())
+            theta, 1.0, 1e-2, 200, RngStream(seed).generator())
         for got, want in zip((out.ys, out.local_times, out.sup_abs, out.inf_abs,
                               out.durations), ref):
             np.testing.assert_array_equal(got, want)
@@ -554,9 +553,8 @@ class TestQuadrantProcess:
         # active in, across its legs
         steps = [sum(len(leg.step_sizes) for leg in proc.legs) for proc in batch.paths]
         assert batch.diagnostics()["tail_steps"] == _tail_steps([steps]) > 0
-        # one chunk: its longest process ran all of its batch's steps
-        longest = batch.diagnostics()["longest_leg_steps"]
-        assert longest == max(steps) == batch.batch_steps
+        # the longest process ran every batch step
+        assert max(steps) == batch.batch_steps
 
     def test_eps_validation(self):
         src = FixedAngles(1.0, 1.0)
@@ -592,13 +590,22 @@ class TestQuadrantProcess:
         assert abs(mean - target) <= 0.05 * target
         assert np.mean(batch.terminated) > 0.999
 
-    def test_chunks_are_kernel_runs_in_order(self, check_chunks):
+    def test_is_one_kernel_run(self, streams):
+        # the n processes are one _leg_batch run on rng.generator()
         rng = RngStream(18)
         b = sample_quadrant_processes(FixedAngles(math.pi / 6, math.pi / 3), 1.0, 1e-2,
-                                      1e-1, 50, 10, rng, chunk=4)
+                                      1e-1, 50, 10, rng)
+        assert streams == [rng]
+        theta = np.repeat([[math.pi / 6], [math.pi / 3]], 10, axis=1)
         # the kernel's columns at x = 1: U, sum U L_S, the last leg's sup
         # and inf, sum U^2 S and the legs; terminated is U < eps
-        check_chunks((None, b.l_totals, None, None, b.sigma0_times, b.n_legs), 10, 4, rng)
+        u, l_tot, _, _, t_tot, legs, _, counts = quadrant._leg_batch(
+            theta, 1e-2, 10, rng.generator(), max_legs=50, eps_unit=1e-1)
+        for got, want in zip((b.l_totals, b.sigma0_times, b.n_legs, b.terminated),
+                             (l_tot, t_tot, legs, u < 1e-1)):
+            np.testing.assert_array_equal(got, want)
+        assert (b.batch_steps, b.path_steps, b.jumps, b.tail_steps) == \
+            tuple(counts[[0, 1, 2, 5]])
 
     def test_divergent_angles_grow(self):
         # When tan th1 tan th2 <= 1 the mean of L_total is infinite at every
@@ -681,11 +688,11 @@ class TestRestartsMatchRounds:
 
 
 class TestRecordingIsPassive:
-    """record = k keeps rows 0..k-1 of chunk 0 and changes no output."""
+    """record = k keeps rows 0..k-1 of the batch and changes no output."""
 
     def test_legs(self):
-        plain = sample_legs(math.pi / 5, 1.0, 1e-3, 300, RngStream(70), chunk=100)
-        kept = sample_legs(math.pi / 5, 1.0, 1e-3, 300, RngStream(70), chunk=100, record=100)
+        plain = sample_legs(math.pi / 5, 1.0, 1e-3, 300, RngStream(70))
+        kept = sample_legs(math.pi / 5, 1.0, 1e-3, 300, RngStream(70), record=100)
         for f in ("ys", "local_times", "sup_abs", "inf_abs", "durations"):
             np.testing.assert_array_equal(getattr(plain, f), getattr(kept, f))
         assert plain.diagnostics() == kept.diagnostics() and plain.paths == []
@@ -698,9 +705,8 @@ class TestRecordingIsPassive:
 
     def test_quadrant(self):
         src = FixedAngles(math.pi / 6, math.pi / 3)
-        plain = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 100, 60, RngStream(71), chunk=20)
-        kept = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 100, 60, RngStream(71), chunk=20,
-                                         record=20)
+        plain = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 100, 60, RngStream(71))
+        kept = sample_quadrant_processes(src, 1.0, 1e-3, 1e-2, 100, 60, RngStream(71), record=20)
         for f in ("l_totals", "n_legs", "terminated", "sigma0_times"):
             np.testing.assert_array_equal(getattr(plain, f), getattr(kept, f))
         assert plain.paths == [] and len(kept.paths) == 20
@@ -710,10 +716,10 @@ class TestRecordingIsPassive:
             assert len(proc.legs) == kept.n_legs[j]
             assert kept.terminated[j] == (proc.legs[-1].Y_S < 1e-2)
 
-    @pytest.mark.parametrize("record, chunk", [(-1, 100), (301, 1000), (101, 100)])
-    def test_out_of_range_record_rejected(self, record, chunk):
+    @pytest.mark.parametrize("record, n", [(-1, 100), (301, 300), (101, 100)])
+    def test_out_of_range_record_rejected(self, record, n):
         with pytest.raises(ValueError):
-            sample_legs(math.pi / 5, 1.0, 1e-3, 300, RngStream(72), chunk=chunk, record=record)
+            sample_legs(math.pi / 5, 1.0, 1e-3, n, RngStream(72), record=record)
         with pytest.raises(ValueError):
-            sample_quadrant_processes(FixedAngles(1.0, 1.0), 1.0, 1e-3, 1e-2, 10, 300,
-                                      RngStream(72), chunk=chunk, record=record)
+            sample_quadrant_processes(FixedAngles(1.0, 1.0), 1.0, 1e-3, 1e-2, 10, n,
+                                      RngStream(72), record=record)

@@ -157,6 +157,8 @@ def _exp_orbm_leg(cfg: ExperimentConfig, rng: RngStream):
 
 
 def _exp_quadrant(cfg: ExperimentConfig, rng: RngStream):
+    if cfg.theta1 is None or cfg.theta2 is None:
+        raise ValueError("quadrant needs --theta1 and --theta2")
     expected = quadrant.expected_boundary_local_time(cfg.theta1, cfg.theta2, cfg.x)
     batch = quadrant.sample_quadrant_processes(
         quadrant.FixedAngles(cfg.theta1, cfg.theta2), cfg.x, cfg.dt, cfg.eps_stop,
@@ -343,10 +345,12 @@ def _exp_coalesce(cfg: ExperimentConfig, rng: RngStream):
 
     The mean leg count N_eps is reported beside the exact scale chain's
     (``isde.sample_exact_leg_counts`` on 10 x paths) and the z between
-    them, with no check: the engine takes too few legs, a bias not yet
-    located. At weights 0.2/0.5/0.3, eps 1e-2 and 2000 paths it read
-    6.50 +- 0.05 over five seeds at dt 1e-2 and 6.48 +- 0.10 at dt 1e-3,
-    against 6.93 exact."""
+    them, with no check: the engine takes too few legs. At weights
+    0.2/0.5/0.3, eps 1e-2 and 2000 paths it read 6.50 +- 0.05 over five
+    seeds at dt 1e-2 and 6.48 +- 0.10 at dt 1e-3, against 6.93 exact. The
+    bias scales with 1/``isde.SAFETY``, not with dt (it halves with each
+    doubling of SAFETY), and most of it lies in the steps where the pivot
+    is near the origin."""
     g = cfg.star()
     x = g.point(cfg.x0_ray, cfg.x)
     res = isde.sample_coalescence_times(g, x, cfg.dt, cfg.eps_stop, cfg.paths, rng)

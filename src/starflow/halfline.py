@@ -1,9 +1,10 @@
 """One-dimensional building blocks.
 
-Random streams and the two exact Brownian-bridge primitives that every
+Random streams, the two exact Brownian-bridge primitives that every
 quadrant, pair and Walsh engine takes: the reflected step with its local
 time (``reflected_step``) and the zero-crossing test
-(``bridge_crossings``).
+(``bridge_crossings``), and ``restart_in_place``, the one driver of the
+engines whose legs restart in place at unit scale.
 
 Random numbers come from counter-based Philox streams: a stream is a
 (master seed, index path) pair, distinct paths are statistically
@@ -23,13 +24,14 @@ step only on the event u = 0, of probability 2**-53 per path-step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "RngStream", "reflected_step", "bridge_crossings",
-    "check_horizon", "grid_steps", "BRIDGE_CUT",
+    "RngStream", "reflected_step", "bridge_crossings", "restart_in_place",
+    "LegOverflowError", "check_horizon", "grid_steps", "BRIDGE_CUT",
 ]
 
 GRID_TOL = 1e-9  # relative slack allowed between T/dt and a whole step count
@@ -125,3 +127,92 @@ def bridge_crossings(a, b, h, tested, gen: np.random.Generator):
     near = np.flatnonzero(~hit & tested & (a * b < BRIDGE_CUT * h))
     hit[near] = gen.random(near.size) < np.exp(-2.0 * a[near] * b[near] / h[near])
     return hit, near
+
+
+class LegOverflowError(RuntimeError):
+    """Raised when a run exceeds its step cap (plumbing; every leg ends a.s.)."""
+
+
+def restart_in_place(n, state, step, restart=None, max_legs=None, eps_unit=0.0,
+                     columns=0, max_steps=10 ** 8):
+    """Run n paths whose legs restart in place at unit scale, exact in law
+    by the x-scaling of the leg law and the strong Markov property at a
+    leg's end, as one batch. The books, per path: the scale U (the product
+    of its leg ratios), sum U^2 d over its legs (d the leg's duration, U
+    its entry scale), its legs and its first ``columns`` ratios (nan past
+    its last leg). A path retires after max_legs legs (None: no cap) or
+    once U < eps_unit; its other ended legs restart.
+
+    ``state`` is the list of the engine's row arrays, row j for the path
+    ids[j]; the driver restarts and compacts them in that list between
+    steps. ``restart(rows, ids, legs, *state)`` starts the next leg of
+    those rows (paths ``ids``, ``legs`` legs run) in place: on every row
+    first, then after each step on the restarting rows. ``step(ids, U,
+    state)`` is a generator that takes a batch step per yield of (h, ended,
+    r): the step sizes, the ascending rows whose leg ended and those legs'
+    ratios (U is still each leg's entry scale). It reads its arrays from
+    state at each step, puts back the ones it replaced before it yields,
+    and then receives the active ids. A step that takes its arrays out,
+    leaving state empty, frees each replaced buffer after its last use; and
+    a generator's buffers live from one step to the next, as in one loop,
+    so numpy frees them one by one while the next step allocates. Freed at
+    once at a return, they let the heap shrink and grow back each step (for
+    50 000 legs, 8 times the page faults and 5-10 % more time).
+
+    The live rows of the tail [m - retired, m) move into the retired rows
+    below it, in order, so retiring costs the rows that retire. Past
+    max_steps batch steps it raises LegOverflowError. Returns U, the sums,
+    the legs, the ratios and the counts: batch steps, path-steps and tail
+    steps (fewer than 1 % of the n paths active).
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if max_legs is not None and not (isinstance(max_legs, numbers.Integral) and max_legs >= 1):
+        raise ValueError(f"need a whole number of legs >= 1, got {max_legs}")
+    ids, d = np.arange(n), np.zeros(n)
+    scale, times = np.ones(n), np.zeros(n)
+    # a leg takes at least one step, so no path runs more than max_steps legs
+    cap = min(max_legs or max_steps, max_steps)
+    legs = np.zeros(n, dtype=np.min_scalar_type(cap))
+    ratios = np.full((n, columns), np.nan)
+    if restart:
+        restart(ids, ids, legs, *state)
+    kernel = step(ids, scale, state)
+    steps = path_steps = tail = 0
+    while ids.size:
+        steps += 1
+        if steps > max_steps:
+            raise LegOverflowError(f"a run exceeded {max_steps} batch steps")
+        tail += 100 * ids.size < n
+        path_steps += ids.size
+        h, ended, r = kernel.send(None if steps == 1 else ids)
+        d += h
+        del h   # hold none of the step's buffers while it runs
+        if not ended.size:
+            continue
+        i = ids[ended]
+        u, k = scale[i], legs[i]
+        times[i] += u * u * d[ended]
+        scale[i] = u = u * r
+        if columns:
+            kept = k < columns
+            ratios[i[kept], k[kept]] = r[kept]
+        legs[i] = k = k + 1
+        again = (k < cap) & (u >= eps_unit)
+        if again.any():
+            on = ended[again]
+            d[on] = 0.0
+            if restart:
+                restart(on, i[again], k[again], *state)
+        gone = ended[~again]
+        if gone.size:
+            m = ids.size - gone.size
+            holes = gone[:np.searchsorted(gone, m)]
+            stays = np.ones(gone.size, dtype=bool)
+            stays[gone[holes.size:] - m] = False
+            live = m + np.flatnonzero(stays)
+            for a in (ids, d, *state):
+                a[holes] = a[live]
+            ids, d = ids[:m], d[:m]
+            state[:] = (a[:m] for a in state)
+    return scale, times, legs.astype(np.int64), ratios, np.array([steps, path_steps, tail])

@@ -24,8 +24,9 @@ time the pair spends on a common ray; the reflection angle of a leg whose
 moving point sits on ray i is arctan(p_i / (1 - p_i)).
 
 Both two-point experiments read one pair run, ``_pair_run``, whose legs
-restart in place at unit scale (between legs the pair only rescales). It
-takes one shared-noise step, ``_pair_step``: the pivot takes the exact
+restart in place at unit scale (between legs the pair only rescales): it
+and the exact scale chain run on ``halfline.restart_in_place``. It takes
+one shared-noise step, ``_pair_step``: the pivot takes the exact
 Walsh step ``walsh.walsh_step``, the moving point follows the pivot's
 noise on a common ray and its own otherwise, and
 ``halfline.bridge_crossings`` detects the moving point reaching the origin
@@ -41,7 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import ORIGIN_VERTEX, GraphPoint, StarGraph
-from .halfline import RngStream, bridge_crossings, check_horizon, grid_steps
+from .halfline import (
+    RngStream, bridge_crossings, check_horizon, grid_steps, restart_in_place,
+)
 from .quadrant import SAFETY
 from .walsh import _coupled_step, _point_state, walsh_step
 
@@ -52,7 +55,9 @@ __all__ = [
     "filtered_kernel", "sample_kernel_dispersions", "default_coalescence_tol",
 ]
 
-PIVOT_DIV = 48.0  # extra refinement of shared-noise steps near the pivot boundary
+# bounds how far a shared-noise step may coarsen while the pivot is near
+# its boundary; it sits only in the floor of ``_h_shared``, so it refines nothing
+PIVOT_DIV = 48.0
 
 
 def default_coalescence_tol(dt: float) -> float:
@@ -226,8 +231,9 @@ def npoint_motion(g: StarGraph, starts: list[GraphPoint], T: float, dt: float,
 
 def _h_shared(dt: float, o_rad: np.ndarray, p_rad: np.ndarray) -> np.ndarray:
     """Adaptive step for the shared-noise pair: coarse when the moving point
-    is far, corner-refined when both are small, extra-refined (PIVOT_DIV)
-    while the pivot is near its boundary."""
+    is far, corner-refined when both are small. PIVOT_DIV enters only the
+    floor ``far``: it limits how far a step may coarsen while the pivot is
+    near its boundary, and has no effect below scale SAFETY sqrt(dt)."""
     z2 = o_rad * o_rad + p_rad * p_rad
     far = np.minimum(o_rad / SAFETY, np.maximum(p_rad / SAFETY, o_rad / PIVOT_DIV)) ** 2
     return np.maximum(np.minimum(dt, z2 / SAFETY ** 2), far)
@@ -298,70 +304,49 @@ class PairSamples:
 def _pair_run(g: StarGraph, start_ray: int, dt: float, n: int, rng: RngStream,
               columns: int, n_legs: int | None = None, eps_unit: float = 0.0) -> PairSamples:
     """n pairs from (ray start_ray, 1) and the origin, whose legs each
-    restart in place at unit scale.
-
-    The n rows run as one batch on rng.generator(). They start with the
-    moving point at 1 and the pivot at 0 on a ray drawn with one uniform
-    per row, and every row steps with ``_pair_step``. A transfer ends a
-    leg at the ratio of the pivot's radial; the scale U_k is the product of
-    the first k ratios and the real time is sum U_{k-1}^2 d_k over the leg
-    durations d_k. A path retires after n_legs legs or once U_k < eps_unit.
-    Every other transferring row restarts in place: the moving point at 1
-    on the next ray, the pivot at 0 on a fresh ray, one uniform per row in
-    row order after the step's draws. That is exact in law, by the pair's
-    Brownian scaling and the strong Markov property at the transfer.
-    Ratios are kept for the first ``columns`` legs, transition counts for
-    all.
+    restart in place at unit scale: ``halfline.restart_in_place`` on
+    rng.generator(), with ``_pair_step`` as its step. A transfer ends a leg
+    at the ratio of the pivot's radial, so the real time is sum U_{k-1}^2
+    d_k over the leg durations d_k, and the moving point goes on at 1 on
+    the next ray. A leg starts with the pivot at 0 on a fresh ray, one
+    uniform per row in row order (after the step's draws). Ratios are kept
+    for the first ``columns`` legs, transition counts for all.
     """
     check_horizon(1.0, dt)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     if start_ray not in range(g.n_rays):
         raise ValueError(f"start ray {start_ray} is not one of the star's {g.n_rays} rays")
     N = g.n_rays
     gen = rng.generator()
-    idx = np.arange(n)   # the active rows' paths
-    o_rad, o_ray = np.ones(n), np.full(n, start_ray, dtype=np.int64)
-    p_rad, p_ray = np.zeros(n), g.draw_edges(ORIGIN_VERTEX, gen.random(n))
-    d = np.zeros(n)      # the current leg's duration
-    legs, scales, times = np.zeros(n, dtype=np.int64), np.ones(n), np.zeros(n)
-    ratios = np.empty((n, columns))
     trans = np.zeros(N * N, dtype=np.int64)
-    steps = path_steps = tail = 0
-    while idx.size:
-        steps, path_steps, tail = steps + 1, path_steps + idx.size, tail + (100 * idx.size < n)
-        h, o_rad, p_rad, done, nxt = _pair_step(g, gen, dt, o_rad, o_ray, p_rad, p_ray)
-        d += h
-        if not done.any():
-            continue
-        rows = np.flatnonzero(done)
-        i, r = idx[rows], p_rad[rows]
-        k = legs[i]
-        kept = k < columns
-        ratios[i[kept], k[kept]] = r[kept]
-        trans += np.bincount(o_ray[rows] * N + nxt, minlength=N * N)
-        times[i] += scales[i] ** 2 * d[rows]
-        scales[i] *= r
-        legs[i] = k + 1
-        end = (scales[i] < eps_unit) | (k + 1 == n_legs)
-        on = rows[~end]
-        o_rad[on], o_ray[on], p_rad[on], d[on] = 1.0, nxt[~end], 0.0, 0.0
-        p_ray[on] = g.draw_edges(ORIGIN_VERTEX, gen.random(on.size))
-        if end.any():
-            live = np.bincount(rows[end], minlength=idx.size) == 0
-            idx, o_rad, o_ray, p_rad, p_ray, d = (
-                a[live] for a in (idx, o_rad, o_ray, p_rad, p_ray, d))
+
+    def restart(rows, ids, legs, o_rad, o_ray, p_rad, p_ray):
+        o_rad[rows], p_rad[rows] = 1.0, 0.0
+        p_ray[rows] = g.draw_edges(ORIGIN_VERTEX, gen.random(rows.size))
+
+    def step(ids, scale, state):
+        while True:
+            o_rad, o_ray, p_rad, p_ray = state
+            state.clear()
+            h, o_rad, p_rad, done, nxt = _pair_step(g, gen, dt, o_rad, o_ray, p_rad, p_ray)
+            ended = np.flatnonzero(done)
+            np.add.at(trans, o_ray[ended] * N + nxt, 1)
+            o_ray[ended] = nxt
+            state += o_rad, o_ray, p_rad, p_ray
+            yield h, ended, p_rad[ended]
+
+    state = [np.empty(n), np.full(n, start_ray, dtype=np.int64), np.empty(n),
+             np.empty(n, dtype=np.int64)]
+    scales, times, legs, ratios, counts = restart_in_place(n, state, step, restart, n_legs,
+                                                           eps_unit, columns)
     p = g.probs[start_ray]
     return PairSamples(math.atan2(p, 1.0 - p), eps_unit, legs, scales, times, ratios,
-                       trans.reshape(N, N), np.array([steps, path_steps, tail]))
+                       trans.reshape(N, N), counts)
 
 
 def sample_first_legs(g: StarGraph, start_ray: int, dt: float, n: int,
                       rng: RngStream, n_legs: int = 1) -> PairSamples:
     """The first n_legs legs of n pairs from (ray start_ray, 1) and the
     origin, with every leg's ratio: ``_pair_run`` for n_legs legs."""
-    if n_legs < 1:
-        raise ValueError(f"need n_legs >= 1, got {n_legs}")
     return _pair_run(g, start_ray, dt, n, rng, n_legs, n_legs=n_legs)
 
 
@@ -382,30 +367,29 @@ def sample_coalescence_times(g: StarGraph, x: GraphPoint, dt: float, eps_stop: f
 def sample_exact_leg_counts(g: StarGraph, x: GraphPoint, eps_stop: float, n: int,
                             rng: RngStream) -> np.ndarray:
     """Leg counts to scale eps_stop of n exact scale chains of the pair
-    from x and the origin, with no dt.
+    from x and the origin, with no dt: ``halfline.restart_in_place`` with
+    one batch step per leg.
 
     A leg with its moving point on ray i ends at the ratio sqrt(G_a / G_b),
     G_a ~ Gamma(1/2 - theta_i/pi) and G_b ~ Gamma(1/2 + theta_i/pi): the
     Beta-prime law of (Y_S/x)^2 in ``quadrant`` at theta_i = arctan(p_i /
-    (1 - p_i)). Then a uniform per live row draws the next moving ray by
+    (1 - p_i)). Then a uniform per row draws the next moving ray by
     P_ij = p_j / (1 - p_i) (``_other_rays``).
     """
     start_ray, r = _point_state(g, x)
     if not 0.0 < eps_stop < r:
         raise ValueError(f"need 0 < eps_stop < {r} (the start radial), got {eps_stop}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     tilt = np.arctan2(g.probs_array, 1.0 - g.probs_array) / math.pi
     gen = rng.generator()
-    legs, scales = np.zeros(n, dtype=np.int64), np.ones(n)
-    ray, live = np.full(n, start_ray), np.arange(n)
-    while live.size:
-        ga, gb = (gen.standard_gamma(0.5 + s * tilt[ray[live]]) for s in (-1.0, 1.0))
-        scales[live] *= np.sqrt(ga / gb)
-        legs[live] += 1
-        ray[live] = _other_rays(g, ray[live], gen.random(live.size))
-        live = live[scales[live] >= eps_stop / r]
-    return legs
+
+    def leg(ids, scale, state):
+        while True:
+            ray = state.pop()
+            ga, gb = (gen.standard_gamma(0.5 + s * tilt[ray]) for s in (-1.0, 1.0))
+            state.append(_other_rays(g, ray, gen.random(ray.size)))
+            yield 0.0, np.arange(ray.size), np.sqrt(ga / gb)
+
+    return restart_in_place(n, [np.full(n, start_ray)], leg, eps_unit=eps_stop / r)[2]
 
 
 # -- filtered kernel -----------------------------------------------------------

@@ -64,7 +64,8 @@ by the x-scaling it is U_n times a unit leg, independent of the legs
 before it given U_n by the strong Markov property at S. So a row whose leg
 ends restarts in place at (1, 0) with the next angle, and retires after
 max_legs legs or once U_n < eps_stop / x. Every batch step serves every
-active process, whatever leg it is on.
+active process, whatever leg it is on; ``halfline.restart_in_place``
+keeps the rows and their books.
 
 No leg or quadrant path is simulated on its own: ``record`` keeps whole
 paths of the processes with the lowest ids of a batch (``OrbmLeg``,
@@ -80,7 +81,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfline import RngStream, bridge_crossings, check_horizon, reflected_step
+from .halfline import (
+    LegOverflowError, RngStream, bridge_crossings, check_horizon, reflected_step,
+    restart_in_place,
+)
 from .stats import reg_incomplete_beta
 
 __all__ = [
@@ -95,10 +99,6 @@ SAFETY = 12.0  # step stays this many standard deviations away from boundaries
 # covers E tau = rho^2 / 2 of time (E tau_1 = 1/2 for the unit disk) and a
 # step h, so from rho^2 >= 2 h one jump outruns one step
 JUMP = math.sqrt(2.0)
-
-
-class LegOverflowError(RuntimeError):
-    """Raised when a leg exceeds its step cap (plumbing; S is a.s. finite)."""
 
 
 @dataclass
@@ -261,17 +261,14 @@ def _disk_exits(rho, z1, z2):
 
 def _leg_batch(theta, dt, n, gen, max_steps=10 ** 8, record=0, max_legs=1, eps_unit=0.0):
     """Vectorized simulation of n quadrant processes of unit legs, each
-    from (1, 0), as the module docstring describes; theta is (2, n), and
-    row j's legs take theta[0, j] and theta[1, j] in turn.
+    from (1, 0), as the module docstring describes, on
+    ``halfline.restart_in_place``: a leg ends at the ratio Y_S, with the
+    duration S, and restarts at (1, 0). theta is (2, n), and row j's legs
+    take theta[0, j] and theta[1, j] in turn.
 
-    When a row's leg ends, its sums of U L_S and U^2 S (from 0) take the
-    leg at the scale U it entered with (from 1), and U becomes U Y_S, so
-    one leg (max_legs = 1) gives its own Y_S, L_S and S bit for bit. The
-    row retires after max_legs legs or once U < eps_unit, else restarts in
-    place. The active rows are 0..m-1: the live rows of the tail
-    [m - retired, m) move into the retired rows below it, in order, and
-    the state shrinks to that head, so retirement costs the rows that
-    retired, not the width.
+    When a row's leg ends, its sum of U L_S (from 0) takes the leg at the
+    scale U it entered with (from 1), so one leg (max_legs = 1) gives its
+    own Y_S, L_S and S bit for bit as U and the two sums.
 
     With record = k it keeps, per step, (ids, X, Y, L, dB1, dB2, h) of the
     active rows with ids below k, (dB1, dB2, h) = (jump, tau) on a jump,
@@ -281,95 +278,74 @@ def _leg_batch(theta, dt, n, gen, max_steps=10 ** 8, record=0, max_legs=1, eps_u
     the counts: steps, path-steps, jumps, bridge and crossing uniforms, and
     the tail steps, those with fewer than 1 % of the n processes active.
     """
-    tan_t = np.tan(theta[0])
-    X, sup, inf, scale = (np.ones(n) for _ in range(4))
-    Y, L, elapsed, l_tot, sups, infs, t_tot = (np.zeros(n) for _ in range(7))
-    idx = np.arange(n)
-    # a leg takes at least one step, so no row runs more than max_steps legs
-    legs = np.zeros(n, dtype=np.min_scalar_type(min(max_legs, max_steps)))
-    rec = [[a[:record].copy() for a in (idx, X, Y, L)] + [np.zeros(record)] * 3]
+    l_tot, sups, infs = np.zeros(n), np.zeros(n), np.zeros(n)
+    rec = []
     s2 = SAFETY * SAFETY
-    steps = path_steps = n_jump = n_bridge = n_cross = n_tail = 0
-    m = n
-    while m:
-        steps += 1
-        if steps > max_steps:
-            raise LegOverflowError(f"leg exceeded {max_steps} steps")
-        n_tail += 100 * m < n
-        r2 = X * X + Y * Y
-        h = np.maximum(np.minimum(dt, r2 / s2), X * X / s2)
-        sq = np.sqrt(h)
-        # the free disk misses both boundaries and stays inside the annulus
-        # inf <= |Z| <= sup, so a jump across it changes no running extreme;
-        # r2 turns into |Z| and then sup - |Z| in place, and r2 and sq go
-        # before the primitives run, so the step's peak memory does not grow
-        rho = np.minimum(X, Y)
-        np.sqrt(r2, out=r2)
-        np.minimum(rho, r2 - inf, out=rho)
-        np.minimum(rho, np.subtract(sup, r2, out=r2), out=rho)
-        jump = np.flatnonzero(rho >= JUMP * sq)
-        dB1 = gen.standard_normal(m)
-        dB2 = gen.standard_normal(m)
-        if jump.size:
-            # a jumping row scales its normals to the exit point, and at
-            # h = 0 the two primitives draw nothing for it and give dL = 0
-            sq[jump], tau = _disk_exits(rho[jump], dB1[jump], dB2[jump])
-            h[jump] = 0.0
-        dB1 *= sq
-        dB2 *= sq
-        del r2, sq, rho
-        Y, dL, near = reflected_step(Y, Y + dB2, h, gen)
-        Xnew = X + dB1 - tan_t * dL
-        # a leg whose Y touched 0 moved X by -tan(theta) dL within the step,
-        # so its X path is no Brownian bridge: it ends only if Xnew <= 0
-        done, cand = bridge_crossings(X, Xnew, h, dL == 0.0, gen)
-        X = Xnew
-        if jump.size:
-            h[jump] = tau
-        path_steps += m
-        n_jump += jump.size
-        n_bridge += near.size
-        n_cross += cand.size
-        L += dL
-        elapsed += h
-        dd = np.flatnonzero(done)
-        d_ids = idx[dd]
-        # an ended leg's inf runs up to its crossing of X = 0, where |Z| = Y
-        infs[d_ids] = np.minimum(inf[dd], Y[dd])
-        az = np.sqrt(np.maximum(X, 0.0) ** 2 + Y * Y)
-        np.maximum(sup, az, out=sup)
-        np.minimum(inf, az, out=inf)
+    extra = np.zeros(3, dtype=np.int64)   # jumps, bridge and crossing uniforms
+
+    def restart(rows, ids, legs, X, Y, L, sup, inf, tan_t):
+        X[rows] = sup[rows] = inf[rows] = 1.0
+        Y[rows] = L[rows] = 0.0
+        tan_t[rows] = np.tan(theta[legs % 2, ids])
         if record:
-            r = np.flatnonzero(idx < record)
-            rec.append([a[r] for a in (idx, X, Y, L, dB1, dB2, h)])
-        if dd.size:
-            u = scale[d_ids]
-            l_tot[d_ids] += u * L[dd]
-            t_tot[d_ids] += u * u * elapsed[dd]
-            scale[d_ids] = u = u * Y[dd]
+            r = ids[ids < record]
+            rec.append([r, np.ones(r.size)] + [np.zeros(r.size)] * 5)
+
+    def step(ids, scale, state):
+        while True:
+            X, Y, L, sup, inf, tan_t = state
+            state.clear()
+            r2 = X * X + Y * Y
+            h = np.maximum(np.minimum(dt, r2 / s2), X * X / s2)
+            sq = np.sqrt(h)
+            # the free disk misses both boundaries and stays inside the annulus
+            # inf <= |Z| <= sup, so a jump across it changes no running extreme;
+            # r2 turns into |Z| and then sup - |Z| in place, and r2 and sq go
+            # before the primitives run, so the step's peak memory does not grow
+            rho = np.minimum(X, Y)
+            np.sqrt(r2, out=r2)
+            np.minimum(rho, r2 - inf, out=rho)
+            np.minimum(rho, np.subtract(sup, r2, out=r2), out=rho)
+            jump = np.flatnonzero(rho >= JUMP * sq)
+            dB1 = gen.standard_normal(X.size)
+            dB2 = gen.standard_normal(X.size)
+            if jump.size:
+                # a jumping row scales its normals to the exit point, and at
+                # h = 0 the two primitives draw nothing for it and give dL = 0
+                sq[jump], tau = _disk_exits(rho[jump], dB1[jump], dB2[jump])
+                h[jump] = 0.0
+            dB1 *= sq
+            dB2 *= sq
+            del r2, sq, rho
+            Y, dL, near = reflected_step(Y, Y + dB2, h, gen)
+            Xnew = X + dB1 - tan_t * dL
+            # a leg whose Y touched 0 moved X by -tan(theta) dL within the step,
+            # so its X path is no Brownian bridge: it ends only if Xnew <= 0
+            done, cand = bridge_crossings(X, Xnew, h, dL == 0.0, gen)
+            X = Xnew
+            if jump.size:
+                h[jump] = tau
+            extra[:] += jump.size, near.size, cand.size
+            L += dL
+            dd = np.flatnonzero(done)
+            d_ids = ids[dd]
+            # an ended leg's inf runs up to its crossing of X = 0, where |Z| = Y
+            infs[d_ids] = np.minimum(inf[dd], Y[dd])
+            az = np.sqrt(np.maximum(X, 0.0) ** 2 + Y * Y)
+            np.maximum(sup, az, out=sup)
+            np.minimum(inf, az, out=inf)
+            if record:
+                r = np.flatnonzero(ids < record)
+                rec.append([a[r] for a in (ids, X, Y, L, dB1, dB2, h)])
             sups[d_ids] = sup[dd]
-            legs[d_ids] += 1
-            again = (legs[d_ids] < max_legs) & (u >= eps_unit)
-            if again.any():
-                on, i = dd[again], d_ids[again]
-                X[on] = sup[on] = inf[on] = 1.0
-                Y[on] = L[on] = elapsed[on] = 0.0
-                tan_t[on] = np.tan(theta[legs[i] % 2, i])
-                done[on] = False
-                dd = dd[~again]
-                if record:
-                    r = on[i < record]
-                    rec.append([idx[r], X[r], Y[r], L[r]] + [np.zeros(r.size)] * 3)
-        if dd.size:
-            m -= dd.size
-            holes = dd[:np.searchsorted(dd, m)]
-            live = m + np.flatnonzero(~done[m:])
-            for a in (idx, X, Y, L, sup, inf, elapsed, tan_t):
-                a[holes] = a[live]
-            idx, X, Y, L, sup, inf, elapsed, tan_t = (
-                a[:m] for a in (idx, X, Y, L, sup, inf, elapsed, tan_t))
-    counts = [steps, path_steps, n_jump, n_bridge, n_cross, n_tail]
-    return scale, l_tot, sups, infs, t_tot, legs, rec, np.array(counts)
+            l_tot[d_ids] += scale[d_ids] * L[dd]
+            state += X, Y, L, sup, inf, tan_t
+            ids = yield h, dd, Y[dd]
+
+    state = [np.empty(n) for _ in range(6)]
+    scale, t_tot, legs, _, counts = restart_in_place(n, state, step, restart, max_legs,
+                                                     eps_unit, max_steps=max_steps)
+    return scale, l_tot, sups, infs, t_tot, legs, rec, np.insert(counts, 2, extra)
 
 
 def _recorded_legs(rec, theta, x):
@@ -403,8 +379,6 @@ def _unit_runs(theta, x, dt, n, rng, record, max_steps=10 ** 8, max_legs=1, eps_
     sums and extremes x times (sums of S x^2 times, inf for x above about
     1e154); its counts; and the legs of processes 0..record-1 at x."""
     check_horizon(x, dt)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= record <= n:
         raise ValueError(f"need 0 <= record <= n, got {record}")
     theta = np.broadcast_to(np.asarray(theta, dtype=float), (2, n))
@@ -619,12 +593,10 @@ def sample_quadrant_processes(source: FixedAngles, x: float, dt: float,
     """
     if not (0.0 < eps_stop < x):
         raise ValueError("need 0 < eps_stop < x")
-    if max_legs < 1:
-        raise ValueError("need max_legs >= 1")
     eps_unit = eps_stop / x
     (u, l_tot, _, _, t_tot, n_legs), counts, recorded = _unit_runs(
         [[source.theta1], [source.theta2]], x, dt, n, rng, record,
         max_legs=max_legs, eps_unit=eps_unit)
     steps, path_steps, jumps, _, _, tail = (int(c) for c in counts)
-    return QuadrantBatch(l_tot, n_legs.astype(np.int64), u < eps_unit, t_tot,
+    return QuadrantBatch(l_tot, n_legs, u < eps_unit, t_tot,
                          steps, path_steps, jumps, tail, [QuadrantPath(legs) for legs in recorded])

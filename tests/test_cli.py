@@ -375,6 +375,16 @@ def test_quadrant_at_a_huge_start_radius(tmp_path):
     assert est_at["terminated_fraction"] == est_one["terminated_fraction"]
 
 
+@pytest.mark.parametrize("name, angles", [("orbm-leg", {}), ("quadrant", {}),
+                                          ("quadrant", {"theta1": 1.0}),
+                                          ("quadrant", {"theta2": 1.0})])
+def test_api_runs_without_their_angles_raise_value_error(name, angles):
+    # the command line requires the angles; through the API quadrant once
+    # raised TypeError from its angle check
+    with pytest.raises(ValueError, match="needs --theta"):
+        cli.run(cli.ExperimentConfig(experiment=name, paths=10, **angles))
+
+
 # heavy scipy modules that no experiment needs
 DEFERRED_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.stats")
 

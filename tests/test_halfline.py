@@ -1,13 +1,15 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from starflow import isde, quadrant, walsh
+from starflow import halfline, isde, quadrant, walsh
 from starflow.graphs import canonical_test_functions, make_star
 from starflow.halfline import (
-    BRIDGE_CUT, RngStream, bridge_crossings, grid_steps, reflected_step,
+    BRIDGE_CUT, LegOverflowError, RngStream, bridge_crossings, grid_steps, reflected_step,
+    restart_in_place,
 )
 
 
@@ -50,6 +52,94 @@ def test_batch_engines_reject_no_paths(engine, philox_words):
     with pytest.raises(ValueError, match="n >= 1"):
         NO_PATH_ENGINES[engine](0)
     assert philox_words() == 0
+
+
+# the batch engines with a leg limit, each as a call on that limit
+LEG_LIMIT_ENGINES = {
+    "sample_quadrant_processes": lambda k: quadrant.sample_quadrant_processes(
+        quadrant.FixedAngles(0.5, 0.5), 1.0, 1e-2, 1e-2, k, 10, RngStream(21)),
+    "sample_first_legs": lambda k: isde.sample_first_legs(_STAR, 0, 1e-2, 10, RngStream(21), k),
+}
+
+
+@pytest.mark.parametrize("engine", LEG_LIMIT_ENGINES)
+@pytest.mark.parametrize("legs", [0, -1, 2.0, 2.5, math.nan])
+def test_leg_limits_are_whole_numbers(engine, legs, philox_words):
+    # a float limit once passed the check, became the dtype of the leg
+    # counts and failed with IndexError after the draws
+    with pytest.raises(ValueError, match="whole number of legs"):
+        LEG_LIMIT_ENGINES[engine](legs)
+    assert philox_words() == 0
+
+
+def _toy_run(n, max_legs, eps_unit, columns):
+    """``restart_in_place`` on a toy kernel: path p's legs each take
+    p % 11 + 1 steps of size 0.1 (p + 1), and leg k ends at the ratio
+    (0.5 + 0.05 (p % 10)) (1 - 0.01 k). Its state columns are the path id
+    and the leg, both set by restart, and the steps into the leg; the
+    kernel reads the path and the leg from its own columns, so a row that
+    lost them in a retirement would take another path's ratios."""
+    def restart(rows, ids, legs, pid, leg, age):
+        pid[rows], leg[rows], age[rows] = ids, legs, 0
+
+    def step(ids, scale, state):
+        while True:
+            pid, leg, age = state
+            assert np.array_equal(pid, ids)
+            age += 1
+            ended = np.flatnonzero(age == pid % 11 + 1)
+            r = (0.5 + 0.05 * (pid[ended] % 10)) * (1.0 - 0.01 * leg[ended])
+            ids = yield 0.1 * (pid + 1), ended, r
+
+    state = [np.empty(n, dtype=np.int64) for _ in range(3)]
+    return restart_in_place(n, state, step, restart, max_legs, eps_unit, columns)
+
+
+def _toy_books(n, max_legs, eps_unit, columns):
+    """The toy run's books, path by path: U, sum U^2 d, legs, ratios, and
+    the counts from each path's steps."""
+    U, times, legs, ratios = np.ones(n), np.zeros(n), np.zeros(n, dtype=np.int64), []
+    steps = np.zeros(n, dtype=np.int64)
+    for p in range(n):
+        row = []
+        while True:
+            d = 0.0
+            for _ in range(p % 11 + 1):
+                d += 0.1 * (p + 1)
+            r = (0.5 + 0.05 * (p % 10)) * (1.0 - 0.01 * legs[p])
+            row.append(r)
+            times[p] += U[p] * U[p] * d
+            U[p] *= r
+            legs[p] += 1
+            steps[p] += p % 11 + 1
+            if legs[p] == max_legs or U[p] < eps_unit:
+                break
+        ratios.append((row + [math.nan] * columns)[:columns])
+    active = np.array([np.count_nonzero(steps >= s) for s in range(1, steps.max() + 1)])
+    counts = [steps.max(), steps.sum(), np.count_nonzero(100 * active < n)]
+    return U, times, legs, np.array(ratios).reshape(n, columns), counts
+
+
+@pytest.mark.parametrize("max_legs, eps_unit", [(3, 0.0), (None, 1e-3), (20, 1e-3)])
+def test_restart_in_place_keeps_the_books(max_legs, eps_unit):
+    n, columns = 300, 4
+    out = _toy_run(n, max_legs, eps_unit, columns)
+    want = _toy_books(n, max_legs, eps_unit, columns)
+    for got, ref in zip(out, want):
+        np.testing.assert_array_equal(got, ref)
+    # each rule retires some paths, and only the run with no leg cap leaves
+    # stragglers: the few paths whose ratios are nearest 1
+    U, legs, tail = out[0], out[2], out[4][2]
+    assert np.any(legs == max_legs) == (max_legs is not None)
+    assert np.any(U < eps_unit) == (eps_unit > 0)
+    assert (tail > 0) == (max_legs is None)
+
+
+def test_pair_run_stops_at_the_step_cap(monkeypatch):
+    monkeypatch.setattr(isde, "restart_in_place",
+                        functools.partial(halfline.restart_in_place, max_steps=5))
+    with pytest.raises(LegOverflowError, match="5 batch steps"):
+        isde.sample_coalescence_times(_STAR, _STAR.point(0, 1.0), 1e-2, 1e-3, 10, RngStream(21))
 
 
 BAD_HORIZONS = [(1.0, 0.0), (1.0, -1e-3), (0.0, 1e-3), (-1.0, 1e-3),

@@ -305,9 +305,9 @@ class TestNPointMotion:
 # origin, transfer test and the conditioned redraw of the next moving ray,
 # in the run's draw order, then per transfer the leg books, and for each
 # path that goes on a restart at unit scale with a uniform for the pivot's
-# ray. A uniform is drawn only for a row that reads it: a bridge within
-# the cut-off a b < 19 h, a touched pivot, a transfer onto the moving ray,
-# a restart.
+# ray; the live tail rows then move into the retired rows. A uniform is
+# drawn only for a row that reads it: a bridge within the cut-off
+# a b < 19 h, a touched pivot, a transfer onto the moving ray, a restart.
 
 def _h_reference(dt, o_rad, p_rad):
     z2 = o_rad * o_rad + p_rad * p_rad
@@ -382,8 +382,15 @@ def _pair_run_reference(g, start_ray, dt, n, rng, n_legs=None, eps_unit=0.0):
                 o_rad[row], o_ray[row], p_rad[row], d[row] = 1.0, ray, 0.0, 0.0
         for row in restarts:
             p_ray[row] = np.searchsorted(cum, gen.random())
-        idx, o_rad, o_ray, p_rad, p_ray, d = (
-            a[live] for a in (idx, o_rad, o_ray, p_rad, p_ray, d))
+        # the live rows among the last j, j the rows that retired, fill in
+        # order the retired rows before them, and the rows shrink by j
+        k = np.count_nonzero(live)
+        holes = [row for row in range(k) if not live[row]]
+        arrays = [idx, o_rad, o_ray, p_rad, p_ray, d]
+        for hole, row in zip(holes, [row for row in range(k, idx.size) if live[row]]):
+            for a in arrays:
+                a[hole] = a[row]
+        idx, o_rad, o_ray, p_rad, p_ray, d = (a[:k] for a in arrays)
     return legs, scales, times, ratios, trans
 
 
